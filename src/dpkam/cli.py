@@ -2,12 +2,14 @@
 
 Verbs: resonances, wbnf, twist, spectrum, measure, solve, evolve.
 Configuration is a single INI file (key-value with sections, whitespace
-separated lists); see README for the schema.  Every artifact embeds the
-sha256 hash of the canonicalized configuration, and floating values are
+separated lists) plus `--set section.key=value` overrides; `SCHEMA` below
+lists every key with its type, default and meaning.  Every artifact embeds
+the sha256 hash of the resolved configuration, and floating values are
 printed with 17 significant digits so identical configs produce
 byte-identical outputs.
 
-Exit codes: 0 pass, 1 assertion failure, 2 budget/resource, 3 usage error.
+Exit codes: 0 pass, 1 failed check, 2 budget/resource, 3 usage error (bad
+config or arguments), 4 internal error (an unexpected exception).
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import os
 import sys
 import traceback
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -34,75 +37,145 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(RuntimeError):
     pass
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
+# -- config schema -------------------------------------------------------------
+
+
+def _list(kind: Callable) -> Callable[[str], tuple]:
+    return lambda text: tuple(kind(v) for v in text.split())
+
+
+def _f_coeffs(text: str) -> dict[int, float]:
+    pairs = (item.split(":") for item in text.split())
+    return torus_mod.FSpec({int(k): float(c) for k, c in pairs}).coeffs
+
+
+def _family(text: str) -> str:
+    if text not in measure_mod.FAMILIES:
+        raise ValueError(f"not one of {' '.join(measure_mod.FAMILIES)}")
+    return text
+
+
+REQUIRED = object()  # default of a key that a verb needs set
+
+# section -> key -> (parser, default, doc).  The default is INI text, or None
+# when the verb or the library decides.  Keys are case-sensitive, in files as
+# in --set, and an empty value means the default.
+SCHEMA: dict[str, dict[str, tuple[Callable[[str], object], object, str]]] = {
+    "problem": {
+        "splus": (lambda t: TangentialSet.make(t.split()), REQUIRED, "tangential sites S+"),
+        "epsilon": (float, REQUIRED, "amplitude of the torus"),
+        "a": (float, "0.1", "gamma = epsilon^(2+a), b = 1 + a/2"),
+        "xi": (_list(Fraction), None, "amplitudes in [1,2]^nu; unset: 3/2 each"),
+        "f_coeffs": (_f_coeffs, "", "density f(u) = sum c_k u^k as k:c_k, k >= 9"),
+    },
+    "truncation": {
+        "n_x": (int, "24", "normal modes |j| <= n_x"),
+        "n_phi": (int, "12", "angle modes |l|_inf <= n_phi"),
+    },
+    "scan": {
+        "order": (int, "4", "resonance order (resonances)"),
+        "bound": (int, "40", "index bound (resonances)"),
+        "m_cap": (int, None, "hierarchy depth M (resonances)"),
+        "max_order": (int, "2", "weak BNF steps (wbnf)"),
+        "j_bound": (int, None, "pair-scan bound (twist, spectrum); unset: each scan's own"),
+        "ident_j_max": (int, "30", "identification sweep bound (spectrum)"),
+        "spectrum_j_min": (int, None, "first mode of spectrum.csv; unset: jbar1 + 1"),
+        "spectrum_j_max": (int, "60", "last mode of spectrum.csv"),
+    },
+    "mc": {
+        "family": (_family, "G0_0", " | ".join(measure_mod.FAMILIES)),
+        "samples": (int, "100000", "Monte-Carlo samples per epsilon"),
+        "eps_values": (_list(float), "0.04 0.057 0.08 0.113 0.16", "epsilon sweep"),
+        "ell_max": (int, None, "truncation of the diophantine scan"),
+        "c_g1": (float, None, "the constant of the five-wave set"),
+    },
+    "solve": {
+        "n0": (float, None, "schedule N_n = n0^(chi^n)"),
+        "chi": (float, None, "schedule exponent"),
+        "max_iter": (int, None, "Newton iterations"),
+        "tol": (float, None, "sup-norm residual tolerance"),
+    },
+    "evolve": {
+        "checkpoint": (str, None, "saved embedding; unset: solve first"),
+        "T": (float, "100", "final time"),
+        "n_modes": (int, "64", "Fourier modes of the evolver"),
+        "drift_tol": (float, "1e-6", "bound on the relative H and K1 drift"),
+    },
+}
+
+
+class _Section(dict):
+    """One resolved config section; reading a missing required key is a usage error."""
+
+    def __missing__(self, key: str):
+        raise UsageError(f"missing required config key {key!r}")
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
-    cp = configparser.ConfigParser()
+    """Resolve the INI file at `path`, then the `section.key -> value`
+    overrides, through `SCHEMA`: typed values with every default filled in.
+    Unknown sections and keys and values that do not parse raise UsageError."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    cp.optionxform = str
     if path:
-        if not os.path.exists(path):
-            raise UsageError(f"config file not found: {path}")
-        cp.read(path)
-    cfg: dict = {s: dict(cp.items(s)) for s in cp.sections()}
-    for key, val in (overrides or {}).items():
-        sect, name = key.split(".", 1)
-        cfg.setdefault(sect, {})[name] = val
+        try:
+            with open(path) as fh:
+                cp.read_file(fh)
+        except (OSError, configparser.Error) as exc:
+            raise UsageError(f"cannot read config {path}: {exc}") from None
+    given = {(s, k): v for s in cp.sections() for k, v in cp.items(s)}
+    for name, val in (overrides or {}).items():
+        sect, _, key = name.partition(".")
+        given[sect, key] = val
+    for sect, key in given:
+        if sect not in SCHEMA:
+            raise UsageError(f"unknown config section [{sect}]")
+        if key not in SCHEMA[sect]:
+            raise UsageError(f"unknown config key [{sect}] {key}")
+
+    cfg = {}
+    for sect, fields in SCHEMA.items():
+        cfg[sect] = _Section()
+        for key, (parse, default, _) in fields.items():
+            text = given.get((sect, key), "").strip() or default
+            if text is REQUIRED:
+                continue
+            try:
+                cfg[sect][key] = None if text is None else parse(text)
+            except (ValueError, ArithmeticError) as exc:
+                raise UsageError(f"bad value for [{sect}] {key}: {text!r} ({exc})") from None
+
+    problem = cfg["problem"]
+    if "splus" in problem:
+        nu = problem["splus"].nu
+        problem["xi"] = problem["xi"] or (Fraction(3, 2),) * nu
+        if len(problem["xi"]) != nu:
+            raise UsageError(f"xi must have {nu} entries, one per site of splus")
     return cfg
 
 
 def config_hash(cfg: dict) -> str:
-    canon = json.dumps(cfg, sort_keys=True)
+    canon = json.dumps(cfg, sort_keys=True, default=str)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _require(cfg: dict, sect: str, name: str) -> str:
-    try:
-        return cfg[sect][name]
-    except KeyError:
-        raise UsageError(f"missing config field [{sect}] {name}") from None
-
-
-def _get(cfg: dict, sect: str, name: str, default=None):
-    return cfg.get(sect, {}).get(name, default)
-
-
-def _tangential_set(cfg: dict) -> TangentialSet:
-    sites = [int(v) for v in _require(cfg, "problem", "splus").split()]
-    return TangentialSet.make(sites)
+def _given(section: dict, *keys: str) -> dict:
+    """The set `keys` of `section` (default: all); library defaults cover the rest."""
+    return {k: section[k] for k in keys or section if section[k] is not None}
 
 
 def _scaling(cfg: dict, S: TangentialSet) -> ScalingParams:
-    eps = float(_require(cfg, "problem", "epsilon"))
-    a = float(_get(cfg, "problem", "a", "0.1"))
-    return ScalingParams(epsilon=eps, a=a, nu=S.nu)
-
-
-def _xi(cfg: dict, S: TangentialSet) -> list[Fraction]:
-    raw = _get(cfg, "problem", "xi")
-    if raw is None:
-        return [Fraction(3, 2)] * S.nu
-    vals = [_parse_fraction(v) for v in raw.split()]
-    if len(vals) != S.nu:
-        raise UsageError(f"xi must have {S.nu} entries")
-    return vals
-
-
-def _f_spec(cfg: dict) -> torus_mod.FSpec:
-    raw = _get(cfg, "problem", "f_coeffs")
-    if not raw:
-        return torus_mod.FSpec()
-    coeffs = {}
-    for item in raw.split():
-        k, v = item.split(":")
-        coeffs[int(k)] = float(v)
-    return torus_mod.FSpec(coeffs)
+    try:
+        return ScalingParams(epsilon=cfg["problem"]["epsilon"], a=cfg["problem"]["a"], nu=S.nu)
+    except ValueError as exc:
+        raise UsageError(f"[problem] {exc}") from None
 
 
 def _write(outdir: str, name: str, text: str) -> str:
@@ -113,7 +186,7 @@ def _write(outdir: str, name: str, text: str) -> str:
     return path
 
 
-def _summary(outdir: str, cfg: dict, command: str, checks: list[dict]) -> bool:
+def _summary(outdir: str, cfg: dict, command: str, checks: list[dict]) -> int:
     ok = all(c["pass"] for c in checks)
     payload = {
         "command": command,
@@ -122,20 +195,20 @@ def _summary(outdir: str, cfg: dict, command: str, checks: list[dict]) -> bool:
         "checks": checks,
     }
     _write(outdir, "summary.json", json.dumps(payload, indent=2, sort_keys=True))
-    return ok
+    return EXIT_PASS if ok else EXIT_FAIL
 
 
 # -- verbs ---------------------------------------------------------------------
 
 
 def cmd_resonances(cfg: dict, outdir: str, budget: int) -> int:
-    order = int(_get(cfg, "scan", "order", "4"))
-    bound = int(_get(cfg, "scan", "bound", "40"))
-    m_cap = int(_get(cfg, "scan", "m_cap", "8"))
+    order, bound = cfg["scan"]["order"], cfg["scan"]["bound"]
     if order > wbnf_mod.DEGREE_CAP:
         raise UsageError(f"order capped at {wbnf_mod.DEGREE_CAP}")
     try:
-        tuples = wbnf_mod.enumerate_h2_resonances(order, bound, budget=budget, m_cap=m_cap)
+        tuples = wbnf_mod.enumerate_h2_resonances(
+            order, bound, budget=budget, **_given(cfg["scan"], "m_cap")
+        )
     except wbnf_mod.BudgetExceeded as exc:
         _write(outdir, "resonances.csv", f"# budget exceeded: {exc}\n")
         print(f"budget exceeded: {exc}", file=sys.stderr)
@@ -159,17 +232,12 @@ def cmd_resonances(cfg: dict, outdir: str, budget: int) -> int:
             "pass": not nontrivial_resonant,
         }
     ]
-    return EXIT_PASS if _summary(outdir, cfg, "resonances", checks) else EXIT_FAIL
+    return _summary(outdir, cfg, "resonances", checks)
 
 
 def cmd_wbnf(cfg: dict, outdir: str, budget: int) -> int:
-    S = _tangential_set(cfg)
-    max_order = int(_get(cfg, "scan", "max_order", "2"))
-    try:
-        res = wbnf_mod.run_wbnf(S, max_order, budget=budget)
-    except wbnf_mod.BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    S = cfg["problem"]["splus"]
+    res = wbnf_mod.run_wbnf(S, cfg["scan"]["max_order"], budget=budget)
     for deg, gen in res.generators.items():
         _write(outdir, f"generator_deg{deg}.txt", serialize(gen))
     for deg, z in res.z_pieces.items():
@@ -191,15 +259,13 @@ def cmd_wbnf(cfg: dict, outdir: str, budget: int) -> int:
         {"check": "odd_kernels_vanish", "value": odd_ok, "threshold": True,
          "witness": "", "pass": odd_ok}
     )
-    return EXIT_PASS if _summary(outdir, cfg, "wbnf", checks) else EXIT_FAIL
+    return _summary(outdir, cfg, "wbnf", checks)
 
 
 def cmd_twist(cfg: dict, outdir: str, budget: int) -> int:
-    S = _tangential_set(cfg)
+    S = cfg["problem"]["splus"]
     td = twist_mod.twist_matrix(S)
-    report = twist_mod.nondegeneracy_report(
-        S, j_bound=int(_get(cfg, "scan", "j_bound", "60"))
-    )
+    report = twist_mod.nondegeneracy_report(S, **_given(cfg["scan"], "j_bound"))
     _write(outdir, "nondegeneracy.json", report.to_json())
     det_norm = abs(td.det_A) / Fraction(S.jbar1) ** (3 * S.nu)
     payload = {
@@ -216,20 +282,20 @@ def cmd_twist(cfg: dict, outdir: str, budget: int) -> int:
         {"check": "nondegeneracy", "value": report.all_pass(),
          "threshold": True, "witness": "", "pass": report.all_pass()},
     ]
-    return EXIT_PASS if _summary(outdir, cfg, "twist", checks) else EXIT_FAIL
+    return _summary(outdir, cfg, "twist", checks)
 
 
 def cmd_spectrum(cfg: dict, outdir: str, budget: int) -> int:
-    S = _tangential_set(cfg)
+    S = cfg["problem"]["splus"]
     sc = _scaling(cfg, S)
-    xi = _xi(cfg, S)
-    model = spectrum_mod.EigenModel(S, tuple(xi), sc)
-    j_lo = int(_get(cfg, "scan", "spectrum_j_min", str(S.jbar1 + 1)))
-    j_hi = int(_get(cfg, "scan", "spectrum_j_max", "60"))
-    js = [j for j in range(j_lo, j_hi + 1) if S.in_sc(j)]
+    xi = cfg["problem"]["xi"]
+    opts = cfg["scan"]
+    model = spectrum_mod.EigenModel(S, xi, sc)
+    j_lo = S.jbar1 + 1 if opts["spectrum_j_min"] is None else opts["spectrum_j_min"]
+    js = [j for j in range(j_lo, opts["spectrum_j_max"] + 1) if S.in_sc(j)]
     _write(outdir, "spectrum.csv", model.csv(js))
 
-    ident_hi = int(_get(cfg, "scan", "ident_j_max", "30"))
+    ident_hi = opts["ident_j_max"]
     ident_all = True
     for j in range(S.jbar1 + 1, ident_hi + 1):
         if not S.in_sc(j):
@@ -242,9 +308,7 @@ def cmd_spectrum(cfg: dict, outdir: str, budget: int) -> int:
         c_ok = True
     except spectrum_mod.SpectrumError:
         c_ok = False
-    scan = spectrum_mod.min_divisor_scan(
-        S, j_bound=int(_get(cfg, "scan", "j_bound", "2000"))
-    )
+    scan = spectrum_mod.min_divisor_scan(S, **_given(opts, "j_bound"))
     checks = [
         {"check": "identification_sweep", "value": ident_all, "threshold": True,
          "witness": f"j <= {ident_hi}", "pass": ident_all},
@@ -255,25 +319,19 @@ def cmd_spectrum(cfg: dict, outdir: str, budget: int) -> int:
          "witness": f"ell={scan.witness.ell}, j={scan.witness.j}, j'={scan.witness.jp}",
          "pass": scan.min_abs > 0},
     ]
-    return EXIT_PASS if _summary(outdir, cfg, "spectrum", checks) else EXIT_FAIL
+    return _summary(outdir, cfg, "spectrum", checks)
 
 
 def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int, threads: int = 0) -> int:
-    S = _tangential_set(cfg)
-    a = float(_get(cfg, "problem", "a", "0.1"))
-    family = _get(cfg, "mc", "family", "G0_0")
-    samples = int(_get(cfg, "mc", "samples", "100000"))
-    eps_values = [
-        float(v)
-        for v in _get(cfg, "mc", "eps_values", "0.04 0.057 0.08 0.113 0.16").split()
-    ]
+    S = cfg["problem"]["splus"]
+    a = cfg["problem"]["a"]
+    mc = cfg["mc"]
+    family, samples, eps_values = mc["family"], mc["samples"], mc["eps_values"]
     if threads <= 0:
         threads = os.cpu_count() or 1
     sweep = measure_mod.measure_sweep(
-        S, a, eps_values, family, samples, seed,
-        c_g1=float(_get(cfg, "mc", "c_g1", "1.0")),
-        ell_max=int(_get(cfg, "mc", "ell_max", "20")),
-        threads=threads,
+        S, a, eps_values, family, samples, seed, threads=threads,
+        **_given(mc, "c_g1", "ell_max"),
     )
     lines = ["eps,gamma,samples,excluded,fraction,stderr,volume,measure"]
     for est in sweep.estimates:
@@ -298,13 +356,11 @@ def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int, threads: int = 0
         # deterministic cross-check: exact per-slab quadrature of the same
         # exclusion condition (union bound), exposing magnitudes that may be
         # below Monte-Carlo resolution
-        from .core import ScalingParams as _SP
-
         slabs = []
         for eps in eps_values:
             cfgq = measure_mod.MelnikovConfig(
-                scaling=_SP(epsilon=eps, a=a, nu=S.nu),
-                ell_max=int(_get(cfg, "mc", "ell_max", "20")),
+                scaling=ScalingParams(epsilon=eps, a=a, nu=S.nu),
+                **_given(mc, "ell_max"),
             )
             slabs.append(float_fmt(measure_mod.g0_slab_measure(S, cfgq)))
         summary["slab_quadrature_fractions"] = slabs
@@ -315,42 +371,35 @@ def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int, threads: int = 0
          "threshold": f"{float_fmt(sweep.theory_slope)} +- 3 sigma",
          "witness": f"stderr {float_fmt(sweep.slope_stderr)}", "pass": bool(ok)}
     ]
-    return EXIT_PASS if _summary(outdir, cfg, "measure", checks) else EXIT_FAIL
+    return _summary(outdir, cfg, "measure", checks)
 
 
 def _torus_problem(cfg: dict) -> torus_mod.TorusProblem:
-    S = _tangential_set(cfg)
+    S = cfg["problem"]["splus"]
     sc = _scaling(cfg, S)
-    xi = _xi(cfg, S)
-    n_x = int(_get(cfg, "truncation", "n_x", "24"))
-    n_phi = int(_get(cfg, "truncation", "n_phi", "12"))
-    grid = torus_mod.TruncationGrid(n_x=n_x, n_phi=n_phi, jbar1=S.jbar1)
+    xi, trunc = cfg["problem"]["xi"], cfg["truncation"]
+    try:
+        grid = torus_mod.TruncationGrid(n_x=trunc["n_x"], n_phi=trunc["n_phi"], jbar1=S.jbar1)
+    except ValueError as exc:
+        raise UsageError(f"[truncation] {exc}") from None
     eps_frac = Fraction(str(sc.epsilon)).limit_denominator(10**12)
-    omega = np.array(
-        [float(w) for w in twist_mod.frequency_map(S, xi, eps_frac)]
-    )
+    omega = np.array([float(w) for w in twist_mod.frequency_map(S, xi, eps_frac)])
     return torus_mod.TorusProblem(
         S=S, grid=grid, xi=tuple(float(v) for v in xi), scaling=sc, omega=omega,
-        f_spec=_f_spec(cfg),
+        f_spec=torus_mod.FSpec(cfg["problem"]["f_coeffs"]),
     )
 
 
 def cmd_solve(cfg: dict, outdir: str, budget: int) -> int:
     prob = _torus_problem(cfg)
-    sched = torus_mod.NewtonSchedule(
-        n0=float(_get(cfg, "solve", "n0", "4")),
-        chi=float(_get(cfg, "solve", "chi", "1.5")),
-        max_iter=int(_get(cfg, "solve", "max_iter", "12")),
-        tol=float(_get(cfg, "solve", "tol", "1e-10")),
-    )
+    sched = torus_mod.NewtonSchedule(**_given(cfg["solve"]))
     try:
         sol = torus_mod.newton_solve(prob, schedule=sched)
     except torus_mod.TorusError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
-        _summary(outdir, cfg, "solve", [
+        return _summary(outdir, cfg, "solve", [
             {"check": "newton_converged", "value": str(exc), "threshold": "",
              "witness": "", "pass": False}])
-        return EXIT_FAIL
     os.makedirs(outdir, exist_ok=True)
     digest = torus_mod.save_embedding(sol.emb, os.path.join(outdir, "torus.json"))
     hist = "\n".join(float_fmt(r) for r in sol.residuals)
@@ -366,14 +415,22 @@ def cmd_solve(cfg: dict, outdir: str, budget: int) -> int:
          "threshold": "< 1e-9",
          "witness": "", "pass": bool(np.abs(sol.emb.zeta).max() < 1e-9)},
     ]
-    return EXIT_PASS if _summary(outdir, cfg, "solve", checks) else EXIT_FAIL
+    return _summary(outdir, cfg, "solve", checks)
 
 
 def cmd_evolve(cfg: dict, outdir: str, budget: int) -> int:
     prob = _torus_problem(cfg)
-    checkpoint = _get(cfg, "evolve", "checkpoint")
-    if checkpoint:
-        emb = torus_mod.load_embedding(checkpoint)
+    ev = cfg["evolve"]
+    if ev["checkpoint"] is not None:
+        try:
+            emb = torus_mod.load_embedding(ev["checkpoint"])
+        except (OSError, ValueError, torus_mod.TorusError) as exc:
+            raise UsageError(f"cannot load checkpoint: {exc}") from None
+        for name, saved, wanted in (("splus", emb.S.splus, prob.S.splus),
+                                    ("n_x", emb.grid.n_x, prob.grid.n_x),
+                                    ("n_phi", emb.grid.n_phi, prob.grid.n_phi)):
+            if saved != wanted:
+                raise UsageError(f"checkpoint has {name} = {saved}, the config {name} = {wanted}")
     else:
         sol = torus_mod.newton_solve(prob)
         if not sol.converged:
@@ -381,21 +438,19 @@ def cmd_evolve(cfg: dict, outdir: str, budget: int) -> int:
             return EXIT_FAIL
         emb = sol.emb
     u0 = torus_mod.action_angle_embed(prob, emb, (0.0, 0.0))
-    T = float(_get(cfg, "evolve", "T", "100"))
-    n_modes = int(_get(cfg, "evolve", "n_modes", "64"))
-    res = torus_mod.evolve(u0, T=T, n_modes=n_modes, f_spec=prob.f_spec)
+    T, tol = ev["T"], ev["drift_tol"]
+    res = torus_mod.evolve(u0, T=T, n_modes=ev["n_modes"], f_spec=prob.f_spec)
     lines = ["t,H,K1,sup_norm_u"]
     for t, h, k1, s in zip(res.times, res.h_values, res.k1_values, res.sup_values):
         lines.append(f"{float_fmt(t)},{float_fmt(h)},{float_fmt(k1)},{float_fmt(s)}")
     _write(outdir, "trajectory.csv", "\n".join(lines) + "\n")
-    tol = float(_get(cfg, "evolve", "drift_tol", "1e-6"))
     checks = [
         {"check": "H_drift", "value": float_fmt(res.h_drift), "threshold": f"< {tol}",
          "witness": f"T={T}", "pass": bool(res.h_drift < tol)},
         {"check": "K1_drift", "value": float_fmt(res.k1_drift), "threshold": f"< {tol}",
          "witness": f"T={T}", "pass": bool(res.k1_drift < tol)},
     ]
-    return EXIT_PASS if _summary(outdir, cfg, "evolve", checks) else EXIT_FAIL
+    return _summary(outdir, cfg, "evolve", checks)
 
 
 COMMANDS = {
@@ -423,14 +478,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--budget", type=int, default=wbnf_mod.DEFAULT_BUDGET)
     parser.add_argument("--set", action="append", default=[],
                         metavar="SECTION.KEY=VALUE", help="config override")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on bad arguments, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_PASS
 
     try:
         overrides = {}
         for item in args.set:
-            if "=" not in item or "." not in item.split("=", 1)[0]:
+            key, eq, val = item.partition("=")
+            if not eq:
                 raise UsageError(f"bad override {item!r}; use section.key=value")
-            key, val = item.split("=", 1)
             overrides[key] = val
         cfg = load_config(args.config, overrides)
         fn = COMMANDS[args.command]
@@ -440,12 +498,13 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (wbnf_mod.BudgetExceeded,) as exc:
+    except wbnf_mod.BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except Exception:
         traceback.print_exc()
-        return EXIT_FAIL
+        print("internal error", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -83,7 +83,6 @@ class GaussianRational:
 
 
 GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(Fraction(1))
 GR_I = GaussianRational(Fraction(0), Fraction(1))
 
 

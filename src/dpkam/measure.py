@@ -513,8 +513,8 @@ def measure_sweep(
     family: str,
     samples: int,
     seed: int,
-    c_g1: float = 1.0,
-    ell_max: int = 20,
+    c_g1: float = MelnikovConfig.c_g1,
+    ell_max: int = MelnikovConfig.ell_max,
     threads: int = 0,
 ) -> SweepResult:
     def one(i_eps):

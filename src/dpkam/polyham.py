@@ -20,7 +20,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .core import GR_ZERO, GaussianRational, TangentialSet, as_gaussian, lam
 
@@ -148,37 +148,6 @@ class HomPoly:
     def max_abs_index(self) -> int:
         return max((max(abs(j) for j in m) for m in self.terms), default=0)
 
-    # -- evaluation ------------------------------------------------------------
-
-    def evaluate(self, u: Mapping[int, complex]) -> complex:
-        """Numeric evaluation given Fourier coefficients u_j (missing = 0)."""
-        total = 0j
-        for m, c in self.terms.items():
-            prod = complex(c)
-            for j in m:
-                prod *= u.get(j, 0j)
-                if prod == 0:
-                    break
-            total += prod
-        return total
-
-    def gradient_component(self, j: int, u: Mapping[int, complex]) -> complex:
-        """d/du_j of the polynomial evaluated at u."""
-        total = 0j
-        for m, c in self.terms.items():
-            if j not in m:
-                continue
-            k = m.count(j)
-            rest = list(m)
-            rest.remove(j)
-            prod = complex(c) * k
-            for i in rest:
-                prod *= u.get(i, 0j)
-                if prod == 0:
-                    break
-            total += prod
-        return total
-
 
 # -- the bracket -----------------------------------------------------------------
 
@@ -275,14 +244,6 @@ def project_trivial(K: HomPoly) -> HomPoly:
 def project_z_degree(K: HomPoly, S: TangentialSet, predicate: Callable[[int], bool]) -> HomPoly:
     """Keep monomials whose z-degree (count of indices in S^c) satisfies `predicate`."""
     return K.map_filter(lambda m: predicate(z_degree(m, S)))
-
-
-def split_by_z_degree(K: HomPoly, S: TangentialSet) -> dict[int, HomPoly]:
-    out: dict[int, HomPoly] = {}
-    for m, c in K.terms.items():
-        d = z_degree(m, S)
-        out.setdefault(d, HomPoly.zero(K.degree, K.momentum)).accumulate(m, c)
-    return out
 
 
 # -- Lie series -------------------------------------------------------------------

@@ -119,7 +119,6 @@ class EigenModel:
     xi: tuple
     scaling: ScalingParams
     residual_constant: float = 1.0
-    m_truncation_order: int = 4  # the neglected m-correction is O(eps^4)
 
     def __post_init__(self):
         self.xi = tuple(_xi_fractions(self.S, self.xi))

@@ -149,13 +149,6 @@ class TorusEmbedding:
         self.z += zc
         self.z *= 0.5
 
-    def sup_norm(self) -> float:
-        return max(
-            float(np.abs(self.theta).sum()),
-            float(np.abs(self.y).sum()),
-            float(np.abs(self.z).sum()),
-        )
-
     def project(self, cutoff: int) -> None:
         """Apply the schedule projector Pi_n: keep the angle modes
         |l|_inf <= cutoff of theta, y and z.  The projector acts on the angles
@@ -662,6 +655,8 @@ def _unflatten_update(prob: TorusProblem, vec: np.ndarray, emb: TorusEmbedding):
 
 # -- Newton solver ----------------------------------------------------------------------
 
+MAX_BACKTRACK = 8  # step halvings tried before a Newton step counts as failed
+
 
 @dataclass
 class NewtonSchedule:
@@ -669,7 +664,6 @@ class NewtonSchedule:
     chi: float = 1.5
     max_iter: int = 12
     tol: float = 1e-10
-    max_backtrack: int = 8
 
     def cutoff(self, n: int, full: int) -> int:
         """The angle cutoff N_n = floor(N_0^(chi^n)) of step n, capped at the
@@ -683,7 +677,6 @@ class NewtonResult:
     residuals: list[float]
     converged: bool
     iterations: int
-    final_residual: Residual
 
 
 def min_linear_divisor(prob: TorusProblem) -> tuple[float, tuple]:
@@ -724,8 +717,6 @@ def newton_solve(
     prob: TorusProblem,
     start: TorusEmbedding | None = None,
     schedule: NewtonSchedule | None = None,
-    droptol: float = 1e-11,
-    verbose: bool = False,
 ) -> NewtonResult:
     """Damped Newton on (embedding, zeta) with the geometric projection
     schedule; the linearized system is solved by sparse LU on the truncation.
@@ -748,8 +739,8 @@ def newton_solve(
 
     for it in range(schedule.max_iter):
         if res.sup < schedule.tol:
-            return NewtonResult(emb, history, True, it, res)
-        J = jacobian(prob, emb, droptol=droptol)
+            return NewtonResult(emb, history, True, it)
+        J = jacobian(prob, emb)
         rhs = -_flatten_residual(prob, res, emb)
         delta = _linear_step(J, rhs, prob)
 
@@ -760,7 +751,7 @@ def newton_solve(
         def try_delta(d: np.ndarray) -> bool:
             nonlocal emb, res
             step = 1.0
-            for _ in range(schedule.max_backtrack + 1):
+            for _ in range(MAX_BACKTRACK + 1):
                 trial = emb.copy()
                 _unflatten_update(prob, step * d, trial)
                 trial.project(cutoff)
@@ -790,10 +781,8 @@ def newton_solve(
         elif not partial:
             grow = 0
         history.append(res.sup)
-        if verbose:
-            print(f"newton iter {it + 1}: residual {res.sup:.3e} (cutoff {cutoff})")
 
-    return NewtonResult(emb, history, res.sup < schedule.tol, schedule.max_iter, res)
+    return NewtonResult(emb, history, res.sup < schedule.tol, schedule.max_iter)
 
 
 # -- embedding to PDE initial data -------------------------------------------------------
@@ -1055,12 +1044,6 @@ def _phi_funcs(z: np.ndarray):
     )
 
 
-def _coefs_tuple(ev: "DPEvolver", dt: float):
-    z = dt * ev.L
-    Q, f1, f2, f3 = _phi_funcs(z)
-    return np.exp(z), np.exp(z / 2), Q, f1, f2, f3
-
-
 class DPEvolver:
     """Pseudo-spectral integrator for u_t = J grad H(u) on the circle with an
     exponential (ETDRK4) scheme for the stiff dispersive part."""
@@ -1115,7 +1098,12 @@ class DPEvolver:
         return out * self.mask
 
     def coefs(self, dt: float):
-        return _coefs_tuple(self, dt)
+        z = dt * self.L
+        Q, f1, f2, f3 = _phi_funcs(z)
+        return np.exp(z), np.exp(z / 2), Q, f1, f2, f3
+
+
+REPORT_POINTS = 64  # evolve records the trajectory every T / REPORT_POINTS
 
 
 def evolve(
@@ -1127,7 +1115,6 @@ def evolve(
     rtol: float = 1e-10,
     f_spec: FSpec | None = None,
     cubic: bool = True,
-    n_report: int = 64,
     blowup: float = 1e6,
 ) -> EvolveResult:
     """Integrate the DP flow from Fourier data; report relative drifts of H
@@ -1152,7 +1139,7 @@ def evolve(
     k1s = [ev.momentum(uhat)]
     sups = [float(np.abs(scipy.fft.ifft(uhat) * ev.mx).max())]
     states = [uhat.copy()]
-    report_every = max(T / n_report, dt)
+    report_every = max(T / REPORT_POINTS, dt)
     next_report = report_every
     coefs = ev.coefs(dt)
     coefs_half = ev.coefs(dt / 2)

@@ -202,8 +202,7 @@ def normalized_det_limit_form(x: Fraction, nu: int) -> Fraction:
 def frequency_map(S: TangentialSet, xi: Sequence, eps: float) -> list:
     """alpha(xi) = omega_bar + eps^2 A xi (exact when xi and eps^2 are rational).
 
-    The O(eps^4) correction of the full map is out of scope here; callers that
-    need the truncation flag should consult `frequency_map_truncation_order`.
+    The O(eps^4) correction of the full map is out of scope here.
     """
     td = twist_matrix(S)
     if all(isinstance(v, (int, Fraction)) for v in xi) and isinstance(
@@ -215,9 +214,6 @@ def frequency_map(S: TangentialSet, xi: Sequence, eps: float) -> list:
     e2 = float(eps) ** 2
     Ax = mat_vec(td.A, [Fraction(v) if isinstance(v, int) else v for v in list(xi)])
     return [float(w) + e2 * float(a) for w, a in zip(td.omega_bar, Ax)]
-
-
-FREQUENCY_MAP_TRUNCATION_ORDER = 4  # neglected term is O(eps^4)
 
 
 def inverse_frequency_map(

@@ -219,9 +219,6 @@ class WbnfResult:
     z1_pieces: dict[int, HomPoly] = field(default_factory=dict)  # degree -> Z^(n,1)
     pieces: dict[int, HomPoly] = field(default_factory=dict)  # transformed H
 
-    def monomial_count(self) -> int:
-        return sum(len(p) for p in self.pieces.values())
-
 
 def _total_size(pieces: dict[int, HomPoly]) -> int:
     return sum(len(p) for p in pieces.values())

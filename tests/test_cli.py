@@ -1,7 +1,14 @@
+import configparser
 import json
 import os
+import re
 
-from dpkam.cli import main
+import pytest
+
+from dpkam import cli, torus
+from dpkam.cli import SCHEMA, config_hash, load_config, main
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def write_config(tmp_path, text):
@@ -120,3 +127,72 @@ def test_solve_and_evolve_cmd(tmp_path):
     traj = (tmp_path / "ev" / "trajectory.csv").read_text().splitlines()
     assert traj[0] == "t,H,K1,sup_norm_u"
     assert len(traj) > 3
+    assert float(traj[-1].split(",")[0]) == 5.0  # [evolve] T = 5 from the file
+
+
+REJECTED = {
+    "unknown key in file": ("[truncation]\nnphi = 8\n", [], "unknown config key [truncation] nphi"),
+    "unknown key via --set": ("", ["--set", "truncation.nphi=8"],
+                              "unknown config key [truncation] nphi"),
+    "unknown section": ("[solver]\ntol = 1e-8\n", [], "unknown config section [solver]"),
+    "non-integer order": ("", ["--set", "scan.order=four"], "[scan] order: 'four'"),
+    "three xi for nu = 2": ("", ["--set", "problem.xi=1 3/2 2"], "xi must have 2 entries"),
+    "malformed f_coeffs": ("f_coeffs = 9:x\n", [], "[problem] f_coeffs: '9:x'"),
+}
+
+
+@pytest.mark.parametrize("extra,args,message", REJECTED.values(), ids=list(REJECTED))
+def test_rejected_input_exits_3(tmp_path, capsys, extra, args, message):
+    cfg = write_config(tmp_path, BASE + extra)
+    rc = main(["resonances", "--config", cfg, "--out", str(tmp_path / "o")] + args)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("usage error:") and message in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_bad_argument_exits_3():
+    assert main(["twist", "--no-such-flag"]) == 3
+
+
+def test_evolve_rejects_checkpoint_of_other_grid(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE + "[truncation]\nn_x = 16\nn_phi = 4\n")
+    prob = cli._torus_problem(load_config(cfg))
+    path = str(tmp_path / "torus.json")
+    torus.save_embedding(torus.TorusEmbedding.trivial(prob.S, prob.grid), path)
+    rc = main(["evolve", "--config", cfg, "--out", str(tmp_path / "ev"),
+               "--set", f"evolve.checkpoint={path}", "--set", "truncation.n_phi=6"])
+    err = capsys.readouterr().err
+    assert rc == 3 and "Traceback" not in err
+    assert "n_phi = 4" in err and "n_phi = 6" in err
+
+
+def test_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
+    def broken(cfg, outdir, budget):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "twist", broken)
+    rc = main(["twist", "--config", write_config(tmp_path, BASE)])
+    assert rc == 4
+    assert "ZeroDivisionError: boom" in capsys.readouterr().err
+
+
+def test_file_and_set_mean_the_same(tmp_path):
+    from_file = load_config(write_config(tmp_path, BASE + "[evolve]\nT = 5   ; short run\n"))
+    from_set = load_config(write_config(tmp_path, BASE), {"evolve.T": "5.0"})
+    assert from_file == from_set and from_file["evolve"]["T"] == 5.0
+    assert config_hash(from_file) == config_hash(from_set)
+    assert config_hash(from_file) != config_hash(load_config(write_config(tmp_path, BASE)))
+
+
+def test_readme_config(tmp_path):
+    with open(README) as fh:
+        text = re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+    cfg = write_config(tmp_path, text)
+    load_config(cfg)
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp.optionxform = str
+    cp.read_string(text)
+    assert {s: set(cp[s]) for s in cp.sections()} == {s: set(f) for s, f in SCHEMA.items()}
+    for verb in ("twist", "resonances"):
+        assert main([verb, "--config", cfg, "--out", str(tmp_path / verb)]) == 0
