@@ -237,7 +237,10 @@ def cmd_resonances(cfg: dict, outdir: str, budget: int) -> int:
 
 def cmd_wbnf(cfg: dict, outdir: str, budget: int) -> int:
     S = cfg["problem"]["splus"]
-    res = wbnf_mod.run_wbnf(S, cfg["scan"]["max_order"], budget=budget)
+    max_order = cfg["scan"]["max_order"]
+    if not 1 <= max_order <= wbnf_mod.DEGREE_CAP - 2:
+        raise UsageError(f"[scan] max_order must lie in 1..{wbnf_mod.DEGREE_CAP - 2}")
+    res = wbnf_mod.run_wbnf(S, max_order, budget=budget)
     for deg, gen in res.generators.items():
         _write(outdir, f"generator_deg{deg}.txt", serialize(gen))
     for deg, z in res.z_pieces.items():
@@ -327,6 +330,14 @@ def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int, threads: int = 0
     a = cfg["problem"]["a"]
     mc = cfg["mc"]
     family, samples, eps_values = mc["family"], mc["samples"], mc["eps_values"]
+    if samples < measure_mod.MIN_SAMPLES:
+        raise UsageError(f"[mc] samples must be at least {measure_mod.MIN_SAMPLES}")
+    try:  # the library's own range checks, before any work
+        cfgs = [measure_mod.MelnikovConfig(scaling=ScalingParams(epsilon=eps, a=a, nu=S.nu),
+                                           **_given(mc, "c_g1", "ell_max"))
+                for eps in eps_values]
+    except ValueError as exc:
+        raise UsageError(f"[mc] {exc}") from None
     if threads <= 0:
         threads = os.cpu_count() or 1
     sweep = measure_mod.measure_sweep(
@@ -356,14 +367,8 @@ def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int, threads: int = 0
         # deterministic cross-check: exact per-slab quadrature of the same
         # exclusion condition (union bound), exposing magnitudes that may be
         # below Monte-Carlo resolution
-        slabs = []
-        for eps in eps_values:
-            cfgq = measure_mod.MelnikovConfig(
-                scaling=ScalingParams(epsilon=eps, a=a, nu=S.nu),
-                **_given(mc, "ell_max"),
-            )
-            slabs.append(float_fmt(measure_mod.g0_slab_measure(S, cfgq)))
-        summary["slab_quadrature_fractions"] = slabs
+        summary["slab_quadrature_fractions"] = [
+            float_fmt(measure_mod.g0_slab_measure(S, c)) for c in cfgs]
     _write(outdir, "measure_summary.json", json.dumps(summary, indent=2))
     ok = sweep.slope_consistent()
     checks = [
@@ -432,7 +437,7 @@ def cmd_evolve(cfg: dict, outdir: str, budget: int) -> int:
             if saved != wanted:
                 raise UsageError(f"checkpoint has {name} = {saved}, the config {name} = {wanted}")
     else:
-        sol = torus_mod.newton_solve(prob)
+        sol = torus_mod.newton_solve(prob, schedule=torus_mod.NewtonSchedule(**_given(cfg["solve"])))
         if not sol.converged:
             print("newton did not converge; cannot evolve", file=sys.stderr)
             return EXIT_FAIL

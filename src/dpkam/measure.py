@@ -15,9 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import spectrum
 from .core import ScalingParams, TangentialSet, ell_bracket, lam, signed_ell_vectors
-from .spectrum import EigenModel, momentum_ells, w_vec
-from .twist import TwistData, mat_solve, mat_transpose, mat_vec, twist_matrix, v_vec
+from .spectrum import momentum_ells, w_vec
+from .twist import TwistData, mat_solve, mat_transpose, twist_matrix, v_vec
 
 
 @dataclass
@@ -30,6 +31,8 @@ class MelnikovConfig:
     def __post_init__(self):
         if self.scaling.gamma >= 1.0:
             raise ValueError("gamma must be < 1")
+        if self.ell_max < 1:
+            raise ValueError("ell_max must be at least 1")
 
     @property
     def gamma(self) -> float:
@@ -61,10 +64,24 @@ class FrequencyBox:
     def make(cls, S: TangentialSet, eps: float) -> "FrequencyBox":
         return cls(S=S, td=twist_matrix(S), eps=eps)
 
+    @property
+    def A(self) -> np.ndarray:
+        return np.array([[float(a) for a in row] for row in self.td.A])
+
+    @property
+    def omega_bar(self) -> np.ndarray:
+        return np.array([float(w) for w in self.td.omega_bar])
+
     def omega_of_xi(self, xi: np.ndarray) -> np.ndarray:
-        A = np.array([[float(a) for a in row] for row in self.td.A])
-        wb = np.array([float(w) for w in self.td.omega_bar])
-        return wb + self.eps**2 * xi @ A.T
+        return self.omega_bar + self.eps**2 * xi @ self.A.T
+
+    def ell_forms(self, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """omega.l = c0 + g.xi for each row l of `ells`, as (c0, g, scale);
+        `scale` is the sum of the absolute values of the summands of
+        `omega_of_xi(xi) @ l` on the box."""
+        A, wb = self.A, self.omega_bar
+        e2 = self.eps**2
+        return ells @ wb, e2 * (ells @ A), np.abs(ells) @ (np.abs(wb) + 2 * e2 * np.abs(A).sum(1))
 
     @property
     def volume(self) -> float:
@@ -110,6 +127,30 @@ def g1_scan_pairs(S: TangentialSet, cfg: MelnikovConfig) -> tuple[list, float]:
     return pairs, float(min_ell)
 
 
+def g1_divisors(S: TangentialSet, pairs: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The five-wave divisor of each case (ell, j, j') of `g1_scan_pairs` as
+    base + eps^2 grad.xi, one row per case, with
+        base = sum_i lambda(s_i) l_i + lambda(j') - lambda(j),
+        grad = A l + lambda(j') l_j' - lambda(j) l_j,
+    l_j the coefficient vector of `spectrum.ell_j_form`, built once per
+    distinct mode (with its exact two-form check) and once per distinct ell."""
+    A = np.array([[float(a) for a in row] for row in twist_matrix(S).A])
+    ell_list = sorted({ell for ell, _, _ in pairs})
+    ell_base = np.array([float(sum(lam(s) * e for s, e in zip(S.splus, ell))) for ell in ell_list])
+    ell_grad = np.array([np.asarray(ell, dtype=float) @ A.T for ell in ell_list])
+    modes = sorted({j for _, j, _ in pairs} | {jp for _, _, jp in pairs})
+    lam_v = np.array([float(lam(j)) for j in modes])
+    lform = np.array([[float(c) for c in spectrum.ell_j_form(S, j)] for j in modes])
+    ell_pos = {ell: i for i, ell in enumerate(ell_list)}
+    mode_pos = {j: i for i, j in enumerate(modes)}
+    E = np.array([ell_pos[ell] for ell, _, _ in pairs], dtype=np.intp)
+    J = np.array([mode_pos[j] for _, j, _ in pairs], dtype=np.intp)
+    JP = np.array([mode_pos[jp] for _, _, jp in pairs], dtype=np.intp)
+    base = ell_base[E] + (lam_v[JP] - lam_v[J])
+    grad = ell_grad[E] + lam_v[JP, None] * lform[JP] - lam_v[J, None] * lform[J]
+    return base, grad
+
+
 def in_g0(
     omega: Sequence[float],
     S: TangentialSet,
@@ -121,7 +162,7 @@ def in_g0(
     The diophantine condition |omega . l| >= gamma <l>^-tau is scanned over
     0 < |l| <= cfg.ell_max (truncation recorded by the caller via
     `g0_truncation_note`); the five-wave condition is scanned over the
-    pruning-justified finite case list."""
+    pruning-justified finite case list, with the divisors of `g1_divisors`."""
     w = np.asarray(omega, dtype=float)
     if xi is None:
         from .twist import inverse_frequency_map
@@ -139,22 +180,10 @@ def in_g0(
         if not flag0:
             break
 
-    model = EigenModel(S, tuple(Fraction(v).limit_denominator(10**12) for v in xi), cfg.scaling)
-    td = twist_matrix(S)
-    axi = [float(v) for v in mat_vec(td.A, list(model.xi))]
-    e2 = cfg.scaling.epsilon ** 2
-    flag1 = True
     pairs, _ = g1_scan_pairs(S, cfg)
-    for ell, j, jp in pairs:
-        base = float(sum(lam(s) * e for s, e in zip(S.splus, ell)))
-        base += float(lam(jp)) - float(lam(j))
-        corr = float(np.dot(axi, ell))
-        corr += float(lam(jp)) * float(model.ell(jp)) - float(lam(j)) * float(
-            model.ell(j)
-        )
-        if abs(base + e2 * corr) <= cfg.c_g1 * gamma:
-            flag1 = False
-            break
+    base, grad = g1_divisors(S, pairs)
+    vals = base + cfg.scaling.epsilon**2 * (grad @ np.asarray(xi, dtype=float))
+    flag1 = not bool(np.any(np.abs(vals) <= cfg.c_g1 * gamma))
     return flag0, flag1
 
 
@@ -285,6 +314,12 @@ def classify_resonant_set(
 
 
 FAMILIES = ("G0_0", "G0_1", "first_melnikov", "second_melnikov")
+MIN_SAMPLES = 1000
+
+# Bound on the rounding error of a float evaluation of an affine form
+# c0 + g.xi, relative to the sum of the absolute values of its summands: a
+# few units of 2^-53 per operation, with three orders of magnitude to spare.
+ROUNDING = 1e-12
 
 
 @dataclass
@@ -299,6 +334,24 @@ class MeasureEstimate:
     measure: float
     measure_stderr: float
     notes: list[str] = field(default_factory=list)
+
+
+def slab_meets_box(
+    c0: np.ndarray, g: np.ndarray, t: np.ndarray, scale: np.ndarray
+) -> np.ndarray:
+    """Mask of the cases whose slab {xi : |c0 + g.xi| < t} meets the box [1,2]^nu.
+
+    c0, t and scale hold one value per case and g one row of nu values.  On
+    the box c0 + g.xi ranges exactly over
+        [c0 + sum_i min(g_i, 2 g_i), c0 + sum_i max(g_i, 2 g_i)];
+    a case is kept when that range meets [-t, t] widened by ROUNDING * scale,
+    where `scale` bounds the sum of the absolute values of the summands of the
+    form and of the per-sample expression that evaluates it.  So a dropped
+    case has no sample that its per-sample test would exclude, with < or <=."""
+    lo = c0 + np.minimum(g, 2 * g).sum(axis=-1)
+    hi = c0 + np.maximum(g, 2 * g).sum(axis=-1)
+    slack = ROUNDING * scale
+    return (lo <= t + slack) & (hi >= -t - slack)
 
 
 def _melnikov_j_range(S: TangentialSet, cfg: MelnikovConfig) -> int:
@@ -336,11 +389,15 @@ def estimate_excluded_measure(
     residual set to zero; its bound eps^(4-3a)/<j> is added to the threshold
     as a conservative margin.  The second-Melnikov scan runs over the
     momentum-compatible pairs k = j - l.jbar (the divisors the reduction
-    actually inverts); mode ranges are pruning-justified and recorded."""
+    actually inverts); mode ranges are pruning-justified and recorded.
+
+    Every tested quantity is affine in xi, so each case first goes through
+    `slab_meets_box`; only the cases whose slab meets the box are evaluated
+    sample by sample, and the last note records how many there were."""
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}")
-    if samples < 10**3:
-        raise ValueError("at least 1000 samples are required")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"at least {MIN_SAMPLES} samples are required")
     nu = S.nu
     eps = cfg.scaling.epsilon
     box = FrequencyBox.make(S, eps)
@@ -365,24 +422,28 @@ def estimate_excluded_measure(
         for n in range(1, cfg.ell_max + 1)
         for ell in signed_ell_vectors(nu, n)
     ]
+    # omega.l = wl_c0 + wl_g.xi per ell
+    wl_c0, wl_g, wl_scale = box.ell_forms(np.array(ells, dtype=float))
+    tau = cfg.scaling.tau
+    e2 = eps**2
+    excluded = np.zeros(samples, dtype=bool)
 
     if family == "G0_0":
-        excluded = _excluded_g0_0(w, S, cfg, ells)
+        thr = np.array([cfg.gamma * ell_bracket(ell) ** (-tau) for ell in ells])
+        meets = slab_meets_box(wl_c0, wl_g, thr, wl_scale)
+        excluded = _excluded_g0_0(w, S, cfg, [ells[i] for i in np.flatnonzero(meets)])
+        met, total = int(meets.sum()), len(ells)
     elif family == "G0_1":
         pairs, min_ell = g1_scan_pairs(S, cfg)
         notes.append(f"five-wave scan over {len(pairs)} momentum cases, min_ell={min_ell}")
-        td = twist_matrix(S)
-        A = np.array([[float(a) for a in row] for row in td.A])
-        excluded = np.zeros(samples, dtype=bool)
-        e2 = eps**2
-        for ell, j, jp in pairs:
-            base = float(sum(lam(s) * e for s, e in zip(S.splus, ell)))
-            base += float(lam(jp)) - float(lam(j))
-            lj = _ell_coeff_vector(S, j)
-            ljp = _ell_coeff_vector(S, jp)
-            grad = (np.asarray(ell, float) @ A.T) + float(lam(jp)) * ljp - float(lam(j)) * lj
-            vals = base + e2 * (xi @ grad)
-            excluded |= np.abs(vals) <= cfg.c_g1 * cfg.gamma
+        base, grad = g1_divisors(S, pairs)
+        thr = cfg.c_g1 * cfg.gamma
+        g = e2 * grad
+        meets = slab_meets_box(base, g, thr, np.abs(base) + 2 * np.abs(g).sum(1))
+        for i in np.flatnonzero(meets):
+            vals = base[i] + e2 * (xi @ grad[i])
+            excluded |= np.abs(vals) <= thr
+        met, total = int(meets.sum()), len(pairs)
     else:
         jmax = _melnikov_j_range(S, cfg)
         notes.append(
@@ -390,36 +451,75 @@ def estimate_excluded_measure(
             f"with C = {pruning_slope_constant(S):.4f} and |l| <= {cfg.ell_max}"
         )
         js = [j for j in range(-jmax, jmax + 1) if S.in_sc(j)]
+        ja = np.asarray(js)
+        jf = ja.astype(float)
         lam_v = np.array([float(lam(j)) for j in js])
         kap = _kappa_matrix(S, js)  # per-site coefficients; kappa_j = kap[j] . xi
         c_coeff = np.array([float(Fraction(2, 3) * (1 + s * s)) for s in S.splus])
-        e2 = eps**2
         m = 1.0 + e2 * (xi @ c_coeff)  # per-sample
-        d = m[:, None] * lam_v[None, :] + e2 * (xi @ kap.T)
         margin = cfg.scaling.epsilon ** (4.0 - 3.0 * cfg.scaling.a) / np.maximum(
-            1, np.abs(np.asarray(js, float))
+            1, np.abs(jf)
         )
-        excluded = np.zeros(samples, dtype=bool)
+        # per mode: m j and d_j = m lambda(j) + eps^2 kappa_j as c0 + g.xi
+        m_scale = 1.0 + 2 * e2 * np.abs(c_coeff).sum()
+        mj_g = e2 * jf[:, None] * c_coeff
+        d_g = e2 * (lam_v[:, None] * c_coeff + kap)
+        d_scale = np.abs(lam_v) * m_scale + 2 * e2 * np.abs(kap).sum(1)
+
+        def d_col(idx: int) -> np.ndarray:
+            return m * lam_v[idx] + e2 * (xi @ kap[idx])
+
+        # position of mode k in js, or -1, for k in [-jmax, jmax]
+        pos = np.full(2 * jmax + 1, -1, dtype=np.intp)
+        pos[ja + jmax] = np.arange(len(js))
         gamma0 = cfg.gamma_n(0)
         gamma0s = cfg.gamma_n_star(0)
-        for ell in ells:
-            wl = w @ np.asarray(ell, dtype=float)
-            thr = 2.0 * gamma0 * ell_bracket(ell) ** (-cfg.scaling.tau)
+        met = total = 0
+        for i, ell in enumerate(ells):
+            ell_f = np.asarray(ell, dtype=float)
             if family == "first_melnikov":
-                for idx, j in enumerate(js):
-                    t = thr + margin[idx]
-                    excluded |= np.abs(wl + m * j) < t
-                    excluded |= np.abs(wl + d[:, idx]) < t
+                thr = 2.0 * gamma0 * ell_bracket(ell) ** (-tau)
+                t = thr + margin
+                meets_mj = slab_meets_box(
+                    wl_c0[i] + jf, wl_g[i] + mj_g, t, wl_scale[i] + np.abs(jf) * m_scale
+                )
+                meets_d = slab_meets_box(
+                    wl_c0[i] + lam_v, wl_g[i] + d_g, t, wl_scale[i] + d_scale
+                )
+                met += int(meets_mj.sum() + meets_d.sum())
+                total += 2 * len(js)
+                if not (meets_mj.any() or meets_d.any()):
+                    continue
+                wl = w @ ell_f
+                for idx in np.flatnonzero(meets_mj):
+                    excluded |= np.abs(wl + m * js[idx]) < t[idx]
+                for idx in np.flatnonzero(meets_d):
+                    excluded |= np.abs(wl + d_col(idx)) < t[idx]
             else:
-                thr2 = 2.0 * gamma0s * ell_bracket(ell) ** (-cfg.scaling.tau)
+                thr2 = 2.0 * gamma0s * ell_bracket(ell) ** (-tau)
                 shift = sum(s * e for s, e in zip(S.splus, ell))
-                for idx, j in enumerate(js):
-                    k = j - shift  # momentum-compatible partner
-                    if k == j or not S.in_sc(k) or abs(k) > jmax:
-                        continue
-                    kdx = js.index(k)
-                    t = thr2 + margin[idx] + margin[kdx]
-                    excluded |= np.abs(wl + d[:, idx] - d[:, kdx]) < t
+                if shift == 0:
+                    continue  # k = j: no divisor
+                # momentum-compatible partners k = j - shift inside the scan
+                k = ja - shift
+                jdx = np.flatnonzero(np.abs(k) <= jmax)
+                kdx = pos[k[jdx] + jmax]
+                jdx, kdx = jdx[kdx >= 0], kdx[kdx >= 0]
+                t = thr2 + margin[jdx] + margin[kdx]
+                meets = slab_meets_box(
+                    wl_c0[i] + lam_v[jdx] - lam_v[kdx],
+                    wl_g[i] + d_g[jdx] - d_g[kdx],
+                    t,
+                    wl_scale[i] + d_scale[jdx] + d_scale[kdx],
+                )
+                met += int(meets.sum())
+                total += len(jdx)
+                if not meets.any():
+                    continue
+                wl = w @ ell_f
+                for h in np.flatnonzero(meets):
+                    excluded |= np.abs(wl + d_col(jdx[h]) - d_col(kdx[h])) < t[h]
+    notes.append(f"{met} of {total} cases meet the parameter box")
 
     count = int(np.count_nonzero(excluded))
     frac = count / samples
@@ -443,12 +543,6 @@ def binomial_stderr(frac: float, samples: int) -> float:
     variance floored at 1/samples so that a zero count still reports the
     resolution of the sample size."""
     return math.sqrt(max(frac * (1 - frac), 1.0 / samples)) / math.sqrt(samples)
-
-
-def _ell_coeff_vector(S: TangentialSet, j: int) -> np.ndarray:
-    from .spectrum import ell_j_form
-
-    return np.array([float(c) for c in ell_j_form(S, j)])
 
 
 def _kappa_matrix(S: TangentialSet, js: Sequence[int]) -> np.ndarray:

@@ -130,21 +130,36 @@ def test_solve_and_evolve_cmd(tmp_path):
     assert float(traj[-1].split(",")[0]) == 5.0  # [evolve] T = 5 from the file
 
 
+def test_evolve_honours_solve_schedule(tmp_path):
+    cfg = write_config(tmp_path, BASE + "[truncation]\nn_x = 16\nn_phi = 4\n"
+                                        "[solve]\nmax_iter = 1\n[evolve]\nT = 1\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "so")]) == 1
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "ev")]) == 1
+
+
 REJECTED = {
-    "unknown key in file": ("[truncation]\nnphi = 8\n", [], "unknown config key [truncation] nphi"),
-    "unknown key via --set": ("", ["--set", "truncation.nphi=8"],
+    "unknown key in file": ("resonances", "[truncation]\nnphi = 8\n", [],
+                            "unknown config key [truncation] nphi"),
+    "unknown key via --set": ("resonances", "", ["--set", "truncation.nphi=8"],
                               "unknown config key [truncation] nphi"),
-    "unknown section": ("[solver]\ntol = 1e-8\n", [], "unknown config section [solver]"),
-    "non-integer order": ("", ["--set", "scan.order=four"], "[scan] order: 'four'"),
-    "three xi for nu = 2": ("", ["--set", "problem.xi=1 3/2 2"], "xi must have 2 entries"),
-    "malformed f_coeffs": ("f_coeffs = 9:x\n", [], "[problem] f_coeffs: '9:x'"),
+    "unknown section": ("resonances", "[solver]\ntol = 1e-8\n", [],
+                        "unknown config section [solver]"),
+    "non-integer order": ("resonances", "", ["--set", "scan.order=four"], "[scan] order: 'four'"),
+    "three xi for nu = 2": ("resonances", "", ["--set", "problem.xi=1 3/2 2"],
+                            "xi must have 2 entries"),
+    "malformed f_coeffs": ("resonances", "f_coeffs = 9:x\n", [], "[problem] f_coeffs: '9:x'"),
+    "too few samples": ("measure", "", ["--set", "mc.samples=10"], "[mc] samples must be at least"),
+    "ell_max 0": ("measure", "", ["--set", "mc.ell_max=0"], "[mc] ell_max must be at least 1"),
+    "epsilon above 1": ("measure", "", ["--set", "mc.eps_values=0.1 1.5"],
+                        "[mc] epsilon must lie in (0, 1)"),
+    "max_order 9": ("wbnf", "", ["--set", "scan.max_order=9"], "[scan] max_order must lie in 1..6"),
 }
 
 
-@pytest.mark.parametrize("extra,args,message", REJECTED.values(), ids=list(REJECTED))
-def test_rejected_input_exits_3(tmp_path, capsys, extra, args, message):
+@pytest.mark.parametrize("verb,extra,args,message", REJECTED.values(), ids=list(REJECTED))
+def test_rejected_input_exits_3(tmp_path, capsys, verb, extra, args, message):
     cfg = write_config(tmp_path, BASE + extra)
-    rc = main(["resonances", "--config", cfg, "--out", str(tmp_path / "o")] + args)
+    rc = main([verb, "--config", cfg, "--out", str(tmp_path / "o")] + args)
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("usage error:") and message in err and "Traceback" not in err

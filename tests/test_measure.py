@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dpkam.measure import (
     g1_scan_pairs,
     in_g0,
     measure_sweep,
+    slab_meets_box,
     _box_slab_volume,
 )
 from dpkam.spectrum import kappa_j, c_of_xi
@@ -243,3 +245,138 @@ def test_measure_sweep_shape():
     sweep = measure_sweep(S67, 0.1, [0.15, 0.2], "G0_1", 2000, seed=21, ell_max=4)
     assert len(sweep.estimates) == 2
     assert sweep.theory_slope == pytest.approx(2 * (2 - 1) + 2 * 1.05)
+
+
+# -- oracle: the unpruned per-sample loops ------------------------------------
+
+
+def _unpruned_excluded(S, cfg, family, samples, seed):
+    """Excluded count of `estimate_excluded_measure` by its earlier loops:
+    every case of every family evaluated sample by sample, with the
+    (samples x modes) matrix of d_j for the Melnikov families.  Only the exact
+    l_j is looked up once per mode; the float arithmetic is unchanged."""
+    from dpkam.core import ell_bracket, lam, signed_ell_vectors
+    from dpkam.measure import _kappa_matrix, _melnikov_j_range, pruning_slope_constant
+    from dpkam.spectrum import ell_j_form
+    from dpkam.twist import twist_matrix
+
+    l_form = {}
+
+    def ell_coeff_vector(j):
+        if j not in l_form:
+            l_form[j] = np.array([float(c) for c in ell_j_form(S, j)])
+        return l_form[j]
+
+    nu, eps = S.nu, cfg.scaling.epsilon
+    box = FrequencyBox.make(S, eps)
+    chunks, done, widx = [], 0, 0
+    while done < samples:
+        size = min(1 << 14, samples - done)
+        rng = np.random.Generator(np.random.Philox(key=[seed, widx]))
+        chunks.append(1.0 + rng.random((size, nu)))
+        done += size
+        widx += 1
+    xi = np.concatenate(chunks, axis=0)
+    w = box.omega_of_xi(xi)
+    ells = [ell for n in range(1, cfg.ell_max + 1) for ell in signed_ell_vectors(nu, n)]
+    excluded = np.zeros(samples, dtype=bool)
+    e2 = eps**2
+    if family == "G0_0":
+        for ell in ells:
+            thr = cfg.gamma * ell_bracket(ell) ** (-cfg.scaling.tau)
+            excluded |= np.abs(w @ np.asarray(ell, dtype=float)) < thr
+    elif family == "G0_1":
+        pairs, _ = g1_scan_pairs(S, cfg)
+        A = np.array([[float(a) for a in row] for row in twist_matrix(S).A])
+        for ell, j, jp in pairs:
+            base = float(sum(lam(s) * e for s, e in zip(S.splus, ell)))
+            base += float(lam(jp)) - float(lam(j))
+            lj = ell_coeff_vector(j)
+            ljp = ell_coeff_vector(jp)
+            grad = (np.asarray(ell, float) @ A.T) + float(lam(jp)) * ljp - float(lam(j)) * lj
+            vals = base + e2 * (xi @ grad)
+            excluded |= np.abs(vals) <= cfg.c_g1 * cfg.gamma
+    else:
+        jmax = _melnikov_j_range(S, cfg)
+        js = [j for j in range(-jmax, jmax + 1) if S.in_sc(j)]
+        lam_v = np.array([float(lam(j)) for j in js])
+        kap = _kappa_matrix(S, js)
+        c_coeff = np.array([float(Fraction(2, 3) * (1 + s * s)) for s in S.splus])
+        m = 1.0 + e2 * (xi @ c_coeff)
+        d = m[:, None] * lam_v[None, :] + e2 * (xi @ kap.T)
+        margin = eps ** (4.0 - 3.0 * cfg.scaling.a) / np.maximum(
+            1, np.abs(np.asarray(js, float))
+        )
+        for ell in ells:
+            wl = w @ np.asarray(ell, dtype=float)
+            thr = 2.0 * cfg.gamma_n(0) * ell_bracket(ell) ** (-cfg.scaling.tau)
+            if family == "first_melnikov":
+                for idx, j in enumerate(js):
+                    t = thr + margin[idx]
+                    excluded |= np.abs(wl + m * j) < t
+                    excluded |= np.abs(wl + d[:, idx]) < t
+            else:
+                thr2 = 2.0 * cfg.gamma_n_star(0) * ell_bracket(ell) ** (-cfg.scaling.tau)
+                shift = sum(s * e for s, e in zip(S.splus, ell))
+                for idx, j in enumerate(js):
+                    k = j - shift
+                    if k == j or not S.in_sc(k) or abs(k) > jmax:
+                        continue
+                    kdx = js.index(k)
+                    t = thr2 + margin[idx] + margin[kdx]
+                    excluded |= np.abs(wl + d[:, idx] - d[:, kdx]) < t
+    return int(np.count_nonzero(excluded))
+
+
+@pytest.mark.parametrize("family", ["G0_0", "G0_1", "first_melnikov", "second_melnikov"])
+@pytest.mark.parametrize("eps,ell_max,seed", [(0.04, 4, 1), (0.16, 6, 2), (0.3, 8, 3)])
+def test_box_pruning_matches_unpruned_loops(family, eps, ell_max, seed):
+    cfg = _cfg(eps=eps, ell_max=ell_max)
+    est = estimate_excluded_measure(S67, cfg, family, 2000, seed)
+    assert est.excluded == _unpruned_excluded(S67, cfg, family, 2000, seed)
+    if family in ("G0_1", "first_melnikov"):
+        assert est.excluded > 0  # the box lets real exclusions through
+    met, total = map(int, re.fullmatch(r"(\d+) of (\d+) cases meet the parameter box",
+                                       est.notes[-1]).groups())
+    assert 0 <= met <= total
+    if family == "G0_1":
+        assert total == len(g1_scan_pairs(S67, cfg)[0])
+    # the new note stays out of the patterns that read the scan sizes from the notes
+    assert not re.search(r"over (\d+) momentum cases|\|j\| <= (\d+)", est.notes[-1])
+
+
+def _meets(c0, g, t):
+    c0 = np.asarray(c0, float)
+    g = np.tile(np.asarray(g, float), (c0.size, 1))
+    scale = np.abs(c0) + 2 * np.abs(g).sum(1)
+    return slab_meets_box(c0, g, np.full(c0.shape, t), scale).tolist()
+
+
+def test_slab_meets_box_edges():
+    t, nudge = 0.1, 1e-9
+    # band edge through the corner xi = (1, 1): the range starts (ends) at +t (-t)
+    assert _meets([t - 0.75, t - 0.75 + nudge], [0.5, 0.25], t) == [True, False]
+    assert _meets([0.75 - t, 0.75 - t - nudge], [-0.5, -0.25], t) == [True, False]
+    # a zero component: the range is [c0 + 1, c0 + 2]
+    assert _meets([-1.5, t - 1, t - 1 + nudge, -2 - t, -2 - t - nudge], [0.0, 1.0], t) == [
+        True, True, False, True, False]
+    # a negative component: the range is [c0, c0 + 3]
+    assert _meets([0.05, 0.2, -3.05, -3.2], [2.0, -1.0], t) == [True, False, True, False]
+    # t = 0: only a range that reaches 0 is kept
+    assert _meets([-2.0, -1.9, -3.0, -4.0 - nudge], [1.0, 1.0], 0.0) == [True, False, True, False]
+
+
+def test_slab_meets_box_keeps_every_case_a_sample_hits():
+    rng = np.random.default_rng(2)
+    for nu in (2, 3):
+        n = 4000
+        g = rng.normal(size=(n, nu)) * rng.choice([0.0, 0.1, 1.0, 10.0], size=(n, nu))
+        c0 = rng.normal(size=n) * 3
+        t = rng.choice([0.0, 0.01, 0.3], size=n)
+        pts = 1.0 + np.vstack([rng.random((200, nu)),
+                               np.array(np.meshgrid(*[[0.0, 1.0]] * nu)).reshape(nu, -1).T])
+        vals = c0[:, None] + g @ pts.T
+        hit = (np.abs(vals) < t[:, None]).any(axis=1)
+        meets = slab_meets_box(c0, g, t, np.abs(c0) + 2 * np.abs(g).sum(1))
+        assert not (hit & ~meets).any()
+        assert meets.sum() < n  # and it does prune
