@@ -333,17 +333,12 @@ def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int, threads: int = 0
     if samples < measure_mod.MIN_SAMPLES:
         raise UsageError(f"[mc] samples must be at least {measure_mod.MIN_SAMPLES}")
     try:  # the library's own range checks, before any work
-        cfgs = [measure_mod.MelnikovConfig(scaling=ScalingParams(epsilon=eps, a=a, nu=S.nu),
-                                           **_given(mc, "c_g1", "ell_max"))
-                for eps in eps_values]
+        cfgs = measure_mod.sweep_configs(S, a, eps_values, **_given(mc, "c_g1", "ell_max"))
     except ValueError as exc:
         raise UsageError(f"[mc] {exc}") from None
     if threads <= 0:
         threads = os.cpu_count() or 1
-    sweep = measure_mod.measure_sweep(
-        S, a, eps_values, family, samples, seed, threads=threads,
-        **_given(mc, "c_g1", "ell_max"),
-    )
+    sweep = measure_mod.measure_sweep(S, cfgs, family, samples, seed, threads=threads)
     lines = ["eps,gamma,samples,excluded,fraction,stderr,volume,measure"]
     for est in sweep.estimates:
         g = est.eps ** (2.0 + a)

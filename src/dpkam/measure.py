@@ -127,17 +127,22 @@ def g1_scan_pairs(S: TangentialSet, cfg: MelnikovConfig) -> tuple[list, float]:
     return pairs, float(min_ell)
 
 
-def g1_divisors(S: TangentialSet, pairs: Sequence) -> tuple[np.ndarray, np.ndarray]:
+def g1_divisors(
+    S: TangentialSet, pairs: Sequence, M: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The five-wave divisor of each case (ell, j, j') of `g1_scan_pairs` as
     base + eps^2 grad.xi, one row per case, with
         base = sum_i lambda(s_i) l_i + lambda(j') - lambda(j),
-        grad = A l + lambda(j') l_j' - lambda(j) l_j,
+        grad = M l + lambda(j') l_j' - lambda(j) l_j,
     l_j the coefficient vector of `spectrum.ell_j_form`, built once per
-    distinct mode (with its exact two-form check) and once per distinct ell."""
-    A = np.array([[float(a) for a in row] for row in twist_matrix(S).A])
+    distinct mode (with its exact two-form check) and once per distinct ell.
+
+    With M = A^T the frequency term is omega.l under `FrequencyBox.omega_of_xi`,
+    as `in_g0` needs.  A is not symmetric; `estimate_excluded_measure` passes
+    M = A, the form its recorded G0_1 counts were taken with."""
     ell_list = sorted({ell for ell, _, _ in pairs})
     ell_base = np.array([float(sum(lam(s) * e for s, e in zip(S.splus, ell))) for ell in ell_list])
-    ell_grad = np.array([np.asarray(ell, dtype=float) @ A.T for ell in ell_list])
+    ell_grad = np.array([np.asarray(ell, dtype=float) @ M.T for ell in ell_list])
     modes = sorted({j for _, j, _ in pairs} | {jp for _, _, jp in pairs})
     lam_v = np.array([float(lam(j)) for j in modes])
     lform = np.array([[float(c) for c in spectrum.ell_j_form(S, j)] for j in modes])
@@ -162,7 +167,8 @@ def in_g0(
     The diophantine condition |omega . l| >= gamma <l>^-tau is scanned over
     0 < |l| <= cfg.ell_max (truncation recorded by the caller via
     `g0_truncation_note`); the five-wave condition is scanned over the
-    pruning-justified finite case list, with the divisors of `g1_divisors`."""
+    pruning-justified finite case list, with the divisors of `g1_divisors`
+    whose frequency term is omega.l."""
     w = np.asarray(omega, dtype=float)
     if xi is None:
         from .twist import inverse_frequency_map
@@ -181,7 +187,7 @@ def in_g0(
             break
 
     pairs, _ = g1_scan_pairs(S, cfg)
-    base, grad = g1_divisors(S, pairs)
+    base, grad = g1_divisors(S, pairs, FrequencyBox.make(S, cfg.scaling.epsilon).A.T)
     vals = base + cfg.scaling.epsilon**2 * (grad @ np.asarray(xi, dtype=float))
     flag1 = not bool(np.any(np.abs(vals) <= cfg.c_g1 * gamma))
     return flag0, flag1
@@ -393,7 +399,12 @@ def estimate_excluded_measure(
 
     Every tested quantity is affine in xi, so each case first goes through
     `slab_meets_box`; only the cases whose slab meets the box are evaluated
-    sample by sample, and the last note records how many there were."""
+    sample by sample, and the last note records how many there were.  The
+    per-sample expressions are the unpruned loops' except that a Melnikov d_j
+    column is a matrix-vector product, where the unpruned loops took it from
+    one (samples x modes) matrix product; BLAS may round the two differently
+    in the last bit, so the counts agree except for a sample lying within
+    that rounding of a band edge."""
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}")
     if samples < MIN_SAMPLES:
@@ -436,7 +447,7 @@ def estimate_excluded_measure(
     elif family == "G0_1":
         pairs, min_ell = g1_scan_pairs(S, cfg)
         notes.append(f"five-wave scan over {len(pairs)} momentum cases, min_ell={min_ell}")
-        base, grad = g1_divisors(S, pairs)
+        base, grad = g1_divisors(S, pairs, box.A)
         thr = cfg.c_g1 * cfg.gamma
         g = e2 * grad
         meets = slab_meets_box(base, g, thr, np.abs(base) + 2 * np.abs(g).sum(1))
@@ -600,27 +611,36 @@ def fit_loglog_slope(
     return float(slope), float(math.sqrt(1.0 / sxx))
 
 
-def measure_sweep(
+def sweep_configs(
     S: TangentialSet,
     a: float,
     eps_values: Sequence[float],
+    c_g1: float = MelnikovConfig.c_g1,
+    ell_max: int = MelnikovConfig.ell_max,
+) -> list[MelnikovConfig]:
+    """One MelnikovConfig per eps; ValueError names a parameter out of range."""
+    return [
+        MelnikovConfig(scaling=ScalingParams(epsilon=eps, a=a, nu=S.nu), c_g1=c_g1, ell_max=ell_max)
+        for eps in eps_values
+    ]
+
+
+def measure_sweep(
+    S: TangentialSet,
+    cfgs: Sequence[MelnikovConfig],
     family: str,
     samples: int,
     seed: int,
-    c_g1: float = MelnikovConfig.c_g1,
-    ell_max: int = MelnikovConfig.ell_max,
     threads: int = 0,
 ) -> SweepResult:
-    def one(i_eps):
-        i, eps = i_eps
-        cfg = MelnikovConfig(
-            scaling=ScalingParams(epsilon=eps, a=a, nu=S.nu),
-            c_g1=c_g1,
-            ell_max=ell_max,
-        )
+    """`estimate_excluded_measure` at each config of `sweep_configs`, the i-th
+    with seed + i, and the log-log fit of the measures against eps."""
+
+    def one(i_cfg):
+        i, cfg = i_cfg
         return estimate_excluded_measure(S, cfg, family, samples, seed + i)
 
-    jobs = list(enumerate(eps_values))
+    jobs = list(enumerate(cfgs))
     if threads and threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -633,10 +653,10 @@ def measure_sweep(
         [e.measure for e in estimates],
         [e.measure_stderr for e in estimates],
     )
-    b = 1.0 + a / 2.0
+    b = 1.0 + cfgs[0].scaling.a / 2.0
     return SweepResult(
         family=family,
-        eps_values=list(eps_values),
+        eps_values=[cfg.scaling.epsilon for cfg in cfgs],
         estimates=estimates,
         slope=slope,
         slope_stderr=err,

@@ -39,6 +39,7 @@ from dpkam.measure import (
     g0_lemma_constant,
     g0_slab_measure,
     measure_sweep,
+    sweep_configs,
 )
 from dpkam.spectrum import (
     EigenModel,
@@ -311,7 +312,8 @@ def test_criterion_08_measure_scaling():
     t0 = time.monotonic()
     eps_values = [0.04, 0.057, 0.08, 0.113, 0.16]
     sweep = measure_sweep(
-        S67, 0.1, eps_values, "G0_0", samples=100000, seed=20260810, ell_max=20
+        S67, sweep_configs(S67, 0.1, eps_values, ell_max=20), "G0_0", samples=100000,
+        seed=20260810,
     )
     tau = ScalingParams(epsilon=eps_values[0], a=0.1, nu=2).tau
     lemma_c = g0_lemma_constant(S67, tau, ell_max=20)

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -18,6 +19,7 @@ from dpkam.measure import (
     in_g0,
     measure_sweep,
     slab_meets_box,
+    sweep_configs,
     _box_slab_volume,
 )
 from dpkam.spectrum import kappa_j, c_of_xi
@@ -64,6 +66,32 @@ def test_in_g0_runs_and_flags():
     f0, f1 = in_g0(omega, S67, cfg, xi=[1.5, 1.5])
     assert isinstance(f0, bool) and isinstance(f1, bool)
     assert f0  # generic frequencies pass the truncated diophantine scan
+
+
+def test_in_g0_five_wave_divisor_is_omega_dot_ell():
+    # at a point with xi_1 != xi_2 (A is not symmetric, so A l and A^T l
+    # differ there) the five-wave flag flips exactly at the smallest
+    # |omega.l + mu(j') - mu(j)|, mu(j) = lambda(j) (1 + eps^2 l_j(xi)),
+    # computed in exact arithmetic from the frequency map
+    from dpkam.core import lam
+    from dpkam.spectrum import ell_j
+
+    eps, xi = Fraction(1, 10), [Fraction(13, 10), Fraction(17, 10)]
+    omega = frequency_map(S67, xi, eps)
+    cfg = _cfg(eps=float(eps), ell_max=2)
+
+    @functools.cache
+    def mu(j):
+        return lam(j) * (1 + eps**2 * ell_j(S67, xi, j))
+
+    smallest = min(
+        abs(sum(w * e for w, e in zip(omega, ell)) + mu(jp) - mu(j))
+        for ell, j, jp in g1_scan_pairs(S67, cfg)[0]
+    )
+    w, x = [float(v) for v in omega], [float(v) for v in xi]
+    for factor, flag in ((1 - 1e-9, True), (1 + 1e-9, False)):
+        cfg.c_g1 = float(smallest) / cfg.gamma * factor
+        assert in_g0(w, S67, cfg, xi=x)[1] is flag
 
 
 def test_g0_0_excludes_near_resonant_frequencies():
@@ -217,9 +245,9 @@ def test_classifier_soundness_spot_check():
 
 
 def test_measure_sweep_threads_deterministic():
-    kw = dict(samples=3000, seed=77, ell_max=4)
-    s1 = measure_sweep(S67, 0.1, [0.15, 0.2], "G0_1", **kw)
-    s2 = measure_sweep(S67, 0.1, [0.15, 0.2], "G0_1", threads=2, **kw)
+    cfgs = sweep_configs(S67, 0.1, [0.15, 0.2], ell_max=4)
+    s1 = measure_sweep(S67, cfgs, "G0_1", 3000, 77)
+    s2 = measure_sweep(S67, cfgs, "G0_1", 3000, 77, threads=2)
     assert [e.excluded for e in s1.estimates] == [e.excluded for e in s2.estimates]
 
 
@@ -242,8 +270,9 @@ def test_g0_slab_diagnostic_magnitude():
 
 
 def test_measure_sweep_shape():
-    sweep = measure_sweep(S67, 0.1, [0.15, 0.2], "G0_1", 2000, seed=21, ell_max=4)
+    sweep = measure_sweep(S67, sweep_configs(S67, 0.1, [0.15, 0.2], ell_max=4), "G0_1", 2000, 21)
     assert len(sweep.estimates) == 2
+    assert sweep.eps_values == [0.15, 0.2]
     assert sweep.theory_slope == pytest.approx(2 * (2 - 1) + 2 * 1.05)
 
 
@@ -258,7 +287,6 @@ def _unpruned_excluded(S, cfg, family, samples, seed):
     from dpkam.core import ell_bracket, lam, signed_ell_vectors
     from dpkam.measure import _kappa_matrix, _melnikov_j_range, pruning_slope_constant
     from dpkam.spectrum import ell_j_form
-    from dpkam.twist import twist_matrix
 
     l_form = {}
 
@@ -287,7 +315,7 @@ def _unpruned_excluded(S, cfg, family, samples, seed):
             excluded |= np.abs(w @ np.asarray(ell, dtype=float)) < thr
     elif family == "G0_1":
         pairs, _ = g1_scan_pairs(S, cfg)
-        A = np.array([[float(a) for a in row] for row in twist_matrix(S).A])
+        A = box.A
         for ell, j, jp in pairs:
             base = float(sum(lam(s) * e for s, e in zip(S.splus, ell)))
             base += float(lam(jp)) - float(lam(j))
