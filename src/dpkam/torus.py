@@ -15,6 +15,7 @@ with 3x padding (exact dealiasing for the cubic nonlinearity).
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -76,8 +77,9 @@ def _ell_values(n_phi: int) -> np.ndarray:
 
 
 class AngleTransform:
-    """Maps between coefficient arrays indexed [l1+N, l2+N] and values on the
-    padded angle grid (nu = 2 throughout the torus module)."""
+    """Maps between coefficient arrays indexed [..., l1+N, l2+N] and values on
+    the padded angle grid (nu = 2 throughout the torus module).  Leading axes
+    are a stack of fields, transformed in one call."""
 
     def __init__(self, n_phi: int, m_phi: int):
         self.n_phi = n_phi
@@ -85,20 +87,30 @@ class AngleTransform:
         self.ells = _ell_values(n_phi)
 
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
-        m, n = self.m, self.n_phi
-        big = np.zeros((m, m), dtype=complex)
+        m = self.m
+        big = np.zeros(coeffs.shape[:-2] + (m, m), dtype=complex)
         idx = self.ells % m
-        big[np.ix_(idx, idx)] = coeffs
+        big[..., idx[:, None], idx] = coeffs
         return scipy.fft.ifft2(big) * m * m
 
     def to_coeffs(self, grid: np.ndarray) -> np.ndarray:
         m = self.m
-        hat = scipy.fft.fft2(grid) / (m * m)
         idx = self.ells % m
-        return hat[np.ix_(idx, idx)]
+        return scipy.fft.fft2(grid)[..., idx[:, None], idx] / (m * m)
 
-    def full_hat(self, grid: np.ndarray) -> np.ndarray:
-        return scipy.fft.fft2(grid) / (self.m * self.m)
+    @functools.cached_property
+    def shift_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The coefficient pairs (l_r, l_c), as flat indices (l1+N)(2N+1) +
+        l2+N, sorted by their shift d = l_r - l_c: the pairs of shift number
+        (d1+2N)(4N+1) + d2+2N are rows[starts[k]:starts[k+1]],
+        cols[starts[k]:starts[k+1]].  Returns int32 (rows, cols, starts)."""
+        n = 2 * self.n_phi + 1
+        l1, l2 = np.divmod(np.arange(n * n, dtype=np.int32), n)
+        shift = (l1[:, None] - l1 + n - 1) * (2 * n - 1) + (l2[:, None] - l2 + n - 1)
+        order = np.argsort(shift, axis=None, kind="stable").astype(np.int32)
+        rows, cols = np.divmod(order, n * n)
+        starts = np.searchsorted(shift.ravel()[order], np.arange((2 * n - 1) ** 2 + 1))
+        return rows, cols, starts.astype(np.int32)
 
 
 # -- the embedding -------------------------------------------------------------------
@@ -222,7 +234,6 @@ class TorusProblem:
         self.omega = np.asarray(self.omega, dtype=float)
         self.xi = tuple(float(v) for v in self.xi)
         self.js = normal_modes(self.S, self.grid.n_x)
-        self.jpos = {j: i for i, j in enumerate(self.js)}
         self.at = AngleTransform(self.grid.n_phi, self.grid.m_phi)
         self.lam_js = np.array([float(lam(j)) for j in self.js])
         self.lam_sites = np.array([float(lam(s)) for s in self.S.splus])
@@ -241,86 +252,53 @@ class TorusProblem:
 
 class GridState:
     """Everything the residual and the Jacobian need, evaluated on the padded
-    angle grid: angles, radii, the x-Fourier modes of u and of grad H."""
+    angle grid: angles, radii, and the x-Fourier modes of u and of grad H,
+    stacked as ux[mode % m_x] and gx[mode % m_x]."""
 
     def __init__(self, prob: TorusProblem, emb: TorusEmbedding):
-        self.prob = prob
-        at = prob.at
-        m = at.m
-        nu = prob.S.nu
+        at, m, mx = prob.at, prob.at.m, prob.grid.m_x
         eps, b = prob.eps, prob.b
+        sites = np.array(prob.S.splus)
 
         phi_1d = 2.0 * math.pi * np.arange(m) / m
-        self.phi = np.meshgrid(phi_1d, phi_1d, indexing="ij")
-
-        self.Theta = np.array([at.to_grid(emb.theta[i]) for i in range(nu)])
-        self.Y = np.array([at.to_grid(emb.y[i]) for i in range(nu)])
-        if max(np.abs(self.Theta.imag).max(), np.abs(self.Y.imag).max()) > 1e-8:
+        phi = np.array(np.meshgrid(phi_1d, phi_1d, indexing="ij"))
+        Theta, Y = at.to_grid(emb.theta), at.to_grid(emb.y)
+        if max(np.abs(Theta.imag).max(), np.abs(Y.imag).max()) > 1e-8:
             raise TorusError("embedding violates reality beyond tolerance")
-        self.Theta = self.Theta.real
-        self.Y = self.Y.real
 
-        self.rho = np.empty((nu, m, m))
-        self.sig = np.empty((nu, m, m))
-        self.e = np.empty((nu, m, m), dtype=complex)
-        for i, s in enumerate(prob.S.splus):
-            rad = prob.xi[i] + eps ** (2 * b - 2) * float(lam(s)) * self.Y[i]
-            if rad.min() <= 0:
-                bad = np.unravel_index(int(np.argmin(rad)), rad.shape)
-                raise TorusError(
-                    f"radicand for site {s} nonpositive at grid point {bad}"
-                )
-            self.rho[i] = np.sqrt(rad)
-            self.sig[i] = eps ** (2 * b - 2) * float(lam(s)) / (2.0 * rad)
-            ang = self.phi[i] + self.Theta[i]
-            self.e[i] = np.exp(1j * ang)
+        scale = (eps ** (2 * b - 2) * prob.lam_sites)[:, None, None]
+        rad = np.array(prob.xi)[:, None, None] + scale * Y.real
+        low = rad.min(axis=(1, 2)) <= 0
+        if low.any():
+            i = int(np.argmax(low))
+            bad = np.unravel_index(int(np.argmin(rad[i])), rad[i].shape)
+            raise TorusError(f"radicand for site {sites[i]} nonpositive at grid point {bad}")
+        self.rho = np.sqrt(rad)
+        self.sig = scale / (2.0 * rad)
+        self.e = np.exp(1j * (phi + Theta.real))
 
-        # x-Fourier modes of u on the angle grid: dict mode -> (m, m) array
-        self.umod: dict[int, np.ndarray] = {}
-        for i, s in enumerate(prob.S.splus):
-            self.umod[s] = eps * self.rho[i] * self.e[i]
-            self.umod[-s] = eps * self.rho[i] * np.conj(self.e[i])
-        zg = np.empty((m, m, len(prob.js)), dtype=complex)
-        for k in range(len(prob.js)):
-            zg[:, :, k] = at.to_grid(emb.z[:, :, k])
-        self.zgrid = zg
-        for k, j in enumerate(prob.js):
-            self.umod[j] = self.umod.get(j, 0) + eps**b * zg[:, :, k]
+        self.mx = mx
+        self.ux = np.zeros((mx, m, m), dtype=complex)
+        self.ux[sites % mx] = eps * self.rho * self.e
+        self.ux[-sites % mx] = eps * self.rho * np.conj(self.e)
+        self.ux[np.array(prob.js) % mx] = eps**b * at.to_grid(np.moveaxis(emb.z, 2, 0))
 
         # grad H modes: g_j = u_j - (1/2)(u*u)_j + (f'(u))_j
-        mx = prob.grid.m_x
-        ubig = np.zeros((m, m, mx), dtype=complex)
-        for mode, val in self.umod.items():
-            ubig[:, :, mode % mx] = val
-        uphys = scipy.fft.ifft(ubig, axis=2) * mx
+        uphys = scipy.fft.ifft(self.ux, axis=0) * mx
         if np.abs(uphys.imag).max() > 1e-8 * max(1.0, np.abs(uphys.real).max()):
             raise TorusError("u field is not real; reality symmetry broken")
         self.uphys = uphys.real
-        nl = -0.5 * self.uphys**2
+        nl = -0.5 * self.uphys**2 if prob.include_cubic else np.zeros_like(self.uphys)
         if not prob.f_spec.is_zero():
             nl = nl + prob.f_spec.fprime(self.uphys)
-        nl_hat = scipy.fft.fft(nl.astype(complex), axis=2) / mx
-        self.gmod: dict[int, np.ndarray] = {}
-        max_mode = 2 * max(prob.grid.n_x, 2 * prob.S.jbar1)
-        for mode in range(-max_mode, max_mode + 1):
-            g = nl_hat[:, :, mode % mx]
-            if not prob.include_cubic:
-                g = np.zeros_like(g)
-            if mode in self.umod:
-                g = g + self.umod[mode]
-            self.gmod[mode] = g
+        self.gx = scipy.fft.fft(nl.astype(complex), axis=0) / mx + self.ux
 
-    def u(self, mode: int) -> np.ndarray:
-        z = self.umod.get(mode)
-        if z is None:
-            return np.zeros_like(self.rho[0], dtype=complex)
-        return z
+        gm, gp = self.g(-sites), self.g(sites)
+        self.hplus = gm * self.e + gp * np.conj(self.e)
+        self.hminus = gm * self.e - gp * np.conj(self.e)
 
-    def g(self, mode: int) -> np.ndarray:
-        z = self.gmod.get(mode)
-        if z is None:
-            return np.zeros_like(self.rho[0], dtype=complex)
-        return z
+    def g(self, modes) -> np.ndarray:
+        return self.gx[np.asarray(modes) % self.mx]
 
 
 # -- residual --------------------------------------------------------------------------
@@ -335,293 +313,170 @@ class Residual:
     theta_avg: np.ndarray  # the dropped l = 0 theta rows, for honest reporting
 
 
-def hamiltonian_partials(prob: TorusProblem, gs: GridState):
-    """Grid fields dH/dy_i and dH/dtheta_i of the rescaled Hamiltonian."""
-    eps, b = prob.eps, prob.b
-    nu = prob.S.nu
-    dHy = np.empty((nu, gs.rho.shape[1], gs.rho.shape[2]))
-    dHth = np.empty_like(dHy)
-    for i, s in enumerate(prob.S.splus):
-        gm, gp = gs.g(-s), gs.g(s)
-        hplus = gm * gs.e[i] + gp * np.conj(gs.e[i])
-        hminus = gm * gs.e[i] - gp * np.conj(gs.e[i])
-        dHy[i] = (float(lam(s)) / (2.0 * eps) * hplus / gs.rho[i]).real
-        dHth[i] = (eps ** (1.0 - 2.0 * b) * 1j * gs.rho[i] * hminus).real
-    return dHy, dHth
+def _iwl(prob: TorusProblem) -> np.ndarray:
+    """i omega.l on the coefficient array [l1+N, l2+N]."""
+    ells = _ell_values(prob.grid.n_phi)
+    return 1j * (prob.omega[0] * ells[:, None] + prob.omega[1] * ells[None, :])
 
 
 def residual(prob: TorusProblem, emb: TorusEmbedding) -> Residual:
     """The invariant-torus functional on the truncation."""
     at = prob.at
     gs = GridState(prob, emb)
-    nu = prob.S.nu
     eps, b = prob.eps, prob.b
+    c = prob.grid.n_phi
+    iwl = _iwl(prob)
 
-    dHy, dHth = hamiltonian_partials(prob, gs)
+    # f_theta = iwl Theta - dH/dy + omega,  f_y = iwl y + dH/dtheta + zeta
+    dHy = ((prob.lam_sites / (2.0 * eps))[:, None, None] * gs.hplus / gs.rho).real
+    dHth = (eps ** (1.0 - 2.0 * b) * 1j * gs.rho * gs.hminus).real
+    f_theta = iwl * emb.theta - at.to_coeffs(dHy.astype(complex))
+    f_theta[:, c, c] += prob.omega
+    theta_avg = f_theta[:, c, c].real
+    f_y = iwl * emb.y + at.to_coeffs(dHth.astype(complex))
+    f_y[:, c, c] += emb.zeta
 
-    ells = _ell_values(prob.grid.n_phi)
-    iwl = 1j * (prob.omega[0] * ells[:, None] + prob.omega[1] * ells[None, :])
+    zdot = (1j * prob.lam_js * eps ** (-b))[:, None, None] * gs.g(prob.js)
+    f_z = iwl[:, :, None] * emb.z - np.moveaxis(at.to_coeffs(zdot), 0, 2)
 
-    f_theta = np.empty((nu, at.n_phi * 2 + 1, at.n_phi * 2 + 1), dtype=complex)
-    f_y = np.empty_like(f_theta)
-    theta_avg = np.empty(nu)
-    for i in range(nu):
-        rhs = at.to_coeffs(dHy[i].astype(complex))
-        f_theta[i] = iwl * emb.theta[i] - rhs
-        f_theta[i][prob.grid.n_phi, prob.grid.n_phi] += prob.omega[i]
-        theta_avg[i] = f_theta[i][prob.grid.n_phi, prob.grid.n_phi].real
-        rhs2 = at.to_coeffs(dHth[i].astype(complex))
-        f_y[i] = iwl * emb.y[i] + rhs2
-        f_y[i][prob.grid.n_phi, prob.grid.n_phi] += emb.zeta[i]
-
-    nj = len(prob.js)
-    f_z = np.empty((at.n_phi * 2 + 1, at.n_phi * 2 + 1, nj), dtype=complex)
-    for k, j in enumerate(prob.js):
-        zdot = 1j * float(lam(j)) * eps ** (-b) * gs.g(j)
-        f_z[:, :, k] = iwl * emb.z[:, :, k] - at.to_coeffs(zdot)
-
-    sup = 0.0
-    for i in range(nu):
-        sup = max(sup, float(np.abs(at.to_grid(f_theta[i])).max()))
-        sup = max(sup, float(np.abs(at.to_grid(f_y[i])).max()))
-    zsup = 0.0
-    for k in range(nj):
-        zsup = max(zsup, float(np.abs(at.to_grid(f_z[:, :, k])).max()))
-    sup = max(sup, zsup)
+    sup = max(float(np.abs(at.to_grid(f)).max())
+              for f in (f_theta, f_y, np.moveaxis(f_z, 2, 0)))
     return Residual(f_theta=f_theta, f_y=f_y, f_z=f_z, sup=sup, theta_avg=theta_avg)
 
 
 # -- Jacobian --------------------------------------------------------------------------
 
 
-class _Assembler:
-    """Sparse Jacobian assembly in Fourier variables.
+def _ranges(starts: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index ranges starts[g] .. starts[g+1] - 1 for g in `groups`,
+    concatenated, and for each index the position in `groups` it came from."""
+    counts = starts[groups + 1] - starts[groups]
+    owner = np.repeat(np.arange(len(groups), dtype=np.int32), counts)
+    offset = starts[groups] - (np.cumsum(counts, dtype=np.int32) - counts)
+    return np.arange(owner.size, dtype=np.int32) + offset[owner], owner
 
-    Unknown layout (complex): Theta (nu*L), y (nu*L), z (L*nj), zeta (nu),
-    with L = (2N+1)^2.  Multiplication operators contribute banded blocks
-    J[l_r, l_c] = mu_hat(l_r - l_c); mu_hat below `droptol` is dropped."""
 
-    def __init__(self, prob: TorusProblem, droptol: float = 1e-11):
-        self.prob = prob
-        self.droptol = droptol
-        n = prob.grid.n_ell
-        self.L = n * n
-        self.nu = prob.S.nu
-        self.nj = len(prob.js)
-        self.size = 2 * self.nu * self.L + self.L * self.nj + self.nu
-        self.rows: list[np.ndarray] = []
-        self.cols: list[np.ndarray] = []
-        self.vals: list[np.ndarray] = []
-        self._shift_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+def _jacobian_symbols(prob: TorusProblem, gs: GridState, droptol: float):
+    """The multiplication symbols of the Jacobian's blocks, stacked as
+    (symbols, m, m), and per block its row family, column family, symbol and
+    a coefficient that scales the symbol."""
+    m, mx = prob.at.m, gs.mx
+    nu, nj = prob.S.nu, len(prob.js)
+    nt, nfam = 2 * nu, 2 * nu + nj  # tangential families, all families
+    eps, b = prob.eps, prob.b
+    sites, js = np.array(prob.S.splus), np.array(prob.js)
 
-    # index helpers
-    def idx_theta(self, i: int) -> int:
-        return i * self.L
+    # x-modes of the multiplier -u (+ f''(u)) acting inside delta-g
+    conv = -gs.ux if prob.include_cubic else np.zeros_like(gs.ux)
+    if not prob.f_spec.is_zero():
+        conv = conv + scipy.fft.fft(prob.f_spec.fsecond(gs.uphys).astype(complex), axis=0) / mx
 
-    def idx_y(self, i: int) -> int:
-        return (self.nu + i) * self.L
+    # Theta_i and y_i move the x-modes +-s_i of u:
+    # dU_{+-s} = +-i U_{+-s} dTheta,  dU_{+-s} = sigma U_{+-s} dy
+    pm = np.stack([sites, -sites], axis=1)
+    U = gs.ux[pm % mx]
+    dU = np.stack([1j * np.array([1, -1])[:, None, None] * U, gs.sig[:, None] * U])
 
-    def idx_z(self, k: int) -> int:
-        return 2 * self.nu * self.L + k * self.L
+    def dg_tang(modes: np.ndarray) -> np.ndarray:
+        """delta-g at the x-modes `modes` per unit change of Theta_i and y_i:
+        dG_k = sum_{m = +-s} ([k = m] + conv(k - m)) dU_m, as (modes, 2 nu, m, m)."""
+        diff = modes[:, None, None] - pm
+        w = conv[diff % mx] + (diff == 0)[..., None, None]
+        return (w[:, None] * dU).sum(axis=3).reshape(len(modes), nt, m, m)
 
-    def idx_zeta(self, i: int) -> int:
-        return 2 * self.nu * self.L + self.nj * self.L + i
+    # Theta_i and y_i rows read delta-g at the modes -+s_i; z_k moves mode j_k by eps^b
+    dgm = np.concatenate([dg_tang(-sites), eps**b * conv[(-sites[:, None] - js) % mx]], axis=1)
+    dgp = np.concatenate([dg_tang(sites), eps**b * conv[(sites[:, None] - js) % mx]], axis=1)
+    e, ec = gs.e[:, None], np.conj(gs.e)[:, None]
+    pref_y = (prob.lam_sites / (2.0 * eps))[:, None, None] / gs.rho
+    pref_th = eps ** (1.0 - 2.0 * b) * 1j * gs.rho
+    mu_th = -pref_y[:, None] * (dgm * e + dgp * ec)  # f_theta_i = iwl Theta_i - dH/dy_i
+    mu_y = pref_th[:, None] * (dgm * e - dgp * ec)  # f_y_i = iwl y_i + dH/dtheta_i
+    # the explicit Theta_i in e^{i theta_i} and y_i in rho_i
+    i = np.arange(nu)
+    mu_th[i, i] -= pref_y * 1j * gs.hminus
+    mu_th[i, nu + i] += pref_y * gs.hplus * gs.sig
+    mu_y[i, i] += pref_th * 1j * gs.hplus
+    mu_y[i, nu + i] += pref_th * gs.sig * gs.hminus
+    # f_z_k = iwl z_k - i lambda_j eps^-b g_j
+    mu_zt = (-1j * prob.lam_js * eps ** (-b))[:, None, None, None] * dg_tang(js)
+    # z_k2 columns of z_k rows: -i lambda_j conv(j - j2), one symbol per
+    # difference; a difference whose conv is <= droptol/10 everywhere is skipped
+    dvals, dsym = np.unique((js[:, None] - js).ravel(), return_inverse=True)
+    mu_zz = conv[dvals % mx]
+    live = (np.abs(mu_zz).max(axis=(1, 2)) > droptol / 10)[dsym]
 
-    def _pairs_for_shift(self, d1: int, d2: int):
-        key = (d1, d2)
-        cached = self._shift_cache.get(key)
-        if cached is not None:
-            return cached
-        n = self.prob.grid.n_ell
-        ells = np.arange(n)
-        c1 = ells[(ells + d1 >= 0) & (ells + d1 < n)]
-        c2 = ells[(ells + d2 >= 0) & (ells + d2 < n)]
-        cc1, cc2 = np.meshgrid(c1, c2, indexing="ij")
-        cols = (cc1 * n + cc2).ravel()
-        rows = ((cc1 + d1) * n + (cc2 + d2)).ravel()
-        self._shift_cache[key] = (rows, cols)
-        return rows, cols
-
-    def add_mult(self, row0: int, col0: int, mu: np.ndarray) -> None:
-        """Add the banded block of the multiplication operator with symbol
-        mu(phi) mapping coefficient family at col0 to rows at row0."""
-        at = self.prob.at
-        hat = at.full_hat(mu.astype(complex))
-        m = at.m
-        keep = np.argwhere(np.abs(hat) > self.droptol)
-        if keep.size == 0:
-            return
-        for a, bidx in keep:
-            d1 = a if a <= m // 2 else a - m
-            d2 = bidx if bidx <= m // 2 else bidx - m
-            if abs(d1) > 2 * self.prob.grid.n_phi or abs(d2) > 2 * self.prob.grid.n_phi:
-                continue
-            rows, cols = self._pairs_for_shift(d1, d2)
-            self.rows.append(rows + row0)
-            self.cols.append(cols + col0)
-            self.vals.append(np.full(rows.size, hat[a, bidx], dtype=complex))
-
-    def add_diag(self, row0: int, col0: int, per_ell: np.ndarray) -> None:
-        idx = np.arange(self.L)
-        self.rows.append(idx + row0)
-        self.cols.append(idx + col0)
-        self.vals.append(per_ell.ravel().astype(complex))
-
-    def add_entry(self, row: int, col: int, val: complex) -> None:
-        self.rows.append(np.array([row]))
-        self.cols.append(np.array([col]))
-        self.vals.append(np.array([val], dtype=complex))
-
-    def build(self) -> sp.csc_matrix:
-        rows = np.concatenate(self.rows)
-        cols = np.concatenate(self.cols)
-        vals = np.concatenate(self.vals)
-        return sp.csc_matrix((vals, (rows, cols)), shape=(self.size, self.size))
+    n_own = nt * nfam + nj * nt
+    r_t, c_t = np.divmod(np.arange(nt * nfam, dtype=np.int32), nfam)
+    r_z, c_z = np.divmod(np.arange(nj * nt, dtype=np.int32), nt)
+    k, k2 = np.divmod(np.arange(nj * nj, dtype=np.int32)[live], nj)
+    syms = np.concatenate([a.reshape(-1, m, m) for a in (mu_th, mu_y, mu_zt, mu_zz)])
+    return syms, (
+        np.concatenate([r_t, nt + r_z, nt + k]),
+        np.concatenate([c_t, c_z, nt + k2]),
+        np.concatenate([np.arange(n_own), n_own + dsym[live]]),
+        np.concatenate([np.ones(n_own), -1j * prob.lam_js[k]]),
+    )
 
 
 def jacobian(
     prob: TorusProblem, emb: TorusEmbedding, droptol: float = 1e-11
 ) -> sp.csc_matrix:
     """Analytic Jacobian of the residual in Fourier variables (verified
-    against finite differences in the test suite)."""
-    gs = GridState(prob, emb)
-    A = _Assembler(prob, droptol)
-    nu, js = prob.S.nu, prob.js
-    eps, b = prob.eps, prob.b
-    sites = prob.S.splus
-    at = prob.at
+    against finite differences in the test suite).
 
-    ells = _ell_values(prob.grid.n_phi)
-    iwl = 1j * (prob.omega[0] * ells[:, None] + prob.omega[1] * ells[None, :])
+    Unknowns (complex): the families Theta_i, y_i (i < nu) and z_k (k < nj)
+    of L = (2N+1)^2 coefficients each, in that order, then zeta (nu).  The
+    block between two families is omega.d_phi on the diagonal plus the
+    multiplication operator of a symbol mu(phi), J[l_r, l_c] = mu_hat(l_r - l_c);
+    all symbols go through one fft2 and entries |mu_hat| <= droptol are
+    dropped.  The last nu rows fix the translation degeneracies by
+    Theta_i(0) = 0."""
+    m, N = prob.at.m, prob.grid.n_phi
+    nu, L = prob.S.nu, prob.grid.n_ell**2
+    syms, (brow, bcol, bsym, bcoef) = _jacobian_symbols(prob, GridState(prob, emb), droptol)
+    nsym = len(syms)
+    sidx = np.arange(-2 * N, 2 * N + 1) % m
+    hat = scipy.fft.fft2(syms, overwrite_x=True)[:, sidx[:, None], sidx].reshape(nsym, -1)
+    del syms
+    hat /= m * m
+    ahat = np.abs(hat)
 
-    fsec = None
-    if not prob.f_spec.is_zero():
-        mx = prob.grid.m_x
-        fsec_phys = prob.f_spec.fsecond(gs.uphys)
-        fsec = scipy.fft.fft(fsec_phys.astype(complex), axis=2) / mx
+    # kept (block, shift): |coef| |mu_hat| > droptol, screened per symbol first
+    order = np.argsort(bsym, kind="stable")
+    sym_start = np.searchsorted(bsym[order], np.arange(nsym + 1)).astype(np.int32)
+    cmax = np.zeros(nsym)
+    np.maximum.at(cmax, bsym, np.abs(bcoef))
+    f, s = np.nonzero(ahat * cmax[:, None] > droptol)
+    idx, owner = _ranges(sym_start, f)
+    blk, f, s = order[idx], f[owner], s[owner]
+    keep = ahat[f, s] * np.abs(bcoef[blk]) > droptol
+    blk, s = blk[keep], s[keep]
+    val = bcoef[blk] * hat[f[keep], s]
+    del hat, ahat
 
-    def conv_mode(mode: int) -> np.ndarray:
-        """x-mode of the multiplier -u (+ f''(u)) acting inside delta-g."""
-        if prob.include_cubic:
-            out = -gs.u(mode)
-        else:
-            out = np.zeros_like(gs.rho[0], dtype=complex)
-        if fsec is not None:
-            out = out + fsec[:, :, mode % prob.grid.m_x]
-        return out
-
-    # ---- delta-u routes for tangential columns:
-    # dU_{s'} = U_{s'} (i dTheta_{ i'}),  dU_{-s'} = U_{-s'} (-i dTheta_{i'})
-    # dU_{+-s'} = U_{+-s'} sigma_{i'} dy_{i'}
-    def du_theta(i2: int, mode_sign: int) -> np.ndarray:
-        s2 = sites[i2] * mode_sign
-        return 1j * mode_sign * gs.u(s2)
-
-    def du_y(i2: int, mode_sign: int) -> np.ndarray:
-        s2 = sites[i2] * mode_sign
-        return gs.sig[i2] * gs.u(s2)
-
-    # delta-g at mode k caused by tangential variations:
-    # dG_k = [delta_{k = +-s'}] dU_k + conv(k - m) dU_m  (m = +-s')
-    def dg_tang(k: int, i2: int, kind: str) -> np.ndarray:
-        du = du_theta if kind == "theta" else du_y
-        out = np.zeros_like(gs.rho[0], dtype=complex)
-        for sign in (1, -1):
-            m = sites[i2] * sign
-            dum = du(i2, sign)
-            if k == m:
-                out = out + dum
-            out = out + conv_mode(k - m) * dum
-        return out
-
-    # ================= theta and y rows =================
-    for i, s in enumerate(sites):
-        gm, gp = gs.g(-s), gs.g(s)
-        ei, eic = gs.e[i], np.conj(gs.e[i])
-        hplus = gm * ei + gp * eic
-        hminus = gm * ei - gp * eic
-        li = float(lam(s))
-        P = li / (2.0 * eps) * hplus / gs.rho[i]
-
-        #透 residual rows: f_theta_i = iwl Theta_i - dHy_i ; f_y_i = iwl y_i + dHth_i
-        A.add_diag(A.idx_theta(i), A.idx_theta(i), iwl)
-        A.add_diag(A.idx_y(i), A.idx_y(i), iwl)
-        A.add_entry(A.idx_y(i) + (prob.grid.n_phi * prob.grid.n_ell + prob.grid.n_phi),
-                    A.idx_zeta(i), 1.0)
-
-        pref_y = li / (2.0 * eps) / gs.rho[i]
-        pref_th = eps ** (1.0 - 2.0 * b) * 1j * gs.rho[i]
-
-        for i2 in range(nu):
-            # -- theta row, column Theta_{i2}
-            mu = np.zeros_like(ei)
-            if i2 == i:
-                mu = mu + pref_y * 1j * hminus  # explicit dTheta on e^{i theta}
-            mu = mu + pref_y * (dg_tang(-s, i2, "theta") * ei + dg_tang(s, i2, "theta") * eic)
-            A.add_mult(A.idx_theta(i), A.idx_theta(i2), -mu)
-
-            # -- theta row, column y_{i2}
-            mu = np.zeros_like(ei)
-            if i2 == i:
-                mu = mu - P * gs.sig[i]  # 1/rho variation
-            mu = mu + pref_y * (dg_tang(-s, i2, "y") * ei + dg_tang(s, i2, "y") * eic)
-            A.add_mult(A.idx_theta(i), A.idx_y(i2), -mu)
-
-            # -- y row, column Theta_{i2}
-            mu = np.zeros_like(ei)
-            if i2 == i:
-                mu = mu + pref_th * 1j * hplus
-            mu = mu + pref_th * (dg_tang(-s, i2, "theta") * ei - dg_tang(s, i2, "theta") * eic)
-            A.add_mult(A.idx_y(i), A.idx_theta(i2), mu)
-
-            # -- y row, column y_{i2}
-            mu = np.zeros_like(ei)
-            if i2 == i:
-                mu = mu + pref_th * gs.sig[i] * hminus  # rho variation
-            mu = mu + pref_th * (dg_tang(-s, i2, "y") * ei - dg_tang(s, i2, "y") * eic)
-            A.add_mult(A.idx_y(i), A.idx_y(i2), mu)
-
-        # -- z columns (delta g at modes -s, +s from dU_{j'} = eps^b dz_{j'})
-        for k2, j2 in enumerate(js):
-            mu_m = conv_mode(-s - j2) * eps**b
-            mu_p = conv_mode(s - j2) * eps**b
-            block = pref_y * (mu_m * ei + mu_p * eic)
-            A.add_mult(A.idx_theta(i), A.idx_z(k2), -block)
-            block2 = pref_th * (mu_m * ei - mu_p * eic)
-            A.add_mult(A.idx_y(i), A.idx_z(k2), block2)
-
-    # ================= z rows =================
-    conv_cache: dict[int, np.ndarray | None] = {}
-
-    def conv_cached(mode: int) -> np.ndarray | None:
-        if mode not in conv_cache:
-            mu = conv_mode(mode)
-            conv_cache[mode] = mu if np.abs(mu).max() > droptol / 10 else None
-        return conv_cache[mode]
-
-    for k, j in enumerate(js):
-        lj = float(lam(j))
-        A.add_diag(A.idx_z(k), A.idx_z(k), iwl - 1j * lj)
-        for k2, j2 in enumerate(js):
-            mu = conv_cached(j - j2)
-            if mu is None:
-                continue
-            A.add_mult(A.idx_z(k), A.idx_z(k2), -1j * lj * mu)
-        for i2 in range(nu):
-            mu_th = dg_tang(j, i2, "theta") * eps ** (-b)
-            mu_y = dg_tang(j, i2, "y") * eps ** (-b)
-            A.add_mult(A.idx_z(k), A.idx_theta(i2), -1j * lj * mu_th)
-            A.add_mult(A.idx_z(k), A.idx_y(i2), -1j * lj * mu_y)
-
-    # ================= phase rows =================
-    # the nu translation degeneracies are fixed by Theta_i(0) = 0; these rows
-    # occupy the index range otherwise associated with zeta.
-    n = prob.grid.n_ell
-    center = prob.grid.n_phi * n + prob.grid.n_phi
-    for i in range(nu):
-        A.add_entry(A.idx_zeta(i), A.idx_theta(i) + center, 1.0)
-
-    return A.build()
+    # scatter every kept shift to its (l_r, l_c) pairs, then the diagonal
+    # omega.d_phi (- i lambda_j), zeta_i in the l = 0 row of y_i and the
+    # phase rows on Theta_i(0)
+    pair_rows, pair_cols, pair_start = prob.at.shift_pairs
+    idx, owner = _ranges(pair_start, s)
+    n, z0, c0 = len(idx), (2 * nu + len(prob.js)) * L, N * (2 * N + 2)
+    rows = np.empty(n + z0 + 2 * nu, dtype=np.int32)
+    cols = np.empty_like(rows)
+    vals = np.empty(len(rows), dtype=complex)
+    np.take(pair_rows, idx, out=rows[:n])
+    rows[:n] += np.take(L * brow[blk], owner)
+    np.take(pair_cols, idx, out=cols[:n])
+    cols[:n] += np.take(L * bcol[blk], owner)
+    np.take(val, owner, out=vals[:n])
+    del idx, owner
+    iwl = _iwl(prob).ravel()
+    i = np.arange(nu, dtype=np.int32)
+    rows[n:] = np.concatenate([np.arange(z0), (nu + i) * L + c0, z0 + i])
+    cols[n:] = np.concatenate([np.arange(z0), z0 + i, i * L + c0])
+    vals[n:] = np.concatenate([np.tile(iwl, 2 * nu),
+                               (iwl - 1j * prob.lam_js[:, None]).ravel(), np.ones(2 * nu)])
+    return sp.csc_matrix((vals, (rows, cols)), shape=(z0 + nu, z0 + nu))
 
 
 def _flatten_residual(
@@ -656,6 +511,9 @@ def _unflatten_update(prob: TorusProblem, vec: np.ndarray, emb: TorusEmbedding):
 # -- Newton solver ----------------------------------------------------------------------
 
 MAX_BACKTRACK = 8  # step halvings tried before a Newton step counts as failed
+# Largest system solved densely (least squares) when sparse LU fails: the
+# dense J.toarray() of 6 000 complex unknowns is about 576 MB.
+DENSE_MAX_UNKNOWNS = 6000
 
 
 @dataclass
@@ -680,17 +538,13 @@ class NewtonResult:
 
 
 def min_linear_divisor(prob: TorusProblem) -> tuple[float, tuple]:
-    """Smallest |omega . l - lambda(j)| over the truncation (diagnostic)."""
-    best, wit = math.inf, ()
+    """Smallest |omega . l - lambda(j)| over the truncation (diagnostic), with
+    its first witness ((l1, l2), j) in the order l1, l2, j."""
     ells = _ell_values(prob.grid.n_phi)
-    for l1 in ells:
-        for l2 in ells:
-            wl = prob.omega[0] * l1 + prob.omega[1] * l2
-            for j in prob.js:
-                v = abs(wl - float(lam(j)))
-                if v < best:
-                    best, wit = v, ((int(l1), int(l2)), j)
-    return best, wit
+    wl = prob.omega[0] * ells[:, None] + prob.omega[1] * ells[None, :]
+    div = np.abs(wl[:, :, None] - prob.lam_js)
+    a, a2, k = np.unravel_index(int(np.argmin(div)), div.shape)
+    return float(div[a, a2, k]), ((int(ells[a]), int(ells[a2])), prob.js[k])
 
 
 def _linear_step(J: sp.csc_matrix, rhs: np.ndarray, prob: TorusProblem) -> np.ndarray:
@@ -703,7 +557,7 @@ def _linear_step(J: sp.csc_matrix, rhs: np.ndarray, prob: TorusProblem) -> np.nd
             return delta
     except RuntimeError:
         pass
-    if J.shape[0] > 6000:
+    if J.shape[0] > DENSE_MAX_UNKNOWNS:
         div, wit = min_linear_divisor(prob)
         raise TorusError(
             "singular linearization; nearest linear divisor "
@@ -767,7 +621,7 @@ def newton_solve(
             return False
 
         improved = try_delta(delta)
-        if not improved and J.shape[0] <= 6000:
+        if not improved and J.shape[0] <= DENSE_MAX_UNKNOWNS:
             # an exactly singular block can leave LU with a finite but useless
             # step; retry once with the minimum-norm solution
             delta2, *_ = np.linalg.lstsq(J.toarray(), rhs, rcond=None)
@@ -804,7 +658,7 @@ def action_angle_embed(
     for i, s in enumerate(prob.S.splus):
         th = eval_field(emb.theta[i]).real + phi[i]
         yv = eval_field(emb.y[i]).real
-        rad = prob.xi[i] + eps ** (2 * b - 2) * float(lam(s)) * yv
+        rad = prob.xi[i] + eps ** (2 * b - 2) * prob.lam_sites[i] * yv
         if rad <= 0:
             raise TorusError(f"negative radicand at site {s}, phi={phi}")
         amp = eps * math.sqrt(rad)
@@ -878,44 +732,36 @@ def linearized_normal_operator(
     packet at eps to the packet at -eps and leaves omega fixed, so the
     matched eigenvalues are even in eps."""
     S = prob.S
-    eps, b = prob.eps, prob.b
+    eps = prob.eps
     gs = GridState(prob, emb)
-    at = prob.at
-    m = at.m
+    m, mx = prob.at.m, gs.mx
+    js = np.array(prob.js)
 
-    # basis: (l, j) with |l|_inf <= ell_cut, j normal, |j| <= n_x
-    ells = [
-        (l1, l2)
-        for l1 in range(-ell_cut, ell_cut + 1)
-        for l2 in range(-ell_cut, ell_cut + 1)
-    ]
-    js = prob.js
-    jbar = S.splus
-    basis = [(l, j) for l in ells for j in js]
-    keys: dict[tuple, list[int]] = {}
-    for idx, (l, j) in enumerate(basis):
-        key = j - (l[0] * jbar[0] + l[1] * jbar[1])
-        keys.setdefault(key, []).append(idx)
+    # basis: (l, j) with |l|_inf <= ell_cut, j normal, |j| <= n_x, grouped
+    # into the momentum classes j - l . jbar
+    r = np.arange(-ell_cut, ell_cut + 1)
+    l1, l2, kb = (a.ravel() for a in np.meshgrid(r, r, np.arange(len(js)), indexing="ij"))
+    momentum = js[kb] - (l1 * S.splus[0] + l2 * S.splus[1])
+    order = np.argsort(momentum, kind="stable")
+    keys, first = np.unique(momentum[order], return_index=True)
 
     # angle spectra of the u-field x-modes (multiplication part); the
     # coupling stems from the cubic Hamiltonian, so it vanishes when the
     # cubic term is disabled and the operator is exactly omega.dphi - J
-    uhat: dict[int, np.ndarray] = {}
-    if prob.include_cubic:
-        for mode, val in gs.umod.items():
-            uhat[mode] = at.full_hat(val)
+    uhat = scipy.fft.fft2(gs.ux) / (m * m) if prob.include_cubic else np.zeros_like(gs.ux)
 
-    # symbolic correction pieces, evaluated at the unperturbed wave packet
+    # symbolic correction pieces, evaluated at the unperturbed wave packet:
+    # amps[k, k2, dl] is the coefficient of e^{i dl.phi} in d^2 Q/dz_{-j_k} dz_{j_k2}
     corr = (
         _correction_pieces(S, prob.grid.n_x, phib_order)
         if prob.include_cubic
         else []
     )
-    corr_entries: dict[tuple[int, int], list] = {}
+    kpos = {j: k for k, j in enumerate(prob.js)}
     sqrt_xi = {s: math.sqrt(prob.xi[i]) for i, s in enumerate(S.splus)}
     sqrt_xi.update({-s: sqrt_xi[s] for s in S.splus})
+    acc: dict[tuple, complex] = {}
     for poly in corr:
-        deg = poly.degree
         for mono, cval in poly.terms.items():
             zslots = [v for v in mono if S.in_sc(v)]
             vslots = [v for v in mono if S.in_s(v)]
@@ -924,56 +770,39 @@ def linearized_normal_operator(
             amp = complex(cval) * eps ** (len(vslots)) * math.prod(
                 sqrt_xi[v] for v in vslots
             )
-            dl = [0, 0]
-            for v in vslots:
-                vec = S.angle_vector(v)
-                dl[0] += vec[0]
-                dl[1] += vec[1]
+            dl = tuple(sum(S.angle_vector(v)[i] for v in vslots) for i in range(2))
             a_z, b_z = zslots
             mult = 2 if a_z == b_z else 1
             # quadratic form amp * z_a z_b: d/dz_{-j} nonzero for j = -a, -b
-            for out_slot, other in ((a_z, b_z), ((b_z, a_z) if a_z != b_z else (None, None))):
-                if out_slot is None:
-                    continue
-                jr = -out_slot
-                corr_entries.setdefault((jr, other), []).append(
-                    (tuple(dl), amp * mult)
-                )
-
-    corr_by_pair: dict[tuple[int, int], dict[tuple[int, int], complex]] = {}
-    for (jr, other), lst in corr_entries.items():
-        d: dict[tuple[int, int], complex] = {}
-        for dl, amp in lst:
-            d[dl] = d.get(dl, 0.0) + amp
-        corr_by_pair[(jr, other)] = d
+            for out_slot, other in ([(a_z, b_z)] if a_z == b_z else [(a_z, b_z), (b_z, a_z)]):
+                if -out_slot in kpos and other in kpos:
+                    cell = (kpos[-out_slot], kpos[other], dl)
+                    acc[cell] = acc.get(cell, 0.0) + amp * mult
+    wd = max((max(map(abs, cell[2])) for cell in acc), default=0)
+    amps = np.zeros((len(js), len(js), 2 * wd + 1, 2 * wd + 1), dtype=complex)
+    for (k, k2, (d1, d2)), amp in acc.items():
+        amps[k, k2, d1 + wd, d2 + wd] = amp
 
     eigvals = []
     matched: dict = {}
     quality: dict = {}
     blocks_out = []
-    for key, idxs in sorted(keys.items()):
+    for key, idxs in zip(keys.tolist(), np.split(order, first[1:])):
+        a1, a2, k = l1[idxs], l2[idxs], kb[idxs]
         nb = len(idxs)
+        ilj = (1j * prob.lam_js[k])[:, None]
+        d1, d2 = a1[:, None] - a1, a2[:, None] - a2
         M = np.zeros((nb, nb), dtype=complex)
-        local = [basis[i] for i in idxs]
-        for a, (l, j) in enumerate(local):
-            wl = prob.omega[0] * l[0] + prob.omega[1] * l[1]
-            lj = float(lam(j))
-            M[a, a] += 1j * wl - 1j * lj
-            for a2, (l2, j2) in enumerate(local):
-                dl = (l[0] - l2[0], l[1] - l2[1])
-                # multiplication by the embedding field
-                hat = uhat.get(j - j2)
-                if hat is not None:
-                    v = hat[dl[0] % m, dl[1] % m]
-                    if abs(v) > 1e-15:
-                        M[a, a2] += 1j * lj * v
-                # symbolic eps^2 corrections: L = omega.d_phi - A with
-                # A-entry i lambda(j) d^2 Q/dz_{-j} dz_{j2}
-                cd = corr_by_pair.get((j, j2))
-                if cd is not None:
-                    amp = cd.get(dl)
-                    if amp is not None:
-                        M[a, a2] -= 1j * lj * amp
+        M[np.diag_indices(nb)] += 1j * (prob.omega[0] * a1 + prob.omega[1] * a2) - ilj[:, 0]
+        # multiplication by the embedding field
+        v = uhat[(js[k][:, None] - js[k]) % mx, d1 % m, d2 % m]
+        M += np.where(np.abs(v) > 1e-15, ilj * v, 0)
+        # symbolic eps^2 corrections: L = omega.d_phi - A with
+        # A-entry i lambda(j) d^2 Q/dz_{-j} dz_{j2}
+        near = (np.abs(d1) <= wd) & (np.abs(d2) <= wd)
+        amp = amps[k[:, None], k, np.clip(d1, -wd, wd) + wd, np.clip(d2, -wd, wd) + wd]
+        M -= np.where(near, ilj * amp, 0)
+        local = list(zip(zip(a1.tolist(), a2.tolist()), js[k].tolist()))
         w, V = np.linalg.eig(M)
         eigvals.extend(w.tolist())
         dom = np.argmax(np.abs(V), axis=0)
@@ -987,7 +816,7 @@ def linearized_normal_operator(
         blocks_out.append({"key": key, "size": nb})
 
     return LinearizedOperator(
-        js=js,
+        js=prob.js,
         ell_cut=ell_cut,
         blocks=blocks_out,
         eigvals=np.array(sorted(eigvals, key=lambda v: v.imag)),

@@ -29,7 +29,7 @@ from dpkam.torus import _flatten_residual
 S67 = TangentialSet.make([6, 7])
 
 
-def small_problem(eps=1e-2, n_x=16, n_phi=2, xi=(1.3, 1.7), cubic=True):
+def small_problem(eps=1e-2, n_x=16, n_phi=2, xi=(1.3, 1.7), cubic=True, f_coeffs=None):
     sc = ScalingParams(epsilon=eps, a=0.1, nu=2)
     grid = TruncationGrid(n_x=n_x, n_phi=n_phi, jbar1=7)
     eps_frac = Fraction(eps).limit_denominator(10**9)
@@ -37,7 +37,8 @@ def small_problem(eps=1e-2, n_x=16, n_phi=2, xi=(1.3, 1.7), cubic=True):
         [float(w) for w in frequency_map(S67, [Fraction(str(x)) for x in xi], eps_frac)]
     )
     return TorusProblem(
-        S=S67, grid=grid, xi=xi, scaling=sc, omega=omega, include_cubic=cubic
+        S=S67, grid=grid, xi=xi, scaling=sc, omega=omega, include_cubic=cubic,
+        f_spec=FSpec(f_coeffs or {}),
     )
 
 
@@ -92,9 +93,15 @@ def test_radicand_error_reported():
         residual(prob, emb)
 
 
-def test_jacobian_matches_finite_differences():
+@pytest.mark.parametrize(
+    "cubic, f_coeffs",
+    [(True, {}), (True, {9: 1e10}), (False, {9: 1e10})],
+    ids=["cubic", "cubic+f", "f only"],
+)
+def test_jacobian_matches_finite_differences(cubic, f_coeffs):
+    # at eps = 1e-2 the f'' term of c_9 = 1e10 is comparable to the cubic one
     rng = np.random.default_rng(3)
-    prob = small_problem()
+    prob = small_problem(cubic=cubic, f_coeffs=f_coeffs)
     emb = TorusEmbedding.trivial(S67, prob.grid)
     emb.theta += 1e-3 * (rng.normal(size=emb.theta.shape)
                          + 1j * rng.normal(size=emb.theta.shape))
@@ -230,6 +237,16 @@ def test_min_linear_divisor_positive():
     d, wit = min_linear_divisor(prob)
     assert d > 1e-4
     assert len(wit) == 2
+    # the first minimum of the loop over l1, l2, j with the exact lambda
+    best, first = math.inf, ()
+    for l1 in range(-4, 5):
+        for l2 in range(-4, 5):
+            wl = prob.omega[0] * l1 + prob.omega[1] * l2
+            for j in prob.js:
+                v = abs(wl - float(lam(j)))
+                if v < best:
+                    best, first = v, ((l1, l2), j)
+    assert (d, wit) == (best, first)
 
 
 def test_plane_wave_rotation():
@@ -296,3 +313,23 @@ def test_energy_momentum_definitions():
     assert h == pytest.approx(0.5 * 2 * 0.04, abs=1e-4)
     k1 = ev.momentum(uhat)
     assert k1 == pytest.approx(0.5 * 2 * 0.04 * (1 + 9) / (4 + 9), rel=1e-12)
+
+
+def test_operators_take_one_fft2_over_a_stack(monkeypatch):
+    import scipy.fft
+
+    shapes = []
+    fft2 = scipy.fft.fft2
+
+    def counting(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return fft2(x, *args, **kwargs)
+
+    prob = small_problem(eps=2e-3, n_x=16, n_phi=4)
+    emb = newton_solve(prob).emb
+    monkeypatch.setattr(scipy.fft, "fft2", counting)
+    jacobian(prob, emb)
+    assert len(shapes) == 1 and len(shapes[0]) == 3
+    shapes.clear()
+    linearized_normal_operator(prob, emb, ell_cut=2, phib_order=0)
+    assert len(shapes) == 1 and len(shapes[0]) == 3
