@@ -356,21 +356,31 @@ def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int, threads: int = 0
         "fitted_exponent": float_fmt(sweep.slope),
         "fitted_exponent_stderr": float_fmt(sweep.slope_stderr),
         "theory_exponent": float_fmt(sweep.theory_slope),
+        "slab_quadrature_fractions": [float_fmt(e.quadrature) for e in sweep.estimates],
         "notes": sweep.estimates[0].notes,
     }
-    if family == "G0_0":
-        # deterministic cross-check: exact per-slab quadrature of the same
-        # exclusion condition (union bound), exposing magnitudes that may be
-        # below Monte-Carlo resolution
-        summary["slab_quadrature_fractions"] = [
-            float_fmt(measure_mod.g0_slab_measure(S, c)) for c in cfgs]
     _write(outdir, "measure_summary.json", json.dumps(summary, indent=2))
-    ok = sweep.slope_consistent()
+    # the union-bound slab quadrature bounds the excluded fraction from above,
+    # so the Monte-Carlo fraction may exceed it only by sampling error
+    z = [(e.fraction - e.quadrature) / measure_mod.binomial_stderr(e.quadrature, samples)
+         for e in sweep.estimates]
+    w = int(np.argmax(z))
     checks = [
-        {"check": "scaling_exponent", "value": float_fmt(sweep.slope),
-         "threshold": f"{float_fmt(sweep.theory_slope)} +- 3 sigma",
-         "witness": f"stderr {float_fmt(sweep.slope_stderr)}", "pass": bool(ok)}
+        {"check": "mc_within_quadrature", "value": float_fmt(z[w]),
+         "threshold": "<= 3 standard errors at the quadrature",
+         "witness": f"eps={float_fmt(eps_values[w])}", "pass": all(v <= 3.0 for v in z)}
     ]
+    if family == "G0_0":
+        lemma_c = measure_mod.g0_lemma_constant(S, cfgs[0].scaling.tau, cfgs[0].ell_max)
+        bounds = [lemma_c * c.scaling.epsilon ** (2 * (S.nu - 1)) * c.gamma for c in cfgs]
+        measures = [e.quadrature * e.volume for e in sweep.estimates]
+        ratio = [m / b for m, b in zip(measures, bounds)]
+        w = int(np.argmax(ratio))
+        checks.insert(0, {
+            "check": "slab_within_lemma_bound", "value": float_fmt(ratio[w]),
+            "threshold": "quadrature measure <= C eps^(2(nu-1)) gamma",
+            "witness": f"eps={float_fmt(eps_values[w])}, C={float_fmt(lemma_c)}",
+            "pass": all(m <= b for m, b in zip(measures, bounds))})
     return _summary(outdir, cfg, "measure", checks)
 
 

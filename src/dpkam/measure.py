@@ -1,24 +1,26 @@
-"""Melnikov non-resonance sets, resonant-set classifiers, and Monte-Carlo
-measure estimation of excluded parameter regions.
+"""Melnikov non-resonance sets and the measure of the excluded parameter regions.
 
 Parameters are sampled uniformly in the amplitude box xi in [1,2]^nu and
 pushed forward through the affine frequency map omega = omega_bar + eps^2 A xi,
-so fractions in xi equal fractions in omega.  Every scan records the
-ell-truncation it used and the pruning bound that justifies it.
+so fractions in xi equal fractions in omega.  Every exclusion test is affine
+in xi, |c0 + g.xi| < t; one builder per family returns those slabs, and the
+Monte-Carlo count, the slab quadrature and `in_g0` all read them.  Every scan
+records the ell-truncation it used and the pruning bound that justifies it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import spectrum
 from .core import ScalingParams, TangentialSet, ell_bracket, lam, signed_ell_vectors
 from .spectrum import momentum_ells, w_vec
-from .twist import TwistData, mat_solve, mat_transpose, twist_matrix, v_vec
+from .twist import TwistData, inverse_frequency_map, twist_matrix
 
 
 @dataclass
@@ -59,18 +61,14 @@ class FrequencyBox:
     S: TangentialSet
     td: TwistData
     eps: float
+    A: np.ndarray
+    omega_bar: np.ndarray
 
     @classmethod
     def make(cls, S: TangentialSet, eps: float) -> "FrequencyBox":
-        return cls(S=S, td=twist_matrix(S), eps=eps)
-
-    @property
-    def A(self) -> np.ndarray:
-        return np.array([[float(a) for a in row] for row in self.td.A])
-
-    @property
-    def omega_bar(self) -> np.ndarray:
-        return np.array([float(w) for w in self.td.omega_bar])
+        td = twist_matrix(S)
+        return cls(S=S, td=td, eps=eps, A=np.array(td.A, dtype=float),
+                   omega_bar=np.array(td.omega_bar, dtype=float))
 
     def omega_of_xi(self, xi: np.ndarray) -> np.ndarray:
         return self.omega_bar + self.eps**2 * xi @ self.A.T
@@ -89,7 +87,40 @@ class FrequencyBox:
         return float(abs(self.td.det_A)) * self.eps ** (2 * self.S.nu)
 
 
-# -- G0 membership ----------------------------------------------------------------------
+# -- the slabs of each family -------------------------------------------------------------
+
+
+# Bound on the rounding error of a float evaluation of an affine form
+# c0 + g.xi, relative to the sum of the absolute values of its summands: a
+# few units of 2^-53 per operation, with three orders of magnitude to spare.
+ROUNDING = 1e-12
+
+
+class Slabs(NamedTuple):
+    """The cases of an exclusion test, one entry (one row of g) per case: xi is
+    excluded by a case when |c0 + g.xi| < t.  `scale` bounds the sum of the
+    absolute values of the summands of the form and of the expression that
+    built it (see `slab_meets_box`)."""
+
+    c0: np.ndarray
+    g: np.ndarray
+    t: np.ndarray
+    scale: np.ndarray
+
+    def take(self, idx) -> "Slabs":
+        return Slabs(*(a[idx] for a in self))
+
+
+def _ells(nu: int, ell_max: int) -> list[tuple[int, ...]]:
+    return [ell for n in range(1, ell_max + 1) for ell in signed_ell_vectors(nu, n)]
+
+
+def g0_0_slabs(box: FrequencyBox, ell_max: int, tau: int, gamma: float) -> Slabs:
+    """Zeroth Melnikov: |omega.l| < gamma <l>^-tau for 0 < |l| <= ell_max.
+    At eps = 1 and gamma = 1 the slabs are g = A^T l, t = <l>^-tau."""
+    ells = _ells(box.S.nu, ell_max)
+    c0, g, scale = box.ell_forms(np.array(ells, dtype=float))
+    return Slabs(c0, g, np.array([gamma * ell_bracket(ell) ** (-tau) for ell in ells]), scale)
 
 
 def g1_scan_pairs(S: TangentialSet, cfg: MelnikovConfig) -> tuple[list, float]:
@@ -127,11 +158,9 @@ def g1_scan_pairs(S: TangentialSet, cfg: MelnikovConfig) -> tuple[list, float]:
     return pairs, float(min_ell)
 
 
-def g1_divisors(
-    S: TangentialSet, pairs: Sequence, M: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The five-wave divisor of each case (ell, j, j') of `g1_scan_pairs` as
-    base + eps^2 grad.xi, one row per case, with
+def g0_1_slabs(box: FrequencyBox, pairs: Sequence, M: np.ndarray, thr: float) -> Slabs:
+    """Five-wave condition: |base + eps^2 grad.xi| < thr for each case
+    (ell, j, j') of `g1_scan_pairs`, with
         base = sum_i lambda(s_i) l_i + lambda(j') - lambda(j),
         grad = M l + lambda(j') l_j' - lambda(j) l_j,
     l_j the coefficient vector of `spectrum.ell_j_form`, built once per
@@ -140,6 +169,7 @@ def g1_divisors(
     With M = A^T the frequency term is omega.l under `FrequencyBox.omega_of_xi`,
     as `in_g0` needs.  A is not symmetric; `estimate_excluded_measure` passes
     M = A, the form its recorded G0_1 counts were taken with."""
+    S = box.S
     ell_list = sorted({ell for ell, _, _ in pairs})
     ell_base = np.array([float(sum(lam(s) * e for s, e in zip(S.splus, ell))) for ell in ell_list])
     ell_grad = np.array([np.asarray(ell, dtype=float) @ M.T for ell in ell_list])
@@ -153,120 +183,75 @@ def g1_divisors(
     JP = np.array([mode_pos[jp] for _, _, jp in pairs], dtype=np.intp)
     base = ell_base[E] + (lam_v[JP] - lam_v[J])
     grad = ell_grad[E] + lam_v[JP, None] * lform[JP] - lam_v[J, None] * lform[J]
-    return base, grad
+    g = box.eps**2 * grad
+    return Slabs(base, g, np.full(len(pairs), thr), np.abs(base) + 2 * np.abs(g).sum(1))
 
 
-def in_g0(
-    omega: Sequence[float],
-    S: TangentialSet,
-    cfg: MelnikovConfig,
-    xi: Sequence[float] | None = None,
-) -> tuple[bool, bool]:
-    """(zeroth Melnikov flag, five-wave flag) for a frequency in Omega_eps.
-
-    The diophantine condition |omega . l| >= gamma <l>^-tau is scanned over
-    0 < |l| <= cfg.ell_max (truncation recorded by the caller via
-    `g0_truncation_note`); the five-wave condition is scanned over the
-    pruning-justified finite case list, with the divisors of `g1_divisors`
-    whose frequency term is omega.l."""
-    w = np.asarray(omega, dtype=float)
-    if xi is None:
-        from .twist import inverse_frequency_map
-
-        xi = inverse_frequency_map(S, list(map(float, w)), cfg.scaling.epsilon)
-    gamma = cfg.gamma
-    tau = cfg.scaling.tau
-    flag0 = True
-    for n in range(1, cfg.ell_max + 1):
-        for ell in signed_ell_vectors(S.nu, n):
-            val = abs(float(np.dot(w, ell)))
-            if val < gamma * ell_bracket(ell) ** (-tau):
-                flag0 = False
-                break
-        if not flag0:
-            break
-
-    pairs, _ = g1_scan_pairs(S, cfg)
-    base, grad = g1_divisors(S, pairs, FrequencyBox.make(S, cfg.scaling.epsilon).A.T)
-    vals = base + cfg.scaling.epsilon**2 * (grad @ np.asarray(xi, dtype=float))
-    flag1 = not bool(np.any(np.abs(vals) <= cfg.c_g1 * gamma))
-    return flag0, flag1
-
-
-def g0_truncation_note(cfg: MelnikovConfig) -> str:
-    return (
-        f"zeroth-Melnikov scan truncated at |l| <= {cfg.ell_max}; the neglected "
-        f"tail has per-l width 2*gamma*<l>^-{cfg.scaling.tau} and total measure "
-        f"fraction below {2.0 * cfg.gamma * cfg.ell_max ** (-cfg.scaling.tau):.3e}"
+def _melnikov_modes(box: FrequencyBox, cfg: MelnikovConfig, jmax: int) -> tuple:
+    """Per mode j in S^c with |j| <= jmax: j, lambda(j), d_j = m lambda(j) +
+    eps^2 kappa_j as lambda(j) + d_g.xi with its summand bound d_scale, and
+    the margin eps^(4-3a)/<j> that bounds the residual of the first-order
+    model; and the c of m = 1 + eps^2 c.xi with m's summand bound."""
+    S, e2 = box.S, box.eps**2
+    js = [j for j in range(-jmax, jmax + 1) if S.in_sc(j)]
+    ja = np.asarray(js)
+    lam_v = np.array([float(lam(j)) for j in js])
+    kap = _kappa_matrix(S, js)  # per-site coefficients; kappa_j = kap[j] . xi
+    c_coeff = np.array([float(Fraction(2, 3) * (1 + s * s)) for s in S.splus])
+    m_scale = 1.0 + 2 * e2 * np.abs(c_coeff).sum()
+    d_g = e2 * (lam_v[:, None] * c_coeff + kap)
+    d_scale = np.abs(lam_v) * m_scale + 2 * e2 * np.abs(kap).sum(1)
+    margin = cfg.scaling.epsilon ** (4.0 - 3.0 * cfg.scaling.a) / np.maximum(
+        1, np.abs(ja.astype(float))
     )
+    return ja, lam_v, d_g, d_scale, margin, c_coeff, m_scale
 
 
-# -- resonant set descriptors and classifiers --------------------------------------------
+def first_melnikov_slabs(box: FrequencyBox, cfg: MelnikovConfig, jmax: int) -> Iterator[Slabs]:
+    """First Melnikov, one block per ell: |omega.l + m j| and |omega.l + d_j|
+    below 2 gamma_0 <l>^-tau + margin_j, for the modes |j| <= jmax in S^c."""
+    ja, lam_v, d_g, d_scale, margin, c_coeff, m_scale = _melnikov_modes(box, cfg, jmax)
+    jf = ja.astype(float)
+    mode = Slabs(np.concatenate([jf, lam_v]),
+                 np.concatenate([box.eps**2 * jf[:, None] * c_coeff, d_g]),
+                 np.concatenate([margin, margin]), np.concatenate([np.abs(jf) * m_scale, d_scale]))
+    ells = _ells(box.S.nu, cfg.ell_max)
+    wl_c0, wl_g, wl_scale = box.ell_forms(np.array(ells, dtype=float))
+    for i, ell in enumerate(ells):
+        thr = 2.0 * cfg.gamma_n(0) * ell_bracket(ell) ** (-cfg.scaling.tau)
+        yield Slabs(wl_c0[i] + mode.c0, wl_g[i] + mode.g, thr + mode.t, wl_scale[i] + mode.scale)
 
 
-@dataclass(frozen=True)
-class ResonantSetDescriptor:
-    kind: str  # 'R', 'Q' or 'P'
-    ell: tuple[int, ...]
-    j: int
-    k: int | None
-    eta: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.kind not in ("R", "Q", "P"):
-            raise ValueError("kind must be R, Q or P")
-        if self.kind == "R" and self.j == self.k:
-            raise ValueError("R sets are empty for j = k by construction")
-
-
-@dataclass
-class AffineDecomposition:
-    a_jk: float
-    b_ljk: np.ndarray
-    q_bound: float
-
-
-def affine_decomposition(
-    S: TangentialSet,
-    scaling: ScalingParams,
-    ell: Sequence[int],
-    j: int,
-    k: int,
-    c1: float = 1.0,
-    c2: float = 1.0,
-) -> AffineDecomposition:
-    """phi_R(omega) ~ a_jk + b_ljk . omega + q with
-    a_jk = (lambda(j)-lambda(k)) (1 - v . A^-1 omega_bar) + (w_k - w_j) . A^-1 omega_bar,
-    b_ljk = l + (lambda(j)-lambda(k)) A^-T v + A^-T (w_j - w_k)."""
-    if j == k:
-        raise ValueError("affine decomposition needs j != k")
-    td = twist_matrix(S)
-    At = mat_transpose(td.A)
-    v = v_vec(S)
-    wj = w_vec(S, j)
-    wk = w_vec(S, k)
-    dl = lam(j) - lam(k)
-    atv = mat_solve(At, v)
-    atw = mat_solve(At, [a - b for a, b in zip(wj, wk)])
-    a_val = dl * (1 - sum(x * w for x, w in zip(atv, td.omega_bar))) + sum(
-        x * w
-        for x, w in zip(mat_solve(At, [b - a for a, b in zip(wj, wk)]), td.omega_bar)
-    )
-    b_val = np.array(
-        [float(e) + float(dl * x) + float(y) for e, x, y in zip(ell, atv, atw)]
-    )
-    q = c1 * scaling.epsilon**4 * abs(j - k) + c2 * scaling.epsilon ** (
-        4.0 - 3.0 * scaling.a
-    )
-    return AffineDecomposition(a_jk=float(a_val), b_ljk=b_val, q_bound=q)
+def second_melnikov_slabs(box: FrequencyBox, cfg: MelnikovConfig, jmax: int) -> Iterator[Slabs]:
+    """Second Melnikov, one block per ell: |omega.l + d_j - d_k| below
+    2 gamma*_0 <l>^-tau + margin_j + margin_k over the momentum-compatible
+    pairs k = j - l.jbar with both modes in the scan (no case for k = j)."""
+    S = box.S
+    ja, lam_v, d_g, d_scale, margin, _, _ = _melnikov_modes(box, cfg, jmax)
+    # position of mode k in ja, or -1, for k in [-jmax, jmax]
+    pos = np.full(2 * jmax + 1, -1, dtype=np.intp)
+    pos[ja + jmax] = np.arange(len(ja))
+    ells = _ells(S.nu, cfg.ell_max)
+    wl_c0, wl_g, wl_scale = box.ell_forms(np.array(ells, dtype=float))
+    for i, ell in enumerate(ells):
+        shift = sum(s * e for s, e in zip(S.splus, ell))
+        if shift == 0:
+            continue
+        k = ja - shift
+        jdx = np.flatnonzero(np.abs(k) <= jmax)
+        kdx = pos[k[jdx] + jmax]
+        jdx, kdx = jdx[kdx >= 0], kdx[kdx >= 0]
+        thr2 = 2.0 * cfg.gamma_n_star(0) * ell_bracket(ell) ** (-cfg.scaling.tau)
+        yield Slabs(
+            wl_c0[i] + lam_v[jdx] - lam_v[kdx],
+            wl_g[i] + d_g[jdx] - d_g[kdx],
+            thr2 + margin[jdx] + margin[kdx],
+            wl_scale[i] + d_scale[jdx] + d_scale[kdx],
+        )
 
 
-@dataclass
-class Classification:
-    verdict: str  # 'empty_by_ell_bound' | 'empty_by_inclusion' | 'candidate'
-    lemma: str
-    detail: str
+def _kappa_matrix(S: TangentialSet, js: Sequence[int]) -> np.ndarray:
+    return np.array([[float(c) for c in w_vec(S, j)] for j in js])
 
 
 def pruning_slope_constant(S: TangentialSet, m_abs: float = 1.0) -> float:
@@ -275,76 +260,15 @@ def pruning_slope_constant(S: TangentialSet, m_abs: float = 1.0) -> float:
     return m_abs / (4.0 * float(np.linalg.norm(wb)))
 
 
-def classify_resonant_set(
-    desc: ResonantSetDescriptor,
-    S: TangentialSet,
-    cfg: MelnikovConfig,
-    inclusion_constant: float = 4.0,
-) -> Classification:
-    """Deterministic pruning: a set is empty when |l| falls below the slope
-    bound, and an R set at gamma^(3/2) is absorbed into a Q set at gamma when
-    both modes are large."""
-    ctil = pruning_slope_constant(S)
-    ln = sum(abs(e) for e in desc.ell)
-    if desc.kind == "R":
-        gap = abs(float(lam(desc.j) - lam(desc.k)))
-        if ln < ctil * gap:
-            return Classification(
-                "empty_by_ell_bound",
-                "pruning-slope",
-                f"|l|={ln} < C|lambda(j)-lambda(k)|={ctil * gap:.3f}",
-            )
-        thresh = (
-            inclusion_constant
-            * ell_bracket(desc.ell) ** (S.nu + 2)
-            / math.sqrt(cfg.gamma)
-        )
-        if min(abs(desc.j), abs(desc.k)) >= thresh:
-            return Classification(
-                "empty_by_inclusion",
-                "R-into-Q absorption",
-                f"min(|j|,|k|) >= {thresh:.1f}: R(gamma^3/2,tau) within Q(gamma,nu+2)",
-            )
-        return Classification("candidate", "", "")
-    # Q and P sets
-    if ln < ctil * abs(desc.j):
-        return Classification(
-            "empty_by_ell_bound",
-            "pruning-slope",
-            f"|l|={ln} < C|j|={ctil * abs(desc.j):.3f}",
-        )
-    return Classification("candidate", "", "")
+def _melnikov_j_range(S: TangentialSet, cfg: MelnikovConfig) -> int:
+    """Pruning-justified j range for the first/second Melnikov scans."""
+    return int(math.ceil(cfg.ell_max / pruning_slope_constant(S))) + cfg.melnikov_j_margin
 
 
-# -- Monte-Carlo measure estimation -------------------------------------------------------
+# -- slabs against the box ----------------------------------------------------------------
 
 
-FAMILIES = ("G0_0", "G0_1", "first_melnikov", "second_melnikov")
-MIN_SAMPLES = 1000
-
-# Bound on the rounding error of a float evaluation of an affine form
-# c0 + g.xi, relative to the sum of the absolute values of its summands: a
-# few units of 2^-53 per operation, with three orders of magnitude to spare.
-ROUNDING = 1e-12
-
-
-@dataclass
-class MeasureEstimate:
-    family: str
-    eps: float
-    samples: int
-    excluded: int
-    fraction: float
-    stderr: float
-    volume: float
-    measure: float
-    measure_stderr: float
-    notes: list[str] = field(default_factory=list)
-
-
-def slab_meets_box(
-    c0: np.ndarray, g: np.ndarray, t: np.ndarray, scale: np.ndarray
-) -> np.ndarray:
+def slab_meets_box(c0: np.ndarray, g: np.ndarray, t: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Mask of the cases whose slab {xi : |c0 + g.xi| < t} meets the box [1,2]^nu.
 
     c0, t and scale hold one value per case and g one row of nu values.  On
@@ -360,20 +284,127 @@ def slab_meets_box(
     return (lo <= t + slack) & (hi >= -t - slack)
 
 
-def _melnikov_j_range(S: TangentialSet, cfg: MelnikovConfig) -> int:
-    """Pruning-justified j range for the first/second Melnikov scans."""
-    ctil = pruning_slope_constant(S)
-    need = int(math.ceil(cfg.ell_max / ctil)) + cfg.melnikov_j_margin
-    return need
+def slab_volumes(c0: np.ndarray, g: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """xi-volume of {xi in [1,2]^nu : |c0 + g.xi| < t} for each case.
+
+    With a = |g| sorted in decreasing order, the form is lo + a.u over u in
+    [0,1]^nu, lo = c0 + sum_i min(g_i, 2 g_i) its value at the lowest corner
+    and hi = lo + sum a at the highest.  Inclusion-exclusion over the corners
+    u_S gives, over the m nonzero a_i,
+        vol = sum_S (-1)^|S| [p_S^m - q_S^m] / (m! prod a),
+        p_S, q_S = (H - v_S)_+, (-t - v_S)_+,   v_S = lo + sum_{i in S} a_i,
+    with H = min(t, hi) (clipping at the box leaves the sum unchanged).  The
+    difference is taken per corner: p^m - q^m = (H + t) sum_k p^k q^(m-1-k)
+    when both are positive, and H + t is 2t exactly unless the box clips the
+    slab, so a thin slab keeps its digits; a slab that misses the box
+    (lo >= t or hi <= -t) gives 0 exactly."""
+    a = -np.sort(-np.abs(g), axis=1)
+    lo = c0 + np.minimum(g, 2 * g).sum(axis=1)
+    hi = lo + a.sum(axis=1)
+    rank = np.count_nonzero(a, axis=1)
+    meets = (lo < t) & (hi > -t)
+    vol = np.where(meets & (rank == 0), 1.0, 0.0)  # a constant form
+    for m in range(1, g.shape[1] + 1):
+        sel = meets & (rank == m)
+        am, lm, tm, Hm = a[sel, :m], lo[sel], t[sel], np.minimum(t, hi)[sel]
+        total = np.zeros(len(lm))
+        for corner in itertools.product((0.0, 1.0), repeat=m):
+            v = lm + am @ np.array(corner)
+            p, q = Hm - v, -tm - v
+            thin = sum(p**k * q ** (m - 1 - k) for k in range(m))
+            term = np.where(q > 0, (Hm + tm) * thin, np.where(p > 0, p**m, 0.0))
+            total += (-1) ** int(sum(corner)) * term
+        vol[sel] = total / (math.factorial(m) * am.prod(axis=1))
+    return np.clip(vol, 0.0, 1.0)
 
 
-def _excluded_g0_0(w: np.ndarray, S: TangentialSet, cfg: MelnikovConfig, ells) -> np.ndarray:
-    gamma, tau = cfg.gamma, cfg.scaling.tau
-    out = np.zeros(w.shape[0], dtype=bool)
-    for ell in ells:
-        thr = gamma * ell_bracket(ell) ** (-tau)
-        out |= np.abs(w @ np.asarray(ell, dtype=float)) < thr
-    return out
+# -- G0 membership ----------------------------------------------------------------------
+
+
+def in_g0(
+    omega: Sequence[float],
+    S: TangentialSet,
+    cfg: MelnikovConfig,
+    xi: Sequence[float] | None = None,
+) -> tuple[bool, bool]:
+    """(zeroth Melnikov flag, five-wave flag) for a frequency in Omega_eps.
+
+    Both flags test the slabs of `g0_0_slabs` (0 < |l| <= cfg.ell_max,
+    truncation recorded by the caller via `g0_truncation_note`) and of
+    `g0_1_slabs` (the pruning-justified finite case list, with M = A^T so
+    that the frequency term is omega.l) at the amplitude xi of omega, by
+    `inverse_frequency_map` unless given."""
+    eps = cfg.scaling.epsilon
+    if xi is None:
+        xi = inverse_frequency_map(S, list(map(float, omega)), eps)
+    x = np.asarray(xi, dtype=float)
+    box = FrequencyBox.make(S, eps)
+    g0 = g0_0_slabs(box, cfg.ell_max, cfg.scaling.tau, cfg.gamma)
+    g1 = g0_1_slabs(box, g1_scan_pairs(S, cfg)[0], box.A.T, cfg.c_g1 * cfg.gamma)
+    return tuple(not bool(np.any(np.abs(s.c0 + s.g @ x) < s.t)) for s in (g0, g1))
+
+
+def g0_truncation_note(cfg: MelnikovConfig) -> str:
+    return (
+        f"zeroth-Melnikov scan truncated at |l| <= {cfg.ell_max}; the neglected "
+        f"tail has per-l width 2*gamma*<l>^-{cfg.scaling.tau} and total measure "
+        f"fraction below {2.0 * cfg.gamma * cfg.ell_max ** (-cfg.scaling.tau):.3e}"
+    )
+
+
+def g0_lemma_constant(S: TangentialSet, tau: int, ell_max: int) -> float:
+    """The eps-independent constant C of the measure lemma
+    |Omega_eps minus G0_0| <= C eps^(2(nu-1)) gamma, over 0 < |l| <= ell_max.
+
+    Per-l slab estimate.  With g = A^T l (nonzero for l != 0, since
+    det A != 0) and k an index with |g_k| = |g|_inf, the slab
+        {xi in [1,2]^nu : |omega_bar.l + eps^2 g.xi| < gamma <l>^-tau}
+    meets every line parallel to e_k in an interval of length at most
+    2 gamma <l>^-tau / (eps^2 |g|_inf); integrating over the other nu-1 unit
+    coordinates bounds its xi-volume by the same number.  The affine map
+    xi -> omega = omega_bar + eps^2 A xi has Jacobian eps^(2 nu) |det A|, so
+    the slab's omega-measure is at most
+        2 |det A| <l>^-tau / |A^T l|_inf * eps^(2(nu-1)) gamma,
+    and the union bound over l gives the lemma with
+        C = 2 |det A| sum_{0 < |l| <= ell_max} <l>^-tau / |A^T l|_inf.
+    The sum converges as ell_max grows because |A^T l|_inf >= c |l| and
+    tau > nu - 1.  The estimate ignores whether a slab meets the box at
+    all, so the bound lies far above the slab quadrature of the G0_0
+    estimate: it is the lemma's one-sided bound, not an estimate of it."""
+    box = FrequencyBox.make(S, 1.0)
+    unit = g0_0_slabs(box, ell_max, tau, 1.0)  # g = A^T l, t = <l>^-tau
+    return 2.0 * float(abs(box.td.det_A)) * float(np.sum(unit.t / np.abs(unit.g).max(axis=1)))
+
+
+# -- Monte-Carlo measure estimation -------------------------------------------------------
+
+
+FAMILIES = ("G0_0", "G0_1", "first_melnikov", "second_melnikov")
+MIN_SAMPLES = 1000
+
+
+@dataclass
+class MeasureEstimate:
+    family: str
+    eps: float
+    samples: int
+    excluded: int
+    fraction: float
+    stderr: float
+    quadrature: float  # union bound: sum of the slab volumes in the box, capped at 1
+    volume: float
+    measure: float
+    measure_stderr: float
+    notes: list[str] = field(default_factory=list)
+
+
+def _meeting(blocks: Iterable[Slabs]) -> tuple[Slabs, int]:
+    """The cases of `blocks` whose slab meets the box, and the number of cases."""
+    kept, total = [], 0
+    for block in blocks:
+        total += len(block.t)
+        kept.append(block.take(slab_meets_box(*block)))
+    return Slabs(*(np.concatenate(parts) for parts in zip(*kept))), total
 
 
 def estimate_excluded_measure(
@@ -383,10 +414,11 @@ def estimate_excluded_measure(
     samples: int,
     seed: int,
 ) -> MeasureEstimate:
-    """Monte-Carlo estimate of the excluded fraction of the parameter box.
+    """Monte-Carlo estimate of the excluded fraction of the parameter box,
+    with the union-bound slab quadrature of the same cases.
 
-    xi ~ U([1,2]^nu) with a counter-based generator (Philox keyed by seed),
-    mapped through the frequency map; exclusion tested per family:
+    xi ~ U([1,2]^nu) with a counter-based generator (Philox keyed by seed);
+    exclusion tested per family:
       G0_0            |omega.l| < gamma <l>^-tau for some 0 < |l| <= ell_max
       G0_1            five-wave condition below C gamma on the pruned case list
       first_melnikov  |omega.l + m j| or |omega.l + d_j| below 2 gamma_0 <l>^-tau
@@ -397,14 +429,12 @@ def estimate_excluded_measure(
     momentum-compatible pairs k = j - l.jbar (the divisors the reduction
     actually inverts); mode ranges are pruning-justified and recorded.
 
-    Every tested quantity is affine in xi, so each case first goes through
-    `slab_meets_box`; only the cases whose slab meets the box are evaluated
-    sample by sample, and the last note records how many there were.  The
-    per-sample expressions are the unpruned loops' except that a Melnikov d_j
-    column is a matrix-vector product, where the unpruned loops took it from
-    one (samples x modes) matrix product; BLAS may round the two differently
-    in the last bit, so the counts agree except for a sample lying within
-    that rounding of a band edge."""
+    Each family's builder gives its cases as slabs |c0 + g.xi| < t.  Only
+    the cases whose slab meets the box (`slab_meets_box`) are kept; each is
+    tested once per sample, and `slab_volumes` gives their volumes for the
+    quadrature.  The last note records how many cases were kept.  The float forms differ from the unpruned per-sample
+    expressions in the order of their operations, so the counts agree except
+    for a sample lying within that rounding of a band edge."""
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}")
     if samples < MIN_SAMPLES:
@@ -425,113 +455,30 @@ def estimate_excluded_measure(
         done += size
         widx += 1
     xi = np.concatenate(chunks, axis=0)
-    w = box.omega_of_xi(xi)
     notes = [g0_truncation_note(cfg)]
 
-    ells = [
-        ell
-        for n in range(1, cfg.ell_max + 1)
-        for ell in signed_ell_vectors(nu, n)
-    ]
-    # omega.l = wl_c0 + wl_g.xi per ell
-    wl_c0, wl_g, wl_scale = box.ell_forms(np.array(ells, dtype=float))
-    tau = cfg.scaling.tau
-    e2 = eps**2
-    excluded = np.zeros(samples, dtype=bool)
-
     if family == "G0_0":
-        thr = np.array([cfg.gamma * ell_bracket(ell) ** (-tau) for ell in ells])
-        meets = slab_meets_box(wl_c0, wl_g, thr, wl_scale)
-        excluded = _excluded_g0_0(w, S, cfg, [ells[i] for i in np.flatnonzero(meets)])
-        met, total = int(meets.sum()), len(ells)
+        blocks = [g0_0_slabs(box, cfg.ell_max, cfg.scaling.tau, cfg.gamma)]
     elif family == "G0_1":
         pairs, min_ell = g1_scan_pairs(S, cfg)
         notes.append(f"five-wave scan over {len(pairs)} momentum cases, min_ell={min_ell}")
-        base, grad = g1_divisors(S, pairs, box.A)
-        thr = cfg.c_g1 * cfg.gamma
-        g = e2 * grad
-        meets = slab_meets_box(base, g, thr, np.abs(base) + 2 * np.abs(g).sum(1))
-        for i in np.flatnonzero(meets):
-            vals = base[i] + e2 * (xi @ grad[i])
-            excluded |= np.abs(vals) <= thr
-        met, total = int(meets.sum()), len(pairs)
+        blocks = [g0_1_slabs(box, pairs, box.A, cfg.c_g1 * cfg.gamma)]
     else:
         jmax = _melnikov_j_range(S, cfg)
         notes.append(
             f"melnikov scan over |j| <= {jmax} justified by |l| >= C|j| pruning "
             f"with C = {pruning_slope_constant(S):.4f} and |l| <= {cfg.ell_max}"
         )
-        js = [j for j in range(-jmax, jmax + 1) if S.in_sc(j)]
-        ja = np.asarray(js)
-        jf = ja.astype(float)
-        lam_v = np.array([float(lam(j)) for j in js])
-        kap = _kappa_matrix(S, js)  # per-site coefficients; kappa_j = kap[j] . xi
-        c_coeff = np.array([float(Fraction(2, 3) * (1 + s * s)) for s in S.splus])
-        m = 1.0 + e2 * (xi @ c_coeff)  # per-sample
-        margin = cfg.scaling.epsilon ** (4.0 - 3.0 * cfg.scaling.a) / np.maximum(
-            1, np.abs(jf)
-        )
-        # per mode: m j and d_j = m lambda(j) + eps^2 kappa_j as c0 + g.xi
-        m_scale = 1.0 + 2 * e2 * np.abs(c_coeff).sum()
-        mj_g = e2 * jf[:, None] * c_coeff
-        d_g = e2 * (lam_v[:, None] * c_coeff + kap)
-        d_scale = np.abs(lam_v) * m_scale + 2 * e2 * np.abs(kap).sum(1)
+        builder = first_melnikov_slabs if family == "first_melnikov" else second_melnikov_slabs
+        blocks = builder(box, cfg, jmax)
+    slabs, total = _meeting(blocks)
+    notes.append(f"{len(slabs.t)} of {total} cases meet the parameter box")
 
-        def d_col(idx: int) -> np.ndarray:
-            return m * lam_v[idx] + e2 * (xi @ kap[idx])
-
-        # position of mode k in js, or -1, for k in [-jmax, jmax]
-        pos = np.full(2 * jmax + 1, -1, dtype=np.intp)
-        pos[ja + jmax] = np.arange(len(js))
-        gamma0 = cfg.gamma_n(0)
-        gamma0s = cfg.gamma_n_star(0)
-        met = total = 0
-        for i, ell in enumerate(ells):
-            ell_f = np.asarray(ell, dtype=float)
-            if family == "first_melnikov":
-                thr = 2.0 * gamma0 * ell_bracket(ell) ** (-tau)
-                t = thr + margin
-                meets_mj = slab_meets_box(
-                    wl_c0[i] + jf, wl_g[i] + mj_g, t, wl_scale[i] + np.abs(jf) * m_scale
-                )
-                meets_d = slab_meets_box(
-                    wl_c0[i] + lam_v, wl_g[i] + d_g, t, wl_scale[i] + d_scale
-                )
-                met += int(meets_mj.sum() + meets_d.sum())
-                total += 2 * len(js)
-                if not (meets_mj.any() or meets_d.any()):
-                    continue
-                wl = w @ ell_f
-                for idx in np.flatnonzero(meets_mj):
-                    excluded |= np.abs(wl + m * js[idx]) < t[idx]
-                for idx in np.flatnonzero(meets_d):
-                    excluded |= np.abs(wl + d_col(idx)) < t[idx]
-            else:
-                thr2 = 2.0 * gamma0s * ell_bracket(ell) ** (-tau)
-                shift = sum(s * e for s, e in zip(S.splus, ell))
-                if shift == 0:
-                    continue  # k = j: no divisor
-                # momentum-compatible partners k = j - shift inside the scan
-                k = ja - shift
-                jdx = np.flatnonzero(np.abs(k) <= jmax)
-                kdx = pos[k[jdx] + jmax]
-                jdx, kdx = jdx[kdx >= 0], kdx[kdx >= 0]
-                t = thr2 + margin[jdx] + margin[kdx]
-                meets = slab_meets_box(
-                    wl_c0[i] + lam_v[jdx] - lam_v[kdx],
-                    wl_g[i] + d_g[jdx] - d_g[kdx],
-                    t,
-                    wl_scale[i] + d_scale[jdx] + d_scale[kdx],
-                )
-                met += int(meets.sum())
-                total += len(jdx)
-                if not meets.any():
-                    continue
-                wl = w @ ell_f
-                for h in np.flatnonzero(meets):
-                    excluded |= np.abs(wl + d_col(jdx[h]) - d_col(kdx[h])) < t[h]
-    notes.append(f"{met} of {total} cases meet the parameter box")
-
+    excluded = np.zeros(samples, dtype=bool)
+    for c0, g, t in zip(slabs.c0, slabs.g, slabs.t):
+        val = xi @ g
+        val += c0
+        excluded |= np.abs(val, out=val) < t
     count = int(np.count_nonzero(excluded))
     frac = count / samples
     stderr = binomial_stderr(frac, samples)
@@ -542,6 +489,7 @@ def estimate_excluded_measure(
         excluded=count,
         fraction=frac,
         stderr=stderr,
+        quadrature=min(1.0, float(slab_volumes(slabs.c0, slabs.g, slabs.t).sum())),
         volume=box.volume,
         measure=frac * box.volume,
         measure_stderr=stderr * box.volume,
@@ -556,10 +504,6 @@ def binomial_stderr(frac: float, samples: int) -> float:
     return math.sqrt(max(frac * (1 - frac), 1.0 / samples)) / math.sqrt(samples)
 
 
-def _kappa_matrix(S: TangentialSet, js: Sequence[int]) -> np.ndarray:
-    return np.array([[float(c) for c in w_vec(S, j)] for j in js])
-
-
 # -- per-eps sweep with a fitted scaling exponent -----------------------------------------
 
 
@@ -570,7 +514,8 @@ class SweepResult:
     `theory_slope` = 2(nu-1) + 2b is the exponent of the measure lemma's
     upper bound C eps^(2(nu-1)) gamma with gamma = eps^(2b) (see
     `g0_lemma_constant`).  The lemma bounds the excluded measure from above;
-    it does not say that the measure follows this power law."""
+    it does not say that the measure follows this power law, so the slope
+    is a reported figure only."""
 
     family: str
     eps_values: list[float]
@@ -578,11 +523,6 @@ class SweepResult:
     slope: float
     slope_stderr: float
     theory_slope: float
-
-    def slope_consistent(self, n_sigma: float = 3.0) -> bool:
-        if math.isnan(self.slope):
-            return False
-        return abs(self.slope - self.theory_slope) <= n_sigma * self.slope_stderr
 
 
 def fit_loglog_slope(
@@ -662,88 +602,3 @@ def measure_sweep(
         slope_stderr=err,
         theory_slope=2.0 * (S.nu - 1) + 2.0 * b,
     )
-
-
-# -- deterministic slab quadrature (diagnostic for the G0_0 scaling) ----------------------
-
-
-def g0_slab_measure(S: TangentialSet, cfg: MelnikovConfig) -> float:
-    """Exact (up to the union bound) measure fraction of the G0_0 exclusion:
-    per ell, the slab |omega_bar.l + eps^2 (A^T l).xi| < gamma <l>^-tau is an
-    affine condition on the unit box; its volume is integrated in closed form.
-    Overlaps between distinct slabs are neglected (they are higher order)."""
-    td = twist_matrix(S)
-    A = np.array([[float(x) for x in row] for row in td.A])
-    wb = np.array([float(x) for x in td.omega_bar])
-    e2 = cfg.scaling.epsilon ** 2
-    total = 0.0
-    for n in range(1, cfg.ell_max + 1):
-        for ell in signed_ell_vectors(S.nu, n):
-            g = e2 * (A.T @ np.asarray(ell, dtype=float))
-            c0 = float(wb @ np.asarray(ell, dtype=float)) + float(np.sum(g)) * 1.0
-            half = cfg.gamma * ell_bracket(ell) ** (-cfg.scaling.tau)
-            total += _box_slab_volume(g, c0, half)
-    return min(total, 1.0)
-
-
-def g0_lemma_constant(S: TangentialSet, tau: int, ell_max: int) -> float:
-    """The eps-independent constant C of the measure lemma
-    |Omega_eps minus G0_0| <= C eps^(2(nu-1)) gamma, over 0 < |l| <= ell_max.
-
-    Per-l slab estimate.  With g = A^T l (nonzero for l != 0, since
-    det A != 0) and k an index with |g_k| = |g|_inf, the slab
-        {xi in [1,2]^nu : |omega_bar.l + eps^2 g.xi| < gamma <l>^-tau}
-    meets every line parallel to e_k in an interval of length at most
-    2 gamma <l>^-tau / (eps^2 |g|_inf); integrating over the other nu-1 unit
-    coordinates bounds its xi-volume by the same number.  The affine map
-    xi -> omega = omega_bar + eps^2 A xi has Jacobian eps^(2 nu) |det A|, so
-    the slab's omega-measure is at most
-        2 |det A| <l>^-tau / |A^T l|_inf * eps^(2(nu-1)) gamma,
-    and the union bound over l gives the lemma with
-        C = 2 |det A| sum_{0 < |l| <= ell_max} <l>^-tau / |A^T l|_inf.
-    The sum converges as ell_max grows because |A^T l|_inf >= c |l| and
-    tau > nu - 1.  The estimate ignores whether a slab meets the box at
-    all, so the bound lies far above the measure that `g0_slab_measure`
-    computes: it is the lemma's one-sided bound, not an estimate of it."""
-    td = twist_matrix(S)
-    At = np.array([[float(x) for x in row] for row in td.A]).T
-    total = 0.0
-    for n in range(1, ell_max + 1):
-        for ell in signed_ell_vectors(S.nu, n):
-            g = At @ np.asarray(ell, dtype=float)
-            total += ell_bracket(ell) ** (-tau) / float(np.abs(g).max())
-    return 2.0 * float(abs(td.det_A)) * total
-
-
-def _box_slab_volume(g: np.ndarray, c0: float, half: float) -> float:
-    """Volume of {t in [0,1]^nu : |c0 + g.t| < half} (nu <= 3 supported)."""
-    lo, hi = -c0 - half, -c0 + half
-
-    def cdf(x: float) -> float:
-        # volume of {g.t <= x} over the unit box, by inclusion-exclusion
-        gs = g.copy()
-        shift = 0.0
-        for gi in gs:
-            if gi < 0:
-                shift += gi
-        x = x - shift
-        gs = np.abs(gs)
-        pos = gs[gs > 1e-300]
-        m = pos.size
-        if m == 0:
-            return 1.0 if x >= 0 else 0.0
-        # Irwin-Hall style piecewise polynomial
-        total = 0.0
-        for mask in range(1 << m):
-            s = x
-            sign = 1.0
-            for i in range(m):
-                if mask >> i & 1:
-                    s -= pos[i]
-                    sign = -sign
-            if s > 0:
-                total += sign * s**m
-        coeff = math.factorial(m) * float(np.prod(pos))
-        return max(0.0, min(1.0, total / coeff))
-
-    return max(0.0, cdf(hi) - cdf(lo))

@@ -5,9 +5,9 @@ Criteria 8 and 10 assert what the method gives, not a stronger law:
 - Criterion 8 (zeroth-Melnikov measure): the measure lemma is a one-sided
   bound |Omega_eps minus G0_0| <= C eps^(2(nu-1)) gamma (exponent 4.1 here),
   not a power law.  With tau = 2 nu + 6 = 10 the exact slab quadrature gives
-  excluded fractions 1.10e-11, 2.19e-12, 9.26e-13, 1.61e-12, 4.13e-12 at
-  eps = 0.04 ... 0.16, about six orders below what 1e5 samples resolve, and
-  local slopes -0.55, 1.46, 5.60, 6.70 (overall fit 3.34).  The test checks
+  excluded fractions 4.79e-15, 4.74e-14, 2.03e-13, 1.21e-12, 3.88e-12 at
+  eps = 0.04 ... 0.16, six to ten orders below what 1e5 samples resolve, and
+  local measure slopes 10.47, 8.30, 9.16, 7.35 (overall fit 8.81).  The test checks
   the quadrature against the lemma's bound with the constant from the per-l
   slab estimate, and the Monte-Carlo fraction against the quadrature; the
   slopes are reported only.
@@ -34,10 +34,8 @@ from dpkam.core import (
     lam,
 )
 from dpkam.measure import (
-    MelnikovConfig,
     binomial_stderr,
     g0_lemma_constant,
-    g0_slab_measure,
     measure_sweep,
     sweep_configs,
 )
@@ -295,9 +293,10 @@ def test_criterion_08_measure_scaling():
     """The measure lemma |Omega_eps minus G0_0| <= C eps^(2(nu-1)) gamma is a
     one-sided bound, so the test checks, at each stated eps:
 
-    (a) the exact slab quadrature (`g0_slab_measure`, as a measure) is at
-        most the lemma's bound, with C from the per-l slab estimate of the
-        lemma's proof (`g0_lemma_constant`, derived there), not fitted;
+    (a) the exact slab quadrature (`MeasureEstimate.quadrature`, as a
+        measure) is at most the lemma's bound, with C from the per-l slab
+        estimate of the lemma's proof (`g0_lemma_constant`, derived there),
+        not fitted;
     (b) the Monte-Carlo fraction lies within 3 standard errors of the
         quadrature.  The standard error is the estimator's own formula
         (`binomial_stderr`) at the quadrature fraction, the value the
@@ -307,7 +306,7 @@ def test_criterion_08_measure_scaling():
         the count, and 9 spurious exclusions would still pass.)
     (c) the fitted Monte-Carlo slope and the quadrature's local and overall
         log-log slopes are reported, not asserted: the quadrature slopes
-        are -0.55, 1.46, 5.60, 6.70 (overall 3.34), and with no exclusion
+        are 10.47, 8.30, 9.16, 7.35 (overall 8.81), and with no exclusion
         among 1e5 samples the fitted slope is nan."""
     t0 = time.monotonic()
     eps_values = [0.04, 0.057, 0.08, 0.113, 0.16]
@@ -320,7 +319,7 @@ def test_criterion_08_measure_scaling():
     slabs, measures, bounds, tols = [], [], [], []
     for est in sweep.estimates:
         sc = ScalingParams(epsilon=est.eps, a=0.1, nu=2)
-        slab = g0_slab_measure(S67, MelnikovConfig(scaling=sc, ell_max=20))
+        slab = est.quadrature
         slabs.append(slab)
         measures.append(slab * est.volume)
         bounds.append(lemma_c * est.eps ** (2 * (S67.nu - 1)) * sc.gamma)

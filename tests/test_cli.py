@@ -110,6 +110,26 @@ def test_measure_cmd_deterministic(tmp_path):
     assert summary["family"] == "G0_1"
 
 
+@pytest.mark.parametrize("family,checks", [
+    ("G0_0", ["slab_within_lemma_bound", "mc_within_quadrature"]),
+    ("first_melnikov", ["mc_within_quadrature"]),
+])
+def test_measure_cmd_checks(tmp_path, family, checks):
+    # the Monte-Carlo fraction is checked against the slab quadrature of every
+    # family, and G0_0's quadrature against the measure lemma; both hold
+    cfg = write_config(
+        tmp_path,
+        BASE + f"[mc]\nfamily = {family}\nsamples = 2000\neps_values = 0.08 0.16\n"
+               "ell_max = 4\n",
+    )
+    out = str(tmp_path / "out")
+    assert main(["measure", "--config", cfg, "--out", out, "--seed", "3"]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [c["check"] for c in summary["checks"]] == checks
+    quad = json.loads((tmp_path / "out" / "measure_summary.json").read_text())
+    assert len(quad["slab_quadrature_fractions"]) == 2
+
+
 def test_solve_and_evolve_cmd(tmp_path):
     cfg = write_config(
         tmp_path,

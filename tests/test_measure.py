@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import re
 
@@ -6,21 +7,25 @@ import numpy as np
 import pytest
 
 from dpkam.core import ScalingParams, TangentialSet
+from dpkam.core import lam, signed_ell_vectors
 from dpkam.measure import (
+    ROUNDING,
     FrequencyBox,
     MelnikovConfig,
-    ResonantSetDescriptor,
-    affine_decomposition,
-    classify_resonant_set,
     estimate_excluded_measure,
+    first_melnikov_slabs,
     fit_loglog_slope,
-    g0_slab_measure,
+    g0_0_slabs,
+    g0_1_slabs,
     g1_scan_pairs,
     in_g0,
     measure_sweep,
+    pruning_slope_constant,
+    second_melnikov_slabs,
     slab_meets_box,
+    slab_volumes,
     sweep_configs,
-    _box_slab_volume,
+    _melnikov_j_range,
 )
 from dpkam.spectrum import kappa_j, c_of_xi
 from dpkam.twist import frequency_map
@@ -35,17 +40,71 @@ def _cfg(eps=0.16, a=0.1, ell_max=8):
     )
 
 
-def test_box_slab_volume_against_mc():
+def test_slab_volumes_against_mc():
     rng = np.random.default_rng(0)
     for _ in range(10):
         nu = int(rng.integers(1, 4))
         g = rng.normal(size=nu) * rng.choice([0.2, 1.0, 4.0])
         c0 = rng.normal()
         half = abs(rng.normal()) * 0.4
-        vol = _box_slab_volume(g, c0, half)
-        t = rng.random((120000, nu))
-        mc = float(np.mean(np.abs(c0 + t @ g) < half))
+        vol = slab_volumes(np.array([c0]), g[None, :], np.array([half]))[0]
+        xi = 1.0 + rng.random((120000, nu))
+        mc = float(np.mean(np.abs(c0 + xi @ g) < half))
         assert vol == pytest.approx(mc, abs=6e-3)
+
+
+def _plus(x, m):
+    return x**m if x > 0 else Fraction(0)
+
+
+def _exact_volume(c0, g, t):
+    """Volume of {xi in [1,2]^nu : |c0 + g.xi| < t} for the float slab taken
+    as exact rationals, by inclusion-exclusion over the box corners."""
+    c0, t, g = Fraction(c0), Fraction(t), [Fraction(x) for x in g]
+    a = [abs(x) for x in g if x != 0]
+    lo = c0 + sum(min(x, 2 * x) for x in g)
+    total = Fraction(0)
+    for corner in itertools.product((0, 1), repeat=len(a)):
+        v = lo + sum(ai for ai, c in zip(a, corner) if c)
+        total += (-1) ** sum(corner) * (_plus(t - v, len(a)) - _plus(-t - v, len(a)))
+    return total / (math.factorial(len(a)) * math.prod(a))
+
+
+def test_slab_volumes_against_exact_rationals():
+    # thin slabs (t down to 1e-14) keep their relative digits, and a slab
+    # wholly outside the box gives exactly 0.  The corner sum cancels terms
+    # up to about (max|g| / min|g|)^(nu-1) times the volume, which reaches
+    # 1e6 among these g, so the tolerance is 1e-9 relative.
+    rng = np.random.default_rng(3)
+    for nu in (1, 2, 3):
+        n = 300
+        g = rng.normal(size=(n, nu)) * rng.choice([0.0, 0.01, 1.0, 5.0], size=(n, nu))
+        # half the slabs through a point of the box, half anywhere
+        inside = -np.einsum("ij,ij->i", g, 1.0 + rng.random((n, nu)))
+        c0 = np.where(rng.random(n) < 0.5, inside, rng.normal(size=n) * 3)
+        t = rng.choice([0.0, 1e-14, 1e-6, 0.05, 0.7, 3.0], size=n)
+        vols = slab_volumes(c0, g, t)
+        exact = [float(_exact_volume(*case)) for case in zip(c0, g, t)]
+        assert sum(e == 0 for e in exact) > 50
+        assert sum(0 < e < 1e-10 for e in exact) > 10
+        for vol, e in zip(vols, exact):
+            if e == 0:
+                assert vol == 0.0
+            else:
+                assert vol == pytest.approx(e, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("eps,expect", [(0.04, 4.79e-15), (0.057, 4.74e-14), (0.08, 2.03e-13),
+                                        (0.113, 1.21e-12), (0.16, 3.88e-12)])
+def test_g0_0_quadrature_matches_exact_volume(eps, expect):
+    # criterion 8's sweep: the union-bound quadrature of the estimate equals
+    # the exact volume of the same float slabs, most of which miss the box
+    cfg = MelnikovConfig(scaling=ScalingParams(epsilon=eps, a=0.1, nu=2), ell_max=20)
+    slabs = g0_0_slabs(FrequencyBox.make(S67, eps), 20, cfg.scaling.tau, cfg.gamma)
+    exact = float(sum(_exact_volume(*case) for case in zip(slabs.c0, slabs.g, slabs.t)))
+    est = estimate_excluded_measure(S67, cfg, "G0_0", 1000, seed=1)
+    assert est.quadrature == pytest.approx(exact, rel=1e-12, abs=0)
+    assert exact == pytest.approx(expect, rel=5e-3)
 
 
 def test_frequency_box_volume():
@@ -96,15 +155,12 @@ def test_in_g0_five_wave_divisor_is_omega_dot_ell():
 
 def test_g0_0_excludes_near_resonant_frequencies():
     # a frequency sitting on omega . l = 0 for a small l is excluded
-    from dpkam.measure import _excluded_g0_0
-    from dpkam.core import signed_ell_vectors
-
     cfg = _cfg(eps=0.1, ell_max=3)
-    ells = [e for n in (1, 2, 3) for e in signed_ell_vectors(2, n)]
-    w = np.array([[7.0, 7.0], [6.48, 7.42]])  # first row kills l = (1,-1)
-    out = _excluded_g0_0(w, S67, cfg, ells)
-    assert bool(out[0]) is True
-    assert bool(out[1]) is False
+    box = FrequencyBox.make(S67, 0.1)
+    slabs = g0_0_slabs(box, 3, cfg.scaling.tau, cfg.gamma)
+    for w, flag in (([7.0, 7.0], True), ([6.48, 7.42], False)):  # (7, 7) kills l = (1, -1)
+        xi = np.linalg.solve(box.A, (np.array(w) - box.omega_bar) / 0.1**2)
+        assert bool(np.any(np.abs(slabs.c0 + slabs.g @ xi) < slabs.t)) is flag
 
 
 def test_g1_scan_pairs_momentum():
@@ -157,91 +213,99 @@ def test_melnikov_families_run():
         assert any("melnikov scan" in n for n in est.notes)
 
 
-def test_classify_resonant_set():
-    cfg = _cfg()
-    with pytest.raises(ValueError):
-        ResonantSetDescriptor("R", (1, 0), 9, 9, 0.1, 10)
-    # R with small |l| and large |lambda(j)-lambda(k)| gap: empty by the slope
-    desc = ResonantSetDescriptor("R", (1, 0), 100, -100, 0.1, 10)
-    assert classify_resonant_set(desc, S67, cfg).verdict == "empty_by_ell_bound"
-    # small ell, both modes huge: absorbed into a Q set at the weaker gamma
-    desc2 = ResonantSetDescriptor("R", (1, -1), 10**6, 10**6 - 1, 0.1, 10)
-    out = classify_resonant_set(desc2, S67, cfg)
-    assert out.verdict == "empty_by_inclusion"
-    # a survivor
-    desc3 = ResonantSetDescriptor("R", (8, -7), 9, 8, 0.1, 10)
-    assert classify_resonant_set(desc3, S67, cfg).verdict == "candidate"
-    # Q pruning
-    descq = ResonantSetDescriptor("Q", (1, 0), 500, None, 0.1, 10)
-    assert classify_resonant_set(descq, S67, cfg).verdict == "empty_by_ell_bound"
+def _labelled_cases(cfg, eps):
+    """Each family's slabs with the divisor each case stands for, as a
+    function of exact xi: (family, Slabs, [divisor(xi, omega, m, d)])."""
+    box = FrequencyBox.make(S67, eps)
+    ells = [ell for n in range(1, cfg.ell_max + 1) for ell in signed_ell_vectors(2, n)]
+    jmax = _melnikov_j_range(S67, cfg)
+    js = [j for j in range(-jmax, jmax + 1) if S67.in_sc(j)]
+
+    def wl(ell):
+        return lambda xi, w, m, d: sum(a * e for a, e in zip(w, ell))
+
+    out = [("G0_0", g0_0_slabs(box, cfg.ell_max, cfg.scaling.tau, cfg.gamma), [wl(e) for e in ells])]
+    pairs = g1_scan_pairs(S67, cfg)[0]
+    A = box.td.A
+    for name, M in (("G0_1 A^T", lambda i, k: A[k][i]), ("G0_1 A", lambda i, k: A[i][k])):
+        def five(ell, j, jp, M=M):
+            # omega_bar.l + eps^2 xi.(M l) + d_j' - d_j; with M = A^T the
+            # first two terms are omega.l
+            return lambda xi, w, m, d: (
+                sum(lam(s) * e for s, e in zip(S67.splus, ell)) + d(jp) - d(j) + Fraction(eps) ** 2
+                * sum(x * M(i, k) * e for i, x in enumerate(xi) for k, e in enumerate(ell)))
+        Mf = box.A.T if name == "G0_1 A^T" else box.A
+        out.append((name, g0_1_slabs(box, pairs, Mf, cfg.gamma), [five(*p) for p in pairs]))
+    first, second = [], []
+    for ell in ells:
+        first += [lambda xi, w, m, d, ell=ell, j=j: wl(ell)(xi, w, m, d) + m * j for j in js]
+        first += [lambda xi, w, m, d, ell=ell, j=j: wl(ell)(xi, w, m, d) + d(j) for j in js]
+        shift = 6 * ell[0] + 7 * ell[1]
+        if shift:
+            second += [lambda xi, w, m, d, ell=ell, j=j, k=j - shift: wl(ell)(xi, w, m, d) + d(j) - d(k)
+                       for j in js if abs(j - shift) <= jmax and S67.in_sc(j - shift)]
+    for name, builder, divisors in (("first_melnikov", first_melnikov_slabs, first),
+                                    ("second_melnikov", second_melnikov_slabs, second)):
+        blocks = list(builder(box, cfg, jmax))
+        out.append((name, type(blocks[0])(*(np.concatenate(p) for p in zip(*blocks))), divisors))
+    return out
 
 
-def test_affine_decomposition_reconstruction():
-    # a_jk + b_ljk . omega equals omega.l + m(lambda_j - lambda_k)
-    # + eps^2 (kappa_j - kappa_k) exactly in the d_j^(0) model
-    from dpkam.core import lam
+def test_builders_reproduce_exact_divisors():
+    # every builder's c0 + g.xi is the divisor of its case, computed exactly
+    # from the frequency map, c(xi) and kappa_j, within ROUNDING * scale
+    eps, cfg = 0.1, _cfg(eps=0.1, ell_max=3)
+    rng = np.random.default_rng(5)
+    for _ in range(2):
+        x = 1.0 + rng.random(2)
+        xi = [Fraction(v) for v in x]
+        w = frequency_map(S67, xi, Fraction(eps))
+        m = 1 + Fraction(eps) ** 2 * c_of_xi(S67, xi)
 
-    sc = ScalingParams(epsilon=0.05, a=0.1, nu=2)
-    ell = (2, -1)
-    j, k = 9, 10
-    dec = affine_decomposition(S67, sc, ell, j, k)
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        xi = 1.0 + rng.random(2)
-        omega = np.array(
-            [float(v) for v in frequency_map(S67, list(xi), sc.epsilon)],
-            dtype=float,
-        )
-        xi_fr = [Fraction(float(x)).limit_denominator(10**9) for x in xi]
-        m = 1.0 + sc.epsilon**2 * float(c_of_xi(S67, xi_fr))
-        phi = float(np.dot(omega, ell)) + m * float(lam(j) - lam(k)) + (
-            sc.epsilon**2
-            * float(kappa_j(S67, xi_fr, j) - kappa_j(S67, xi_fr, k))
-        )
-        recon = dec.a_jk + float(np.dot(dec.b_ljk, omega))
-        assert recon == pytest.approx(phi, abs=1e-9)
-    assert dec.q_bound > 0
-    with pytest.raises(ValueError):
-        affine_decomposition(S67, sc, ell, 9, 9)
+        @functools.cache
+        def d(j):
+            return m * lam(j) + Fraction(eps) ** 2 * kappa_j(S67, xi, j)
+
+        for name, slabs, divisors in _labelled_cases(cfg, eps):
+            assert len(divisors) == len(slabs.t), name
+            for i in rng.choice(len(divisors), size=min(40, len(divisors)), replace=False):
+                got = slabs.c0[i] + slabs.g[i] @ x
+                exact = divisors[i](xi, w, m, d)
+                assert abs(got - float(exact)) <= ROUNDING * slabs.scale[i], (name, i)
 
 
-def test_classifier_soundness_spot_check():
-    # a descriptor classified empty must have no sampled omega violating the
-    # corresponding inequality (with the d_j^(0) eigenvalue model)
-    from dpkam.core import lam
-
-    sc = ScalingParams(epsilon=0.05, a=0.1, nu=2)
-    cfg = MelnikovConfig(scaling=sc, ell_max=8)
-    rng = np.random.default_rng(8)
-    descs = [
-        ResonantSetDescriptor("R", (1, 0), 60, -40, sc.gamma ** 1.5, 10.0),
-        ResonantSetDescriptor("R", (0, -1), 33, 12, sc.gamma ** 1.5, 10.0),
-        ResonantSetDescriptor("Q", (1, -1), 90, None, sc.gamma, 10.0),
-    ]
-    for desc in descs:
-        out = classify_resonant_set(desc, S67, cfg)
-        if out.verdict == "candidate":
+@pytest.mark.parametrize("eps,ell_max", [(0.05, 8), (0.16, 8), (0.3, 4)])
+def test_pruning_slope_empties_miss_the_box(eps, ell_max):
+    # a case the pruning slope calls empty, |l| < C|j| for omega.l + m j and
+    # |l| < C|lambda(j) - lambda(k)| for omega.l + d_j - d_k, fails the box test
+    cfg = _cfg(eps=eps, ell_max=ell_max)
+    box, ctil = FrequencyBox.make(S67, eps), pruning_slope_constant(S67)
+    jmax = _melnikov_j_range(S67, cfg)
+    js = np.array([j for j in range(-jmax, jmax + 1) if S67.in_sc(j)])
+    ells = [ell for n in range(1, ell_max + 1) for ell in signed_ell_vectors(2, n)]
+    empties = 0
+    for ell, block in zip(ells, first_melnikov_slabs(box, cfg, jmax)):
+        empty = sum(map(abs, ell)) < ctil * np.abs(js)
+        assert not slab_meets_box(*block)[: len(js)][empty].any()
+        empties += int(empty.sum())
+    assert empties > 1000
+    pair_empties = 0
+    blocks = second_melnikov_slabs(box, cfg, jmax)
+    for ell in ells:
+        shift = 6 * ell[0] + 7 * ell[1]
+        if not shift:
             continue
-        thr = 2.0 * desc.eta * max(1, sum(abs(e) for e in desc.ell)) ** (-desc.sigma)
-        for _ in range(200):
-            xi = 1.0 + rng.random(2)
-            xif = [Fraction(float(v)).limit_denominator(10**9) for v in xi]
-            omega = np.array(
-                [float(v) for v in frequency_map(S67, list(xif), sc.epsilon)]
-            )
-            m = 1.0 + sc.epsilon**2 * float(c_of_xi(S67, xif))
-            wl = float(np.dot(omega, desc.ell))
-            if desc.kind == "Q":
-                val = wl + m * desc.j
-            else:
-                dj = m * float(lam(desc.j)) + sc.epsilon**2 * float(
-                    kappa_j(S67, xif, desc.j)
-                )
-                dk = m * float(lam(desc.k)) + sc.epsilon**2 * float(
-                    kappa_j(S67, xif, desc.k)
-                )
-                val = wl + dj - dk
-            assert abs(val) > thr, (desc, out, val)
+        block = next(blocks)
+        ks = js - shift
+        j = js[(np.abs(ks) <= jmax) & np.isin(ks, js)]
+        gap = np.abs([float(lam(int(a)) - lam(int(a) - shift)) for a in j])
+        empty = sum(map(abs, ell)) < ctil * gap
+        assert not slab_meets_box(*block)[empty].any()
+        pair_empties += int(empty.sum())
+    # on the momentum-compatible pairs |lambda(j) - lambda(k)| is close to
+    # |l.jbar| <= 7|l|, far below |l|/C, so the slope never empties a pair:
+    # the box test alone prunes the second-Melnikov cases
+    assert pair_empties == 0
 
 
 def test_measure_sweep_threads_deterministic():
@@ -259,14 +323,6 @@ def test_fit_loglog_slope():
     assert slope == pytest.approx(4.1, abs=1e-6)
     s2, e2 = fit_loglog_slope([0.1, 0.2], [0.0, 0.0], [1.0, 1.0])
     assert math.isnan(s2)
-
-
-def test_g0_slab_diagnostic_magnitude():
-    # the exact slab quadrature shows the zeroth-Melnikov exclusions at the
-    # desk-scale parameters are far below Monte-Carlo resolution
-    cfg = MelnikovConfig(scaling=ScalingParams(epsilon=0.08, a=0.1, nu=2), ell_max=20)
-    frac = g0_slab_measure(S67, cfg)
-    assert 0 <= frac < 1e-8
 
 
 def test_measure_sweep_shape():
