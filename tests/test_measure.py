@@ -40,7 +40,7 @@ def _cfg(eps=0.16, a=0.1, ell_max=8):
     )
 
 
-def test_slab_volumes_against_mc():
+def test_box_slab_volume_against_mc():
     rng = np.random.default_rng(0)
     for _ in range(10):
         nu = int(rng.integers(1, 4))
@@ -251,7 +251,7 @@ def _labelled_cases(cfg, eps):
     return out
 
 
-def test_builders_reproduce_exact_divisors():
+def test_affine_decomposition_reconstruction():
     # every builder's c0 + g.xi is the divisor of its case, computed exactly
     # from the frequency map, c(xi) and kappa_j, within ROUNDING * scale
     eps, cfg = 0.1, _cfg(eps=0.1, ell_max=3)
@@ -272,6 +272,19 @@ def test_builders_reproduce_exact_divisors():
                 got = slabs.c0[i] + slabs.g[i] @ x
                 exact = divisors[i](xi, w, m, d)
                 assert abs(got - float(exact)) <= ROUNDING * slabs.scale[i], (name, i)
+
+
+def test_classifier_soundness_spot_check():
+    # a case the box test calls empty has no sampled xi inside its slab, in
+    # every family; the forms themselves are checked against the exact
+    # divisors above
+    eps, cfg = 0.05, _cfg(eps=0.05, ell_max=8)
+    xi = 1.0 + np.random.default_rng(8).random((200, 2))
+    for name, slabs, _ in _labelled_cases(cfg, eps):
+        empty = ~slab_meets_box(*slabs)
+        assert empty.any(), name
+        vals = slabs.c0[empty, None] + slabs.g[empty] @ xi.T
+        assert not (np.abs(vals) < slabs.t[empty, None]).any(), name
 
 
 @pytest.mark.parametrize("eps,ell_max", [(0.05, 8), (0.16, 8), (0.3, 4)])
@@ -323,6 +336,14 @@ def test_fit_loglog_slope():
     assert slope == pytest.approx(4.1, abs=1e-6)
     s2, e2 = fit_loglog_slope([0.1, 0.2], [0.0, 0.0], [1.0, 1.0])
     assert math.isnan(s2)
+
+
+def test_g0_slab_diagnostic_magnitude():
+    # the slab quadrature shows the zeroth-Melnikov exclusions at the
+    # desk-scale parameters are far below Monte-Carlo resolution
+    cfg = MelnikovConfig(scaling=ScalingParams(epsilon=0.08, a=0.1, nu=2), ell_max=20)
+    frac = estimate_excluded_measure(S67, cfg, "G0_0", 1000, seed=1).quadrature
+    assert 0 <= frac < 1e-8
 
 
 def test_measure_sweep_shape():
