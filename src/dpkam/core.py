@@ -177,6 +177,17 @@ def signed_ell_vectors(nu: int, norm: int) -> list[tuple[int, ...]]:
     return out
 
 
+def ell_vectors_up_to(nu: int, n: int) -> list[tuple[int, ...]]:
+    """All ell in Z^nu with 1 <= |ell|_1 <= n, by increasing norm, each norm
+    in the order of `signed_ell_vectors`."""
+    return [ell for norm in range(1, n + 1) for ell in signed_ell_vectors(nu, norm)]
+
+
+def packet_sum(S: TangentialSet, ell: Sequence[int]) -> Fraction:
+    """The wave-packet sum sum_i l_i s_i / (1 + s_i^2) over the sites s_i of S+."""
+    return sum((Fraction(s, 1 + s * s) * e for s, e in zip(S.splus, ell)), Fraction(0))
+
+
 def is_in_wave_packet_class(S: TangentialSet, r: Fraction) -> bool:
     """Exact wave-packet test: large clustered sites plus the |l|=4 condition."""
     r = _as_rational(r)
@@ -187,13 +198,7 @@ def is_in_wave_packet_class(S: TangentialSet, r: Fraction) -> bool:
     for s in S.splus:
         if abs(Fraction(s, S.jbar1) - 1) > r:
             return False
-    for ell in signed_ell_vectors(S.nu, 4):
-        total = sum(
-            Fraction(s, 1 + s * s) * e for s, e in zip(S.splus, ell)
-        )
-        if total == 0:
-            return False
-    return True
+    return all(packet_sum(S, ell) != 0 for ell in signed_ell_vectors(S.nu, 4))
 
 
 @dataclass(frozen=True)

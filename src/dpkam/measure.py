@@ -5,22 +5,22 @@ pushed forward through the affine frequency map omega = omega_bar + eps^2 A xi,
 so fractions in xi equal fractions in omega.  Every exclusion test is affine
 in xi, |c0 + g.xi| < t; one builder per family returns those slabs, and the
 Monte-Carlo count, the slab quadrature and `in_g0` all read them.  Every scan
-records the ell-truncation it used and the pruning bound that justifies it.
+records the truncations it used and, where one exists, the pruning bound that
+justifies them.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import spectrum
-from .core import ScalingParams, TangentialSet, ell_bracket, lam, signed_ell_vectors
-from .spectrum import momentum_ells, w_vec
-from .twist import TwistData, inverse_frequency_map, twist_matrix
+from .core import ScalingParams, TangentialSet, ell_bracket, ell_vectors_up_to, lam, packet_sum
+from .spectrum import momentum_ells
+from .twist import TwistData, inverse_frequency_map, twist_matrix, v_vec, w_vec
 
 
 @dataclass
@@ -111,14 +111,10 @@ class Slabs(NamedTuple):
         return Slabs(*(a[idx] for a in self))
 
 
-def _ells(nu: int, ell_max: int) -> list[tuple[int, ...]]:
-    return [ell for n in range(1, ell_max + 1) for ell in signed_ell_vectors(nu, n)]
-
-
 def g0_0_slabs(box: FrequencyBox, ell_max: int, tau: int, gamma: float) -> Slabs:
     """Zeroth Melnikov: |omega.l| < gamma <l>^-tau for 0 < |l| <= ell_max.
     At eps = 1 and gamma = 1 the slabs are g = A^T l, t = <l>^-tau."""
-    ells = _ells(box.S.nu, ell_max)
+    ells = ell_vectors_up_to(box.S.nu, ell_max)
     c0, g, scale = box.ell_forms(np.array(ells, dtype=float))
     return Slabs(c0, g, np.array([gamma * ell_bracket(ell) ** (-tau) for ell in ells]), scale)
 
@@ -134,9 +130,7 @@ def g1_scan_pairs(S: TangentialSet, cfg: MelnikovConfig) -> tuple[list, float]:
     min_ell = None
     ells = momentum_ells(S, 3)
     for ell, _ in ells:
-        val = abs(
-            sum(Fraction(s, 1 + s * s) * e for s, e in zip(S.splus, ell))
-        )
+        val = abs(packet_sum(S, ell))
         if val == 0:
             raise ValueError(
                 f"tangential set violates the |l|<=3 nonresonance at ell={ell}"
@@ -197,7 +191,7 @@ def _melnikov_modes(box: FrequencyBox, cfg: MelnikovConfig, jmax: int) -> tuple:
     ja = np.asarray(js)
     lam_v = np.array([float(lam(j)) for j in js])
     kap = _kappa_matrix(S, js)  # per-site coefficients; kappa_j = kap[j] . xi
-    c_coeff = np.array([float(Fraction(2, 3) * (1 + s * s)) for s in S.splus])
+    c_coeff = np.array([float(v) for v in v_vec(S)])
     m_scale = 1.0 + 2 * e2 * np.abs(c_coeff).sum()
     d_g = e2 * (lam_v[:, None] * c_coeff + kap)
     d_scale = np.abs(lam_v) * m_scale + 2 * e2 * np.abs(kap).sum(1)
@@ -215,7 +209,7 @@ def first_melnikov_slabs(box: FrequencyBox, cfg: MelnikovConfig, jmax: int) -> I
     mode = Slabs(np.concatenate([jf, lam_v]),
                  np.concatenate([box.eps**2 * jf[:, None] * c_coeff, d_g]),
                  np.concatenate([margin, margin]), np.concatenate([np.abs(jf) * m_scale, d_scale]))
-    ells = _ells(box.S.nu, cfg.ell_max)
+    ells = ell_vectors_up_to(box.S.nu, cfg.ell_max)
     wl_c0, wl_g, wl_scale = box.ell_forms(np.array(ells, dtype=float))
     for i, ell in enumerate(ells):
         thr = 2.0 * cfg.gamma_n(0) * ell_bracket(ell) ** (-cfg.scaling.tau)
@@ -231,7 +225,7 @@ def second_melnikov_slabs(box: FrequencyBox, cfg: MelnikovConfig, jmax: int) -> 
     # position of mode k in ja, or -1, for k in [-jmax, jmax]
     pos = np.full(2 * jmax + 1, -1, dtype=np.intp)
     pos[ja + jmax] = np.arange(len(ja))
-    ells = _ells(S.nu, cfg.ell_max)
+    ells = ell_vectors_up_to(S.nu, cfg.ell_max)
     wl_c0, wl_g, wl_scale = box.ell_forms(np.array(ells, dtype=float))
     for i, ell in enumerate(ells):
         shift = sum(s * e for s, e in zip(S.splus, ell))
@@ -261,7 +255,12 @@ def pruning_slope_constant(S: TangentialSet, m_abs: float = 1.0) -> float:
 
 
 def _melnikov_j_range(S: TangentialSet, cfg: MelnikovConfig) -> int:
-    """Pruning-justified j range for the first/second Melnikov scans."""
+    """The |j| range ceil(ell_max / C) + margin of both Melnikov scans, C the
+    pruning slope.  It is pruning-justified for the first Melnikov scan
+    (|l| < C|j| empties a case) and a plain truncation for the second: the
+    bound that would prune a pair is |l| < C|lambda(j) - lambda(k)|, and on
+    the momentum-compatible pairs |lambda(j) - lambda(k)| is close to
+    |l.jbar|, far below |l|/C."""
     return int(math.ceil(cfg.ell_max / pruning_slope_constant(S))) + cfg.melnikov_j_margin
 
 
@@ -427,14 +426,17 @@ def estimate_excluded_measure(
     residual set to zero; its bound eps^(4-3a)/<j> is added to the threshold
     as a conservative margin.  The second-Melnikov scan runs over the
     momentum-compatible pairs k = j - l.jbar (the divisors the reduction
-    actually inverts); mode ranges are pruning-justified and recorded.
+    actually inverts).  Both Melnikov scans stop at the |j| range of
+    `_melnikov_j_range`, recorded in a note: pruning-justified for the first,
+    a plain truncation for the second.
 
     Each family's builder gives its cases as slabs |c0 + g.xi| < t.  Only
     the cases whose slab meets the box (`slab_meets_box`) are kept; each is
     tested once per sample, and `slab_volumes` gives their volumes for the
-    quadrature.  The last note records how many cases were kept.  The float forms differ from the unpruned per-sample
-    expressions in the order of their operations, so the counts agree except
-    for a sample lying within that rounding of a band edge."""
+    quadrature.  The last note records how many cases were kept.  The float
+    forms differ from the unpruned per-sample expressions in the order of
+    their operations, so the counts agree except for a sample lying within
+    that rounding of a band edge."""
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}")
     if samples < MIN_SAMPLES:
@@ -465,11 +467,13 @@ def estimate_excluded_measure(
         blocks = [g0_1_slabs(box, pairs, box.A, cfg.c_g1 * cfg.gamma)]
     else:
         jmax = _melnikov_j_range(S, cfg)
+        first = family == "first_melnikov"
+        why = "justified by |l| >= C|j| pruning" if first else "a plain truncation"
         notes.append(
-            f"melnikov scan over |j| <= {jmax} justified by |l| >= C|j| pruning "
+            f"melnikov scan over |j| <= {jmax}, {why}, "
             f"with C = {pruning_slope_constant(S):.4f} and |l| <= {cfg.ell_max}"
         )
-        builder = first_melnikov_slabs if family == "first_melnikov" else second_melnikov_slabs
+        builder = first_melnikov_slabs if first else second_melnikov_slabs
         blocks = builder(box, cfg, jmax)
     slabs, total = _meeting(blocks)
     notes.append(f"{len(slabs.t)} of {total} cases meet the parameter box")

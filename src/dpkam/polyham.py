@@ -42,6 +42,14 @@ def monomial_lambda_sum(mono: Monomial) -> Fraction:
     return sum((lam(j) for j in mono), Fraction(0))
 
 
+def ordering_count(mono: Monomial) -> int:
+    """Number of distinct orderings of the multiset `mono` (a multinomial)."""
+    mult = math.factorial(len(mono))
+    for j in set(mono):
+        mult //= math.factorial(mono.count(j))
+    return mult
+
+
 def z_degree(mono: Monomial, S: TangentialSet) -> int:
     """Number of indices of the monomial lying in the normal set S^c."""
     return sum(1 for j in mono if S.in_sc(j))
@@ -87,10 +95,7 @@ class HomPoly:
         """Accumulate `coeff` for an *ordered* tuple: the coefficient of the
         sorted monomial grows by coeff times the number of distinct orderings."""
         m = _check_monomial(indices)
-        mult = math.factorial(len(m))
-        for j in set(m):
-            mult //= math.factorial(m.count(j))
-        self.accumulate(m, as_gaussian(coeff) * Fraction(mult))
+        self.accumulate(m, as_gaussian(coeff) * Fraction(ordering_count(m)))
 
     def accumulate(self, mono: Monomial, coeff: GaussianRational) -> None:
         cur = self.terms.get(mono, GR_ZERO) + coeff

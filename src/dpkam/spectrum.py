@@ -19,6 +19,7 @@ from .core import (
     ScalingParams,
     TangentialSet,
     as_gaussian,
+    ell_vectors_up_to,
     float_fmt,
     lam,
 )
@@ -29,8 +30,8 @@ from .polyham import (
     project_z_degree,
     solve_homological,
 )
-from .twist import mat_vec, twist_matrix, w_vec
-from .wbnf import dp_h3
+from .twist import b_jk, mat_vec, twist_matrix, v_vec, w_vec
+from .wbnf import dp_h3, twist_cross_sum
 
 
 class SpectrumError(RuntimeError):
@@ -48,45 +49,24 @@ def _xi_fractions(S: TangentialSet, xi: Sequence) -> list[Fraction]:
 
 
 def c_of_xi(S: TangentialSet, xi: Sequence) -> Fraction:
-    """c(xi) = (2/3) sum_{j in S+} (1+j^2) xi_j."""
+    """c(xi) = v . xi with v = `v_vec(S)`, v_k = (2/3)(1+jbar_k^2)."""
     vals = _xi_fractions(S, xi)
-    return sum(
-        (Fraction(2, 3) * (1 + j * j) * x for j, x in zip(S.splus, vals)),
-        Fraction(0),
-    )
+    return sum((c * x for c, x in zip(v_vec(S), vals)), Fraction(0))
 
 
 def ell_j_form(S: TangentialSet, j: int) -> list[Fraction]:
-    """Coefficients of xi (over S+) of l_j, with the two printed forms checked
-    against each other exactly."""
+    """Coefficients of xi (over S+) of l_j: the closed form `b_jk(s, |j|)`,
+    checked exactly against the lambda-form `twist_cross_sum(j, s)`."""
     if not S.in_sc(j):
         raise SpectrumError(f"l_j is defined on normal sites; {j} is tangential")
     coeffs = []
     for s in S.splus:
-        den_m = 3 + s * s - s * j + j * j
-        den_p = 3 + s * s + s * j + j * j
-        if den_m == 0 or den_p == 0:
-            raise SpectrumError(f"resonant pair (s={s}, j={j}) in l_j denominator")
-        second = (
-            Fraction(2, 3)
-            * (1 + s * s)
-            * (1 + j * j)
-            * (2 + s * s + j * j)
-            / (den_m * den_p)
-        )
-        first = Fraction(0)
-        for site in (s, -s):
-            d = lam(site) + lam(j) - lam(site + j)
-            if d == 0:
-                raise SpectrumError(
-                    f"vanishing divisor lambda({site})+lambda({j})-lambda({site + j})"
-                )
-            first += lam(site + j) / d
-        if first != second:
+        closed = b_jk(s, abs(j))
+        if twist_cross_sum(j, s) != closed:
             raise SpectrumError(
                 f"the two closed forms of l_j disagree at (s={s}, j={j})"
             )
-        coeffs.append(second)
+        coeffs.append(closed)
     return coeffs
 
 
@@ -225,13 +205,10 @@ def divisor_closed_form_ell2(j1: int, j2: int, j: int) -> Fraction:
 
 def momentum_ells(S: TangentialSet, ell_bound: int):
     """All nonzero ell with |ell|_1 <= ell_bound, with their site-sums."""
-    from .core import signed_ell_vectors
-
-    out = []
-    for n in range(1, ell_bound + 1):
-        for ell in signed_ell_vectors(S.nu, n):
-            out.append((ell, sum(s * e for s, e in zip(S.splus, ell))))
-    return out
+    return [
+        (ell, sum(s * e for s, e in zip(S.splus, ell)))
+        for ell in ell_vectors_up_to(S.nu, ell_bound)
+    ]
 
 
 @dataclass
@@ -453,7 +430,8 @@ def identification_check(
     S: TangentialSet, j: int
 ) -> tuple[dict[int, Fraction], dict[int, Fraction], bool]:
     """Coefficient of the trivial monomial |u_j|^2 (as a linear form in xi over
-    S+) in Pi_triv Pi^{dz=2} (1/2){F3_full, H3}, against l_j.
+    S+) in Pi_triv Pi^{dz=2} (1/2){F3_full, H3}, against the lambda-form
+    `twist_cross_sum(j, s)` of l_j.
 
     The target display writes the resonant piece as (1/2) sum over *signed*
     normal sites of l_j |u_j|^2; on the canonical sorted monomial
@@ -481,9 +459,5 @@ def identification_check(
         if c.im != 0:
             raise SpectrumError(f"identification lhs has imaginary part at s={s}")
         lhs[s] = c.re
-        form = Fraction(0)
-        for site in (s, -s):
-            d = lam(site) + lam(j) - lam(site + j)
-            form += lam(site + j) / d
-        rhs[s] = form
+        rhs[s] = twist_cross_sum(j, s)
     return lhs, rhs, lhs == rhs

@@ -27,7 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .core import ScalingParams, TangentialSet, lam
 from .polyham import HomPoly, z_degree
-from .wbnf import dp_h2, dp_h3, index_universe, run_wbnf
+from .wbnf import BudgetExceeded, dp_h2, dp_h3, index_universe, run_wbnf
 from .polyham import flow_conjugate
 
 
@@ -419,6 +419,12 @@ def _jacobian_symbols(prob: TorusProblem, gs: GridState, droptol: float):
     )
 
 
+# Most shifted entries one Jacobian may hold: an entry costs 24 bytes as COO
+# (two int32 indices and a complex128 value) and 20 more in the CSC matrix, so
+# 22 million entries are about 1 GB.
+JACOBIAN_MAX_ENTRIES = 22_000_000
+
+
 def jacobian(
     prob: TorusProblem, emb: TorusEmbedding, droptol: float = 1e-11
 ) -> sp.csc_matrix:
@@ -431,7 +437,8 @@ def jacobian(
     multiplication operator of a symbol mu(phi), J[l_r, l_c] = mu_hat(l_r - l_c);
     all symbols go through one fft2 and entries |mu_hat| <= droptol are
     dropped.  The last nu rows fix the translation degeneracies by
-    Theta_i(0) = 0."""
+    Theta_i(0) = 0.  More than JACOBIAN_MAX_ENTRIES kept entries raise
+    BudgetExceeded before any of them is built."""
     m, N = prob.at.m, prob.grid.n_phi
     nu, L = prob.S.nu, prob.grid.n_ell**2
     syms, (brow, bcol, bsym, bcoef) = _jacobian_symbols(prob, GridState(prob, emb), droptol)
@@ -459,6 +466,12 @@ def jacobian(
     # omega.d_phi (- i lambda_j), zeta_i in the l = 0 row of y_i and the
     # phase rows on Theta_i(0)
     pair_rows, pair_cols, pair_start = prob.at.shift_pairs
+    fill = int((pair_start[s + 1] - pair_start[s]).sum(dtype=np.int64))
+    if fill > JACOBIAN_MAX_ENTRIES:
+        raise BudgetExceeded(
+            f"the Jacobian would hold {fill} shifted entries, above "
+            f"JACOBIAN_MAX_ENTRIES = {JACOBIAN_MAX_ENTRIES}"
+        )
     idx, owner = _ranges(pair_start, s)
     n, z0, c0 = len(idx), (2 * nu + len(prob.js)) * L, N * (2 * N + 2)
     rows = np.empty(n + z0 + 2 * nu, dtype=np.int32)

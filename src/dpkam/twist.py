@@ -18,9 +18,12 @@ from typing import Sequence
 
 from .core import (
     TangentialSet,
+    ell_norm,
+    ell_vectors_up_to,
     fraction_str,
     lam,
     linear_frequencies,
+    packet_sum,
     signed_ell_vectors,
 )
 
@@ -303,6 +306,16 @@ class NondegReport:
         return json.dumps([r.as_dict() for r in self.records], indent=2)
 
 
+def _nearest_ell(ells: list[tuple[tuple[int, ...], int]], u: Vector) -> tuple[float, tuple]:
+    """Minimum over (ell, |ell|_1) in `ells` of |ell - u| / |ell|_1 (Euclidean
+    numerator, in floats) and the first ell that attains it."""
+    uf = [float(x) for x in u]
+    return min(
+        ((sum((e - x) ** 2 for e, x in zip(ell, uf)) ** 0.5 / n, ell) for ell, n in ells),
+        key=lambda p: p[0],
+    )
+
+
 def nondegeneracy_report(
     S: TangentialSet,
     r_threshold: Fraction | None = None,
@@ -329,15 +342,10 @@ def nondegeneracy_report(
     # approach (sum l_i)/jbar1 with |sum l_i| >= 1 by parity), even norms are
     # non-vanishing statements
     for norm in (1, 2, 3, 4, 5):
-        best = None
-        witness = None
-        for ell in signed_ell_vectors(S.nu, norm):
-            total = sum(
-                Fraction(s, 1 + s * s) * e for s, e in zip(S.splus, ell)
-            )
-            a = abs(total)
-            if best is None or a < best:
-                best, witness = a, ell
+        best, witness = min(
+            ((abs(packet_sum(S, ell)), ell) for ell in signed_ell_vectors(S.nu, norm)),
+            key=lambda p: p[0],
+        )
         thr = r_threshold / 2 if norm % 2 == 1 else Fraction(0)
         records.append(
             CheckRecord(
@@ -364,88 +372,50 @@ def nondegeneracy_report(
         )
     )
 
-    # (iii) corto / cortissimo scans (floating minima over a finite window)
-    minv = None
-    witness = ""
-    minv_single = None
-    witness_single = ""
+    # (iii) corto / cortissimo scans (floating minima over a finite window).
+    # t_j = (I - y wb^T)^{-1} A^{-T} w_j solves (A^T - v wb^T) t_j = w_j, since
+    # A^T y = v; it is exact and built once per normal mode.  The map is
+    # linear, so a pair's vector is t_j - t_k, taken exactly before the floats.
     normal = [j for j in range(-j_bound, j_bound + 1) if S.in_sc(j)]
-    # M := (I - A^{-T} v wb^T)^{-1} A^{-T} applied to w-differences; use the
-    # Sherman-Morrison form on the exact data, then take floats for the scan.
-    wb = td.omega_bar
-    denom = det_val  # 1 - y.wb
-    nu = S.nu
-    basis = [[Fraction(int(i == k)) for i in range(nu)] for k in range(nu)]
-    At_inv_cols = [mat_solve(At, e) for e in basis]  # columns of A^{-T}
+    K = [[a - vi * wk for a, wk in zip(row, td.omega_bar)] for row, vi in zip(At, v)]
+    w = {j: w_vec(S, j) for j in normal}
+    t = {j: mat_solve(K, w[j]) for j in normal}
+    ells = [(ell, ell_norm(ell)) for ell in ell_vectors_up_to(S.nu, ell_bound)]
 
-    def m_apply(u: Vector) -> Vector:
-        # (I - y wb^T)^{-1} z = z + y (wb.z)/denom with z = A^{-T} u
-        z = [
-            sum((At_inv_cols[k][i] * u[k] for k in range(nu)), Fraction(0))
-            for i in range(nu)
-        ]
-        corr = dot(wb, z) / denom
-        return [zi + yi * corr for zi, yi in zip(z, y)]
-
-    ells = [
-        ell
-        for n in range(1, ell_bound + 1)
-        for ell in signed_ell_vectors(S.nu, n)
-    ]
-    wcache = {j: w_vec(S, j) for j in normal}
-    for j in normal:
-        wj = wcache[j]
-        tj = m_apply(wj)
-        for ell in ells:
-            lnorm = sum(abs(e) for e in ell) or 1
-            val = (
-                sum((float(e) - float(t)) ** 2 for e, t in zip(ell, tj)) ** 0.5
-                / lnorm
-            )
-            if minv_single is None or val < minv_single:
-                minv_single, witness_single = val, f"ell={ell}, j={j}"
+    (single, ell), j = min(
+        ((_nearest_ell(ells, t[j]), j) for j in normal), key=lambda p: p[0][0]
+    )
+    witness_single = f"ell={ell}, j={j}"
+    # one pass over the pairs: the pair scan and the w-difference decay
+    # constant |w_j - w_k| <= C |j-k| (|j|^-2 + |jk|^-1)
+    pair, cbest, cwitness = None, 0.0, ""
     for j, k in itertools.combinations(normal, 2):
-        diff = [a - b for a, b in zip(wcache[j], wcache[k])]
-        t = m_apply(diff)
-        for ell in ells:
-            lnorm = sum(abs(e) for e in ell) or 1
-            val = (
-                sum((float(e) - float(x)) ** 2 for e, x in zip(ell, t)) ** 0.5
-                / lnorm
-            )
-            if minv is None or val < minv:
-                minv, witness = val, f"ell={ell}, j={j}, k={k}"
+        val, ell = _nearest_ell(ells, [a - b for a, b in zip(t[j], t[k])])
+        if pair is None or val < pair:
+            pair, witness_pair = val, f"ell={ell}, j={j}, k={k}"
+        ratio = max(abs(float(a - b)) for a, b in zip(w[j], w[k])) / (
+            abs(j - k) * (1.0 / j**2 + 1.0 / abs(j * k))
+        )
+        if ratio > cbest:
+            cbest, cwitness = ratio, f"j={j}, k={k}"
     records.append(
         CheckRecord(
             check="corto_pair_scan",
-            value=minv,
+            value=pair,
             threshold=corto_delta,
-            witness=witness,
-            passed=minv >= corto_delta,
+            witness=witness_pair,
+            passed=pair >= corto_delta,
         )
     )
     records.append(
         CheckRecord(
             check="cortissimo_single_scan",
-            value=minv_single,
+            value=single,
             threshold=corto_delta,
             witness=witness_single,
-            passed=minv_single >= corto_delta,
+            passed=single >= corto_delta,
         )
     )
-
-    # w-difference decay constant: |w_j - w_k| <= C |j-k| (|j|^-2 + |jk|^-1)
-    cbest = 0.0
-    cwitness = ""
-    for j, k in itertools.combinations(normal, 2):
-        diff = [float(a - b) for a, b in zip(wcache[j], wcache[k])]
-        norm = max(abs(d) for d in diff)
-        bound = abs(j - k) * (1.0 / j**2 + 1.0 / abs(j * k))
-        if bound == 0:
-            continue
-        ratio = norm / bound
-        if ratio > cbest:
-            cbest, cwitness = ratio, f"j={j}, k={k}"
     records.append(
         CheckRecord(
             check="w_decay_fitted_constant",

@@ -8,6 +8,7 @@ universe; momentum conservation guarantees the tracked parts are exact (see
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,6 +21,7 @@ from .polyham import (
     is_trivial_monomial,
     monomial_lambda_sum,
     monomial_momentum,
+    ordering_count,
     project_kernel,
     project_z_degree,
     solve_homological,
@@ -72,13 +74,7 @@ def dp_h3(universe: frozenset[int]) -> HomPoly:
             c = -a - b
             if c == 0 or c < b or c not in uniset:
                 continue
-            mono = (a, b, c)
-            mult = 6
-            if a == b == c:
-                mult = 1
-            elif a == b or b == c:
-                mult = 3
-            H.accumulate(mono, GaussianRational(sixth * mult))
+            H.add_ordered((a, b, c), sixth)
     return H
 
 
@@ -97,15 +93,6 @@ class ResonanceTuple:
     @property
     def order(self) -> int:
         return len(self.indices)
-
-
-def _ordering_count(mono: Monomial) -> int:
-    import math
-
-    mult = math.factorial(len(mono))
-    for j in set(mono):
-        mult //= math.factorial(mono.count(j))
-    return mult
 
 
 def weight_sum(mono: Monomial, r: int) -> Fraction:
@@ -170,9 +157,7 @@ def enumerate_h2_resonances(
     values = [j for j in range(-bound, bound + 1) if j != 0]
     n1 = order // 2
     n2 = order - n1
-    import math as _math
-
-    est = _math.comb(len(values) + n1 - 1, n1) + _math.comb(len(values) + n2 - 1, n2)
+    est = math.comb(len(values) + n1 - 1, n1) + math.comb(len(values) + n2 - 1, n2)
     if est > budget:
         raise BudgetExceeded(
             f"half-enumeration of ~{est} multisets exceeds the budget {budget}"
@@ -200,7 +185,7 @@ def enumerate_h2_resonances(
                 h2_resonant=True,
                 m_resonant_up_to=m_resonant_up_to(mono, m_cap),
                 trivial=is_trivial_monomial(mono),
-                permutations=_ordering_count(mono),
+                permutations=ordering_count(mono),
             )
         )
     return out

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from dpkam.core import ScalingParams, TangentialSet, lam
 from dpkam.twist import frequency_map
 from dpkam.torus import (
+    JACOBIAN_MAX_ENTRIES,
     DPEvolver,
     FSpec,
     NewtonSchedule,
@@ -25,6 +27,7 @@ from dpkam.torus import (
     save_embedding,
 )
 from dpkam.torus import _flatten_residual
+from dpkam.wbnf import BudgetExceeded
 
 S67 = TangentialSet.make([6, 7])
 
@@ -333,3 +336,20 @@ def test_operators_take_one_fft2_over_a_stack(monkeypatch):
     shapes.clear()
     linearized_normal_operator(prob, emb, ell_cut=2, phib_order=0)
     assert len(shapes) == 1 and len(shapes[0]) == 3
+
+
+def test_jacobian_fill_bound_stops_a_noisy_embedding():
+    # 1e-6 noise on z and theta of a converged embedding gives every block
+    # broadband symbols: about 380 M shifted entries pass the drop test
+    # (about 17 GB).  The bound stops the assembly before it builds one.
+    prob = small_problem(eps=1e-3, n_x=24, n_phi=12)
+    emb = newton_solve(prob).emb
+    assert jacobian(prob, emb).nnz < JACOBIAN_MAX_ENTRIES
+    rng = np.random.default_rng(0)
+    emb.z = emb.z + 1e-6 * rng.standard_normal(emb.z.shape)
+    emb.theta = emb.theta + 1e-6 * rng.standard_normal(emb.theta.shape)
+    emb.enforce_reality()
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="shifted entries"):
+        jacobian(prob, emb)
+    assert time.perf_counter() - start < 10.0

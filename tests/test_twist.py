@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dpkam.core import TangentialSet, lam
+from dpkam.core import TangentialSet, lam, signed_ell_vectors
 from dpkam.twist import (
     b_jk,
     corto100_limit_form,
@@ -168,6 +168,44 @@ def test_nondegeneracy_report():
     assert by_name["corto100_rank_one_det"].value >= 1.0
     assert rep.all_pass()
     assert '"check"' in rep.to_json()
+
+
+def _brute_force_scans(S, j_bound, ell_bound=3):
+    """Pair and single scan minima with witnesses, solving
+    (I - y wb^T) x = A^{-T} u on the full matrix for every pair and mode."""
+    td = twist_matrix(S)
+    At = mat_transpose(td.A)
+    y = mat_solve(At, v_vec(S))
+    nu = S.nu
+    IM = [[Fraction(int(r == c)) - y[r] * td.omega_bar[c] for c in range(nu)] for r in range(nu)]
+    ells = [ell for n in range(1, ell_bound + 1) for ell in signed_ell_vectors(nu, n)]
+
+    def scan(u, best, label):
+        x = [float(v) for v in mat_solve(IM, mat_solve(At, u))]
+        for ell in ells:
+            val = sum((e - xi) ** 2 for e, xi in zip(ell, x)) ** 0.5 / sum(map(abs, ell))
+            if best is None or val < best[0]:
+                best = (val, f"ell={ell}, {label}")
+        return best
+
+    normal = [j for j in range(-j_bound, j_bound + 1) if S.in_sc(j)]
+    single = pair = None
+    for j in normal:
+        single = scan(w_vec(S, j), single, f"j={j}")
+    for a, j in enumerate(normal):
+        for k in normal[a + 1:]:
+            diff = [p - q for p, q in zip(w_vec(S, j), w_vec(S, k))]
+            pair = scan(diff, pair, f"j={j}, k={k}")
+    return pair, single
+
+
+@pytest.mark.parametrize("splus,j_bound", [((6, 7), 20), ((20, 21, 22), 12)])
+def test_nondegeneracy_scans_match_brute_force(splus, j_bound):
+    S = TangentialSet.make(splus)
+    by_name = {r.check: r for r in nondegeneracy_report(S, j_bound=j_bound).records}
+    pair, single = _brute_force_scans(S, j_bound)
+    for name, (value, witness) in (("corto_pair_scan", pair), ("cortissimo_single_scan", single)):
+        assert (by_name[name].value, by_name[name].witness) == (value, witness), name
 
 
 def test_w_vec_odd_in_j():
