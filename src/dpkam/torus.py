@@ -1,6 +1,10 @@
 """Galerkin truncation of the rescaled Hamiltonian system, the invariant-torus
 functional, a Newton solver with the geometric projection schedule, the
-linearized normal-direction operator, and a pseudo-spectral time integrator.
+linearized normal-direction operator, and a pseudo-spectral time integrator:
+ETDRK4 on the real half spectrum (rfft), with step doubling whose full step
+and first half step share N(u).  One function, `nonlinear_density`, evaluates
+the nonlinear density P(u) = -u^3/6 + f(u) and its derivatives for the
+residual, the Jacobian and the integrator.
 
 Coordinates: (theta, y, z) with u = A_eps(theta, y, z),
     u_s = eps sqrt(xi_s + eps^(2b-2)|lambda(s)| y_s) e^{i theta_s},  s in S,
@@ -196,26 +200,24 @@ class FSpec:
             if k < 9:
                 raise ValueError("the density must vanish to order >= 9")
 
-    def fprime(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        for k, c in self.coeffs.items():
-            out = out + (k * c) * u ** (k - 1)
-        return out
 
-    def fsecond(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        for k, c in self.coeffs.items():
-            out = out + (k * (k - 1) * c) * u ** (k - 2)
-        return out
-
-    def f(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        for k, c in self.coeffs.items():
-            out = out + c * u**k
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+def nonlinear_density(
+    u: np.ndarray, n: int, f_spec: FSpec, cubic: bool = True
+) -> tuple[float, np.ndarray]:
+    """The n-th derivative (n = 0, 1, 2) of the nonlinear density
+    P(u) = -u^3/6 [cubic] + sum_k c_k u^k at the grid values u, split as
+    P^(n)(u) = lin u + rest(u).  P vanishes to order 3, so lin is nonzero
+    only for n = 2 with the cubic term; a caller applies lin to the Fourier
+    modes of u, where it is exact, and transforms rest."""
+    terms = list(f_spec.coeffs.items()) + ([(3, -1.0 / 6.0)] if cubic else [])
+    lin, rest = 0.0, np.zeros_like(u)
+    for k, c in terms:
+        a = math.perm(k, n) * c
+        if k - n == 1:
+            lin += a
+        else:
+            rest = rest + a * u ** (k - n)
+    return lin, rest
 
 
 @dataclass
@@ -283,15 +285,13 @@ class GridState:
         self.ux[-sites % mx] = eps * self.rho * np.conj(self.e)
         self.ux[np.array(prob.js) % mx] = eps**b * at.to_grid(np.moveaxis(emb.z, 2, 0))
 
-        # grad H modes: g_j = u_j - (1/2)(u*u)_j + (f'(u))_j
+        # grad H modes: g_j = u_j + (P'(u))_j, and P' has no linear part
         uphys = scipy.fft.ifft(self.ux, axis=0) * mx
         if np.abs(uphys.imag).max() > 1e-8 * max(1.0, np.abs(uphys.real).max()):
             raise TorusError("u field is not real; reality symmetry broken")
         self.uphys = uphys.real
-        nl = -0.5 * self.uphys**2 if prob.include_cubic else np.zeros_like(self.uphys)
-        if not prob.f_spec.is_zero():
-            nl = nl + prob.f_spec.fprime(self.uphys)
-        self.gx = scipy.fft.fft(nl.astype(complex), axis=0) / mx + self.ux
+        _, dP = nonlinear_density(self.uphys, 1, prob.f_spec, prob.include_cubic)
+        self.gx = scipy.fft.fft(dP.astype(complex), axis=0) / mx + self.ux
 
         gm, gp = self.g(-sites), self.g(sites)
         self.hplus = gm * self.e + gp * np.conj(self.e)
@@ -366,10 +366,9 @@ def _jacobian_symbols(prob: TorusProblem, gs: GridState, droptol: float):
     eps, b = prob.eps, prob.b
     sites, js = np.array(prob.S.splus), np.array(prob.js)
 
-    # x-modes of the multiplier -u (+ f''(u)) acting inside delta-g
-    conv = -gs.ux if prob.include_cubic else np.zeros_like(gs.ux)
-    if not prob.f_spec.is_zero():
-        conv = conv + scipy.fft.fft(prob.f_spec.fsecond(gs.uphys).astype(complex), axis=0) / mx
+    # x-modes of the multiplier P''(u) acting inside delta-g
+    lin, rest = nonlinear_density(gs.uphys, 2, prob.f_spec, prob.include_cubic)
+    conv = lin * gs.ux + scipy.fft.fft(rest.astype(complex), axis=0) / mx
 
     # Theta_i and y_i move the x-modes +-s_i of u:
     # dU_{+-s} = +-i U_{+-s} dTheta,  dU_{+-s} = sigma U_{+-s} dy
@@ -888,48 +887,51 @@ def _phi_funcs(z: np.ndarray):
 
 class DPEvolver:
     """Pseudo-spectral integrator for u_t = J grad H(u) on the circle with an
-    exponential (ETDRK4) scheme for the stiff dispersive part."""
+    exponential (ETDRK4) scheme for the stiff dispersive part.  A state is the
+    half spectrum u_j, j = 0 ... mx/2, of the real field u (the rfft layout,
+    u_-j = conj(u_j)); the modes run along the last axis, so `nonlinear` and
+    `step_etdrk4` also step a stack of states in one call."""
 
     def __init__(self, n_modes: int, f_spec: FSpec | None = None, cubic: bool = True):
         self.n = n_modes
         self.f_spec = f_spec or FSpec()
         self.cubic = cubic
         self.mx = scipy.fft.next_fast_len(3 * n_modes + 1)
-        k = np.fft.fftfreq(self.mx, d=1.0 / self.mx).astype(int)
+        k = np.arange(self.mx // 2 + 1)
         self.k = k
         self.lam = k * (4.0 + k * k) / (1.0 + k * k)
-        self.mask = np.abs(k) <= n_modes
+        self.mask = k <= n_modes
         self.L = 1j * self.lam
+        # sums over all modes j of the circle count u_j and u_-j for j > 0
+        self.weight = np.where(k == 0, 1.0, 2.0)
+        self._coefs: dict[float, tuple] = {}
+
+    def field(self, uhat: np.ndarray) -> np.ndarray:
+        """The real field u on the grid of mx points."""
+        return scipy.fft.irfft(uhat, self.mx) * self.mx
 
     def nonlinear(self, uhat: np.ndarray) -> np.ndarray:
-        if not self.cubic and self.f_spec.is_zero():
-            return np.zeros_like(uhat)
-        u = scipy.fft.ifft(uhat) * self.mx
-        w = np.zeros_like(u.real)
-        if self.cubic:
-            w = w - 0.5 * u.real**2
-        if not self.f_spec.is_zero():
-            w = w + self.f_spec.fprime(u.real)
-        what = scipy.fft.fft(w.astype(complex)) / self.mx
+        _, dP = nonlinear_density(self.field(uhat), 1, self.f_spec, self.cubic)
+        what = scipy.fft.rfft(dP) / self.mx
         return 1j * self.lam * what * self.mask
 
     def energy(self, uhat: np.ndarray) -> float:
-        u = scipy.fft.ifft(uhat).real * self.mx
-        h = 0.5 * float(np.sum(np.abs(uhat) ** 2))
-        if self.cubic:
-            h -= float(np.mean(u**3)) / 6.0
-        if not self.f_spec.is_zero():
-            h += float(np.mean(self.f_spec.f(u)))
-        return h
+        _, P = nonlinear_density(self.field(uhat), 0, self.f_spec, self.cubic)
+        return 0.5 * float(np.sum(self.weight * np.abs(uhat) ** 2)) + float(np.mean(P))
 
     def momentum(self, uhat: np.ndarray) -> float:
         k = self.k
         w = np.where(k == 0, 0.0, (1.0 + k * k) / (4.0 + k * k))
-        return 0.5 * float(np.sum(w * np.abs(uhat) ** 2))
+        return 0.5 * float(np.sum(self.weight * w * np.abs(uhat) ** 2))
 
-    def step_etdrk4(self, uhat: np.ndarray, dt: float, coefs) -> np.ndarray:
+    def step_etdrk4(
+        self, uhat: np.ndarray, dt: float, coefs, Nu: np.ndarray | None = None
+    ) -> np.ndarray:
+        """One ETDRK4 step (Cox-Matthews); Nu is N(uhat) when the caller has
+        it already."""
         E, E2, Q, f1, f2, f3 = coefs
-        Nu = self.nonlinear(uhat)
+        if Nu is None:
+            Nu = self.nonlinear(uhat)
         a = E2 * uhat + dt * Q * Nu
         Na = self.nonlinear(a)
         bb = E2 * uhat + dt * Q * Na
@@ -940,16 +942,18 @@ class DPEvolver:
         return out * self.mask
 
     def coefs(self, dt: float):
-        z = dt * self.L
-        Q, f1, f2, f3 = _phi_funcs(z)
-        return np.exp(z), np.exp(z / 2), Q, f1, f2, f3
+        """The ETDRK4 coefficients of step dt, computed once per dt."""
+        if dt not in self._coefs:
+            z = dt * self.L
+            self._coefs[dt] = (np.exp(z), np.exp(z / 2), *_phi_funcs(z))
+        return self._coefs[dt]
 
 
 REPORT_POINTS = 64  # evolve records the trajectory every T / REPORT_POINTS
 
 
 def evolve(
-    u0: dict[int, complex] | np.ndarray,
+    u0: dict[int, complex],
     T: float,
     n_modes: int = 128,
     dt: float | None = None,
@@ -959,19 +963,21 @@ def evolve(
     cubic: bool = True,
     blowup: float = 1e6,
 ) -> EvolveResult:
-    """Integrate the DP flow from Fourier data; report relative drifts of H
-    and of the momentum K1."""
+    """Integrate the DP flow from the Fourier data u0 of a real field
+    (u0[-j] = conj(u0[j]), else ValueError); report relative drifts of H and
+    of the momentum K1.  The states are half spectra (see DPEvolver).
+
+    An adaptive step compares one step of dt with two of dt/2; the full step
+    and the first half step share N(u)."""
+    size = max((abs(c) for c in u0.values()), default=0.0)
+    for j, c in u0.items():
+        if abs(u0.get(-j, 0.0) - np.conj(c)) > 1e-12 * size:
+            raise ValueError(f"u0 is not conjugate-symmetric at j = {j}")
     ev = DPEvolver(n_modes, f_spec, cubic)
-    uhat = np.zeros(ev.mx, dtype=complex)
-    if isinstance(u0, dict):
-        for j, c in u0.items():
-            if abs(j) <= n_modes:
-                uhat[j % ev.mx] = c
-    else:
-        u0 = np.asarray(u0)
-        for j in range(-n_modes, n_modes + 1):
-            uhat[j % ev.mx] = u0[j % len(u0)]
-    uhat *= ev.mask
+    uhat = np.zeros(len(ev.k), dtype=complex)
+    for j, c in u0.items():
+        if 0 <= j <= n_modes:
+            uhat[j] = c
 
     if dt is None:
         dt = min(0.01, T / 100.0)
@@ -979,44 +985,35 @@ def evolve(
     times = [0.0]
     hs = [ev.energy(uhat)]
     k1s = [ev.momentum(uhat)]
-    sups = [float(np.abs(scipy.fft.ifft(uhat) * ev.mx).max())]
+    sups = [float(np.abs(ev.field(uhat)).max())]
     states = [uhat.copy()]
     report_every = max(T / REPORT_POINTS, dt)
     next_report = report_every
-    coefs = ev.coefs(dt)
-    coefs_half = ev.coefs(dt / 2)
     rejections = 0
     scale = max(sups[0], 1e-30)
 
     while t < T - 1e-14:
-        step = min(dt, T - t)
-        if step != dt:
-            coefs = ev.coefs(step)
-            coefs_half = ev.coefs(step / 2)
-            dt = step
-        big = ev.step_etdrk4(uhat, dt, coefs)
+        step = dt = min(dt, T - t)
+        Nu = ev.nonlinear(uhat)
+        big = ev.step_etdrk4(uhat, dt, ev.coefs(dt), Nu)
         if adaptive:
-            half = ev.step_etdrk4(uhat, dt / 2, coefs_half)
-            half = ev.step_etdrk4(half, dt / 2, coefs_half)
+            half = ev.step_etdrk4(uhat, dt / 2, ev.coefs(dt / 2), Nu)
+            half = ev.step_etdrk4(half, dt / 2, ev.coefs(dt / 2))
             err = float(np.abs(big - half).max()) / scale
             if err > rtol:
                 rejections += 1
                 if rejections > 12:
                     raise DivergenceError("step-rejection cascade in evolve")
                 dt *= 0.5
-                coefs = ev.coefs(dt)
-                coefs_half = ev.coefs(dt / 2)
                 continue
             rejections = 0
             uhat = half
             if err < rtol / 64 and dt < T / 16:
                 dt *= 1.5
-                coefs = ev.coefs(dt)
-                coefs_half = ev.coefs(dt / 2)
         else:
             uhat = big
         t += step
-        sup = float(np.abs(scipy.fft.ifft(uhat) * ev.mx).max())
+        sup = float(np.abs(ev.field(uhat)).max())
         if not math.isfinite(sup) or sup > blowup:
             raise DivergenceError(f"blow-up detected at t = {t}")
         if t >= next_report - 1e-12 or t >= T - 1e-14:

@@ -427,9 +427,3 @@ def nondegeneracy_report(
     )
     return NondegReport(S=S, records=records)
 
-
-def corto100_limit_form(x: Fraction, nu: int) -> Fraction:
-    """Closed form of A^{-1} v . omega_bar at p = 1:
-    3 nu (3x^2+1) / (3x^4 + 2(1+nu)x^2 + 1)."""
-    x = Fraction(x)
-    return 3 * nu * (3 * x * x + 1) / (3 * x**4 + 2 * (1 + nu) * x * x + 1)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from dpkam.core import ScalingParams, TangentialSet, lam
 from dpkam.twist import frequency_map
@@ -23,10 +24,11 @@ from dpkam.torus import (
     load_embedding,
     min_linear_divisor,
     newton_solve,
+    nonlinear_density,
     residual,
     save_embedding,
 )
-from dpkam.torus import _flatten_residual
+from dpkam.torus import _flatten_residual, _phi_funcs
 from dpkam.wbnf import BudgetExceeded
 
 S67 = TangentialSet.make([6, 7])
@@ -280,14 +282,132 @@ def test_evolve_blowup_guard():
         evolve(u0, T=50.0, n_modes=32, adaptive=False, dt=0.5, blowup=10.0)
 
 
+def test_evolve_rejects_asymmetric_data():
+    for u0 in ({2: 0.3}, {2: 0.3, -2: 0.3j}, {0: 0.1j}):
+        with pytest.raises(ValueError):
+            evolve(u0, T=0.01, n_modes=8)
+    # asymmetry at rounding level is accepted
+    evolve({2: 0.3, -2: 0.3 + 1e-15}, T=0.01, n_modes=8)
+
+
+class ComplexEvolver:
+    """The full-spectrum complex evolver that the half-spectrum one replaced,
+    kept as the oracle: state u_j at j % mx for |j| <= n_modes."""
+
+    def __init__(self, n_modes, f_spec, cubic):
+        self.f_spec, self.cubic = f_spec, cubic
+        self.mx = DPEvolver(n_modes).mx
+        k = np.fft.fftfreq(self.mx, d=1.0 / self.mx).astype(int)
+        self.lam = k * (4.0 + k * k) / (1.0 + k * k)
+        self.mask = np.abs(k) <= n_modes
+        self.L = 1j * self.lam
+
+    def nonlinear(self, uhat):
+        if not self.cubic and not self.f_spec.coeffs:
+            return np.zeros_like(uhat)
+        u = scipy.fft.ifft(uhat) * self.mx
+        w = np.zeros_like(u.real)
+        if self.cubic:
+            w = w - 0.5 * u.real**2
+        for k, c in self.f_spec.coeffs.items():
+            w = w + (k * c) * u.real ** (k - 1)
+        what = scipy.fft.fft(w.astype(complex)) / self.mx
+        return 1j * self.lam * what * self.mask
+
+    def step_etdrk4(self, uhat, dt):
+        z = dt * self.L
+        E, E2, (Q, f1, f2, f3) = np.exp(z), np.exp(z / 2), _phi_funcs(z)
+        Nu = self.nonlinear(uhat)
+        a = E2 * uhat + dt * Q * Nu
+        Na = self.nonlinear(a)
+        bb = E2 * uhat + dt * Q * Na
+        Nb = self.nonlinear(bb)
+        c = E2 * a + dt * Q * (2 * Nb - Nu)
+        Nc = self.nonlinear(c)
+        out = E * uhat + dt * (f1 * Nu + 2 * f2 * (Na + Nb) + f3 * Nc)
+        return out * self.mask
+
+
+def _torus_initial_data():
+    prob = small_problem(eps=1e-3, n_x=16, n_phi=2)
+    return action_angle_embed(prob, newton_solve(prob).emb, (0.0, 0.0))
+
+
+def _random_real_data(n=12, seed=3):
+    rng = np.random.default_rng(seed)
+    u0 = {0: 0.1 * rng.normal()}
+    for j in range(1, n + 1):
+        u0[j] = 0.1 * (rng.normal() + 1j * rng.normal()) / j
+        u0[-j] = np.conj(u0[j])
+    return u0
+
+
+@pytest.mark.parametrize("cubic", [True, False], ids=["cubic", "no cubic"])
+@pytest.mark.parametrize("data", ["torus", "random f9"])
+def test_real_step_matches_complex_oracle(data, cubic):
+    u0, f = (_torus_initial_data(), {}) if data == "torus" else (_random_real_data(), {9: 0.5})
+    n_modes, dt = 64, 0.01
+    ev, oracle = DPEvolver(n_modes, FSpec(f), cubic), ComplexEvolver(n_modes, FSpec(f), cubic)
+    full = np.zeros(oracle.mx, dtype=complex)
+    for j, c in u0.items():
+        full[j % oracle.mx] = c
+    half = full[: len(ev.k)].copy()
+    want = oracle.step_etdrk4(full, dt)
+    got = ev.step_etdrk4(half, dt, ev.coefs(dt))
+    assert np.abs(got - want[: len(ev.k)]).max() <= 1e-14 * np.abs(want).max()
+    # the step moved the state by far more than the tolerance
+    assert np.abs(want - full).max() > 1e-6 * np.abs(want).max()
+
+
+def test_evolver_steps_a_stack_of_states():
+    ev = DPEvolver(32, FSpec({9: 0.5}))
+    rows = []
+    for seed in (1, 2):
+        u = np.zeros(len(ev.k), dtype=complex)
+        for j, c in _random_real_data(seed=seed).items():
+            if j >= 0:
+                u[j] = c
+        rows.append(u)
+    coefs = ev.coefs(0.05)
+    stacked = ev.step_etdrk4(np.stack(rows), 0.05, coefs)
+    for row, u in zip(stacked, rows):
+        assert np.array_equal(row, ev.step_etdrk4(u, 0.05, coefs))
+
+
+def test_adaptive_step_shares_one_nonlinear_evaluation(monkeypatch):
+    calls = {"step_etdrk4": 0, "nonlinear": 0}
+    for name in calls:
+        def counting(self, *args, _orig=getattr(DPEvolver, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(DPEvolver, name, counting)
+    # T = dt and a tolerance every step meets: one accepted step
+    res = evolve({1: 0.1, -1: 0.1}, T=0.01, n_modes=8, dt=0.01, rtol=1.0)
+    assert len(res.times) == 2
+    assert calls == {"step_etdrk4": 3, "nonlinear": 11}
+
+
 def test_fspec_validation_and_gradient():
     with pytest.raises(ValueError):
         FSpec({3: 1.0})
     f = FSpec({9: 2.0})
     u = np.linspace(-0.5, 0.5, 7)
-    assert f.fprime(u) == pytest.approx(18.0 * u**8)
-    assert f.f(u) == pytest.approx(2.0 * u**9)
+    assert nonlinear_density(u, 1, f, cubic=False)[1] == pytest.approx(18.0 * u**8)
+    assert nonlinear_density(u, 0, f, cubic=False)[1] == pytest.approx(2.0 * u**9)
     assert not FSpec().coeffs
+
+
+def test_nonlinear_density_with_the_cubic_term():
+    f = FSpec({9: 2.0})
+    u = np.linspace(-0.5, 0.5, 7)
+    lin, rest = nonlinear_density(u, 0, f)
+    assert lin == 0.0 and rest == pytest.approx(-u**3 / 6 + 2.0 * u**9)
+    lin, rest = nonlinear_density(u, 1, f)
+    assert lin == 0.0 and rest == pytest.approx(-0.5 * u**2 + 18.0 * u**8)
+    # the linear part of P'' = -u + 144 u^7 comes back apart
+    lin, rest = nonlinear_density(u, 2, f)
+    assert lin == -1.0 and rest == pytest.approx(144.0 * u**7)
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -308,9 +428,8 @@ def test_checkpoint_roundtrip(tmp_path):
 
 def test_energy_momentum_definitions():
     ev = DPEvolver(16)
-    uhat = np.zeros(ev.mx, dtype=complex)
+    uhat = np.zeros(ev.mx // 2 + 1, dtype=complex)  # u_3 = u_-3 = 0.2
     uhat[3] = 0.2
-    uhat[-3 % ev.mx] = 0.2
     # H = (1/2) sum |u_j|^2 for pure quadratic data (cubic term is O(u^3))
     h = ev.energy(uhat)
     assert h == pytest.approx(0.5 * 2 * 0.04, abs=1e-4)

@@ -6,7 +6,6 @@ import pytest
 from dpkam.core import TangentialSet, lam, signed_ell_vectors
 from dpkam.twist import (
     b_jk,
-    corto100_limit_form,
     frequency_map,
     inverse_frequency_map,
     mat_det,
@@ -149,13 +148,15 @@ def test_corto100_rank_one_identity():
         assert mat_det(M) == 1 - sum(a * b for a, b in zip(y, td.omega_bar))
 
 
-def test_corto100_limit_form():
-    assert corto100_limit_form(Fraction(0), 2) == 6
-    assert corto100_limit_form(Fraction(0), 3) == 9
-    x = Fraction(1, 7)
-    assert corto100_limit_form(x, 2) == 6 * (3 * x * x + 1) / (
-        3 * x**4 + 6 * x * x + 1
-    )
+def test_corto100_rank_one_value_for_large_packets():
+    # A^{-T} v . omega_bar, the value corto100_rank_one_det reads, tends to
+    # 3 nu / (2 nu - 1) as the sites grow together, so |1 - value| < 1/2
+    for sites, limit in (([1000, 1001], Fraction(2)), ([1000, 1001, 1002], Fraction(9, 5))):
+        S = TangentialSet.make(sites)
+        td = twist_matrix(S)
+        y = mat_solve(mat_transpose(td.A), v_vec(S))
+        value = sum(a * b for a, b in zip(y, td.omega_bar))
+        assert abs(value - limit) < Fraction(1, 10**4)
 
 
 def test_nondegeneracy_report():
