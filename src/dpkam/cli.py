@@ -435,7 +435,7 @@ def cmd_evolve(cfg: dict, outdir: str, budget: int) -> int:
         try:
             emb = torus_mod.load_embedding(ev["checkpoint"])
         except (OSError, ValueError, torus_mod.TorusError) as exc:
-            raise UsageError(f"cannot load checkpoint: {exc}") from None
+            raise UsageError(f"cannot load checkpoint {ev['checkpoint']}: {exc}") from None
         for name, saved, wanted in (("splus", emb.S.splus, prob.S.splus),
                                     ("n_x", emb.grid.n_x, prob.grid.n_x),
                                     ("n_phi", emb.grid.n_phi, prob.grid.n_phi)):

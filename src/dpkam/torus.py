@@ -124,57 +124,50 @@ class AngleTransform:
 class TorusEmbedding:
     """Truncated Fourier data of (Theta, y, z) and the counterterm zeta.
 
-    theta/y: complex arrays (nu, 2N+1, 2N+1) with the reality symmetry
-    X(-l) = conj(X(l)); z: (2N+1, 2N+1, n_j) with z(-l, -j) = conj(z(l, j));
-    zeta: (nu,) real."""
+    x: complex (2 nu + n_j, 2N+1, 2N+1), the families Theta_1..Theta_nu,
+    y_1..y_nu, z_1..z_nj (z_k at the normal mode js[k]) in the order of the
+    Jacobian's unknowns, with the reality symmetry x_f(-l) = conj(x_f'(l)),
+    where f' = f on Theta and y and j -> -j on z; zeta: (nu,) real.
+    theta, y and z are views of x."""
 
     S: TangentialSet
     grid: TruncationGrid
-    theta: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
+    x: np.ndarray
     zeta: np.ndarray
 
     @classmethod
     def trivial(cls, S: TangentialSet, grid: TruncationGrid) -> "TorusEmbedding":
-        n = grid.n_ell
-        js = normal_modes(S, grid.n_x)
-        return cls(
-            S=S,
-            grid=grid,
-            theta=np.zeros((S.nu, n, n), dtype=complex),
-            y=np.zeros((S.nu, n, n), dtype=complex),
-            z=np.zeros((n, n, len(js)), dtype=complex),
-            zeta=np.zeros(S.nu),
-        )
+        n, nj = grid.n_ell, len(normal_modes(S, grid.n_x))
+        return cls(S, grid, np.zeros((2 * S.nu + nj, n, n), dtype=complex), np.zeros(S.nu))
 
     def copy(self) -> "TorusEmbedding":
-        return TorusEmbedding(
-            self.S, self.grid, self.theta.copy(), self.y.copy(), self.z.copy(),
-            self.zeta.copy(),
-        )
+        return TorusEmbedding(self.S, self.grid, self.x.copy(), self.zeta.copy())
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.x[: self.S.nu]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.x[self.S.nu : 2 * self.S.nu]
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.x[2 * self.S.nu :]
 
     def enforce_reality(self) -> None:
-        flip = slice(None, None, -1)
-        for arr in (self.theta, self.y):
-            arr += np.conj(arr[:, flip, flip])
-            arr *= 0.5
-        js = normal_modes(self.S, self.grid.n_x)
-        jflip = _neg_perm(js)
-        zc = np.conj(self.z[flip, flip][:, :, jflip])
-        self.z += zc
-        self.z *= 0.5
+        nt = 2 * self.S.nu
+        perm = np.concatenate([np.arange(nt), nt + _neg_perm(normal_modes(self.S, self.grid.n_x))])
+        self.x += np.conj(self.x[perm, ::-1, ::-1])
+        self.x *= 0.5
 
     def project(self, cutoff: int) -> None:
         """Apply the schedule projector Pi_n: keep the angle modes
-        |l|_inf <= cutoff of theta, y and z.  The projector acts on the angles
+        |l|_inf <= cutoff of every family.  The projector acts on the angles
         only; the x-modes of z keep the Galerkin truncation |j| <= n_x, so
         the quadratic images |j| <= 2 jbar1 of the packet survive every step."""
-        ells = _ell_values(self.grid.n_phi)
-        mask = (np.abs(ells)[:, None] <= cutoff) & (np.abs(ells)[None, :] <= cutoff)
-        self.theta *= mask[None, :, :]
-        self.y *= mask[None, :, :]
-        self.z *= mask[:, :, None]
+        ells = np.abs(_ell_values(self.grid.n_phi))
+        self.x *= (ells[:, None] <= cutoff) & (ells <= cutoff)
 
 
 def normal_modes(S: TangentialSet, n_x: int) -> list[int]:
@@ -264,8 +257,10 @@ class GridState:
 
         phi_1d = 2.0 * math.pi * np.arange(m) / m
         phi = np.array(np.meshgrid(phi_1d, phi_1d, indexing="ij"))
-        Theta, Y = at.to_grid(emb.theta), at.to_grid(emb.y)
-        if max(np.abs(Theta.imag).max(), np.abs(Y.imag).max()) > 1e-8:
+        nu = prob.S.nu
+        X = at.to_grid(emb.x)
+        Theta, Y = X[:nu], X[nu : 2 * nu]
+        if np.abs(X[: 2 * nu].imag).max() > 1e-8:
             raise TorusError("embedding violates reality beyond tolerance")
 
         scale = (eps ** (2 * b - 2) * prob.lam_sites)[:, None, None]
@@ -283,7 +278,7 @@ class GridState:
         self.ux = np.zeros((mx, m, m), dtype=complex)
         self.ux[sites % mx] = eps * self.rho * self.e
         self.ux[-sites % mx] = eps * self.rho * np.conj(self.e)
-        self.ux[np.array(prob.js) % mx] = eps**b * at.to_grid(np.moveaxis(emb.z, 2, 0))
+        self.ux[np.array(prob.js) % mx] = eps**b * X[2 * nu :]
 
         # grad H modes: g_j = u_j + (P'(u))_j, and P' has no linear part
         uphys = scipy.fft.ifft(self.ux, axis=0) * mx
@@ -306,11 +301,8 @@ class GridState:
 
 @dataclass
 class Residual:
-    f_theta: np.ndarray  # (nu, 2N+1, 2N+1) coefficients
-    f_y: np.ndarray
-    f_z: np.ndarray  # (2N+1, 2N+1, nj)
+    f: np.ndarray  # coefficients, the families of TorusEmbedding.x
     sup: float
-    theta_avg: np.ndarray  # the dropped l = 0 theta rows, for honest reporting
 
 
 def _iwl(prob: TorusProblem) -> np.ndarray:
@@ -324,24 +316,17 @@ def residual(prob: TorusProblem, emb: TorusEmbedding) -> Residual:
     at = prob.at
     gs = GridState(prob, emb)
     eps, b = prob.eps, prob.b
-    c = prob.grid.n_phi
-    iwl = _iwl(prob)
+    nu, c = prob.S.nu, prob.grid.n_phi
 
-    # f_theta = iwl Theta - dH/dy + omega,  f_y = iwl y + dH/dtheta + zeta
+    # f_theta = iwl Theta - dH/dy + omega,  f_y = iwl y + dH/dtheta + zeta,
+    # f_z = iwl z - i lambda_j eps^-b g_j
     dHy = ((prob.lam_sites / (2.0 * eps))[:, None, None] * gs.hplus / gs.rho).real
     dHth = (eps ** (1.0 - 2.0 * b) * 1j * gs.rho * gs.hminus).real
-    f_theta = iwl * emb.theta - at.to_coeffs(dHy.astype(complex))
-    f_theta[:, c, c] += prob.omega
-    theta_avg = f_theta[:, c, c].real
-    f_y = iwl * emb.y + at.to_coeffs(dHth.astype(complex))
-    f_y[:, c, c] += emb.zeta
-
     zdot = (1j * prob.lam_js * eps ** (-b))[:, None, None] * gs.g(prob.js)
-    f_z = iwl[:, :, None] * emb.z - np.moveaxis(at.to_coeffs(zdot), 0, 2)
-
-    sup = max(float(np.abs(at.to_grid(f)).max())
-              for f in (f_theta, f_y, np.moveaxis(f_z, 2, 0)))
-    return Residual(f_theta=f_theta, f_y=f_y, f_z=f_z, sup=sup, theta_avg=theta_avg)
+    f = _iwl(prob) * emb.x - at.to_coeffs(np.concatenate([dHy, -dHth, zdot]))
+    f[:nu, c, c] += prob.omega
+    f[nu : 2 * nu, c, c] += emb.zeta
+    return Residual(f=f, sup=float(np.abs(at.to_grid(f)).max()))
 
 
 # -- Jacobian --------------------------------------------------------------------------
@@ -430,8 +415,9 @@ def jacobian(
     """Analytic Jacobian of the residual in Fourier variables (verified
     against finite differences in the test suite).
 
-    Unknowns (complex): the families Theta_i, y_i (i < nu) and z_k (k < nj)
-    of L = (2N+1)^2 coefficients each, in that order, then zeta (nu).  The
+    Unknowns (complex): the families of TorusEmbedding.x, Theta_i, y_i
+    (i < nu) and z_k (k < nj) of L = (2N+1)^2 coefficients each, in that
+    order, then zeta (nu).  The
     block between two families is omega.d_phi on the diagonal plus the
     multiplication operator of a symbol mu(phi), J[l_r, l_c] = mu_hat(l_r - l_c);
     all symbols go through one fft2 and entries |mu_hat| <= droptol are
@@ -494,30 +480,9 @@ def jacobian(
 def _flatten_residual(
     prob: TorusProblem, res: Residual, emb: TorusEmbedding
 ) -> np.ndarray:
-    parts = [res.f_theta.reshape(prob.S.nu, -1).ravel(),
-             res.f_y.reshape(prob.S.nu, -1).ravel()]
-    nj = len(prob.js)
-    parts.append(np.moveaxis(res.f_z, 2, 0).reshape(nj, -1).ravel())
-    # phase rows: drive Theta_i(0) to zero
+    """The Jacobian's rows: the residual, then the phase rows Theta_i(0)."""
     c = prob.grid.n_phi
-    parts.append(np.array([emb.theta[i][c, c] for i in range(prob.S.nu)]))
-    return np.concatenate(parts)
-
-
-def _unflatten_update(prob: TorusProblem, vec: np.ndarray, emb: TorusEmbedding):
-    n = prob.grid.n_ell
-    L = n * n
-    nu = prob.S.nu
-    nj = len(prob.js)
-    th = vec[: nu * L].reshape(nu, n, n)
-    yy = vec[nu * L : 2 * nu * L].reshape(nu, n, n)
-    zz = np.moveaxis(vec[2 * nu * L : 2 * nu * L + nj * L].reshape(nj, n, n), 0, 2)
-    zeta = vec[2 * nu * L + nj * L :]
-    emb.theta += th
-    emb.y += yy
-    emb.z += zz
-    emb.zeta += zeta.real
-    emb.enforce_reality()
+    return np.concatenate([res.f.ravel(), emb.theta[:, c, c]])
 
 
 # -- Newton solver ----------------------------------------------------------------------
@@ -559,24 +524,27 @@ def min_linear_divisor(prob: TorusProblem) -> tuple[float, tuple]:
     return float(div[a, a2, k]), ((int(ells[a]), int(ells[a2])), prob.js[k])
 
 
-def _linear_step(J: sp.csc_matrix, rhs: np.ndarray, prob: TorusProblem) -> np.ndarray:
-    """Sparse LU solve with a minimum-norm fallback for degenerate systems
-    (e.g. the zero-nonlinearity problem, where constant action shifts do not
-    move the frequency and the Jacobian has an exact kernel)."""
+def _linear_steps(J: sp.csc_matrix, rhs: np.ndarray, prob: TorusProblem):
+    """The Newton steps to try, in order: the sparse LU solve, then, for at
+    most DENSE_MAX_UNKNOWNS unknowns, the minimum-norm least-squares solve.
+    An exactly singular block (e.g. the zero-nonlinearity problem, where
+    constant action shifts do not move the frequency) can leave LU with no
+    step or a finite but useless one.  A failed LU on a larger system raises."""
     try:
         delta = spla.splu(J).solve(rhs)
-        if np.all(np.isfinite(delta)):
-            return delta
     except RuntimeError:
-        pass
-    if J.shape[0] > DENSE_MAX_UNKNOWNS:
+        delta = None
+    dense = J.shape[0] <= DENSE_MAX_UNKNOWNS
+    if delta is not None and np.all(np.isfinite(delta)):
+        yield delta
+    elif not dense:
         div, wit = min_linear_divisor(prob)
         raise TorusError(
             "singular linearization; nearest linear divisor "
             f"|omega.l - lambda(j)| = {div:.3e} at {wit}"
         )
-    delta, *_ = np.linalg.lstsq(J.toarray(), rhs, rcond=None)
-    return delta
+    if dense:
+        yield np.linalg.lstsq(J.toarray(), rhs, rcond=None)[0]
 
 
 def newton_solve(
@@ -599,6 +567,7 @@ def newton_solve(
     sup-norm."""
     schedule = schedule or NewtonSchedule()
     emb = (start or TorusEmbedding.trivial(prob.S, prob.grid)).copy()
+    nu = prob.S.nu
     res = residual(prob, emb)
     history = [res.sup]
     grow = 0
@@ -608,7 +577,6 @@ def newton_solve(
             return NewtonResult(emb, history, True, it)
         J = jacobian(prob, emb)
         rhs = -_flatten_residual(prob, res, emb)
-        delta = _linear_step(J, rhs, prob)
 
         full_cut = prob.grid.n_phi
         cutoff = schedule.cutoff(it, full_cut)
@@ -619,7 +587,9 @@ def newton_solve(
             step = 1.0
             for _ in range(MAX_BACKTRACK + 1):
                 trial = emb.copy()
-                _unflatten_update(prob, step * d, trial)
+                trial.x += step * d[:-nu].reshape(trial.x.shape)
+                trial.zeta += (step * d[-nu:]).real
+                trial.enforce_reality()
                 trial.project(cutoff)
                 try:
                     trial_res = residual(prob, trial)
@@ -632,12 +602,7 @@ def newton_solve(
                 step *= 0.5
             return False
 
-        improved = try_delta(delta)
-        if not improved and J.shape[0] <= DENSE_MAX_UNKNOWNS:
-            # an exactly singular block can leave LU with a finite but useless
-            # step; retry once with the minimum-norm solution
-            delta2, *_ = np.linalg.lstsq(J.toarray(), rhs, rcond=None)
-            improved = try_delta(delta2)
+        improved = any(try_delta(d) for d in _linear_steps(J, rhs, prob))
         if not improved:
             grow += 1
             if grow >= 3:
@@ -658,28 +623,22 @@ def action_angle_embed(
     prob: TorusProblem, emb: TorusEmbedding, phi: tuple[float, float]
 ) -> dict[int, complex]:
     """Fourier coefficients of u = A_eps(i(phi)) at a single angle phi."""
-    eps, b = prob.eps, prob.b
+    eps, b, nu = prob.eps, prob.b, prob.S.nu
     ells = _ell_values(prob.grid.n_phi)
-    e1 = np.exp(1j * ells * phi[0])
-    e2 = np.exp(1j * ells * phi[1])
-
-    def eval_field(coeffs: np.ndarray) -> complex:
-        return complex(e1 @ coeffs @ e2)
+    vals = np.exp(1j * ells * phi[0]) @ emb.x @ np.exp(1j * ells * phi[1])
 
     out: dict[int, complex] = {}
     for i, s in enumerate(prob.S.splus):
-        th = eval_field(emb.theta[i]).real + phi[i]
-        yv = eval_field(emb.y[i]).real
-        rad = prob.xi[i] + eps ** (2 * b - 2) * prob.lam_sites[i] * yv
+        th = vals[i].real + phi[i]
+        rad = prob.xi[i] + eps ** (2 * b - 2) * prob.lam_sites[i] * vals[nu + i].real
         if rad <= 0:
             raise TorusError(f"negative radicand at site {s}, phi={phi}")
         amp = eps * math.sqrt(rad)
         out[s] = amp * np.exp(1j * th)
         out[-s] = amp * np.exp(-1j * th)
-    for k, j in enumerate(prob.js):
-        val = eval_field(emb.z[:, :, k])
+    for j, val in zip(prob.js, vals[2 * nu :]):
         if val != 0:
-            out[j] = out.get(j, 0) + eps**b * val
+            out[j] = out.get(j, 0) + eps**b * complex(val)
     return out
 
 
@@ -1042,20 +1001,15 @@ def evolve(
 
 
 def save_embedding(emb: TorusEmbedding, path: str) -> str:
-    def pack(arr: np.ndarray) -> dict:
-        return {
-            "shape": list(arr.shape),
-            "re": arr.real.ravel().tolist(),
-            "im": arr.imag.ravel().tolist(),
-        }
-
     payload = {
         "splus": list(emb.S.splus),
         "n_x": emb.grid.n_x,
         "n_phi": emb.grid.n_phi,
-        "theta": pack(emb.theta),
-        "y": pack(emb.y),
-        "z": pack(emb.z),
+        "x": {
+            "shape": list(emb.x.shape),
+            "re": emb.x.real.ravel().tolist(),
+            "im": emb.x.imag.ravel().tolist(),
+        },
         "zeta": emb.zeta.tolist(),
     }
     body = json.dumps(payload, sort_keys=True)
@@ -1066,25 +1020,29 @@ def save_embedding(emb: TorusEmbedding, path: str) -> str:
 
 
 def load_embedding(path: str) -> TorusEmbedding:
+    """The embedding `save_embedding` wrote; TorusError for a file that is not
+    such a checkpoint (a missing field, the older theta/y/z payload, arrays
+    that do not fit its grid) or whose hash does not match."""
     with open(path) as fh:
         wrapper = json.load(fh)
-    payload = wrapper["data"]
-    body = json.dumps(payload, sort_keys=True)
-    if hashlib.sha256(body.encode()).hexdigest() != wrapper["sha256"]:
-        raise TorusError("checkpoint hash mismatch")
-
-    def unpack(d: dict) -> np.ndarray:
-        re = np.array(d["re"]).reshape(d["shape"])
-        im = np.array(d["im"]).reshape(d["shape"])
-        return re + 1j * im
-
-    S = TangentialSet.make(payload["splus"])
-    grid = TruncationGrid(payload["n_x"], payload["n_phi"], S.jbar1)
-    return TorusEmbedding(
-        S=S,
-        grid=grid,
-        theta=unpack(payload["theta"]),
-        y=unpack(payload["y"]),
-        z=unpack(payload["z"]),
-        zeta=np.array(payload["zeta"]),
-    )
+    try:
+        payload = wrapper["data"]
+        if "theta" in payload:
+            raise TorusError("it holds the older theta/y/z layout; solve again to rewrite it")
+        body = json.dumps(payload, sort_keys=True)
+        if hashlib.sha256(body.encode()).hexdigest() != wrapper["sha256"]:
+            raise TorusError("checkpoint hash mismatch")
+        S = TangentialSet.make(payload["splus"])
+        grid = TruncationGrid(payload["n_x"], payload["n_phi"], S.jbar1)
+        d = payload["x"]
+        x = np.array(d["re"]).reshape(d["shape"]) + 1j * np.array(d["im"]).reshape(d["shape"])
+        zeta = np.array(payload["zeta"], dtype=float)
+    except (KeyError, TypeError) as exc:
+        raise TorusError(f"not a torus checkpoint: {type(exc).__name__} {exc}") from None
+    emb = TorusEmbedding.trivial(S, grid)
+    if x.shape != emb.x.shape or zeta.shape != emb.zeta.shape:
+        raise TorusError(
+            f"x has shape {x.shape} and zeta {zeta.shape}; splus {S.splus}, "
+            f"n_x {grid.n_x} and n_phi {grid.n_phi} need {emb.x.shape} and {emb.zeta.shape}"
+        )
+    return TorusEmbedding(S, grid, x, zeta)

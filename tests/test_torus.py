@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import time
 from fractions import Fraction
@@ -6,10 +8,12 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from dpkam import torus
 from dpkam.core import ScalingParams, TangentialSet, lam
 from dpkam.twist import frequency_map
 from dpkam.torus import (
     JACOBIAN_MAX_ENTRIES,
+    DivergenceError,
     DPEvolver,
     FSpec,
     NewtonSchedule,
@@ -71,14 +75,8 @@ def test_trivial_residual_order():
     for eps in (1e-2, 1e-3):
         prob = small_problem(eps=eps)
         res = residual(prob, TorusEmbedding.trivial(S67, prob.grid))
-        fths.append(
-            max(float(np.abs(prob.at.to_grid(res.f_theta[i])).max())
-                for i in range(2))
-        )
-        fzs.append(
-            max(float(np.abs(prob.at.to_grid(res.f_z[:, :, k])).max())
-                for k in range(len(prob.js)))
-        )
+        fths.append(float(np.abs(prob.at.to_grid(res.f[:2])).max()))  # Theta rows
+        fzs.append(float(np.abs(prob.at.to_grid(res.f[4:])).max()))  # z rows
     b = 1.05
     assert math.log10(fzs[0] / fzs[1]) == pytest.approx(2 - b, abs=0.02)
     assert math.log10(fths[0] / fths[1]) == pytest.approx(2.0, abs=1e-6)
@@ -98,6 +96,12 @@ def test_radicand_error_reported():
         residual(prob, emb)
 
 
+def _z_draw(draw, emb):
+    """A draw of z's shape in the (2N+1, 2N+1, n_j) order the random draws of
+    these tests were made in, moved to the embedding's (n_j, 2N+1, 2N+1)."""
+    return np.moveaxis(draw(emb.z.shape[1:] + emb.z.shape[:1]), 2, 0)
+
+
 @pytest.mark.parametrize(
     "cubic, f_coeffs",
     [(True, {}), (True, {9: 1e10}), (False, {9: 1e10})],
@@ -108,35 +112,29 @@ def test_jacobian_matches_finite_differences(cubic, f_coeffs):
     rng = np.random.default_rng(3)
     prob = small_problem(cubic=cubic, f_coeffs=f_coeffs)
     emb = TorusEmbedding.trivial(S67, prob.grid)
-    emb.theta += 1e-3 * (rng.normal(size=emb.theta.shape)
-                         + 1j * rng.normal(size=emb.theta.shape))
-    emb.y += 1e-3 * (rng.normal(size=emb.y.shape) + 1j * rng.normal(size=emb.y.shape))
-    emb.z += 1e-3 * (rng.normal(size=emb.z.shape) + 1j * rng.normal(size=emb.z.shape))
+
+    def cnormal(shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    emb.theta[...] += 1e-3 * cnormal(emb.theta.shape)
+    emb.y[...] += 1e-3 * cnormal(emb.y.shape)
+    emb.z[...] += 1e-3 * _z_draw(cnormal, emb)
     emb.zeta += 1e-4 * rng.normal(size=2)
     emb.enforce_reality()
     J = jacobian(prob, emb, droptol=1e-16)
-    nj = len(prob.js)
-
-    def flatten_dir(d):
-        return np.concatenate(
-            [d.theta.reshape(2, -1).ravel(), d.y.reshape(2, -1).ravel(),
-             np.moveaxis(d.z, 2, 0).reshape(nj, -1).ravel(),
-             d.zeta.astype(complex)]
-        )
 
     h = 1e-6
     for _ in range(3):
         d = TorusEmbedding.trivial(S67, prob.grid)
-        d.theta = rng.normal(size=d.theta.shape) + 1j * rng.normal(size=d.theta.shape)
-        d.y = rng.normal(size=d.y.shape) + 1j * rng.normal(size=d.y.shape)
-        d.z = rng.normal(size=d.z.shape) + 1j * rng.normal(size=d.z.shape)
+        d.theta[...] = cnormal(d.theta.shape)
+        d.y[...] = cnormal(d.y.shape)
+        d.z[...] = _z_draw(cnormal, d)
         d.zeta = rng.normal(size=2)
         d.enforce_reality()
-        vec = flatten_dir(d)
+        vec = np.concatenate([d.x.ravel(), d.zeta])
         ep, em = emb.copy(), emb.copy()
-        for fam in ("theta", "y", "z"):
-            setattr(ep, fam, getattr(ep, fam) + h * getattr(d, fam))
-            setattr(em, fam, getattr(em, fam) - h * getattr(d, fam))
+        ep.x += h * d.x
+        em.x -= h * d.x
         ep.zeta = ep.zeta + h * d.zeta
         em.zeta = em.zeta - h * d.zeta
         fd = (_flatten_residual(prob, residual(prob, ep), ep)
@@ -170,12 +168,34 @@ def test_zero_nonlinearity_converges_in_one_step():
     prob.omega = np.array([float(lam(6)), float(lam(7))])
     rng = np.random.default_rng(0)
     start = TorusEmbedding.trivial(S67, prob.grid)
-    start.z += 1e-4 * (rng.normal(size=start.z.shape)
-                       + 1j * rng.normal(size=start.z.shape))
+    start.z[...] += 1e-4 * _z_draw(lambda shape: rng.normal(size=shape)
+                                   + 1j * rng.normal(size=shape), start)
     start.enforce_reality()
     sched = NewtonSchedule(n0=100.0, tol=1e-12)  # full cutoff immediately
     sol = newton_solve(prob, start=start, schedule=sched)
     assert sol.converged and sol.iterations <= 1
+
+
+def test_dense_fallback_solves_each_system_once(monkeypatch):
+    # with sparse LU failing, each Newton step solves its system once by
+    # least squares, also when that step does not lower the residual
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    calls = {"lstsq": 0, "jacobian": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(torus.spla, "splu", singular)
+    monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
+    monkeypatch.setattr(torus, "jacobian", counting("jacobian", torus.jacobian))
+    with pytest.raises(DivergenceError):
+        newton_solve(small_problem(f_coeffs={9: 0.5}))
+    assert calls["lstsq"] == calls["jacobian"] > 0
 
 
 def test_residual_phase_shift_invariance():
@@ -191,9 +211,7 @@ def test_residual_phase_shift_invariance():
     ph = np.exp(1j * ells * shift[0])
     ph2 = np.exp(1j * ells * shift[1])
     factor = ph[:, None] * ph2[None, :]
-    shifted.theta = emb.theta * factor[None, :, :]
-    shifted.y = emb.y * factor[None, :, :]
-    shifted.z = emb.z * factor[:, :, None]
+    shifted.x[...] = emb.x * factor
     # theta(phi) = phi + Theta(phi): the reparametrized torus carries the
     # shift as a constant angle offset
     for i in range(2):
@@ -276,8 +294,6 @@ def test_evolve_conservation_small():
 
 def test_evolve_blowup_guard():
     u0 = {1: 5.0, -1: 5.0}  # huge amplitude
-    from dpkam.torus import DivergenceError
-
     with pytest.raises(DivergenceError):
         evolve(u0, T=50.0, n_modes=32, adaptive=False, dt=0.5, blowup=10.0)
 
@@ -426,6 +442,18 @@ def test_checkpoint_roundtrip(tmp_path):
         load_embedding(str(path))
 
 
+def test_load_embedding_rejects_arrays_that_do_not_fit_the_grid(tmp_path):
+    path = tmp_path / "torus.json"
+    save_embedding(TorusEmbedding.trivial(S67, TruncationGrid(n_x=16, n_phi=2, jbar1=7)), str(path))
+    payload = json.loads(path.read_text())["data"]
+    payload["n_phi"] = 3
+    body = json.dumps(payload, sort_keys=True)
+    path.write_text(json.dumps({"sha256": hashlib.sha256(body.encode()).hexdigest(),
+                                "data": payload}))
+    with pytest.raises(TorusError, match="n_phi 3 need"):
+        load_embedding(str(path))
+
+
 def test_energy_momentum_definitions():
     ev = DPEvolver(16)
     uhat = np.zeros(ev.mx // 2 + 1, dtype=complex)  # u_3 = u_-3 = 0.2
@@ -465,8 +493,8 @@ def test_jacobian_fill_bound_stops_a_noisy_embedding():
     emb = newton_solve(prob).emb
     assert jacobian(prob, emb).nnz < JACOBIAN_MAX_ENTRIES
     rng = np.random.default_rng(0)
-    emb.z = emb.z + 1e-6 * rng.standard_normal(emb.z.shape)
-    emb.theta = emb.theta + 1e-6 * rng.standard_normal(emb.theta.shape)
+    emb.z[...] += 1e-6 * _z_draw(rng.standard_normal, emb)
+    emb.theta[...] += 1e-6 * rng.standard_normal(emb.theta.shape)
     emb.enforce_reality()
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded, match="shifted entries"):
