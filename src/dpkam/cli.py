@@ -21,17 +21,19 @@ import os
 import sys
 import traceback
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .core import ScalingParams, TangentialSet, float_fmt, fraction_str
 from . import measure as measure_mod
 from . import spectrum as spectrum_mod
-from . import torus as torus_mod
 from . import twist as twist_mod
 from . import wbnf as wbnf_mod
 from .polyham import serialize
+
+if TYPE_CHECKING:  # torus loads scipy; only solve and evolve import it
+    from . import torus as torus_mod
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -52,8 +54,12 @@ def _list(kind: Callable) -> Callable[[str], tuple]:
 
 
 def _f_coeffs(text: str) -> dict[int, float]:
-    pairs = (item.split(":") for item in text.split())
-    return torus_mod.FSpec({int(k): float(c) for k, c in pairs}).coeffs
+    coeffs = {int(k): float(c) for k, c in (item.split(":") for item in text.split())}
+    if not coeffs:
+        return coeffs
+    from . import torus as torus_mod
+
+    return torus_mod.FSpec(coeffs).coeffs
 
 
 def _family(text: str) -> str:
@@ -385,6 +391,8 @@ def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int, threads: int = 0
 
 
 def _torus_problem(cfg: dict) -> torus_mod.TorusProblem:
+    from . import torus as torus_mod
+
     S = cfg["problem"]["splus"]
     sc = _scaling(cfg, S)
     xi, trunc = cfg["problem"]["xi"], cfg["truncation"]
@@ -401,6 +409,8 @@ def _torus_problem(cfg: dict) -> torus_mod.TorusProblem:
 
 
 def cmd_solve(cfg: dict, outdir: str, budget: int) -> int:
+    from . import torus as torus_mod
+
     prob = _torus_problem(cfg)
     sched = torus_mod.NewtonSchedule(**_given(cfg["solve"]))
     try:
@@ -429,6 +439,8 @@ def cmd_solve(cfg: dict, outdir: str, budget: int) -> int:
 
 
 def cmd_evolve(cfg: dict, outdir: str, budget: int) -> int:
+    from . import torus as torus_mod
+
     prob = _torus_problem(cfg)
     ev = cfg["evolve"]
     if ev["checkpoint"] is not None:

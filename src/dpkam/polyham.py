@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .core import GR_ZERO, GaussianRational, TangentialSet, as_gaussian, lam
+from .core import GR_I, GR_ZERO, GaussianRational, TangentialSet, as_gaussian, lam
 
 Monomial = tuple[int, ...]
 
@@ -120,15 +120,29 @@ class HomPoly:
 
     def scale(self, c) -> "HomPoly":
         c = as_gaussian(c)
-        if c.is_zero():
-            return HomPoly.zero(self.degree, self.momentum)
-        return HomPoly(self.degree, {m: v * c for m, v in self.terms.items()}, self.momentum)
+        return self.multiplier(lambda _: c)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __len__(self) -> int:
         return len(self.terms)
+
+    def __mul__(self, other: "HomPoly") -> "HomPoly":
+        out = HomPoly.zero(self.degree + other.degree, self.momentum and other.momentum)
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                out.accumulate(tuple(sorted(m1 + m2)), c1 * c2)
+        return out
+
+    def multiplier(self, fn: Callable[[Monomial], GaussianRational | Fraction]) -> "HomPoly":
+        """Multiply each coefficient by fn(monomial), dropping the zero products."""
+        out = HomPoly.zero(self.degree, self.momentum)
+        for m, c in self.terms.items():
+            p = c * fn(m)
+            if not p.is_zero():
+                out.terms[m] = p
+        return out
 
     def map_filter(self, keep: Callable[[Monomial], bool]) -> "HomPoly":
         return HomPoly(
@@ -172,7 +186,6 @@ def poisson_bracket(F: HomPoly, G: HomPoly) -> HomPoly:
         for j in set(m):
             g_by_index[j].append(m)
 
-    i_one = GaussianRational(Fraction(0), Fraction(1))
     for mf, cf in F.terms.items():
         for k_neg in set(mf):
             k = -k_neg
@@ -185,7 +198,7 @@ def poisson_bracket(F: HomPoly, G: HomPoly) -> HomPoly:
                 rest_g = list(mg)
                 rest_g.remove(k)
                 coeff = (
-                    i_one
+                    GR_I
                     * lam(k)
                     * Fraction(mult_f * mult_g)
                     * cf
@@ -197,28 +210,24 @@ def poisson_bracket(F: HomPoly, G: HomPoly) -> HomPoly:
 
 def adjoint_action_h2(K: HomPoly) -> HomPoly:
     """ad_{H2}[K]: multiply each monomial coefficient by i * sum lambda(j_i)."""
-    i_one = GaussianRational(Fraction(0), Fraction(1))
-    out = HomPoly.zero(K.degree, K.momentum)
-    for m, c in K.terms.items():
-        s = monomial_lambda_sum(m)
-        if s != 0:
-            out.accumulate(m, c * (i_one * s))
-    return out
+    return K.multiplier(lambda m: GR_I * monomial_lambda_sum(m))
 
 
-def solve_homological(K: HomPoly) -> HomPoly:
-    """Inverse of the adjoint action on the range: F_M = K_M / (i sum lambda).
+def solve_homological(
+    K: HomPoly, divisor: Callable[[Monomial], Fraction] = monomial_lambda_sum
+) -> HomPoly:
+    """Inverse of the adjoint action on the range: F_M = K_M / (i divisor(M)),
+    with divisor sum lambda(j_i) by default.
 
-    Kernel monomials (sum lambda = 0) are dropped silently; retrieve them with
-    project_kernel.
+    Kernel monomials (divisor 0) are dropped silently; for the default
+    divisor, project_kernel retrieves them.
     """
-    i_one = GaussianRational(Fraction(0), Fraction(1))
-    out = HomPoly.zero(K.degree, K.momentum)
-    for m, c in K.terms.items():
-        s = monomial_lambda_sum(m)
-        if s != 0:
-            out.accumulate(m, c / (i_one * s))
-    return out
+
+    def inverse(m: Monomial) -> GaussianRational:
+        d = divisor(m)
+        return GaussianRational(Fraction(0), -1 / d) if d else GR_ZERO
+
+    return K.multiplier(inverse)
 
 
 # -- projectors -------------------------------------------------------------------

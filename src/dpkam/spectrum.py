@@ -11,20 +11,20 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .core import (
     GR_I,
     GaussianRational,
     ScalingParams,
     TangentialSet,
-    as_gaussian,
     ell_vectors_up_to,
     float_fmt,
     lam,
 )
 from .polyham import (
     HomPoly,
+    adjoint_action_h2,
     poisson_bracket,
     project_trivial,
     project_z_degree,
@@ -78,7 +78,13 @@ def ell_j(S: TangentialSet, xi: Sequence, j: int) -> Fraction:
 def kappa_j(S: TangentialSet, xi: Sequence, j: int) -> Fraction:
     """kappa_j = lambda(j) (l_j - c), checked against the single-fraction form."""
     vals = _xi_fractions(S, xi)
-    value = lam(j) * (ell_j(S, xi, j) - c_of_xi(S, xi))
+    return _kappa(S, vals, j, ell_j(S, vals, j), c_of_xi(S, vals))
+
+
+def _kappa(
+    S: TangentialSet, vals: Sequence[Fraction], j: int, lj: Fraction, c: Fraction
+) -> Fraction:
+    value = lam(j) * (lj - c)
     combined = sum((wc * x for wc, x in zip(w_vec(S, j), vals)), Fraction(0))
     if value != combined:
         raise SpectrumError(f"kappa_j forms disagree at j={j}")
@@ -115,10 +121,13 @@ class EigenModel:
         return ell_j(self.S, self.xi, j)
 
     def kappa(self, j: int) -> Fraction:
-        return kappa_j(self.S, self.xi, j)
+        return _kappa(self.S, self.xi, j, self.ell(j), self.c)
 
     def d0(self, j: int) -> float:
-        return self.m * float(lam(j)) + self.scaling.epsilon**2 * float(self.kappa(j))
+        return self._d0(j, self.kappa(j))
+
+    def _d0(self, j: int, kj: Fraction) -> float:
+        return self.m * float(lam(j)) + self.scaling.epsilon**2 * float(kj)
 
     def residual_bound(self, j: int) -> float:
         """|r_j^infty| <= C eps^(4-3a) / <j> (bound only; the KAM iteration
@@ -131,11 +140,11 @@ class EigenModel:
         out.write("j,lambda,ell_j,kappa_j,j_kappa_j,d0_j\n")
         for j in js:
             lj = self.ell(j)
-            kj = self.kappa(j)
+            kj = _kappa(self.S, self.xi, j, lj, self.c)
             out.write(
                 f"{j},{float_fmt(float(lam(j)))},{float_fmt(float(lj))},"
                 f"{float_fmt(float(kj))},{float_fmt(float(j * kj))},"
-                f"{float_fmt(self.d0(j))}\n"
+                f"{float_fmt(self._d0(j, kj))}\n"
             )
         return out.getvalue()
 
@@ -247,98 +256,35 @@ def min_divisor_scan(
 
 
 # -- homogeneous symbols of the wave-packet function -----------------------------------
+#
+# A p-homogeneous function of the unperturbed wave packet is a degree-p
+# HomPoly over the sites S: the monomial (s_1 <= ... <= s_p) stands for
+# sqrt(xi_{|s_1|} ... xi_{|s_p|}) e^{i (sum s_i) x} e^{i (sum l(s_i)) phi}, so
+# omega_bar . d_phi is `adjoint_action_h2` (l is additive) and d_x multiplies
+# by i sum s_i.
 
 
-class VSymbol(dict):
-    """p-homogeneous function of the unperturbed wave packet:
-    sum over sorted tuples (s_1 <= ... <= s_p), s_i in S, of
-    coeff * sqrt(xi_{s_1} ... xi_{s_p}) e^{i (sum s_i) x} e^{i (sum l(s_i)) phi}.
-
-    Stored as {tuple: GaussianRational} in the monomial basis."""
-
-    def __init__(self, p: int, data: Mapping | None = None):
-        super().__init__()
-        self.p = p
-        if data:
-            for k, v in data.items():
-                self.accumulate(tuple(sorted(k)), as_gaussian(v))
-
-    def accumulate(self, key: tuple[int, ...], coeff: GaussianRational) -> None:
-        cur = self.get(key)
-        cur = coeff if cur is None else cur + coeff
-        if cur.is_zero():
-            self.pop(key, None)
-        else:
-            self[key] = cur
-
-    def scale(self, c) -> "VSymbol":
-        c = as_gaussian(c)
-        return VSymbol(self.p, {k: v * c for k, v in self.items()})
-
-    def __add__(self, other: "VSymbol") -> "VSymbol":
-        if other.p != self.p:
-            raise ValueError("cannot add symbols of different homogeneity")
-        out = VSymbol(self.p, self)
-        for k, v in other.items():
-            out.accumulate(k, v)
-        return out
-
-    def multiplier(self, fn) -> "VSymbol":
-        """Apply a Fourier multiplier: coefficient *= fn(sum of spatial modes)."""
-        out = VSymbol(self.p)
-        for k, v in self.items():
-            out.accumulate(k, v * fn(sum(k)))
-        return out
-
-    def dx(self) -> "VSymbol":
-        return self.multiplier(lambda m: GR_I * Fraction(m))
-
-    def omega_bar_dphi(self) -> "VSymbol":
-        """omega_bar . d_phi: multiplies by i sum lambda(s_i) (l is additive)."""
-        out = VSymbol(self.p)
-        for k, v in self.items():
-            s = sum((lam(s) for s in k), Fraction(0))
-            out.accumulate(k, v * (GR_I * s))
-        return out
-
-    def __mul__(self, other: "VSymbol") -> "VSymbol":
-        out = VSymbol(self.p + other.p)
-        for k1, v1 in self.items():
-            for k2, v2 in other.items():
-                out.accumulate(tuple(sorted(k1 + k2)), v1 * v2)
-        return out
-
-    def spatial_average_xi_form(self, S: TangentialSet) -> dict[int, GaussianRational]:
-        """Zero spatial mode as a linear form in the squared amplitudes.
-
-        Only meaningful for p = 2 here: the tuples (s, -s) carry xi_{|s|}."""
-        out: dict[int, GaussianRational] = {}
-        for k, v in self.items():
-            if sum(k) != 0:
-                continue
-            if self.p == 2 and k[0] == -k[1]:
-                site = abs(k[0])
-                out[site] = out.get(site, GaussianRational()) + v
-            else:
-                raise SpectrumError(
-                    f"average of a non-paired tuple {k} is not a xi-linear form"
-                )
-        return out
+def dx(K: HomPoly) -> HomPoly:
+    return K.multiplier(lambda m: GR_I * sum(m))
 
 
-def vbar_symbol(S: TangentialSet) -> VSymbol:
-    return VSymbol(1, {(s,): GaussianRational(Fraction(1)) for s in S.sites})
+def spatial_average_xi_form(K: HomPoly) -> dict[int, GaussianRational]:
+    """Zero spatial mode of a quadratic symbol as a linear form in the
+    squared amplitudes: the monomial (-s, s) carries xi_s."""
+    if K.degree != 2:
+        raise SpectrumError(f"the average of a degree-{K.degree} symbol is not xi-linear")
+    return {b: v for (a, b), v in K.terms.items() if a + b == 0}
 
 
-def beta1_symbol(S: TangentialSet) -> VSymbol:
+def vbar_symbol(S: TangentialSet) -> HomPoly:
+    return HomPoly(1, {(s,): GaussianRational(Fraction(1)) for s in S.sites})
+
+
+def beta1_symbol(S: TangentialSet) -> HomPoly:
     """beta_1 = (1/3)(Lambda d_x)^{-1} vbar: coefficient -(1+s^2)/(3s) i."""
-    out = VSymbol(1)
-    for s in S.sites:
-        out.accumulate(
-            (s,),
-            GaussianRational(Fraction(0), Fraction(-(1 + s * s), 3 * s)),
-        )
-    return out
+    return HomPoly(
+        1, {(s,): GaussianRational(Fraction(0), Fraction(-(1 + s * s), 3 * s)) for s in S.sites}
+    )
 
 
 def transport_divisor(indices: Sequence[int]) -> Fraction:
@@ -346,40 +292,32 @@ def transport_divisor(indices: Sequence[int]) -> Fraction:
     return sum((lam(j) - j for j in indices), Fraction(0))
 
 
-def solve_transport(f: VSymbol, S: TangentialSet) -> tuple[VSymbol, VSymbol]:
+def solve_transport(f: HomPoly, S: TangentialSet) -> tuple[HomPoly, HomPoly]:
     """Solve omega_bar . d_phi beta - beta_x = f termwise.
 
     Non-resonant tuples get beta = f / (i * divisor); resonant tuples
     (vanishing transport divisor) are returned separately -- for p = 2 they
     are the spatial average, for p = 4 they feed the eps^4 frequency
     correction d(omega)."""
-    if f.p > 5:
+    if f.degree > 5:
         raise SpectrumError("transport equations are solved for p <= 5")
-    beta = VSymbol(f.p)
-    resonant = VSymbol(f.p)
-    for k, v in f.items():
-        d = transport_divisor(k)
-        if d == 0:
-            resonant.accumulate(k, v)
-        else:
-            beta.accumulate(k, v / (GR_I * d))
-    return beta, resonant
+    resonant = f.map_filter(lambda m: transport_divisor(m) == 0)
+    return solve_homological(f, transport_divisor), resonant
 
 
 def beta1_solves_transport(S: TangentialSet) -> bool:
     """Coefficientwise check that beta_1 solves
     omega_bar . d_phi beta - beta_x - vbar = 0."""
     b = beta1_symbol(S)
-    residual = b.omega_bar_dphi() + b.dx().scale(-1) + vbar_symbol(S).scale(-1)
-    return not residual
+    return (adjoint_action_h2(b) - dx(b) - vbar_symbol(S)).is_zero()
 
 
-def psi2_symbol(S: TangentialSet, F3: HomPoly) -> VSymbol:
+def psi2_symbol(S: TangentialSet, F3: HomPoly) -> HomPoly:
     """Quadratic Birkhoff-map term Psi_2(vbar) = -X_{F^(3,<=1)}(vbar).
 
     (X_F)_j = i lambda(j) dF/du_{-j}; evaluating at u = vbar keeps the
     monomials whose two remaining slots are tangential."""
-    out = VSymbol(2)
+    out = HomPoly.zero(2)
     sset = set(S.sites)
     for mono, c in F3.terms.items():
         for slot in set(mono):
@@ -390,26 +328,26 @@ def psi2_symbol(S: TangentialSet, F3: HomPoly) -> VSymbol:
             j = -slot
             mult = mono.count(slot)
             coeff = (GR_I * lam(j)) * c * Fraction(mult)
-            out.accumulate(tuple(sorted(rest)), coeff.__neg__())
+            out.accumulate(tuple(sorted(rest)), -coeff)
     return out
 
 
-def f2_symbol(S: TangentialSet, F3: HomPoly) -> VSymbol:
+def f2_symbol(S: TangentialSet, F3: HomPoly) -> HomPoly:
     """f_2(vbar) = -Psi_2(vbar) + (1/4) d_xx(beta_1^2) - (1/2) beta_1 vbar_x
     + (1/2) vbar (beta_1)_x."""
     vbar = vbar_symbol(S)
     b1 = beta1_symbol(S)
     out = psi2_symbol(S, F3).scale(-1)
-    out = out + (b1 * b1).dx().dx().scale(Fraction(1, 4))
-    out = out + (b1 * vbar.dx()).scale(Fraction(-1, 2))
-    out = out + (vbar * b1.dx()).scale(Fraction(1, 2))
+    out = out + dx(dx(b1 * b1)).scale(Fraction(1, 4))
+    out = out + (b1 * dx(vbar)).scale(Fraction(-1, 2))
+    out = out + (vbar * dx(b1)).scale(Fraction(1, 2))
     return out
 
 
 def c_via_f2(S: TangentialSet, xi: Sequence, F3: HomPoly) -> Fraction:
     """Average of f_2(vbar) with xi weights; must equal c_of_xi exactly."""
     vals = _xi_fractions(S, xi)
-    form = f2_symbol(S, F3).spatial_average_xi_form(S)
+    form = spatial_average_xi_form(f2_symbol(S, F3))
     total = Fraction(0)
     for site, coeff in form.items():
         if coeff.im != 0:

@@ -202,21 +202,18 @@ def normalized_det_limit_form(x: Fraction, nu: int) -> Fraction:
 # -- frequency-amplitude map ----------------------------------------------------------
 
 
-def frequency_map(S: TangentialSet, xi: Sequence, eps: float) -> list:
-    """alpha(xi) = omega_bar + eps^2 A xi (exact when xi and eps^2 are rational).
+def frequency_map(S: TangentialSet, xi: Sequence, eps: Fraction) -> list[Fraction]:
+    """alpha(xi) = omega_bar + eps^2 A xi, exactly: xi and eps must be int or
+    Fraction (TypeError otherwise).
 
     The O(eps^4) correction of the full map is out of scope here.
     """
+    if not all(isinstance(v, (int, Fraction)) for v in (*xi, eps)):
+        raise TypeError("frequency_map takes exact xi and eps (int or Fraction)")
     td = twist_matrix(S)
-    if all(isinstance(v, (int, Fraction)) for v in xi) and isinstance(
-        eps, (int, Fraction)
-    ):
-        e2 = Fraction(eps) ** 2
-        Ax = mat_vec(td.A, [Fraction(v) for v in xi])
-        return [w + e2 * a for w, a in zip(td.omega_bar, Ax)]
-    e2 = float(eps) ** 2
-    Ax = mat_vec(td.A, [Fraction(v) if isinstance(v, int) else v for v in list(xi)])
-    return [float(w) + e2 * float(a) for w, a in zip(td.omega_bar, Ax)]
+    e2 = Fraction(eps) ** 2
+    Ax = mat_vec(td.A, [Fraction(v) for v in xi])
+    return [w + e2 * a for w, a in zip(td.omega_bar, Ax)]
 
 
 def inverse_frequency_map(

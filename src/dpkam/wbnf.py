@@ -84,8 +84,6 @@ def dp_h3(universe: frozenset[int]) -> HomPoly:
 @dataclass(frozen=True)
 class ResonanceTuple:
     indices: Monomial
-    momentum_ok: bool
-    h2_resonant: bool
     m_resonant_up_to: int
     trivial: bool
     permutations: int
@@ -181,8 +179,6 @@ def enumerate_h2_resonances(
         out.append(
             ResonanceTuple(
                 indices=mono,
-                momentum_ok=True,
-                h2_resonant=True,
                 m_resonant_up_to=m_resonant_up_to(mono, m_cap),
                 trivial=is_trivial_monomial(mono),
                 permutations=ordering_count(mono),

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -170,6 +172,7 @@ REJECTED = {
     "three xi for nu = 2": ("resonances", "", ["--set", "problem.xi=1 3/2 2"],
                             "xi must have 2 entries"),
     "malformed f_coeffs": ("resonances", "f_coeffs = 9:x\n", [], "[problem] f_coeffs: '9:x'"),
+    "f_coeffs below order 9": ("resonances", "f_coeffs = 3:1.0\n", [], "[problem] f_coeffs"),
     "too few samples": ("measure", "", ["--set", "mc.samples=10"], "[mc] samples must be at least"),
     "ell_max 0": ("measure", "", ["--set", "mc.ell_max=0"], "[mc] ell_max must be at least 1"),
     "epsilon above 1": ("measure", "", ["--set", "mc.eps_values=0.1 1.5"],
@@ -186,6 +189,15 @@ def test_rejected_input_exits_3(tmp_path, capsys, verb, extra, args, message):
     assert rc == 3
     assert err.startswith("usage error:") and message in err and "Traceback" not in err
     assert not os.path.exists(tmp_path / "o")
+
+
+def test_import_leaves_scipy_unloaded():
+    # torus, and with it scipy, is imported only by the verbs that solve or evolve
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import sys, dpkam.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_bad_argument_exits_3():

@@ -146,6 +146,20 @@ def test_solve_homological_inverse_on_range():
     assert solve_homological(adjoint_action_h2(F)).terms == project_range(F).terms
 
 
+def test_product_obeys_the_leibniz_rule():
+    # the bracket and the adjoint action are derivations of the product
+    rng = random.Random(11)
+    F = random_hompoly(rng, 3, bound=3)
+    G = random_hompoly(rng, 2, bound=3)
+    H = random_hompoly(rng, 3, bound=3)
+    assert (G * H).degree == 5 and (G * H).terms == (H * G).terms
+    lhs = poisson_bracket(F, G * H)
+    assert lhs.terms == (poisson_bracket(F, G) * H + G * poisson_bracket(F, H)).terms
+    assert not lhs.is_zero()
+    ad = adjoint_action_h2(G * H)
+    assert ad.terms == (adjoint_action_h2(G) * H + G * adjoint_action_h2(H)).terms
+
+
 def test_solve_homological_cubic_value():
     # cubic coefficient -1/6 at (6,7,-13): divisor lam(6)+lam(7)-lam(13)
     d = lam(6) + lam(7) + lam(-13)

@@ -126,6 +126,14 @@ def test_inverse_frequency_map_roundtrip():
         inverse_frequency_map(S, bad, Fraction(1, 50))
 
 
+def test_frequency_map_rejects_floats():
+    S = TangentialSet.make([6, 7])
+    with pytest.raises(TypeError):
+        frequency_map(S, [1.5, 1.5], Fraction(1, 100))
+    with pytest.raises(TypeError):
+        frequency_map(S, [1, 1], 0.01)
+
+
 def test_frequency_map_jacobian_affine():
     S = TangentialSet.make([6, 7])
     td = twist_matrix(S)
