@@ -15,11 +15,12 @@ functional is
 
 Angle truncation is the square |l|_inf <= N_phi; spatial truncation keeps
 normal modes |j| <= N_x.  All nonlinear terms are evaluated pseudo-spectrally
-with 3x padding (exact dealiasing for the cubic nonlinearity).
+with 3x padding (exact dealiasing for the cubic nonlinearity), in x with
+enough points for the top power of f as well (TorusProblem.m_x).  Newton
+moves the coefficients on the momentum lattice alone (TorusProblem.lattice).
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -31,7 +32,7 @@ import scipy.sparse.linalg as spla
 
 from .core import ScalingParams, TangentialSet, lam
 from .polyham import HomPoly, z_degree
-from .wbnf import BudgetExceeded, dp_h2, dp_h3, index_universe, run_wbnf
+from .wbnf import dp_h2, dp_h3, index_universe, run_wbnf
 from .polyham import flow_conjugate
 
 
@@ -101,20 +102,6 @@ class AngleTransform:
         m = self.m
         idx = self.ells % m
         return scipy.fft.fft2(grid)[..., idx[:, None], idx] / (m * m)
-
-    @functools.cached_property
-    def shift_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The coefficient pairs (l_r, l_c), as flat indices (l1+N)(2N+1) +
-        l2+N, sorted by their shift d = l_r - l_c: the pairs of shift number
-        (d1+2N)(4N+1) + d2+2N are rows[starts[k]:starts[k+1]],
-        cols[starts[k]:starts[k+1]].  Returns int32 (rows, cols, starts)."""
-        n = 2 * self.n_phi + 1
-        l1, l2 = np.divmod(np.arange(n * n, dtype=np.int32), n)
-        shift = (l1[:, None] - l1 + n - 1) * (2 * n - 1) + (l2[:, None] - l2 + n - 1)
-        order = np.argsort(shift, axis=None, kind="stable").astype(np.int32)
-        rows, cols = np.divmod(order, n * n)
-        starts = np.searchsorted(shift.ravel()[order], np.arange((2 * n - 1) ** 2 + 1))
-        return rows, cols, starts.astype(np.int32)
 
 
 # -- the embedding -------------------------------------------------------------------
@@ -232,6 +219,21 @@ class TorusProblem:
         self.at = AngleTransform(self.grid.n_phi, self.grid.m_phi)
         self.lam_js = np.array([float(lam(j)) for j in self.js])
         self.lam_sites = np.array([float(lam(s)) for s in self.S.splus])
+        # x-points that resolve P'(u) and P''(u) at the modes the residual and
+        # the Jacobian read: the grid's padding serves the cubic term, a term
+        # u^k of f needs k n_x + 1.  An aliased product would move
+        # coefficients off the momentum lattice.
+        top = max(self.f_spec.coeffs, default=0)
+        self.m_x = max(self.grid.m_x, scipy.fft.next_fast_len(top * self.grid.n_x + 1))
+        # The momentum lattice, as flat indices into TorusEmbedding.x.ravel():
+        # the coefficients (family, l) with l.sbar equal to the family's
+        # x-mode, 0 for Theta and y and j_k for z_k.  DP commutes with
+        # x-translation, so the functional maps an embedding supported there
+        # to a residual supported there, and Newton moves these alone.
+        ells = _ell_values(self.grid.n_phi)
+        momentum = self.S.splus[0] * ells[:, None] + self.S.splus[1] * ells
+        modes = np.concatenate([np.zeros(2 * self.S.nu, dtype=int), self.js])
+        self.lattice = np.flatnonzero(momentum == modes[:, None, None])
 
     @property
     def eps(self) -> float:
@@ -251,7 +253,7 @@ class GridState:
     stacked as ux[mode % m_x] and gx[mode % m_x]."""
 
     def __init__(self, prob: TorusProblem, emb: TorusEmbedding):
-        at, m, mx = prob.at, prob.at.m, prob.grid.m_x
+        at, m, mx = prob.at, prob.at.m, prob.m_x
         eps, b = prob.eps, prob.b
         sites = np.array(prob.S.splus)
 
@@ -332,15 +334,6 @@ def residual(prob: TorusProblem, emb: TorusEmbedding) -> Residual:
 # -- Jacobian --------------------------------------------------------------------------
 
 
-def _ranges(starts: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index ranges starts[g] .. starts[g+1] - 1 for g in `groups`,
-    concatenated, and for each index the position in `groups` it came from."""
-    counts = starts[groups + 1] - starts[groups]
-    owner = np.repeat(np.arange(len(groups), dtype=np.int32), counts)
-    offset = starts[groups] - (np.cumsum(counts, dtype=np.int32) - counts)
-    return np.arange(owner.size, dtype=np.int32) + offset[owner], owner
-
-
 def _jacobian_symbols(prob: TorusProblem, gs: GridState, droptol: float):
     """The multiplication symbols of the Jacobian's blocks, stacked as
     (symbols, m, m), and per block its row family, column family, symbol and
@@ -403,94 +396,69 @@ def _jacobian_symbols(prob: TorusProblem, gs: GridState, droptol: float):
     )
 
 
-# Most shifted entries one Jacobian may hold: an entry costs 24 bytes as COO
-# (two int32 indices and a complex128 value) and 20 more in the CSC matrix, so
-# 22 million entries are about 1 GB.
-JACOBIAN_MAX_ENTRIES = 22_000_000
-
-
 def jacobian(
     prob: TorusProblem, emb: TorusEmbedding, droptol: float = 1e-11
 ) -> sp.csc_matrix:
-    """Analytic Jacobian of the residual in Fourier variables (verified
+    """Analytic Jacobian of the residual on the momentum lattice (verified
     against finite differences in the test suite).
 
-    Unknowns (complex): the families of TorusEmbedding.x, Theta_i, y_i
-    (i < nu) and z_k (k < nj) of L = (2N+1)^2 coefficients each, in that
-    order, then zeta (nu).  The
-    block between two families is omega.d_phi on the diagonal plus the
-    multiplication operator of a symbol mu(phi), J[l_r, l_c] = mu_hat(l_r - l_c);
-    all symbols go through one fft2 and entries |mu_hat| <= droptol are
-    dropped.  The last nu rows fix the translation degeneracies by
-    Theta_i(0) = 0.  More than JACOBIAN_MAX_ENTRIES kept entries raise
-    BudgetExceeded before any of them is built."""
+    Unknowns (complex): the lattice coefficients x.ravel()[prob.lattice] of
+    TorusEmbedding.x, in that order, then zeta (nu).  Rows: the residual at
+    the same coefficients, then the nu phase rows Theta_i(0) = 0 that fix
+    the translation degeneracies.  The block between two families is
+    omega.d_phi on the diagonal plus the multiplication operator of a symbol
+    mu(phi), J[l_r, l_c] = mu_hat(l_r - l_c); all symbols go through one
+    fft2, the entries are read for the lattice pairs alone, and those with
+    |mu_hat| <= droptol are dropped."""
     m, N = prob.at.m, prob.grid.n_phi
-    nu, L = prob.S.nu, prob.grid.n_ell**2
+    nu, L, lat = prob.S.nu, prob.grid.n_ell**2, prob.lattice
     syms, (brow, bcol, bsym, bcoef) = _jacobian_symbols(prob, GridState(prob, emb), droptol)
-    nsym = len(syms)
     sidx = np.arange(-2 * N, 2 * N + 1) % m
-    hat = scipy.fft.fft2(syms, overwrite_x=True)[:, sidx[:, None], sidx].reshape(nsym, -1)
+    hat = scipy.fft.fft2(syms, overwrite_x=True)[:, sidx[:, None], sidx].reshape(len(syms), -1)
     del syms
-    hat /= m * m
-    ahat = np.abs(hat)
 
-    # kept (block, shift): |coef| |mu_hat| > droptol, screened per symbol first
-    order = np.argsort(bsym, kind="stable")
-    sym_start = np.searchsorted(bsym[order], np.arange(nsym + 1)).astype(np.int32)
-    cmax = np.zeros(nsym)
-    np.maximum.at(cmax, bsym, np.abs(bcoef))
-    f, s = np.nonzero(ahat * cmax[:, None] > droptol)
-    idx, owner = _ranges(sym_start, f)
-    blk, f, s = order[idx], f[owner], s[owner]
-    keep = ahat[f, s] * np.abs(bcoef[blk]) > droptol
-    blk, s = blk[keep], s[keep]
-    val = bcoef[blk] * hat[f[keep], s]
-    del hat, ahat
+    # the block of each (row family, column family), -1 where there is none,
+    # and the shift number (d1+2N)(4N+1) + d2+2N of each lattice pair
+    fam, cell = np.divmod(lat, L)
+    l1, l2 = np.divmod(cell, 2 * N + 1)
+    block = np.full((2 * nu + len(prob.js),) * 2, -1)
+    block[brow, bcol] = np.arange(len(brow))
+    blk = block[fam[:, None], fam]
+    rows, cols = np.nonzero(blk >= 0)
+    blk = blk[rows, cols]
+    shift = (l1[rows] - l1[cols] + 2 * N) * (4 * N + 1) + l2[rows] - l2[cols] + 2 * N
+    val = bcoef[blk] * (hat[bsym[blk], shift] / (m * m))
+    keep = np.abs(val) > droptol
 
-    # scatter every kept shift to its (l_r, l_c) pairs, then the diagonal
-    # omega.d_phi (- i lambda_j), zeta_i in the l = 0 row of y_i and the
-    # phase rows on Theta_i(0)
-    pair_rows, pair_cols, pair_start = prob.at.shift_pairs
-    fill = int((pair_start[s + 1] - pair_start[s]).sum(dtype=np.int64))
-    if fill > JACOBIAN_MAX_ENTRIES:
-        raise BudgetExceeded(
-            f"the Jacobian would hold {fill} shifted entries, above "
-            f"JACOBIAN_MAX_ENTRIES = {JACOBIAN_MAX_ENTRIES}"
-        )
-    idx, owner = _ranges(pair_start, s)
-    n, z0, c0 = len(idx), (2 * nu + len(prob.js)) * L, N * (2 * N + 2)
-    rows = np.empty(n + z0 + 2 * nu, dtype=np.int32)
-    cols = np.empty_like(rows)
-    vals = np.empty(len(rows), dtype=complex)
-    np.take(pair_rows, idx, out=rows[:n])
-    rows[:n] += np.take(L * brow[blk], owner)
-    np.take(pair_cols, idx, out=cols[:n])
-    cols[:n] += np.take(L * bcol[blk], owner)
-    np.take(val, owner, out=vals[:n])
-    del idx, owner
-    iwl = _iwl(prob).ravel()
-    i = np.arange(nu, dtype=np.int32)
-    rows[n:] = np.concatenate([np.arange(z0), (nu + i) * L + c0, z0 + i])
-    cols[n:] = np.concatenate([np.arange(z0), z0 + i, i * L + c0])
-    vals[n:] = np.concatenate([np.tile(iwl, 2 * nu),
-                               (iwl - 1j * prob.lam_js[:, None]).ravel(), np.ones(2 * nu)])
-    return sp.csc_matrix((vals, (rows, cols)), shape=(z0 + nu, z0 + nu))
+    # the diagonal omega.d_phi (- i lambda_j), zeta_i in the l = 0 row of
+    # y_i and the phase rows on Theta_i(0)
+    n, c0 = len(lat), N * (2 * N + 2)
+    i = np.arange(nu)
+    lam_fam = np.concatenate([np.zeros(2 * nu), prob.lam_js])
+    diag = _iwl(prob).ravel()[cell] - 1j * lam_fam[fam]
+    y0, th0 = np.searchsorted(lat, (nu + i) * L + c0), np.searchsorted(lat, i * L + c0)
+    rows = np.concatenate([rows[keep], np.arange(n), y0, n + i])
+    cols = np.concatenate([cols[keep], np.arange(n), n + i, th0])
+    vals = np.concatenate([val[keep], diag, np.ones(2 * nu)])
+    return sp.csc_matrix((vals, (rows, cols)), shape=(n + nu, n + nu))
 
 
 def _flatten_residual(
     prob: TorusProblem, res: Residual, emb: TorusEmbedding
 ) -> np.ndarray:
-    """The Jacobian's rows: the residual, then the phase rows Theta_i(0)."""
+    """The Jacobian's rows: the residual on the lattice, then the phase rows
+    Theta_i(0)."""
     c = prob.grid.n_phi
-    return np.concatenate([res.f.ravel(), emb.theta[:, c, c]])
+    return np.concatenate([res.f.ravel()[prob.lattice], emb.theta[:, c, c]])
 
 
 # -- Newton solver ----------------------------------------------------------------------
 
 MAX_BACKTRACK = 8  # step halvings tried before a Newton step counts as failed
-# Largest system solved densely (least squares) when sparse LU fails: the
-# dense J.toarray() of 6 000 complex unknowns is about 576 MB.
-DENSE_MAX_UNKNOWNS = 6000
+# Largest off-lattice coefficient a Newton start may carry; Newton sets the
+# start's off-lattice part to zero.  Full-grid solves left at most 1.8e-15
+# there, so a larger part is not rounding but a start off the lattice.
+OFF_LATTICE_MAX = 1e-13
 
 
 @dataclass
@@ -524,27 +492,18 @@ def min_linear_divisor(prob: TorusProblem) -> tuple[float, tuple]:
     return float(div[a, a2, k]), ((int(ells[a]), int(ells[a2])), prob.js[k])
 
 
-def _linear_steps(J: sp.csc_matrix, rhs: np.ndarray, prob: TorusProblem):
-    """The Newton steps to try, in order: the sparse LU solve, then, for at
-    most DENSE_MAX_UNKNOWNS unknowns, the minimum-norm least-squares solve.
-    An exactly singular block (e.g. the zero-nonlinearity problem, where
-    constant action shifts do not move the frequency) can leave LU with no
-    step or a finite but useless one.  A failed LU on a larger system raises."""
+def _linear_steps(J: sp.csc_matrix, rhs: np.ndarray):
+    """The Newton steps to try, in order: the sparse LU solve, then the
+    minimum-norm least-squares solve.  An exactly singular block (e.g. the
+    zero-nonlinearity problem, where constant action shifts do not move the
+    frequency) can leave LU with no step or a finite but useless one."""
     try:
         delta = spla.splu(J).solve(rhs)
     except RuntimeError:
         delta = None
-    dense = J.shape[0] <= DENSE_MAX_UNKNOWNS
     if delta is not None and np.all(np.isfinite(delta)):
         yield delta
-    elif not dense:
-        div, wit = min_linear_divisor(prob)
-        raise TorusError(
-            "singular linearization; nearest linear divisor "
-            f"|omega.l - lambda(j)| = {div:.3e} at {wit}"
-        )
-    if dense:
-        yield np.linalg.lstsq(J.toarray(), rhs, rcond=None)[0]
+    yield np.linalg.lstsq(J.toarray(), rhs, rcond=None)[0]
 
 
 def newton_solve(
@@ -553,7 +512,10 @@ def newton_solve(
     schedule: NewtonSchedule | None = None,
 ) -> NewtonResult:
     """Damped Newton on (embedding, zeta) with the geometric projection
-    schedule; the linearized system is solved by sparse LU on the truncation.
+    schedule; the linearized system is solved by sparse LU on the momentum
+    lattice (see `TorusProblem`), and the step moves the lattice coefficients
+    alone.  A start whose off-lattice coefficients exceed OFF_LATTICE_MAX
+    raises TorusError; a smaller off-lattice part is set to zero.
 
     Step n is projected to the angle modes |l|_inf <= N_n = N_0^(chi^n),
     capped at n_phi (see `TorusEmbedding.project`); the spatial truncation
@@ -567,6 +529,15 @@ def newton_solve(
     sup-norm."""
     schedule = schedule or NewtonSchedule()
     emb = (start or TorusEmbedding.trivial(prob.S, prob.grid)).copy()
+    off = emb.x.copy()
+    off.reshape(-1)[prob.lattice] = 0
+    size = float(np.abs(off).max())
+    if size > OFF_LATTICE_MAX:
+        raise TorusError(
+            f"the start has off-lattice coefficients up to {size:.3e}, above "
+            f"OFF_LATTICE_MAX = {OFF_LATTICE_MAX:.0e}; Newton moves the lattice alone"
+        )
+    emb.x -= off
     nu = prob.S.nu
     res = residual(prob, emb)
     history = [res.sup]
@@ -587,7 +558,7 @@ def newton_solve(
             step = 1.0
             for _ in range(MAX_BACKTRACK + 1):
                 trial = emb.copy()
-                trial.x += step * d[:-nu].reshape(trial.x.shape)
+                trial.x.reshape(-1)[prob.lattice] += step * d[:-nu]
                 trial.zeta += (step * d[-nu:]).real
                 trial.enforce_reality()
                 trial.project(cutoff)
@@ -602,12 +573,14 @@ def newton_solve(
                 step *= 0.5
             return False
 
-        improved = any(try_delta(d) for d in _linear_steps(J, rhs, prob))
+        improved = any(try_delta(d) for d in _linear_steps(J, rhs))
         if not improved:
             grow += 1
             if grow >= 3:
+                div, wit = min_linear_divisor(prob)
                 raise DivergenceError(
-                    f"residual stalled/grew for 3 steps (last {res.sup:.3e})"
+                    f"residual stalled/grew for 3 steps (last {res.sup:.3e}); nearest "
+                    f"linear divisor |omega.l - lambda(j)| = {div:.3e} at {wit}"
                 )
         elif not partial:
             grow = 0
