@@ -1,10 +1,11 @@
-"""Galerkin truncation of the rescaled Hamiltonian system, the invariant-torus
-functional, a Newton solver with the geometric projection schedule, the
-linearized normal-direction operator, and a pseudo-spectral time integrator:
-ETDRK4 on the real half spectrum (rfft), with step doubling whose full step
-and first half step share N(u).  One function, `nonlinear_density`, evaluates
-the nonlinear density P(u) = -u^3/6 + f(u) and its derivatives for the
-residual, the Jacobian and the integrator.
+"""Galerkin truncation of the rescaled Hamiltonian system on the momentum
+lattice, the invariant-torus functional on T^nu, a Newton solver with the
+geometric projection schedule, the linearized normal-direction operator, and
+a pseudo-spectral time integrator: ETDRK4 on the real half spectrum (rfft),
+with step doubling whose full step and first half step share N(u).  One
+function, `nonlinear_density`, evaluates the nonlinear density
+P(u) = -u^3/6 + f(u) and its derivatives for the residual, the Jacobian and
+the integrator.
 
 Coordinates: (theta, y, z) with u = A_eps(theta, y, z),
     u_s = eps sqrt(xi_s + eps^(2b-2)|lambda(s)| y_s) e^{i theta_s},  s in S,
@@ -13,14 +14,22 @@ and H_eps = eps^(-2b) [H^(2)(u) + H^(3)(u) + f-part].  The invariant-torus
 functional is
     F(i, zeta) = omega . d_phi i - X_{H_eps}(i) + (0, zeta, 0).
 
-Angle truncation is the square |l|_inf <= N_phi; spatial truncation keeps
-normal modes |j| <= N_x.  All nonlinear terms are evaluated pseudo-spectrally
-with 3x padding (exact dealiasing for the cubic nonlinearity), in x with
-enough points for the top power of f as well (TorusProblem.m_x).  Newton
-moves the coefficients on the momentum lattice alone (TorusProblem.lattice).
+DP commutes with x-translation and the wave packet keeps momentum, so the
+torus is a traveling quasi-periodic wave u(x, phi) = V(phi + sbar x): an
+angle mode l of a family can be nonzero only when l.sbar equals the
+family's x-mode, 0 for Theta and y and j for z_j (`MomentumLattice`).  The
+embedding holds these coefficients alone, the z_j merged into one function
+Z on T^nu, and the functional is evaluated on the angle grid of T^nu alone:
+V = sum_s 2 eps rho_s cos(psi_s + Theta_s) + eps^b Z and G = V + P'(V), and
+each row reads the lattice coefficients of G times its prefactor.
+
+Angle truncation is the square |l|_inf <= N_phi; the normal modes are the
+lattice points with |l.sbar| <= N_x.  Nonlinear terms are evaluated
+pseudo-spectrally on the padded angle grid (TorusProblem.at).
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -50,8 +59,7 @@ class DivergenceError(TorusError):
 @dataclass(frozen=True)
 class TruncationGrid:
     """Fourier truncation: angle modes |l|_inf <= n_phi, normal modes
-    |j| <= n_x, with padded pseudo-spectral grids (>= 3/2 dealiasing for the
-    cubic nonlinearity)."""
+    |j| <= n_x, with a padded pseudo-spectral angle grid."""
 
     n_x: int
     n_phi: int
@@ -69,39 +77,70 @@ class TruncationGrid:
         return scipy.fft.next_fast_len(4 * self.n_phi + 2)
 
     @property
-    def m_x(self) -> int:
-        return scipy.fft.next_fast_len(3 * max(self.n_x, 2 * self.jbar1) + 1)
-
-    @property
     def n_ell(self) -> int:
         return 2 * self.n_phi + 1
 
 
-def _ell_values(n_phi: int) -> np.ndarray:
-    return np.arange(-n_phi, n_phi + 1)
+def normal_modes(S: TangentialSet, n_x: int) -> list[int]:
+    return [j for j in range(-n_x, n_x + 1) if S.in_sc(j)]
+
+
+class MomentumLattice:
+    """The Newton unknowns: the angle modes l, |l|_inf <= n_phi, whose
+    momentum l.sbar equals their family's x-mode.  The entries run in blocks
+    Theta_1..Theta_nu, y_1..y_nu (l.sbar = 0 each) and z (l.sbar a normal mode
+    j, |j| <= n_x), each block in the row-major order of l.  DP commutes with
+    x-translation, so the functional maps an embedding supported here to a
+    residual supported here.
+
+    fam: the block of each entry, i for Theta_i, nu + i for y_i, 2 nu for z;
+    full_fam: its family in the full truncation, 2 nu + k for z_j with
+    j = js[k]; ell: (n, nu) angle modes; j: momentum l.sbar; neg: the entry of
+    (fam, -l); origin: the entries of l = 0 in the 2 nu tangential blocks."""
+
+    def __init__(self, S: TangentialSet, grid: TruncationGrid):
+        L, nt = grid.n_ell**2, 2 * S.nu
+        ells = np.arange(-grid.n_phi, grid.n_phi + 1)
+        l1, l2 = (a.ravel() for a in np.meshgrid(ells, ells, indexing="ij"))
+        momentum = S.splus[0] * l1 + S.splus[1] * l2
+        js = normal_modes(S, grid.n_x)
+        zero, normal = np.flatnonzero(momentum == 0), np.flatnonzero(np.isin(momentum, js))
+        cell = np.concatenate([np.tile(zero, nt), normal])
+        self.fam = np.repeat(np.arange(nt + 1), [len(zero)] * nt + [len(normal)])
+        self.ell = np.stack([l1[cell], l2[cell]], axis=1)
+        self.j = momentum[cell]
+        self.full_fam = np.where(self.fam < nt, self.fam, nt + np.searchsorted(js, self.j))
+        # -l sits at row-major cell L - 1 - cell; the keys fam L + cell ascend
+        key = self.fam * L + cell
+        self.neg = np.searchsorted(key, self.fam * L + L - 1 - cell)
+        self.origin = np.flatnonzero((cell == L // 2) & (self.fam < nt))
+        for a in (self.fam, self.ell, self.j, self.full_fam, self.neg, self.origin):
+            a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=None)
+def momentum_lattice(S: TangentialSet, grid: TruncationGrid) -> MomentumLattice:
+    """The lattice of (S, grid), built once and shared read-only."""
+    return MomentumLattice(S, grid)
 
 
 class AngleTransform:
-    """Maps between coefficient arrays indexed [..., l1+N, l2+N] and values on
-    the padded angle grid (nu = 2 throughout the torus module).  Leading axes
-    are a stack of fields, transformed in one call."""
+    """Maps between coefficients, given per entry as a field of a stack and
+    an angle mode l (nu = 2 throughout the torus module), and values on the
+    padded (m, m) angle grid; one FFT transforms the whole stack."""
 
-    def __init__(self, n_phi: int, m_phi: int):
-        self.n_phi = n_phi
-        self.m = m_phi
-        self.ells = _ell_values(n_phi)
+    def __init__(self, m: int):
+        self.m = m
 
-    def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
+    def to_grid(self, coeffs: np.ndarray, fields: np.ndarray, ell: np.ndarray, n_fields: int):
         m = self.m
-        big = np.zeros(coeffs.shape[:-2] + (m, m), dtype=complex)
-        idx = self.ells % m
-        big[..., idx[:, None], idx] = coeffs
-        return scipy.fft.ifft2(big) * m * m
+        big = np.zeros((n_fields, m, m), dtype=complex)
+        big[fields, ell[:, 0] % m, ell[:, 1] % m] = coeffs
+        return scipy.fft.ifft2(big, overwrite_x=True) * (m * m)
 
-    def to_coeffs(self, grid: np.ndarray) -> np.ndarray:
+    def to_coeffs(self, grid: np.ndarray, fields: np.ndarray, ell: np.ndarray) -> np.ndarray:
         m = self.m
-        idx = self.ells % m
-        return scipy.fft.fft2(grid)[..., idx[:, None], idx] / (m * m)
+        return scipy.fft.fft2(grid)[fields, ell[:, 0] % m, ell[:, 1] % m] / (m * m)
 
 
 # -- the embedding -------------------------------------------------------------------
@@ -109,13 +148,12 @@ class AngleTransform:
 
 @dataclass
 class TorusEmbedding:
-    """Truncated Fourier data of (Theta, y, z) and the counterterm zeta.
+    """The lattice coefficients of (Theta, y, z) and the counterterm zeta.
 
-    x: complex (2 nu + n_j, 2N+1, 2N+1), the families Theta_1..Theta_nu,
-    y_1..y_nu, z_1..z_nj (z_k at the normal mode js[k]) in the order of the
-    Jacobian's unknowns, with the reality symmetry x_f(-l) = conj(x_f'(l)),
-    where f' = f on Theta and y and j -> -j on z; zeta: (nu,) real.
-    theta, y and z are views of x."""
+    x: complex (n,), the entries of `momentum_lattice(S, grid)` in its order,
+    which is the order of the Jacobian's unknowns, with the reality symmetry
+    x(fam, -l) = conj(x(fam, l)) (on z it maps z_j to z_-j); zeta: (nu,)
+    real."""
 
     S: TangentialSet
     grid: TruncationGrid
@@ -124,46 +162,26 @@ class TorusEmbedding:
 
     @classmethod
     def trivial(cls, S: TangentialSet, grid: TruncationGrid) -> "TorusEmbedding":
-        n, nj = grid.n_ell, len(normal_modes(S, grid.n_x))
-        return cls(S, grid, np.zeros((2 * S.nu + nj, n, n), dtype=complex), np.zeros(S.nu))
+        n = len(momentum_lattice(S, grid).fam)
+        return cls(S, grid, np.zeros(n, dtype=complex), np.zeros(S.nu))
 
     def copy(self) -> "TorusEmbedding":
         return TorusEmbedding(self.S, self.grid, self.x.copy(), self.zeta.copy())
 
     @property
-    def theta(self) -> np.ndarray:
-        return self.x[: self.S.nu]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.x[self.S.nu : 2 * self.S.nu]
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.x[2 * self.S.nu :]
+    def lattice(self) -> MomentumLattice:
+        return momentum_lattice(self.S, self.grid)
 
     def enforce_reality(self) -> None:
-        nt = 2 * self.S.nu
-        perm = np.concatenate([np.arange(nt), nt + _neg_perm(normal_modes(self.S, self.grid.n_x))])
-        self.x += np.conj(self.x[perm, ::-1, ::-1])
+        self.x += np.conj(self.x[self.lattice.neg])
         self.x *= 0.5
 
     def project(self, cutoff: int) -> None:
         """Apply the schedule projector Pi_n: keep the angle modes
-        |l|_inf <= cutoff of every family.  The projector acts on the angles
-        only; the x-modes of z keep the Galerkin truncation |j| <= n_x, so
-        the quadratic images |j| <= 2 jbar1 of the packet survive every step."""
-        ells = np.abs(_ell_values(self.grid.n_phi))
-        self.x *= (ells[:, None] <= cutoff) & (ells <= cutoff)
-
-
-def normal_modes(S: TangentialSet, n_x: int) -> list[int]:
-    return [j for j in range(-n_x, n_x + 1) if S.in_sc(j)]
-
-
-def _neg_perm(js: list[int]) -> np.ndarray:
-    pos = {j: i for i, j in enumerate(js)}
-    return np.array([pos[-j] for j in js])
+        |l|_inf <= cutoff.  The projector acts on the angles only; the cut
+        |l.sbar| <= n_x of z stays, so the quadratic images |j| <= 2 jbar1
+        of the packet survive every step."""
+        self.x *= np.abs(self.lattice.ell).max(axis=1) <= cutoff
 
 
 # -- problem data ---------------------------------------------------------------------
@@ -181,23 +199,14 @@ class FSpec:
                 raise ValueError("the density must vanish to order >= 9")
 
 
-def nonlinear_density(
-    u: np.ndarray, n: int, f_spec: FSpec, cubic: bool = True
-) -> tuple[float, np.ndarray]:
+def nonlinear_density(u: np.ndarray, n: int, f_spec: FSpec, cubic: bool = True) -> np.ndarray:
     """The n-th derivative (n = 0, 1, 2) of the nonlinear density
-    P(u) = -u^3/6 [cubic] + sum_k c_k u^k at the grid values u, split as
-    P^(n)(u) = lin u + rest(u).  P vanishes to order 3, so lin is nonzero
-    only for n = 2 with the cubic term; a caller applies lin to the Fourier
-    modes of u, where it is exact, and transforms rest."""
+    P(u) = -u^3/6 [cubic] + sum_k c_k u^k at the grid values u."""
     terms = list(f_spec.coeffs.items()) + ([(3, -1.0 / 6.0)] if cubic else [])
-    lin, rest = 0.0, np.zeros_like(u)
+    out = np.zeros_like(u)
     for k, c in terms:
-        a = math.perm(k, n) * c
-        if k - n == 1:
-            lin += a
-        else:
-            rest = rest + a * u ** (k - n)
-    return lin, rest
+        out = out + math.perm(k, n) * c * u ** (k - n)
+    return out
 
 
 @dataclass
@@ -216,24 +225,25 @@ class TorusProblem:
         self.omega = np.asarray(self.omega, dtype=float)
         self.xi = tuple(float(v) for v in self.xi)
         self.js = normal_modes(self.S, self.grid.n_x)
-        self.at = AngleTransform(self.grid.n_phi, self.grid.m_phi)
+        self.lattice = momentum_lattice(self.S, self.grid)
+        # The angle grid.  The lattice coefficients sit at |l|_inf <= N, so
+        # for the top power u^k of P the product u^(k-1) in P'(V), and
+        # P''(V) times a step, hold modes up to (k-1)N, and the rows read
+        # modes up to N: with m >= kN + 1 points per angle no aliased image
+        # of a product lands on a row.  The cubic needs 3N + 1, below m_phi.
+        # Only the non-polynomial action-angle map (e^{i Theta},
+        # sqrt(xi + ... y)) aliases, at the decay of its Fourier tails.
+        top = max(self.f_spec.coeffs, default=0)
+        self.at = AngleTransform(
+            max(self.grid.m_phi, scipy.fft.next_fast_len(top * self.grid.n_phi + 1))
+        )
         self.lam_js = np.array([float(lam(j)) for j in self.js])
         self.lam_sites = np.array([float(lam(s)) for s in self.S.splus])
-        # x-points that resolve P'(u) and P''(u) at the modes the residual and
-        # the Jacobian read: the grid's padding serves the cubic term, a term
-        # u^k of f needs k n_x + 1.  An aliased product would move
-        # coefficients off the momentum lattice.
-        top = max(self.f_spec.coeffs, default=0)
-        self.m_x = max(self.grid.m_x, scipy.fft.next_fast_len(top * self.grid.n_x + 1))
-        # The momentum lattice, as flat indices into TorusEmbedding.x.ravel():
-        # the coefficients (family, l) with l.sbar equal to the family's
-        # x-mode, 0 for Theta and y and j_k for z_k.  DP commutes with
-        # x-translation, so the functional maps an embedding supported there
-        # to a residual supported there, and Newton moves these alone.
-        ells = _ell_values(self.grid.n_phi)
-        momentum = self.S.splus[0] * ells[:, None] + self.S.splus[1] * ells
-        modes = np.concatenate([np.zeros(2 * self.S.nu, dtype=int), self.js])
-        self.lattice = np.flatnonzero(momentum == modes[:, None, None])
+        # lambda(l.sbar) on the z entries, 0 on Theta and y
+        z = self.lattice.fam == 2 * self.S.nu
+        self.lam_lat = np.where(z, self.lam_js[self.lattice.full_fam - 2 * self.S.nu], 0.0)
+        # the coefficient of each row's field: 1 on Theta and y, -i lambda on z
+        self.row_coef = np.where(z, -1j * self.lam_lat, 1.0)
 
     @property
     def eps(self) -> float:
@@ -249,53 +259,47 @@ class TorusProblem:
 
 class GridState:
     """Everything the residual and the Jacobian need, evaluated on the padded
-    angle grid: angles, radii, and the x-Fourier modes of u and of grad H,
-    stacked as ux[mode % m_x] and gx[mode % m_x]."""
+    angle grid of T^nu: angles, radii, the field V with u(x, phi) =
+    V(phi + sbar x), G = V + P'(V), and the row prefactors `rows`.  Row r
+    reads the lattice coefficients of rows[r] G: the momentum-0 part of
+    cos_i G is the x-mode pair g_(-+s_i) that drives Theta_i and y_i."""
 
     def __init__(self, prob: TorusProblem, emb: TorusEmbedding):
-        at, m, mx = prob.at, prob.at.m, prob.m_x
+        at, m, lat = prob.at, prob.at.m, prob.lattice
         eps, b = prob.eps, prob.b
-        sites = np.array(prob.S.splus)
+        nu = prob.S.nu
 
         phi_1d = 2.0 * math.pi * np.arange(m) / m
         phi = np.array(np.meshgrid(phi_1d, phi_1d, indexing="ij"))
-        nu = prob.S.nu
-        X = at.to_grid(emb.x)
-        Theta, Y = X[:nu], X[nu : 2 * nu]
+        X = at.to_grid(emb.x, lat.fam, lat.ell, 2 * nu + 1)
         if np.abs(X[: 2 * nu].imag).max() > 1e-8:
             raise TorusError("embedding violates reality beyond tolerance")
+        Theta, Y = X[:nu].real, X[nu : 2 * nu].real
 
         scale = (eps ** (2 * b - 2) * prob.lam_sites)[:, None, None]
-        rad = np.array(prob.xi)[:, None, None] + scale * Y.real
+        rad = np.array(prob.xi)[:, None, None] + scale * Y
         low = rad.min(axis=(1, 2)) <= 0
         if low.any():
             i = int(np.argmax(low))
             bad = np.unravel_index(int(np.argmin(rad[i])), rad[i].shape)
-            raise TorusError(f"radicand for site {sites[i]} nonpositive at grid point {bad}")
+            raise TorusError(f"radicand for site {prob.S.splus[i]} nonpositive at grid point {bad}")
         self.rho = np.sqrt(rad)
         self.sig = scale / (2.0 * rad)
-        self.e = np.exp(1j * (phi + Theta.real))
+        self.cos, self.sin = np.cos(phi + Theta), np.sin(phi + Theta)
 
-        self.mx = mx
-        self.ux = np.zeros((mx, m, m), dtype=complex)
-        self.ux[sites % mx] = eps * self.rho * self.e
-        self.ux[-sites % mx] = eps * self.rho * np.conj(self.e)
-        self.ux[np.array(prob.js) % mx] = eps**b * X[2 * nu :]
-
-        # grad H modes: g_j = u_j + (P'(u))_j, and P' has no linear part
-        uphys = scipy.fft.ifft(self.ux, axis=0) * mx
-        if np.abs(uphys.imag).max() > 1e-8 * max(1.0, np.abs(uphys.real).max()):
+        V = 2.0 * eps * (self.rho * self.cos).sum(axis=0) + eps**b * X[2 * nu]
+        if np.abs(V.imag).max() > 1e-8 * max(1.0, np.abs(V.real).max()):
             raise TorusError("u field is not real; reality symmetry broken")
-        self.uphys = uphys.real
-        _, dP = nonlinear_density(self.uphys, 1, prob.f_spec, prob.include_cubic)
-        self.gx = scipy.fft.fft(dP.astype(complex), axis=0) / mx + self.ux
+        self.V = V.real
+        self.G = self.V + nonlinear_density(self.V, 1, prob.f_spec, prob.include_cubic)
 
-        gm, gp = self.g(-sites), self.g(sites)
-        self.hplus = gm * self.e + gp * np.conj(self.e)
-        self.hminus = gm * self.e - gp * np.conj(self.e)
-
-    def g(self, modes) -> np.ndarray:
-        return self.gx[np.asarray(modes) % self.mx]
+        # f_theta_i = iwl Theta_i - dH/dy_i,  f_y_i = iwl y_i + dH/dtheta_i,
+        # f_z = iwl z - i lambda(l.sbar) eps^-b G
+        self.rows = np.concatenate([
+            -(prob.lam_sites / eps)[:, None, None] * self.cos / self.rho,
+            -2.0 * eps ** (1.0 - 2.0 * b) * self.rho * self.sin,
+            np.full((1, m, m), eps ** (-b)),
+        ])
 
 
 # -- residual --------------------------------------------------------------------------
@@ -303,97 +307,29 @@ class GridState:
 
 @dataclass
 class Residual:
-    f: np.ndarray  # coefficients, the families of TorusEmbedding.x
-    sup: float
+    f: np.ndarray  # the rows on the lattice, in the order of TorusEmbedding.x
+    sup: float  # max over the families Theta_i, y_i and z_j of the angle-grid sup
 
 
-def _iwl(prob: TorusProblem) -> np.ndarray:
-    """i omega.l on the coefficient array [l1+N, l2+N]."""
-    ells = _ell_values(prob.grid.n_phi)
-    return 1j * (prob.omega[0] * ells[:, None] + prob.omega[1] * ells[None, :])
+def _wl(prob: TorusProblem) -> np.ndarray:
+    """omega.l at the lattice entries."""
+    ell = prob.lattice.ell
+    return prob.omega[0] * ell[:, 0] + prob.omega[1] * ell[:, 1]
 
 
 def residual(prob: TorusProblem, emb: TorusEmbedding) -> Residual:
     """The invariant-torus functional on the truncation."""
-    at = prob.at
+    at, lat, nu = prob.at, prob.lattice, prob.S.nu
     gs = GridState(prob, emb)
-    eps, b = prob.eps, prob.b
-    nu, c = prob.S.nu, prob.grid.n_phi
-
-    # f_theta = iwl Theta - dH/dy + omega,  f_y = iwl y + dH/dtheta + zeta,
-    # f_z = iwl z - i lambda_j eps^-b g_j
-    dHy = ((prob.lam_sites / (2.0 * eps))[:, None, None] * gs.hplus / gs.rho).real
-    dHth = (eps ** (1.0 - 2.0 * b) * 1j * gs.rho * gs.hminus).real
-    zdot = (1j * prob.lam_js * eps ** (-b))[:, None, None] * gs.g(prob.js)
-    f = _iwl(prob) * emb.x - at.to_coeffs(np.concatenate([dHy, -dHth, zdot]))
-    f[:nu, c, c] += prob.omega
-    f[nu : 2 * nu, c, c] += emb.zeta
-    return Residual(f=f, sup=float(np.abs(at.to_grid(f)).max()))
+    f = 1j * _wl(prob) * emb.x + prob.row_coef * at.to_coeffs(gs.rows * gs.G, lat.fam, lat.ell)
+    f[lat.origin[:nu]] += prob.omega
+    f[lat.origin[nu:]] += emb.zeta
+    # each family of the full truncation (z_j per momentum class) on its own
+    grid = at.to_grid(f, lat.full_fam, lat.ell, 2 * nu + len(prob.js))
+    return Residual(f=f, sup=float(np.abs(grid).max()))
 
 
 # -- Jacobian --------------------------------------------------------------------------
-
-
-def _jacobian_symbols(prob: TorusProblem, gs: GridState, droptol: float):
-    """The multiplication symbols of the Jacobian's blocks, stacked as
-    (symbols, m, m), and per block its row family, column family, symbol and
-    a coefficient that scales the symbol."""
-    m, mx = prob.at.m, gs.mx
-    nu, nj = prob.S.nu, len(prob.js)
-    nt, nfam = 2 * nu, 2 * nu + nj  # tangential families, all families
-    eps, b = prob.eps, prob.b
-    sites, js = np.array(prob.S.splus), np.array(prob.js)
-
-    # x-modes of the multiplier P''(u) acting inside delta-g
-    lin, rest = nonlinear_density(gs.uphys, 2, prob.f_spec, prob.include_cubic)
-    conv = lin * gs.ux + scipy.fft.fft(rest.astype(complex), axis=0) / mx
-
-    # Theta_i and y_i move the x-modes +-s_i of u:
-    # dU_{+-s} = +-i U_{+-s} dTheta,  dU_{+-s} = sigma U_{+-s} dy
-    pm = np.stack([sites, -sites], axis=1)
-    U = gs.ux[pm % mx]
-    dU = np.stack([1j * np.array([1, -1])[:, None, None] * U, gs.sig[:, None] * U])
-
-    def dg_tang(modes: np.ndarray) -> np.ndarray:
-        """delta-g at the x-modes `modes` per unit change of Theta_i and y_i:
-        dG_k = sum_{m = +-s} ([k = m] + conv(k - m)) dU_m, as (modes, 2 nu, m, m)."""
-        diff = modes[:, None, None] - pm
-        w = conv[diff % mx] + (diff == 0)[..., None, None]
-        return (w[:, None] * dU).sum(axis=3).reshape(len(modes), nt, m, m)
-
-    # Theta_i and y_i rows read delta-g at the modes -+s_i; z_k moves mode j_k by eps^b
-    dgm = np.concatenate([dg_tang(-sites), eps**b * conv[(-sites[:, None] - js) % mx]], axis=1)
-    dgp = np.concatenate([dg_tang(sites), eps**b * conv[(sites[:, None] - js) % mx]], axis=1)
-    e, ec = gs.e[:, None], np.conj(gs.e)[:, None]
-    pref_y = (prob.lam_sites / (2.0 * eps))[:, None, None] / gs.rho
-    pref_th = eps ** (1.0 - 2.0 * b) * 1j * gs.rho
-    mu_th = -pref_y[:, None] * (dgm * e + dgp * ec)  # f_theta_i = iwl Theta_i - dH/dy_i
-    mu_y = pref_th[:, None] * (dgm * e - dgp * ec)  # f_y_i = iwl y_i + dH/dtheta_i
-    # the explicit Theta_i in e^{i theta_i} and y_i in rho_i
-    i = np.arange(nu)
-    mu_th[i, i] -= pref_y * 1j * gs.hminus
-    mu_th[i, nu + i] += pref_y * gs.hplus * gs.sig
-    mu_y[i, i] += pref_th * 1j * gs.hplus
-    mu_y[i, nu + i] += pref_th * gs.sig * gs.hminus
-    # f_z_k = iwl z_k - i lambda_j eps^-b g_j
-    mu_zt = (-1j * prob.lam_js * eps ** (-b))[:, None, None, None] * dg_tang(js)
-    # z_k2 columns of z_k rows: -i lambda_j conv(j - j2), one symbol per
-    # difference; a difference whose conv is <= droptol/10 everywhere is skipped
-    dvals, dsym = np.unique((js[:, None] - js).ravel(), return_inverse=True)
-    mu_zz = conv[dvals % mx]
-    live = (np.abs(mu_zz).max(axis=(1, 2)) > droptol / 10)[dsym]
-
-    n_own = nt * nfam + nj * nt
-    r_t, c_t = np.divmod(np.arange(nt * nfam, dtype=np.int32), nfam)
-    r_z, c_z = np.divmod(np.arange(nj * nt, dtype=np.int32), nt)
-    k, k2 = np.divmod(np.arange(nj * nj, dtype=np.int32)[live], nj)
-    syms = np.concatenate([a.reshape(-1, m, m) for a in (mu_th, mu_y, mu_zt, mu_zz)])
-    return syms, (
-        np.concatenate([r_t, nt + r_z, nt + k]),
-        np.concatenate([c_t, c_z, nt + k2]),
-        np.concatenate([np.arange(n_own), n_own + dsym[live]]),
-        np.concatenate([np.ones(n_own), -1j * prob.lam_js[k]]),
-    )
 
 
 def jacobian(
@@ -402,63 +338,49 @@ def jacobian(
     """Analytic Jacobian of the residual on the momentum lattice (verified
     against finite differences in the test suite).
 
-    Unknowns (complex): the lattice coefficients x.ravel()[prob.lattice] of
-    TorusEmbedding.x, in that order, then zeta (nu).  Rows: the residual at
-    the same coefficients, then the nu phase rows Theta_i(0) = 0 that fix
-    the translation degeneracies.  The block between two families is
-    omega.d_phi on the diagonal plus the multiplication operator of a symbol
-    mu(phi), J[l_r, l_c] = mu_hat(l_r - l_c); all symbols go through one
-    fft2, the entries are read for the lattice pairs alone, and those with
-    |mu_hat| <= droptol are dropped."""
-    m, N = prob.at.m, prob.grid.n_phi
-    nu, L, lat = prob.S.nu, prob.grid.n_ell**2, prob.lattice
-    syms, (brow, bcol, bsym, bcoef) = _jacobian_symbols(prob, GridState(prob, emb), droptol)
-    sidx = np.arange(-2 * N, 2 * N + 1) % m
-    hat = scipy.fft.fft2(syms, overwrite_x=True)[:, sidx[:, None], sidx].reshape(len(syms), -1)
-    del syms
+    Unknowns (complex): the lattice coefficients TorusEmbedding.x, then
+    zeta (nu).  Rows: the residual at the same coefficients, then the nu
+    phase rows Theta_i(0) = 0 that fix the translation degeneracies.  The
+    block between two of the families Theta_i, y_i and z is omega.d_phi on
+    the diagonal plus the multiplication operator of a symbol mu(phi),
+    J[l_r, l_c] = row_coef(l_r) mu_hat(l_r - l_c); the 25 symbols go through
+    one fft2, and the entries with |J| <= droptol are dropped."""
+    at, lat, nu = prob.at, prob.lattice, prob.S.nu
+    eps, b = prob.eps, prob.b
+    gs = GridState(prob, emb)
 
-    # the block of each (row family, column family), -1 where there is none,
-    # and the shift number (d1+2N)(4N+1) + d2+2N of each lattice pair
-    fam, cell = np.divmod(lat, L)
-    l1, l2 = np.divmod(cell, 2 * N + 1)
-    block = np.full((2 * nu + len(prob.js),) * 2, -1)
-    block[brow, bcol] = np.arange(len(brow))
-    blk = block[fam[:, None], fam]
-    rows, cols = np.nonzero(blk >= 0)
-    blk = blk[rows, cols]
-    shift = (l1[rows] - l1[cols] + 2 * N) * (4 * N + 1) + l2[rows] - l2[cols] + 2 * N
-    val = bcoef[blk] * (hat[bsym[blk], shift] / (m * m))
+    # delta-G per unit change of each column family: (1 + P''(V)) dV with
+    # dV/dTheta_i = -2 eps rho_i sin_i and dV/dy_i = 2 eps rho_i sigma_i cos_i;
+    # for z, dV/dZ = eps^b and the identity part is the diagonal's -i lambda
+    d2P = nonlinear_density(gs.V, 2, prob.f_spec, prob.include_cubic)
+    dV = np.concatenate([-2.0 * eps * gs.rho * gs.sin, 2.0 * eps * gs.rho * gs.sig * gs.cos])
+    syms = gs.rows[:, None] * np.concatenate([(1.0 + d2P) * dV, eps**b * d2P[None]])
+    # the prefactors' own Theta_i and y_i: d cos = -sin dTheta, d rho = rho sigma dy
+    i = np.arange(nu)
+    syms[i, i] += (prob.lam_sites / eps)[:, None, None] * gs.sin / gs.rho * gs.G
+    syms[i, nu + i] -= gs.sig * gs.rows[i] * gs.G
+    syms[nu + i, i] -= 2.0 * eps ** (1.0 - 2.0 * b) * gs.rho * gs.cos * gs.G
+    syms[nu + i, nu + i] += gs.sig * gs.rows[nu + i] * gs.G
+
+    n, nf = len(lat.fam), 2 * nu + 1
+    rows, cols = (a.ravel() for a in np.indices((n, n)))
+    val = prob.row_coef[rows] * at.to_coeffs(
+        syms.reshape(-1, at.m, at.m), lat.fam[rows] * nf + lat.fam[cols], lat.ell[rows] - lat.ell[cols]
+    )
     keep = np.abs(val) > droptol
 
-    # the diagonal omega.d_phi (- i lambda_j), zeta_i in the l = 0 row of
-    # y_i and the phase rows on Theta_i(0)
-    n, c0 = len(lat), N * (2 * N + 2)
-    i = np.arange(nu)
-    lam_fam = np.concatenate([np.zeros(2 * nu), prob.lam_js])
-    diag = _iwl(prob).ravel()[cell] - 1j * lam_fam[fam]
-    y0, th0 = np.searchsorted(lat, (nu + i) * L + c0), np.searchsorted(lat, i * L + c0)
+    # the diagonal omega.d_phi (- i lambda), zeta_i in the l = 0 row of y_i
+    # and the phase rows on Theta_i(0)
+    th0, y0 = lat.origin[:nu], lat.origin[nu:]
     rows = np.concatenate([rows[keep], np.arange(n), y0, n + i])
     cols = np.concatenate([cols[keep], np.arange(n), n + i, th0])
-    vals = np.concatenate([val[keep], diag, np.ones(2 * nu)])
+    vals = np.concatenate([val[keep], 1j * (_wl(prob) - prob.lam_lat), np.ones(2 * nu)])
     return sp.csc_matrix((vals, (rows, cols)), shape=(n + nu, n + nu))
-
-
-def _flatten_residual(
-    prob: TorusProblem, res: Residual, emb: TorusEmbedding
-) -> np.ndarray:
-    """The Jacobian's rows: the residual on the lattice, then the phase rows
-    Theta_i(0)."""
-    c = prob.grid.n_phi
-    return np.concatenate([res.f.ravel()[prob.lattice], emb.theta[:, c, c]])
 
 
 # -- Newton solver ----------------------------------------------------------------------
 
 MAX_BACKTRACK = 8  # step halvings tried before a Newton step counts as failed
-# Largest off-lattice coefficient a Newton start may carry; Newton sets the
-# start's off-lattice part to zero.  Full-grid solves left at most 1.8e-15
-# there, so a larger part is not rounding but a start off the lattice.
-OFF_LATTICE_MAX = 1e-13
 
 
 @dataclass
@@ -483,13 +405,14 @@ class NewtonResult:
 
 
 def min_linear_divisor(prob: TorusProblem) -> tuple[float, tuple]:
-    """Smallest |omega . l - lambda(j)| over the truncation (diagnostic), with
-    its first witness ((l1, l2), j) in the order l1, l2, j."""
-    ells = _ell_values(prob.grid.n_phi)
-    wl = prob.omega[0] * ells[:, None] + prob.omega[1] * ells[None, :]
-    div = np.abs(wl[:, :, None] - prob.lam_js)
-    a, a2, k = np.unravel_index(int(np.argmin(div)), div.shape)
-    return float(div[a, a2, k]), ((int(ells[a]), int(ells[a2])), prob.js[k])
+    """Smallest |omega . l - lambda(l.sbar)| over the z lattice, the divisors
+    the Newton system holds (diagnostic), with its first witness
+    ((l1, l2), j) in the order l1, l2."""
+    lat = prob.lattice
+    z = np.flatnonzero(lat.fam == 2 * prob.S.nu)
+    div = np.abs(_wl(prob)[z] - prob.lam_lat[z])
+    k = z[int(np.argmin(div))]
+    return float(div.min()), ((int(lat.ell[k, 0]), int(lat.ell[k, 1])), int(lat.j[k]))
 
 
 def _linear_steps(J: sp.csc_matrix, rhs: np.ndarray):
@@ -512,10 +435,8 @@ def newton_solve(
     schedule: NewtonSchedule | None = None,
 ) -> NewtonResult:
     """Damped Newton on (embedding, zeta) with the geometric projection
-    schedule; the linearized system is solved by sparse LU on the momentum
-    lattice (see `TorusProblem`), and the step moves the lattice coefficients
-    alone.  A start whose off-lattice coefficients exceed OFF_LATTICE_MAX
-    raises TorusError; a smaller off-lattice part is set to zero.
+    schedule; the linearized system on the momentum lattice is solved by
+    sparse LU.
 
     Step n is projected to the angle modes |l|_inf <= N_n = N_0^(chi^n),
     capped at n_phi (see `TorusEmbedding.project`); the spatial truncation
@@ -529,16 +450,7 @@ def newton_solve(
     sup-norm."""
     schedule = schedule or NewtonSchedule()
     emb = (start or TorusEmbedding.trivial(prob.S, prob.grid)).copy()
-    off = emb.x.copy()
-    off.reshape(-1)[prob.lattice] = 0
-    size = float(np.abs(off).max())
-    if size > OFF_LATTICE_MAX:
-        raise TorusError(
-            f"the start has off-lattice coefficients up to {size:.3e}, above "
-            f"OFF_LATTICE_MAX = {OFF_LATTICE_MAX:.0e}; Newton moves the lattice alone"
-        )
-    emb.x -= off
-    nu = prob.S.nu
+    nu, th0 = prob.S.nu, prob.lattice.origin[: prob.S.nu]
     res = residual(prob, emb)
     history = [res.sup]
     grow = 0
@@ -547,7 +459,7 @@ def newton_solve(
         if res.sup < schedule.tol:
             return NewtonResult(emb, history, True, it)
         J = jacobian(prob, emb)
-        rhs = -_flatten_residual(prob, res, emb)
+        rhs = -np.concatenate([res.f, emb.x[th0]])
 
         full_cut = prob.grid.n_phi
         cutoff = schedule.cutoff(it, full_cut)
@@ -558,7 +470,7 @@ def newton_solve(
             step = 1.0
             for _ in range(MAX_BACKTRACK + 1):
                 trial = emb.copy()
-                trial.x.reshape(-1)[prob.lattice] += step * d[:-nu]
+                trial.x += step * d[:-nu]
                 trial.zeta += (step * d[-nu:]).real
                 trial.enforce_reality()
                 trial.project(cutoff)
@@ -596,22 +508,23 @@ def action_angle_embed(
     prob: TorusProblem, emb: TorusEmbedding, phi: tuple[float, float]
 ) -> dict[int, complex]:
     """Fourier coefficients of u = A_eps(i(phi)) at a single angle phi."""
-    eps, b, nu = prob.eps, prob.b, prob.S.nu
-    ells = _ell_values(prob.grid.n_phi)
-    vals = np.exp(1j * ells * phi[0]) @ emb.x @ np.exp(1j * ells * phi[1])
+    eps, b, nu, lat = prob.eps, prob.b, prob.S.nu, prob.lattice
+    vals = emb.x * np.exp(1j * (lat.ell[:, 0] * phi[0] + lat.ell[:, 1] * phi[1]))
+    fams = np.zeros(2 * nu + len(prob.js), dtype=complex)
+    np.add.at(fams, lat.full_fam, vals)
 
     out: dict[int, complex] = {}
     for i, s in enumerate(prob.S.splus):
-        th = vals[i].real + phi[i]
-        rad = prob.xi[i] + eps ** (2 * b - 2) * prob.lam_sites[i] * vals[nu + i].real
+        th = fams[i].real + phi[i]
+        rad = prob.xi[i] + eps ** (2 * b - 2) * prob.lam_sites[i] * fams[nu + i].real
         if rad <= 0:
             raise TorusError(f"negative radicand at site {s}, phi={phi}")
         amp = eps * math.sqrt(rad)
         out[s] = amp * np.exp(1j * th)
         out[-s] = amp * np.exp(-1j * th)
-    for j, val in zip(prob.js, vals[2 * nu :]):
+    for j, val in zip(prob.js, fams[2 * nu :]):
         if val != 0:
-            out[j] = out.get(j, 0) + eps**b * complex(val)
+            out[j] = eps**b * complex(val)
     return out
 
 
@@ -677,8 +590,7 @@ def linearized_normal_operator(
     matched eigenvalues are even in eps."""
     S = prob.S
     eps = prob.eps
-    gs = GridState(prob, emb)
-    m, mx = prob.at.m, gs.mx
+    m = prob.at.m
     js = np.array(prob.js)
 
     # basis: (l, j) with |l|_inf <= ell_cut, j normal, |j| <= n_x, grouped
@@ -689,10 +601,14 @@ def linearized_normal_operator(
     order = np.argsort(momentum, kind="stable")
     keys, first = np.unique(momentum[order], return_index=True)
 
-    # angle spectra of the u-field x-modes (multiplication part); the
-    # coupling stems from the cubic Hamiltonian, so it vanishes when the
-    # cubic term is disabled and the operator is exactly omega.dphi - J
-    uhat = scipy.fft.fft2(gs.ux) / (m * m) if prob.include_cubic else np.zeros_like(gs.ux)
+    # the angle spectrum of V (multiplication part): within a momentum class
+    # j_r - j_c = (l_r - l_c).sbar, so V_hat(l_r - l_c) is the x-mode
+    # j_r - j_c of u; the coupling stems from the cubic Hamiltonian, so it
+    # vanishes when the cubic term is disabled and the operator is exactly
+    # omega.dphi - J
+    vhat = (
+        scipy.fft.fft2(GridState(prob, emb).V) / (m * m) if prob.include_cubic else np.zeros((m, m))
+    )
 
     # symbolic correction pieces, evaluated at the unperturbed wave packet:
     # amps[k, k2, dl] is the coefficient of e^{i dl.phi} in d^2 Q/dz_{-j_k} dz_{j_k2}
@@ -739,7 +655,7 @@ def linearized_normal_operator(
         M = np.zeros((nb, nb), dtype=complex)
         M[np.diag_indices(nb)] += 1j * (prob.omega[0] * a1 + prob.omega[1] * a2) - ilj[:, 0]
         # multiplication by the embedding field
-        v = uhat[(js[k][:, None] - js[k]) % mx, d1 % m, d2 % m]
+        v = vhat[d1 % m, d2 % m]
         M += np.where(np.abs(v) > 1e-15, ilj * v, 0)
         # symbolic eps^2 corrections: L = omega.d_phi - A with
         # A-entry i lambda(j) d^2 Q/dz_{-j} dz_{j2}
@@ -843,12 +759,11 @@ class DPEvolver:
         return scipy.fft.irfft(uhat, self.mx) * self.mx
 
     def nonlinear(self, uhat: np.ndarray) -> np.ndarray:
-        _, dP = nonlinear_density(self.field(uhat), 1, self.f_spec, self.cubic)
-        what = scipy.fft.rfft(dP) / self.mx
+        what = scipy.fft.rfft(nonlinear_density(self.field(uhat), 1, self.f_spec, self.cubic)) / self.mx
         return 1j * self.lam * what * self.mask
 
     def energy(self, uhat: np.ndarray) -> float:
-        _, P = nonlinear_density(self.field(uhat), 0, self.f_spec, self.cubic)
+        P = nonlinear_density(self.field(uhat), 0, self.f_spec, self.cubic)
         return 0.5 * float(np.sum(self.weight * np.abs(uhat) ** 2)) + float(np.mean(P))
 
     def momentum(self, uhat: np.ndarray) -> float:
@@ -980,8 +895,8 @@ def save_embedding(emb: TorusEmbedding, path: str) -> str:
         "n_phi": emb.grid.n_phi,
         "x": {
             "shape": list(emb.x.shape),
-            "re": emb.x.real.ravel().tolist(),
-            "im": emb.x.imag.ravel().tolist(),
+            "re": emb.x.real.tolist(),
+            "im": emb.x.imag.tolist(),
         },
         "zeta": emb.zeta.tolist(),
     }
@@ -994,21 +909,22 @@ def save_embedding(emb: TorusEmbedding, path: str) -> str:
 
 def load_embedding(path: str) -> TorusEmbedding:
     """The embedding `save_embedding` wrote; TorusError for a file that is not
-    such a checkpoint (a missing field, the older theta/y/z payload, arrays
-    that do not fit its grid) or whose hash does not match."""
+    such a checkpoint (a missing field, an older layout: the theta/y/z
+    payload or the full-grid x, arrays that do not fit its grid) or whose
+    hash does not match."""
     with open(path) as fh:
         wrapper = json.load(fh)
     try:
         payload = wrapper["data"]
-        if "theta" in payload:
-            raise TorusError("it holds the older theta/y/z layout; solve again to rewrite it")
+        if "theta" in payload or len(payload["x"]["shape"]) != 1:
+            raise TorusError("it holds an older layout of the embedding; solve again to rewrite it")
         body = json.dumps(payload, sort_keys=True)
         if hashlib.sha256(body.encode()).hexdigest() != wrapper["sha256"]:
             raise TorusError("checkpoint hash mismatch")
         S = TangentialSet.make(payload["splus"])
         grid = TruncationGrid(payload["n_x"], payload["n_phi"], S.jbar1)
         d = payload["x"]
-        x = np.array(d["re"]).reshape(d["shape"]) + 1j * np.array(d["im"]).reshape(d["shape"])
+        x = np.array(d["re"]) + 1j * np.array(d["im"])
         zeta = np.array(payload["zeta"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise TorusError(f"not a torus checkpoint: {type(exc).__name__} {exc}") from None

@@ -222,26 +222,33 @@ def _write_checkpoint(path, payload):
                                 "data": payload}))
 
 
-@pytest.mark.parametrize("kind", ["theta/y/z payload", "no data"])
+@pytest.mark.parametrize("kind", ["theta/y/z payload", "full-grid x", "no data"])
 def test_evolve_rejects_a_file_that_is_not_a_checkpoint(tmp_path, capsys, kind):
     cfg = write_config(tmp_path, BASE + "[truncation]\nn_x = 16\nn_phi = 4\n")
     path = tmp_path / "torus.json"
+    n, nj = 9, len(cli._torus_problem(load_config(cfg)).js)
+
+    def zeros(*shape):
+        return {"shape": list(shape), "re": [0.0] * math.prod(shape),
+                "im": [0.0] * math.prod(shape)}
+
     if kind == "no data":
         path.write_text(json.dumps({"sha256": "0" * 64}))
+    elif kind == "full-grid x":
+        # a trivial embedding as checkpoints held every coefficient of the
+        # truncation, on the momentum lattice or off it
+        _write_checkpoint(path, {"splus": [6, 7], "n_x": 16, "n_phi": 4,
+                                 "x": zeros(4 + nj, n, n), "zeta": [0.0, 0.0]})
     else:
         # a trivial embedding as checkpoints kept theta, y and z apart
-        n, nj = 9, len(cli._torus_problem(load_config(cfg)).js)
-
-        def zeros(*shape):
-            return {"shape": list(shape), "re": [0.0] * math.prod(shape),
-                    "im": [0.0] * math.prod(shape)}
-
         _write_checkpoint(path, {"splus": [6, 7], "n_x": 16, "n_phi": 4, "theta": zeros(2, n, n),
                                  "y": zeros(2, n, n), "z": zeros(n, n, nj), "zeta": [0.0, 0.0]})
     rc = main(["evolve", "--config", cfg, "--out", str(tmp_path / "ev"),
                "--set", f"evolve.checkpoint={path}"])
     err = capsys.readouterr().err
     assert rc == 3 and "Traceback" not in err and str(path) in err
+    if kind != "no data":
+        assert "solve again" in err
 
 
 def test_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
