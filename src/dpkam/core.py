@@ -147,7 +147,7 @@ class TangentialSet:
         return tuple(sorted([-s for s in self.splus] + list(self.splus)))
 
     def in_s(self, j: int) -> bool:
-        return abs(j) in set(self.splus)
+        return abs(j) in self.splus
 
     def in_sc(self, j: int) -> bool:
         """Normal-site predicate: j in Z \\ (S u {0})."""

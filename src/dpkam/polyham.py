@@ -89,7 +89,9 @@ class HomPoly:
         return cls(degree, {}, momentum)
 
     def copy(self) -> "HomPoly":
-        return HomPoly(self.degree, dict(self.terms), self.momentum)
+        out = HomPoly.zero(self.degree, self.momentum)
+        out.terms = dict(self.terms)
+        return out
 
     def add_ordered(self, indices: Iterable[int], coeff) -> None:
         """Accumulate `coeff` for an *ordered* tuple: the coefficient of the
@@ -145,11 +147,9 @@ class HomPoly:
         return out
 
     def map_filter(self, keep: Callable[[Monomial], bool]) -> "HomPoly":
-        return HomPoly(
-            self.degree,
-            {m: c for m, c in self.terms.items() if keep(m)},
-            self.momentum,
-        )
+        out = HomPoly.zero(self.degree, self.momentum)
+        out.terms = {m: c for m, c in self.terms.items() if keep(m)}
+        return out
 
     # -- invariants ------------------------------------------------------------
 
@@ -175,36 +175,34 @@ def poisson_bracket(F: HomPoly, G: HomPoly) -> HomPoly:
     """{F, G} with the normalization ad_{H2}[u_M] = i (sum lambda(j_i)) u_M.
 
     In Fourier variables {F, G} = i sum_k lambda(k) (dF/du_{-k}) (dG/du_k).
+    Each term is one Gaussian product a * b: a = i lambda(k) mult_f c_f is
+    formed once per (m_f, k), and b = mult_g c_g once per (m_g, k).
     """
     if F.degree < 2 or G.degree < 2:
         raise ValueError("Poisson bracket needs degree >= 2 on both sides")
     out = HomPoly.zero(F.degree + G.degree - 2, F.momentum and G.momentum)
 
-    # index -> monomials containing it (for the smaller operand, iterate directly)
-    g_by_index: dict[int, list[Monomial]] = defaultdict(list)
-    for m in G.terms:
-        for j in set(m):
-            g_by_index[j].append(m)
+    # k -> (m_g without one k, mult_g c_g) over the monomials of G containing k
+    g_by_index: dict[int, list[tuple[list[int], GaussianRational]]] = defaultdict(list)
+    for mg, cg in G.terms.items():
+        for k in set(mg):
+            rest_g = list(mg)
+            rest_g.remove(k)
+            mult_g = mg.count(k)
+            b = GaussianRational(cg.re * mult_g, cg.im * mult_g) if mult_g > 1 else cg
+            g_by_index[k].append((rest_g, b))
 
     for mf, cf in F.terms.items():
         for k_neg in set(mf):
-            k = -k_neg
-            for mg in g_by_index.get(k, ()):  # dG/du_k
-                cg = G.terms[mg]
-                mult_f = mf.count(k_neg)
-                mult_g = mg.count(k)
-                rest_f = list(mf)
-                rest_f.remove(k_neg)
-                rest_g = list(mg)
-                rest_g.remove(k)
-                coeff = (
-                    GR_I
-                    * lam(k)
-                    * Fraction(mult_f * mult_g)
-                    * cf
-                    * cg
-                )
-                out.accumulate(tuple(sorted(rest_f + rest_g)), coeff)
+            partners = g_by_index.get(-k_neg)
+            if not partners:
+                continue
+            rest_f = list(mf)
+            rest_f.remove(k_neg)
+            s = lam(-k_neg) * mf.count(k_neg)
+            a = GaussianRational(-cf.im * s, cf.re * s)  # i * s * c_f
+            for rest_g, b in partners:
+                out.accumulate(tuple(sorted(rest_f + rest_g)), a * b)
     return out
 
 

@@ -13,13 +13,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import GaussianRational, TangentialSet, lam, kr_weight
+from .core import GaussianRational, TangentialSet, lam
 from .polyham import (
     HomPoly,
     Monomial,
     flow_conjugate,
     is_trivial_monomial,
-    monomial_lambda_sum,
     monomial_momentum,
     ordering_count,
     project_kernel,
@@ -93,9 +92,36 @@ class ResonanceTuple:
         return len(self.indices)
 
 
-def weight_sum(mono: Monomial, r: int) -> Fraction:
-    """sum_i (1+j_i^2)^2 j_i^(2(r-2)) lambda(j_i), the K_r obstruction."""
-    return sum((kr_weight(r, j) * lam(j) for j in mono), Fraction(0))
+def weight_sum(mono: Monomial, r: int) -> int:
+    """sum_i (1+j_i^2)^2 j_i^(2(r-2)) lambda(j_i), the K_r obstruction.
+
+    (1+j^2)^2 cancels the denominator of lambda(j) = j(4+j^2)/(1+j^2), so each
+    term is the integer (1+j^2)(4+j^2) j^(2r-3).
+    """
+    if r < 2:
+        raise ValueError("conserved-hierarchy weights start at r = 2")
+    if 0 in mono:
+        raise ValueError("mode index 0 is excluded (zero-average phase space)")
+    e = 2 * r - 3
+    return sum((1 + j * j) * (4 + j * j) * j**e for j in mono)
+
+
+def _lambda_numerators(values) -> dict[int, int]:
+    """j -> D j/(1+j^2), with D = lcm(1+j^2) over `values`.
+
+    lambda(j) = j + 3j/(1+j^2), so a multiset of these j with zero momentum
+    has zero lambda-sum exactly when its sum of numerators is zero.
+    """
+    D = math.lcm(*(1 + j * j for j in values))
+    return {j: j * (D // (1 + j * j)) for j in values}
+
+
+def _is_h2_resonant(mono: Monomial) -> bool:
+    """Zero momentum and zero lambda-sum, in integers."""
+    if monomial_momentum(mono) != 0:
+        return False
+    num = _lambda_numerators(set(mono))
+    return sum(num[j] for j in mono) == 0
 
 
 def is_M_resonance(indices, M: int) -> bool:
@@ -105,14 +131,14 @@ def is_M_resonance(indices, M: int) -> bool:
     mono = tuple(sorted(int(j) for j in indices))
     if any(j == 0 for j in mono):
         raise ValueError("indices must be nonzero")
-    if monomial_momentum(mono) != 0 or monomial_lambda_sum(mono) != 0:
+    if not _is_h2_resonant(mono):
         return False
     return all(weight_sum(mono, r) == 0 for r in range(2, M + 2))
 
 
 def m_resonant_up_to(mono: Monomial, m_cap: int) -> int:
     """Largest M <= m_cap with all hierarchy conditions r = 2..M+1; 0 if none."""
-    if monomial_momentum(mono) != 0 or monomial_lambda_sum(mono) != 0:
+    if not _is_h2_resonant(mono):
         return 0
     best = 0
     for r in range(2, m_cap + 2):
@@ -123,14 +149,11 @@ def m_resonant_up_to(mono: Monomial, m_cap: int) -> int:
     return best
 
 
-def _halves(values: list[int], size: int):
-    """Sorted multisets of given size with their (momentum, lambda-sum) keys."""
+def _halves(values: list[int], size: int, num: dict[int, int]):
+    """Sorted multisets of given size keyed by (momentum, sum of num[j])."""
     out = defaultdict(list)
-    g = {j: lam(j) - j for j in values}  # 3j/(1+j^2)
     for combo in itertools.combinations_with_replacement(values, size):
-        p = sum(combo)
-        s = sum((g[j] for j in combo), Fraction(0))
-        out[(p, s)].append(combo)
+        out[(sum(combo), sum(map(num.__getitem__, combo)))].append(combo)
     return out
 
 
@@ -144,7 +167,8 @@ def enumerate_h2_resonances(
     lambda-sum, found by a meet-in-the-middle join on exact partial sums.
 
     Since sum(j_i) = 0 forces sum(lambda(j_i)) = sum 3 j_i/(1+j_i^2), the join
-    key uses the bounded rational g(j) = 3j/(1+j^2).
+    key is the momentum and the integer D sum j_i/(1+j_i^2) over the one
+    denominator D = lcm(1+j^2), |j| <= B.
     """
     if order < 3:
         raise ValueError("resonance order starts at 3")
@@ -160,8 +184,9 @@ def enumerate_h2_resonances(
         raise BudgetExceeded(
             f"half-enumeration of ~{est} multisets exceeds the budget {budget}"
         )
-    left = _halves(values, n1)
-    right = left if n1 == n2 else _halves(values, n2)
+    num = _lambda_numerators(values)
+    left = _halves(values, n1, num)
+    right = left if n1 == n2 else _halves(values, n2, num)
 
     found: set[Monomial] = set()
     for (p, s), combos in left.items():

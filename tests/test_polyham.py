@@ -19,7 +19,7 @@ from dpkam.polyham import (
     solve_homological,
     z_degree,
 )
-from dpkam.wbnf import dp_h2, dp_h3, index_universe
+from dpkam.wbnf import dp_h2, dp_h3, index_universe, run_wbnf
 
 
 def gr(re, im=0):
@@ -90,6 +90,49 @@ def test_bracket_antisymmetry_and_momentum():
         B2 = poisson_bracket(G, F)
         assert (B1 + B2).is_zero()
         assert B1.preserves_momentum()
+
+
+def naive_bracket(F: HomPoly, G: HomPoly, mults: set | None = None) -> HomPoly:
+    """{F, G} term by term as i * lam(k) * (mult_f mult_g) * c_f * c_g, four
+    Gaussian products per term; records each (mult_f, mult_g) in `mults`."""
+    out = HomPoly.zero(F.degree + G.degree - 2, F.momentum and G.momentum)
+    for mf, cf in F.terms.items():
+        for k_neg in set(mf):
+            k = -k_neg
+            for mg, cg in G.terms.items():
+                if k not in mg:
+                    continue
+                mult_f, mult_g = mf.count(k_neg), mg.count(k)
+                if mults is not None:
+                    mults.add((mult_f, mult_g))
+                rest_f, rest_g = list(mf), list(mg)
+                rest_f.remove(k_neg)
+                rest_g.remove(k)
+                coeff = GR_I * lam(k) * Fraction(mult_f * mult_g) * cf * cg
+                out.accumulate(tuple(sorted(rest_f + rest_g)), coeff)
+    return out
+
+
+def test_bracket_matches_naive_oracle():
+    rng = random.Random(12)
+    mults: set = set()
+    for _ in range(40):
+        F = random_hompoly(rng, rng.randint(3, 5), bound=3, terms=6, momentum=True)
+        G = random_hompoly(rng, rng.randint(3, 5), bound=3, terms=6, momentum=True)
+        assert any(c.im != 0 for c in F.terms.values())
+        assert poisson_bracket(F, G).terms == naive_bracket(F, G, mults).terms
+    # repeated indices: multiplicities 2 and 3 on both sides of the bracket
+    assert {m for m, _ in mults} >= {1, 2, 3} and {m for _, m in mults} >= {1, 2, 3}
+
+
+def test_bracket_matches_naive_oracle_on_the_normal_form():
+    S67 = TangentialSet.make([6, 7])
+    res = run_wbnf(S67, 1)
+    F3 = res.generators[3]
+    H3 = dp_h3(index_universe(res.universe_max))
+    B = poisson_bracket(F3, H3)
+    assert not B.is_zero()
+    assert B.terms == naive_bracket(F3, H3).terms
 
 
 def test_bracket_with_itself_vanishes():

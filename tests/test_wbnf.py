@@ -1,8 +1,10 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from dpkam.core import TangentialSet, lam
+from dpkam.core import TangentialSet, kr_weight, lam
 from dpkam.polyham import is_trivial_monomial
 from dpkam.wbnf import (
     BudgetExceeded,
@@ -64,6 +66,48 @@ def test_is_m_resonance():
     # monotone: an M-resonance is an M'-resonance for M' <= M
     assert m_resonant_up_to((1, -1, 4, -4), 8) == 8
     assert m_resonant_up_to((-3, -1, 2, 2), 8) == 0
+
+
+def fraction_weight_sum(mono, r):
+    return sum((kr_weight(r, j) * lam(j) for j in mono), Fraction(0))
+
+
+def test_weight_sum_is_the_integer_closed_form():
+    rng = random.Random(13)
+    for _ in range(60):
+        mono = tuple(sorted(rng.choice([-5, -3, -2, -1, 1, 2, 3, 4, 7, 11])
+                            for _ in range(rng.randint(3, 8))))
+        for r in range(2, 10):
+            w = weight_sum(mono, r)
+            assert type(w) is int
+            assert w == fraction_weight_sum(mono, r)
+    with pytest.raises(ValueError):
+        weight_sum((-3, -1, 2, 2), 1)
+
+
+def test_enumeration_matches_brute_force_scan():
+    # every multiset in [-6, 6] \ {0}, decided with Fraction lambda-sums and
+    # Fraction hierarchy weights
+    values = [j for j in range(-6, 7) if j != 0]
+    levels = set()
+    for order in (3, 4, 5):
+        expect = {}
+        for mono in itertools.combinations_with_replacement(values, order):
+            if sum(mono) != 0 or sum((lam(j) for j in mono), Fraction(0)) != 0:
+                continue
+            best = 0
+            for r in range(2, 10):
+                if fraction_weight_sum(mono, r) != 0:
+                    break
+                if r >= 4:
+                    best = r - 1
+            expect[mono] = best
+        got = {t.indices: t.m_resonant_up_to for t in enumerate_h2_resonances(order, 6)}
+        assert got == expect
+        for mono in itertools.combinations_with_replacement(values, order):
+            assert m_resonant_up_to(mono, 8) == expect.get(mono, 0)
+        levels.update(expect.values())
+    assert {0, 8} <= levels  # both non-hierarchy and fully resonant tuples occur
 
 
 def test_wbnf_small_set():
