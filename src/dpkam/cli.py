@@ -408,18 +408,22 @@ def _torus_problem(cfg: dict) -> torus_mod.TorusProblem:
     )
 
 
-def cmd_solve(cfg: dict, outdir: str, budget: int) -> int:
+def _failed(check: str, exc: Exception, witness: str = "") -> dict:
+    print(f"{check} failed: {exc}", file=sys.stderr)
+    return {"check": check, "value": str(exc), "threshold": "", "witness": witness, "pass": False}
+
+
+def _solve(cfg: dict, prob: torus_mod.TorusProblem, outdir: str):
+    """Newton on `prob`: writes the checkpoint and the residual history to
+    `outdir` and returns the embedding, None unless it converged, and the
+    solve checks.  A solver failure is a failed newton_converged check."""
     from . import torus as torus_mod
 
-    prob = _torus_problem(cfg)
     sched = torus_mod.NewtonSchedule(**_given(cfg["solve"]))
     try:
         sol = torus_mod.newton_solve(prob, schedule=sched)
     except torus_mod.TorusError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return _summary(outdir, cfg, "solve", [
-            {"check": "newton_converged", "value": str(exc), "threshold": "",
-             "witness": "", "pass": False}])
+        return None, [_failed("newton_converged", exc)]
     os.makedirs(outdir, exist_ok=True)
     digest = torus_mod.save_embedding(sol.emb, os.path.join(outdir, "torus.json"))
     hist = "\n".join(float_fmt(r) for r in sol.residuals)
@@ -435,14 +439,21 @@ def cmd_solve(cfg: dict, outdir: str, budget: int) -> int:
          "threshold": "< 1e-9",
          "witness": "", "pass": bool(np.abs(sol.emb.zeta).max() < 1e-9)},
     ]
-    return _summary(outdir, cfg, "solve", checks)
+    return (sol.emb if sol.converged else None), checks
+
+
+def cmd_solve(cfg: dict, outdir: str, budget: int) -> int:
+    return _summary(outdir, cfg, "solve", _solve(cfg, _torus_problem(cfg), outdir)[1])
 
 
 def cmd_evolve(cfg: dict, outdir: str, budget: int) -> int:
+    """Evolve from the checkpoint, or from a fresh solve whose checks (and
+    files) it reports as `solve` does; a failed solve or flow is a failed check."""
     from . import torus as torus_mod
 
     prob = _torus_problem(cfg)
     ev = cfg["evolve"]
+    checks = []
     if ev["checkpoint"] is not None:
         try:
             emb = torus_mod.load_embedding(ev["checkpoint"])
@@ -454,19 +465,20 @@ def cmd_evolve(cfg: dict, outdir: str, budget: int) -> int:
             if saved != wanted:
                 raise UsageError(f"checkpoint has {name} = {saved}, the config {name} = {wanted}")
     else:
-        sol = torus_mod.newton_solve(prob, schedule=torus_mod.NewtonSchedule(**_given(cfg["solve"])))
-        if not sol.converged:
-            print("newton did not converge; cannot evolve", file=sys.stderr)
-            return EXIT_FAIL
-        emb = sol.emb
-    u0 = torus_mod.action_angle_embed(prob, emb, (0.0, 0.0))
+        emb, checks = _solve(cfg, prob, outdir)
+        if emb is None:
+            return _summary(outdir, cfg, "evolve", checks)
     T, tol = ev["T"], ev["drift_tol"]
-    res = torus_mod.evolve(u0, T=T, n_modes=ev["n_modes"], f_spec=prob.f_spec)
+    try:
+        u0 = torus_mod.action_angle_embed(prob, emb, (0.0,) * prob.S.nu)
+        res = torus_mod.evolve(u0, T=T, n_modes=ev["n_modes"], f_spec=prob.f_spec)
+    except torus_mod.TorusError as exc:
+        return _summary(outdir, cfg, "evolve", checks + [_failed("flow_completed", exc, f"T={T}")])
     lines = ["t,H,K1,sup_norm_u"]
     for t, h, k1, s in zip(res.times, res.h_values, res.k1_values, res.sup_values):
         lines.append(f"{float_fmt(t)},{float_fmt(h)},{float_fmt(k1)},{float_fmt(s)}")
     _write(outdir, "trajectory.csv", "\n".join(lines) + "\n")
-    checks = [
+    checks += [
         {"check": "H_drift", "value": float_fmt(res.h_drift), "threshold": f"< {tol}",
          "witness": f"T={T}", "pass": bool(res.h_drift < tol)},
         {"check": "K1_drift", "value": float_fmt(res.k1_drift), "threshold": f"< {tol}",

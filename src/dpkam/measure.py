@@ -20,7 +20,10 @@ import numpy as np
 from . import spectrum
 from .core import ScalingParams, TangentialSet, ell_bracket, ell_vectors_up_to, lam, packet_sum
 from .spectrum import momentum_ells
-from .twist import TwistData, inverse_frequency_map, twist_matrix, v_vec, w_vec
+from .twist import TwistData, twist_matrix, v_vec, w_vec
+
+
+MELNIKOV_J_MARGIN = 4  # safety margin added to pruning-derived j ranges
 
 
 @dataclass
@@ -28,7 +31,6 @@ class MelnikovConfig:
     scaling: ScalingParams
     c_g1: float = 1.0  # the five-wave set constant C (existential; configurable)
     ell_max: int = 20  # truncation of the diophantine scan
-    melnikov_j_margin: int = 4  # safety margin added to pruning-derived j ranges
 
     def __post_init__(self):
         if self.scaling.gamma >= 1.0:
@@ -261,7 +263,7 @@ def _melnikov_j_range(S: TangentialSet, cfg: MelnikovConfig) -> int:
     bound that would prune a pair is |l| < C|lambda(j) - lambda(k)|, and on
     the momentum-compatible pairs |lambda(j) - lambda(k)| is close to
     |l.jbar|, far below |l|/C."""
-    return int(math.ceil(cfg.ell_max / pruning_slope_constant(S))) + cfg.melnikov_j_margin
+    return int(math.ceil(cfg.ell_max / pruning_slope_constant(S))) + MELNIKOV_J_MARGIN
 
 
 # -- slabs against the box ----------------------------------------------------------------
@@ -320,22 +322,15 @@ def slab_volumes(c0: np.ndarray, g: np.ndarray, t: np.ndarray) -> np.ndarray:
 # -- G0 membership ----------------------------------------------------------------------
 
 
-def in_g0(
-    omega: Sequence[float],
-    S: TangentialSet,
-    cfg: MelnikovConfig,
-    xi: Sequence[float] | None = None,
-) -> tuple[bool, bool]:
-    """(zeroth Melnikov flag, five-wave flag) for a frequency in Omega_eps.
+def in_g0(xi: Sequence[float], S: TangentialSet, cfg: MelnikovConfig) -> tuple[bool, bool]:
+    """(zeroth Melnikov flag, five-wave flag) for the frequency in Omega_eps
+    of the amplitude xi.
 
     Both flags test the slabs of `g0_0_slabs` (0 < |l| <= cfg.ell_max,
     truncation recorded by the caller via `g0_truncation_note`) and of
     `g0_1_slabs` (the pruning-justified finite case list, with M = A^T so
-    that the frequency term is omega.l) at the amplitude xi of omega, by
-    `inverse_frequency_map` unless given."""
+    that the frequency term is omega.l) at xi."""
     eps = cfg.scaling.epsilon
-    if xi is None:
-        xi = inverse_frequency_map(S, list(map(float, omega)), eps)
     x = np.asarray(xi, dtype=float)
     box = FrequencyBox.make(S, eps)
     g0 = g0_0_slabs(box, cfg.ell_max, cfg.scaling.tau, cfg.gamma)

@@ -91,6 +91,9 @@ def _kappa(
     return value
 
 
+RESIDUAL_CONSTANT = 1.0  # C of the bound |r_j^infty| <= C eps^(4-3a) / <j>
+
+
 @dataclass
 class EigenModel:
     """First-order reduced eigenvalues d_j = m lambda(j) + eps^2 kappa_j.
@@ -104,7 +107,6 @@ class EigenModel:
     S: TangentialSet
     xi: tuple
     scaling: ScalingParams
-    residual_constant: float = 1.0
 
     def __post_init__(self):
         self.xi = tuple(_xi_fractions(self.S, self.xi))
@@ -133,7 +135,7 @@ class EigenModel:
         """|r_j^infty| <= C eps^(4-3a) / <j> (bound only; the KAM iteration
         producing the residuals is out of scope)."""
         e, a = self.scaling.epsilon, self.scaling.a
-        return self.residual_constant * e ** (4.0 - 3.0 * a) / max(1, abs(j))
+        return RESIDUAL_CONSTANT * e ** (4.0 - 3.0 * a) / max(1, abs(j))
 
     def csv(self, js: Sequence[int]) -> str:
         out = io.StringIO()

@@ -23,7 +23,7 @@ Z on T^nu, and the functional is evaluated on the angle grid of T^nu alone:
 V = sum_s 2 eps rho_s cos(psi_s + Theta_s) + eps^b Z and G = V + P'(V), and
 each row reads the lattice coefficients of G times its prefactor.
 
-Angle truncation is the square |l|_inf <= N_phi; the normal modes are the
+Angle truncation is the cube |l|_inf <= N_phi; the normal modes are the
 lattice points with |l.sbar| <= N_x.  Nonlinear terms are evaluated
 pseudo-spectrally on the padded angle grid (TorusProblem.at).
 """
@@ -85,6 +85,19 @@ def normal_modes(S: TangentialSet, n_x: int) -> list[int]:
     return [j for j in range(-n_x, n_x + 1) if S.in_sc(j)]
 
 
+def angle_modes(n: int, nu: int) -> np.ndarray:
+    """The (2n + 1)^nu angle modes |l|_inf <= n as an (L, nu) array in
+    row-major order: -l sits at row L - 1 - k of l at row k, l = 0 at L // 2."""
+    r = np.arange(-n, n + 1)
+    return np.stack(np.meshgrid(*[r] * nu, indexing="ij"), axis=-1).reshape(-1, nu)
+
+
+def ell_dot(ell: np.ndarray, v) -> np.ndarray:
+    """l.v for each row l of `ell`, an elementwise product summed over the nu
+    axis (at nu = 2 the two-term sum l_1 v_1 + l_2 v_2)."""
+    return (ell * np.asarray(v)).sum(axis=-1)
+
+
 class MomentumLattice:
     """The Newton unknowns: the angle modes l, |l|_inf <= n_phi, whose
     momentum l.sbar equals their family's x-mode.  The entries run in blocks
@@ -99,15 +112,13 @@ class MomentumLattice:
     (fam, -l); origin: the entries of l = 0 in the 2 nu tangential blocks."""
 
     def __init__(self, S: TangentialSet, grid: TruncationGrid):
-        L, nt = grid.n_ell**2, 2 * S.nu
-        ells = np.arange(-grid.n_phi, grid.n_phi + 1)
-        l1, l2 = (a.ravel() for a in np.meshgrid(ells, ells, indexing="ij"))
-        momentum = S.splus[0] * l1 + S.splus[1] * l2
+        modes, nt = angle_modes(grid.n_phi, S.nu), 2 * S.nu
+        L, momentum = len(modes), ell_dot(modes, S.splus)
         js = normal_modes(S, grid.n_x)
         zero, normal = np.flatnonzero(momentum == 0), np.flatnonzero(np.isin(momentum, js))
         cell = np.concatenate([np.tile(zero, nt), normal])
         self.fam = np.repeat(np.arange(nt + 1), [len(zero)] * nt + [len(normal)])
-        self.ell = np.stack([l1[cell], l2[cell]], axis=1)
+        self.ell = modes[cell]
         self.j = momentum[cell]
         self.full_fam = np.where(self.fam < nt, self.fam, nt + np.searchsorted(js, self.j))
         # -l sits at row-major cell L - 1 - cell; the keys fam L + cell ascend
@@ -126,21 +137,25 @@ def momentum_lattice(S: TangentialSet, grid: TruncationGrid) -> MomentumLattice:
 
 class AngleTransform:
     """Maps between coefficients, given per entry as a field of a stack and
-    an angle mode l (nu = 2 throughout the torus module), and values on the
-    padded (m, m) angle grid; one FFT transforms the whole stack."""
+    an angle mode l, and values on the padded angle grid of T^nu, m points
+    per angle; one FFT over the last nu axes transforms the whole stack."""
 
-    def __init__(self, m: int):
-        self.m = m
+    def __init__(self, m: int, nu: int):
+        self.m, self.nu = m, nu
+        self.shape = (m,) * nu
+        self.axes = tuple(range(-nu, 0))
 
     def to_grid(self, coeffs: np.ndarray, fields: np.ndarray, ell: np.ndarray, n_fields: int):
-        m = self.m
-        big = np.zeros((n_fields, m, m), dtype=complex)
-        big[fields, ell[:, 0] % m, ell[:, 1] % m] = coeffs
-        return scipy.fft.ifft2(big, overwrite_x=True) * (m * m)
+        big = np.zeros((n_fields, *self.shape), dtype=complex)
+        big[(fields, *(ell % self.m).T)] = coeffs
+        return scipy.fft.ifftn(big, axes=self.axes, overwrite_x=True) * self.m**self.nu
 
     def to_coeffs(self, grid: np.ndarray, fields: np.ndarray, ell: np.ndarray) -> np.ndarray:
-        m = self.m
-        return scipy.fft.fft2(grid)[fields, ell[:, 0] % m, ell[:, 1] % m] / (m * m)
+        return scipy.fft.fftn(grid, axes=self.axes)[(fields, *(ell % self.m).T)] / self.m**self.nu
+
+    def sites(self, v) -> np.ndarray:
+        """One value per site, shaped to broadcast against (nu, *shape) grids."""
+        return np.reshape(v, (-1,) + (1,) * self.nu)
 
 
 # -- the embedding -------------------------------------------------------------------
@@ -220,8 +235,6 @@ class TorusProblem:
     include_cubic: bool = True
 
     def __post_init__(self):
-        if self.S.nu != 2:
-            raise TorusError("the torus solver is implemented for nu = 2")
         self.omega = np.asarray(self.omega, dtype=float)
         self.xi = tuple(float(v) for v in self.xi)
         self.js = normal_modes(self.S, self.grid.n_x)
@@ -235,7 +248,7 @@ class TorusProblem:
         # sqrt(xi + ... y)) aliases, at the decay of its Fourier tails.
         top = max(self.f_spec.coeffs, default=0)
         self.at = AngleTransform(
-            max(self.grid.m_phi, scipy.fft.next_fast_len(top * self.grid.n_phi + 1))
+            max(self.grid.m_phi, scipy.fft.next_fast_len(top * self.grid.n_phi + 1)), self.S.nu
         )
         self.lam_js = np.array([float(lam(j)) for j in self.js])
         self.lam_sites = np.array([float(lam(s)) for s in self.S.splus])
@@ -270,15 +283,15 @@ class GridState:
         nu = prob.S.nu
 
         phi_1d = 2.0 * math.pi * np.arange(m) / m
-        phi = np.array(np.meshgrid(phi_1d, phi_1d, indexing="ij"))
+        phi = np.array(np.meshgrid(*[phi_1d] * nu, indexing="ij"))
         X = at.to_grid(emb.x, lat.fam, lat.ell, 2 * nu + 1)
         if np.abs(X[: 2 * nu].imag).max() > 1e-8:
             raise TorusError("embedding violates reality beyond tolerance")
         Theta, Y = X[:nu].real, X[nu : 2 * nu].real
 
-        scale = (eps ** (2 * b - 2) * prob.lam_sites)[:, None, None]
-        rad = np.array(prob.xi)[:, None, None] + scale * Y
-        low = rad.min(axis=(1, 2)) <= 0
+        scale = at.sites(eps ** (2 * b - 2) * prob.lam_sites)
+        rad = at.sites(prob.xi) + scale * Y
+        low = rad.min(axis=at.axes) <= 0
         if low.any():
             i = int(np.argmax(low))
             bad = np.unravel_index(int(np.argmin(rad[i])), rad[i].shape)
@@ -296,9 +309,9 @@ class GridState:
         # f_theta_i = iwl Theta_i - dH/dy_i,  f_y_i = iwl y_i + dH/dtheta_i,
         # f_z = iwl z - i lambda(l.sbar) eps^-b G
         self.rows = np.concatenate([
-            -(prob.lam_sites / eps)[:, None, None] * self.cos / self.rho,
+            -at.sites(prob.lam_sites / eps) * self.cos / self.rho,
             -2.0 * eps ** (1.0 - 2.0 * b) * self.rho * self.sin,
-            np.full((1, m, m), eps ** (-b)),
+            np.full((1, *at.shape), eps ** (-b)),
         ])
 
 
@@ -311,17 +324,12 @@ class Residual:
     sup: float  # max over the families Theta_i, y_i and z_j of the angle-grid sup
 
 
-def _wl(prob: TorusProblem) -> np.ndarray:
-    """omega.l at the lattice entries."""
-    ell = prob.lattice.ell
-    return prob.omega[0] * ell[:, 0] + prob.omega[1] * ell[:, 1]
-
-
 def residual(prob: TorusProblem, emb: TorusEmbedding) -> Residual:
     """The invariant-torus functional on the truncation."""
     at, lat, nu = prob.at, prob.lattice, prob.S.nu
     gs = GridState(prob, emb)
-    f = 1j * _wl(prob) * emb.x + prob.row_coef * at.to_coeffs(gs.rows * gs.G, lat.fam, lat.ell)
+    f = 1j * ell_dot(lat.ell, prob.omega) * emb.x
+    f += prob.row_coef * at.to_coeffs(gs.rows * gs.G, lat.fam, lat.ell)
     f[lat.origin[:nu]] += prob.omega
     f[lat.origin[nu:]] += emb.zeta
     # each family of the full truncation (z_j per momentum class) on its own
@@ -343,8 +351,8 @@ def jacobian(
     phase rows Theta_i(0) = 0 that fix the translation degeneracies.  The
     block between two of the families Theta_i, y_i and z is omega.d_phi on
     the diagonal plus the multiplication operator of a symbol mu(phi),
-    J[l_r, l_c] = row_coef(l_r) mu_hat(l_r - l_c); the 25 symbols go through
-    one fft2, and the entries with |J| <= droptol are dropped."""
+    J[l_r, l_c] = row_coef(l_r) mu_hat(l_r - l_c); the (2 nu + 1)^2 symbols
+    go through one FFT, and the entries with |J| <= droptol are dropped."""
     at, lat, nu = prob.at, prob.lattice, prob.S.nu
     eps, b = prob.eps, prob.b
     gs = GridState(prob, emb)
@@ -357,7 +365,7 @@ def jacobian(
     syms = gs.rows[:, None] * np.concatenate([(1.0 + d2P) * dV, eps**b * d2P[None]])
     # the prefactors' own Theta_i and y_i: d cos = -sin dTheta, d rho = rho sigma dy
     i = np.arange(nu)
-    syms[i, i] += (prob.lam_sites / eps)[:, None, None] * gs.sin / gs.rho * gs.G
+    syms[i, i] += at.sites(prob.lam_sites / eps) * gs.sin / gs.rho * gs.G
     syms[i, nu + i] -= gs.sig * gs.rows[i] * gs.G
     syms[nu + i, i] -= 2.0 * eps ** (1.0 - 2.0 * b) * gs.rho * gs.cos * gs.G
     syms[nu + i, nu + i] += gs.sig * gs.rows[nu + i] * gs.G
@@ -365,7 +373,7 @@ def jacobian(
     n, nf = len(lat.fam), 2 * nu + 1
     rows, cols = (a.ravel() for a in np.indices((n, n)))
     val = prob.row_coef[rows] * at.to_coeffs(
-        syms.reshape(-1, at.m, at.m), lat.fam[rows] * nf + lat.fam[cols], lat.ell[rows] - lat.ell[cols]
+        syms.reshape(-1, *at.shape), lat.fam[rows] * nf + lat.fam[cols], lat.ell[rows] - lat.ell[cols]
     )
     keep = np.abs(val) > droptol
 
@@ -374,7 +382,8 @@ def jacobian(
     th0, y0 = lat.origin[:nu], lat.origin[nu:]
     rows = np.concatenate([rows[keep], np.arange(n), y0, n + i])
     cols = np.concatenate([cols[keep], np.arange(n), n + i, th0])
-    vals = np.concatenate([val[keep], 1j * (_wl(prob) - prob.lam_lat), np.ones(2 * nu)])
+    diag = 1j * (ell_dot(lat.ell, prob.omega) - prob.lam_lat)
+    vals = np.concatenate([val[keep], diag, np.ones(2 * nu)])
     return sp.csc_matrix((vals, (rows, cols)), shape=(n + nu, n + nu))
 
 
@@ -406,13 +415,13 @@ class NewtonResult:
 
 def min_linear_divisor(prob: TorusProblem) -> tuple[float, tuple]:
     """Smallest |omega . l - lambda(l.sbar)| over the z lattice, the divisors
-    the Newton system holds (diagnostic), with its first witness
-    ((l1, l2), j) in the order l1, l2."""
+    the Newton system holds (diagnostic), with its first witness (l, j) in
+    the row-major order of l."""
     lat = prob.lattice
     z = np.flatnonzero(lat.fam == 2 * prob.S.nu)
-    div = np.abs(_wl(prob)[z] - prob.lam_lat[z])
+    div = np.abs(ell_dot(lat.ell[z], prob.omega) - prob.lam_lat[z])
     k = z[int(np.argmin(div))]
-    return float(div.min()), ((int(lat.ell[k, 0]), int(lat.ell[k, 1])), int(lat.j[k]))
+    return float(div.min()), (tuple(lat.ell[k].tolist()), int(lat.j[k]))
 
 
 def _linear_steps(J: sp.csc_matrix, rhs: np.ndarray):
@@ -505,11 +514,11 @@ def newton_solve(
 
 
 def action_angle_embed(
-    prob: TorusProblem, emb: TorusEmbedding, phi: tuple[float, float]
+    prob: TorusProblem, emb: TorusEmbedding, phi: tuple[float, ...]
 ) -> dict[int, complex]:
     """Fourier coefficients of u = A_eps(i(phi)) at a single angle phi."""
     eps, b, nu, lat = prob.eps, prob.b, prob.S.nu, prob.lattice
-    vals = emb.x * np.exp(1j * (lat.ell[:, 0] * phi[0] + lat.ell[:, 1] * phi[1]))
+    vals = emb.x * np.exp(1j * ell_dot(lat.ell, phi))
     fams = np.zeros(2 * nu + len(prob.js), dtype=complex)
     np.add.at(fams, lat.full_fam, vals)
 
@@ -533,12 +542,9 @@ def action_angle_embed(
 
 @dataclass
 class LinearizedOperator:
-    js: list[int]
-    ell_cut: int
-    blocks: list[dict]
     eigvals: np.ndarray
-    matched: dict[tuple[tuple[int, int], int], complex]
-    match_quality: dict[tuple[tuple[int, int], int], float]
+    matched: dict[tuple[tuple[int, ...], int], complex]
+    match_quality: dict[tuple[tuple[int, ...], int], float]
 
 
 def _correction_pieces(
@@ -590,33 +596,29 @@ def linearized_normal_operator(
     matched eigenvalues are even in eps."""
     S = prob.S
     eps = prob.eps
-    m = prob.at.m
+    at, m = prob.at, prob.at.m
     js = np.array(prob.js)
 
-    # basis: (l, j) with |l|_inf <= ell_cut, j normal, |j| <= n_x, grouped
-    # into the momentum classes j - l . jbar
-    r = np.arange(-ell_cut, ell_cut + 1)
-    l1, l2, kb = (a.ravel() for a in np.meshgrid(r, r, np.arange(len(js)), indexing="ij"))
-    momentum = js[kb] - (l1 * S.splus[0] + l2 * S.splus[1])
+    # basis: (l, j) with |l|_inf <= ell_cut, j normal, |j| <= n_x, in the
+    # row-major order of (l, j), grouped into the momentum classes j - l . jbar
+    modes = angle_modes(ell_cut, S.nu)
+    ell, kb = np.repeat(modes, len(js), axis=0), np.tile(np.arange(len(js)), len(modes))
+    momentum = js[kb] - ell_dot(ell, S.splus)
     order = np.argsort(momentum, kind="stable")
-    keys, first = np.unique(momentum[order], return_index=True)
+    _, first = np.unique(momentum[order], return_index=True)
 
     # the angle spectrum of V (multiplication part): within a momentum class
     # j_r - j_c = (l_r - l_c).sbar, so V_hat(l_r - l_c) is the x-mode
     # j_r - j_c of u; the coupling stems from the cubic Hamiltonian, so it
     # vanishes when the cubic term is disabled and the operator is exactly
     # omega.dphi - J
-    vhat = (
-        scipy.fft.fft2(GridState(prob, emb).V) / (m * m) if prob.include_cubic else np.zeros((m, m))
-    )
+    vhat = np.zeros(at.shape)
+    if prob.include_cubic:
+        vhat = scipy.fft.fftn(GridState(prob, emb).V) / m**S.nu
 
     # symbolic correction pieces, evaluated at the unperturbed wave packet:
     # amps[k, k2, dl] is the coefficient of e^{i dl.phi} in d^2 Q/dz_{-j_k} dz_{j_k2}
-    corr = (
-        _correction_pieces(S, prob.grid.n_x, phib_order)
-        if prob.include_cubic
-        else []
-    )
+    corr = _correction_pieces(S, prob.grid.n_x, phib_order) if prob.include_cubic else []
     kpos = {j: k for k, j in enumerate(prob.js)}
     sqrt_xi = {s: math.sqrt(prob.xi[i]) for i, s in enumerate(S.splus)}
     sqrt_xi.update({-s: sqrt_xi[s] for s in S.splus})
@@ -630,7 +632,7 @@ def linearized_normal_operator(
             amp = complex(cval) * eps ** (len(vslots)) * math.prod(
                 sqrt_xi[v] for v in vslots
             )
-            dl = tuple(sum(S.angle_vector(v)[i] for v in vslots) for i in range(2))
+            dl = tuple(sum(S.angle_vector(v)[i] for v in vslots) for i in range(S.nu))
             a_z, b_z = zslots
             mult = 2 if a_z == b_z else 1
             # quadratic form amp * z_a z_b: d/dz_{-j} nonzero for j = -a, -b
@@ -639,46 +641,41 @@ def linearized_normal_operator(
                     cell = (kpos[-out_slot], kpos[other], dl)
                     acc[cell] = acc.get(cell, 0.0) + amp * mult
     wd = max((max(map(abs, cell[2])) for cell in acc), default=0)
-    amps = np.zeros((len(js), len(js), 2 * wd + 1, 2 * wd + 1), dtype=complex)
-    for (k, k2, (d1, d2)), amp in acc.items():
-        amps[k, k2, d1 + wd, d2 + wd] = amp
+    amps = np.zeros((len(js), len(js)) + (2 * wd + 1,) * S.nu, dtype=complex)
+    for (k, k2, dl), amp in acc.items():
+        amps[(k, k2, *np.add(dl, wd))] = amp
 
     eigvals = []
     matched: dict = {}
     quality: dict = {}
-    blocks_out = []
-    for key, idxs in zip(keys.tolist(), np.split(order, first[1:])):
-        a1, a2, k = l1[idxs], l2[idxs], kb[idxs]
+    for idxs in np.split(order, first[1:]):
+        a, k = ell[idxs], kb[idxs]
         nb = len(idxs)
         ilj = (1j * prob.lam_js[k])[:, None]
-        d1, d2 = a1[:, None] - a1, a2[:, None] - a2
+        d = np.moveaxis(a[:, None] - a, -1, 0)  # (nu, nb, nb): l_r - l_c per axis
         M = np.zeros((nb, nb), dtype=complex)
-        M[np.diag_indices(nb)] += 1j * (prob.omega[0] * a1 + prob.omega[1] * a2) - ilj[:, 0]
+        M[np.diag_indices(nb)] += 1j * ell_dot(a, prob.omega) - ilj[:, 0]
         # multiplication by the embedding field
-        v = vhat[d1 % m, d2 % m]
+        v = vhat[tuple(d % m)]
         M += np.where(np.abs(v) > 1e-15, ilj * v, 0)
         # symbolic eps^2 corrections: L = omega.d_phi - A with
         # A-entry i lambda(j) d^2 Q/dz_{-j} dz_{j2}
-        near = (np.abs(d1) <= wd) & (np.abs(d2) <= wd)
-        amp = amps[k[:, None], k, np.clip(d1, -wd, wd) + wd, np.clip(d2, -wd, wd) + wd]
+        near = (np.abs(d) <= wd).all(axis=0)
+        amp = amps[(k[:, None], k, *(np.clip(d, -wd, wd) + wd))]
         M -= np.where(near, ilj * amp, 0)
-        local = list(zip(zip(a1.tolist(), a2.tolist()), js[k].tolist()))
+        local = list(zip(map(tuple, a.tolist()), js[k].tolist()))
         w, V = np.linalg.eig(M)
         eigvals.extend(w.tolist())
         dom = np.argmax(np.abs(V), axis=0)
         for col in range(nb):
             mode = local[dom[col]]
             weight = abs(V[dom[col], col]) / np.linalg.norm(V[:, col])
-            prev = quality.get((mode[0], mode[1]))
+            prev = quality.get(mode)
             if prev is None or weight > prev:
-                matched[(mode[0], mode[1])] = w[col]
-                quality[(mode[0], mode[1])] = float(weight)
-        blocks_out.append({"key": key, "size": nb})
+                matched[mode] = w[col]
+                quality[mode] = float(weight)
 
     return LinearizedOperator(
-        js=prob.js,
-        ell_cut=ell_cut,
-        blocks=blocks_out,
         eigvals=np.array(sorted(eigvals, key=lambda v: v.imag)),
         matched=matched,
         match_quality=quality,

@@ -30,6 +30,11 @@ from .core import (
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
+# thresholds of `nondegeneracy_report`
+DET_THRESHOLD = Fraction(1)  # of the rank-one determinant (ii)
+CORTO_DELTA = 1e-3  # of the corto and cortissimo scans (iii)
+NONDEG_ELL_BOUND = 3  # |l|_1 of the scans (iii)
+
 
 def b_jk(j: int, k: int) -> Fraction:
     """Off-diagonal twist entry
@@ -217,34 +222,20 @@ def frequency_map(S: TangentialSet, xi: Sequence, eps: Fraction) -> list[Fractio
 
 
 def inverse_frequency_map(
-    S: TangentialSet, omega: Sequence, eps: float, tol: float = 1e-9
-) -> list:
-    """Solve omega = omega_bar + eps^2 A xi for xi; rejects xi outside [1,2]^nu
-    beyond `tol`."""
+    S: TangentialSet, omega: Sequence, eps: Fraction, tol: float = 1e-9
+) -> list[Fraction]:
+    """Solve omega = omega_bar + eps^2 A xi for xi, exactly: omega and eps
+    must be int or Fraction (TypeError otherwise); rejects xi outside
+    [1,2]^nu beyond `tol`."""
+    if not all(isinstance(v, (int, Fraction)) for v in (*omega, eps)):
+        raise TypeError("inverse_frequency_map takes exact omega and eps (int or Fraction)")
     td = twist_matrix(S)
-    exact = all(isinstance(v, (int, Fraction)) for v in omega) and isinstance(
-        eps, (int, Fraction)
-    )
-    if exact:
-        rhs = [
-            (Fraction(w) - wb) / (Fraction(eps) ** 2)
-            for w, wb in zip(omega, td.omega_bar)
-        ]
-        xi = mat_solve(td.A, rhs)
-        vals = [float(v) for v in xi]
-    else:
-        rhs = [
-            Fraction(float(w) - float(wb)).limit_denominator(10**15)
-            for w, wb in zip(omega, td.omega_bar)
-        ]
-        e2 = Fraction(float(eps) ** 2).limit_denominator(10**15)
-        xi = mat_solve(td.A, [r / e2 for r in rhs])
-        vals = [float(v) for v in xi]
+    e2 = Fraction(eps) ** 2
+    xi = mat_solve(td.A, [(Fraction(w) - wb) / e2 for w, wb in zip(omega, td.omega_bar)])
+    vals = [float(v) for v in xi]
     if any(v < 1 - tol or v > 2 + tol for v in vals):
-        raise ValueError(
-            f"omega maps to xi = {vals} outside the parameter box [1,2]^nu"
-        )
-    return xi if exact else vals
+        raise ValueError(f"omega maps to xi = {vals} outside the parameter box [1,2]^nu")
+    return xi
 
 
 # -- kappa coefficient vectors --------------------------------------------------------
@@ -313,27 +304,19 @@ def _nearest_ell(ells: list[tuple[tuple[int, ...], int]], u: Vector) -> tuple[fl
     )
 
 
-def nondegeneracy_report(
-    S: TangentialSet,
-    r_threshold: Fraction | None = None,
-    det_threshold: Fraction = Fraction(1),
-    corto_delta: float = 1e-3,
-    ell_bound: int = 3,
-    j_bound: int = 60,
-) -> NondegReport:
+def nondegeneracy_report(S: TangentialSet, j_bound: int = 60) -> NondegReport:
     """Run the non-degeneracy checks with witnesses.
 
     (i) the l1-norm 1,2,3,5 sums and the wave-packet |l| = 4 case (exact);
-    (ii) |1 - A^{-T} v . omega_bar| >= det_threshold (exact);
+    (ii) |1 - A^{-T} v . omega_bar| >= DET_THRESHOLD (exact);
     (iii) scanned minima of |l - (I - A^{-T} v wb^T)^{-1} A^{-T}(w_j - w_k)|/|l|
           and the single-j analogue;
     plus the decay-constant fit for |w_j - w_k|.
     """
     records: list[CheckRecord] = []
     td = twist_matrix(S)
-    if r_threshold is None:
-        # the parity argument gives jbar1 * |sum| > 1/2 for odd |l|
-        r_threshold = Fraction(1, S.jbar1)
+    # the parity argument gives jbar1 * |sum| > 1/2 for odd |l|
+    r_threshold = Fraction(1, S.jbar1)
 
     # (i) exact ell sums; odd norms carry a quantitative threshold (the sums
     # approach (sum l_i)/jbar1 with |sum l_i| >= 1 by parity), even norms are
@@ -363,9 +346,9 @@ def nondegeneracy_report(
         CheckRecord(
             check="corto100_rank_one_det",
             value=float(abs(det_val)),
-            threshold=float(det_threshold),
+            threshold=float(DET_THRESHOLD),
             witness=f"1 - A^-T v . omega_bar = {fraction_str(det_val)}",
-            passed=abs(det_val) >= det_threshold,
+            passed=abs(det_val) >= DET_THRESHOLD,
         )
     )
 
@@ -377,7 +360,7 @@ def nondegeneracy_report(
     K = [[a - vi * wk for a, wk in zip(row, td.omega_bar)] for row, vi in zip(At, v)]
     w = {j: w_vec(S, j) for j in normal}
     t = {j: mat_solve(K, w[j]) for j in normal}
-    ells = [(ell, ell_norm(ell)) for ell in ell_vectors_up_to(S.nu, ell_bound)]
+    ells = [(ell, ell_norm(ell)) for ell in ell_vectors_up_to(S.nu, NONDEG_ELL_BOUND)]
 
     (single, ell), j = min(
         ((_nearest_ell(ells, t[j]), j) for j in normal), key=lambda p: p[0][0]
@@ -399,18 +382,18 @@ def nondegeneracy_report(
         CheckRecord(
             check="corto_pair_scan",
             value=pair,
-            threshold=corto_delta,
+            threshold=CORTO_DELTA,
             witness=witness_pair,
-            passed=pair >= corto_delta,
+            passed=pair >= CORTO_DELTA,
         )
     )
     records.append(
         CheckRecord(
             check="cortissimo_single_scan",
             value=single,
-            threshold=corto_delta,
+            threshold=CORTO_DELTA,
             witness=witness_single,
-            passed=single >= corto_delta,
+            passed=single >= CORTO_DELTA,
         )
     )
     records.append(

@@ -29,6 +29,7 @@ from .polyham import (
 
 DEGREE_CAP = 8  # six normal form steps, as in the construction
 DEFAULT_BUDGET = 10_000_000
+Z_TARGET = 1  # the z-degree the normal form keeps, beyond the degree headroom
 
 
 class BudgetExceeded(RuntimeError):
@@ -235,7 +236,6 @@ def wbnf_step(
     S: TangentialSet,
     N: int,
     max_degree: int,
-    z_target: int = 1,
     universe: frozenset[int] | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[HomPoly, dict[int, HomPoly], HomPoly, HomPoly]:
@@ -265,7 +265,7 @@ def wbnf_step(
         raise WbnfError(f"generator support exceeds ({deg}-1)*jbar1 = {bound}")
 
     def z_keep(degree: int) -> int:
-        return z_target + (max_degree - degree)
+        return Z_TARGET + (max_degree - degree)
 
     new_pieces = flow_conjugate(
         pieces.values(),
@@ -292,7 +292,6 @@ def run_wbnf(
     S: TangentialSet,
     max_order: int,
     budget: int = DEFAULT_BUDGET,
-    z_target: int = 1,
     universe_max: int | None = None,
 ) -> WbnfResult:
     """Normalize the DP Hamiltonian through degree max_order + 2.
@@ -308,7 +307,7 @@ def run_wbnf(
     uni = index_universe(universe_max)
 
     def z_keep(degree: int) -> int:
-        return z_target + (cap - degree)
+        return Z_TARGET + (cap - degree)
 
     pieces: dict[int, HomPoly] = {2: dp_h2(uni)}
     if cap >= 3:
@@ -318,7 +317,7 @@ def run_wbnf(
     res = WbnfResult(S=S, max_order=max_order, universe_max=universe_max)
     for N in range(max_order):
         F, pieces, z0, z1 = wbnf_step(
-            pieces, S, N, cap, z_target=z_target, universe=uni, budget=budget
+            pieces, S, N, cap, universe=uni, budget=budget
         )
         deg = N + 3
         res.generators[deg] = F

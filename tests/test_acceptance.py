@@ -365,7 +365,7 @@ def test_criterion_09_torus_solve(torus_1em3):
     cfg = MelnikovConfig(
         scaling=ScalingParams(epsilon=1e-3, a=0.1, nu=2), ell_max=12
     )
-    f0, f1 = in_g0(list(prob.omega), S67, cfg, xi=[1.3, 1.7])
+    f0, f1 = in_g0([1.3, 1.7], S67, cfg)
     zeta = float(np.abs(sol.emb.zeta).max())
     ok = (
         f0 and f1

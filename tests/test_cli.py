@@ -154,6 +154,38 @@ def test_solve_and_evolve_cmd(tmp_path):
     assert float(traj[-1].split(",")[0]) == 5.0  # [evolve] T = 5 from the file
 
 
+@pytest.mark.parametrize("eps, value", [("0.05", "residual stalled"), ("0.2", False)],
+                         ids=["solver raises", "no convergence"])
+def test_evolve_reports_a_failed_solve(tmp_path, capsys, eps, value):
+    # without a checkpoint evolve solves first and reports the solve as solve does
+    cfg = write_config(tmp_path, BASE + "[truncation]\nn_x = 16\nn_phi = 4\n"
+                                        "[evolve]\nT = 1\nn_modes = 32\n")
+    out = tmp_path / "ev"
+    rc = main(["evolve", "--config", cfg, "--out", str(out), "--set", f"problem.epsilon={eps}"])
+    assert rc == 1 and "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["command"] == "evolve" and not summary["pass"]
+    check = summary["checks"][0]
+    assert check["check"] == "newton_converged" and not check["pass"]
+    assert check["value"] is value or value in check["value"]
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_evolve_reports_a_failed_flow(tmp_path, monkeypatch):
+    def blow_up(*args, **kwargs):
+        raise torus.DivergenceError("blow-up detected at t = 0.5")
+
+    monkeypatch.setattr(torus, "evolve", blow_up)
+    cfg = write_config(tmp_path, BASE + "[truncation]\nn_x = 16\nn_phi = 4\n[evolve]\nT = 1\n")
+    out = tmp_path / "ev"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 1
+    checks = json.loads((out / "summary.json").read_text())["checks"]
+    assert [c["check"] for c in checks] == ["newton_converged", "counterterm_small",
+                                            "flow_completed"]
+    assert [c["pass"] for c in checks] == [True, True, False]
+    assert "blow-up" in checks[-1]["value"]
+
+
 def test_evolve_honours_solve_schedule(tmp_path):
     cfg = write_config(tmp_path, BASE + "[truncation]\nn_x = 16\nn_phi = 4\n"
                                         "[solve]\nmax_iter = 1\n[evolve]\nT = 1\n")

@@ -120,9 +120,7 @@ def test_frequency_box_volume():
 
 def test_in_g0_runs_and_flags():
     cfg = _cfg(eps=0.05, ell_max=6)
-    omega = [float(v) for v in frequency_map(S67, [Fraction(3, 2), Fraction(3, 2)],
-                                             Fraction(1, 20))]
-    f0, f1 = in_g0(omega, S67, cfg, xi=[1.5, 1.5])
+    f0, f1 = in_g0([1.5, 1.5], S67, cfg)
     assert isinstance(f0, bool) and isinstance(f1, bool)
     assert f0  # generic frequencies pass the truncated diophantine scan
 
@@ -147,10 +145,10 @@ def test_in_g0_five_wave_divisor_is_omega_dot_ell():
         abs(sum(w * e for w, e in zip(omega, ell)) + mu(jp) - mu(j))
         for ell, j, jp in g1_scan_pairs(S67, cfg)[0]
     )
-    w, x = [float(v) for v in omega], [float(v) for v in xi]
+    x = [float(v) for v in xi]
     for factor, flag in ((1 - 1e-9, True), (1 + 1e-9, False)):
         cfg.c_g1 = float(smallest) / cfg.gamma * factor
-        assert in_g0(w, S67, cfg, xi=x)[1] is flag
+        assert in_g0(x, S67, cfg)[1] is flag
 
 
 def test_g0_0_excludes_near_resonant_frequencies():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -33,17 +34,19 @@ from dpkam.torus import (
 from dpkam.torus import _phi_funcs
 
 S67 = TangentialSet.make([6, 7])
+# a three-site packet: S+ = {6, 7, 8} needs n_x > 2 jbar1 = 16
+S678, XI3 = TangentialSet.make([6, 7, 8]), (1.3, 1.5, 1.7)
 
 
-def small_problem(eps=1e-2, n_x=16, n_phi=2, xi=(1.3, 1.7), cubic=True, f_coeffs=None):
-    sc = ScalingParams(epsilon=eps, a=0.1, nu=2)
-    grid = TruncationGrid(n_x=n_x, n_phi=n_phi, jbar1=7)
+def small_problem(eps=1e-2, n_x=16, n_phi=2, xi=(1.3, 1.7), cubic=True, f_coeffs=None, S=S67):
+    sc = ScalingParams(epsilon=eps, a=0.1, nu=S.nu)
+    grid = TruncationGrid(n_x=n_x, n_phi=n_phi, jbar1=S.jbar1)
     eps_frac = Fraction(eps).limit_denominator(10**9)
     omega = np.array(
-        [float(w) for w in frequency_map(S67, [Fraction(str(x)) for x in xi], eps_frac)]
+        [float(w) for w in frequency_map(S, [Fraction(str(x)) for x in xi], eps_frac)]
     )
     return TorusProblem(
-        S=S67, grid=grid, xi=xi, scaling=sc, omega=omega, include_cubic=cubic,
+        S=S, grid=grid, xi=xi, scaling=sc, omega=omega, include_cubic=cubic,
         f_spec=FSpec(f_coeffs or {}),
     )
 
@@ -104,7 +107,7 @@ def test_radicand_error_reported():
 
 def _lattice_draw(prob, rng, scale):
     """A real embedding with complex lattice coefficients of size `scale`."""
-    emb = TorusEmbedding.trivial(S67, prob.grid)
+    emb = TorusEmbedding.trivial(prob.S, prob.grid)
     n = len(emb.x)
     emb.x[:] = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
     emb.enforce_reality()
@@ -113,14 +116,14 @@ def _lattice_draw(prob, rng, scale):
 
 def _rows(prob, emb):
     """The rows of the Newton system: the residual, then the phases Theta_i(0)."""
-    return np.concatenate([residual(prob, emb).f, emb.x[prob.lattice.origin[:2]]])
+    return np.concatenate([residual(prob, emb).f, emb.x[prob.lattice.origin[: prob.S.nu]]])
 
 
 def full_grid_residual(prob, emb):
     """The oracle: the functional on the full truncation, as the torus layer
     evaluated it before it moved to T^nu.  The lattice vector is scattered
-    into the families Theta_i, y_i and z_k (j = js[k]) of (2N+1)^2 angle
-    coefficients; u lives on an (m_x, m, m) x-by-angle grid whose m_x
+    into the families Theta_i, y_i and z_k (j = js[k]) of (2N+1)^nu angle
+    coefficients; u lives on an (m_x, m, ..., m) x-by-angle grid whose m_x
     x-points resolve the top power of P, and every family is transformed in
     x and in the angles.  Returns the residual of every family at every
     angle mode, flattened, the flat indices of the lattice rows in the
@@ -129,29 +132,33 @@ def full_grid_residual(prob, emb):
     lat, N, nu, m = prob.lattice, prob.grid.n_phi, prob.S.nu, prob.at.m
     n, eps, b = 2 * N + 1, prob.eps, prob.b
     sites, js = np.array(prob.S.splus), np.array(prob.js)
-    flat = (lat.full_fam * n + lat.ell[:, 0] + N) * n + lat.ell[:, 1] + N
-    x = np.zeros((2 * nu + len(js)) * n * n, dtype=complex)
+    shape = (2 * nu + len(js),) + (n,) * nu
+    flat = np.ravel_multi_index((lat.full_fam, *(lat.ell + N).T), shape)
+    x = np.zeros(math.prod(shape), dtype=complex)
     x[flat] = emb.x
-    x = x.reshape(-1, n, n)
-    idx = np.arange(-N, N + 1) % m
+    x = x.reshape(shape)
+    cube = (..., *np.ix_(*[np.arange(-N, N + 1) % m] * nu))  # |l|_inf <= N on the grid
+    axes = tuple(range(-nu, 0))
 
     def to_grid(c):
-        big = np.zeros(c.shape[:-2] + (m, m), dtype=complex)
-        big[..., idx[:, None], idx] = c
-        return scipy.fft.ifft2(big) * m * m
+        big = np.zeros(c.shape[:-nu] + (m,) * nu, dtype=complex)
+        big[cube] = c
+        return scipy.fft.ifftn(big, axes=axes) * m**nu
 
     def to_coeffs(g):
-        return scipy.fft.fft2(g)[..., idx[:, None], idx] / (m * m)
+        return scipy.fft.fftn(g, axes=axes)[cube] / m**nu
+
+    def per_site(v):
+        return np.reshape(v, (-1,) + (1,) * nu)
 
     mx = scipy.fft.next_fast_len(max([3, *prob.f_spec.coeffs]) * prob.grid.n_x + 1)
     phi_1d = 2.0 * math.pi * np.arange(m) / m
-    phi = np.array(np.meshgrid(phi_1d, phi_1d, indexing="ij"))
+    phi = np.array(np.meshgrid(*[phi_1d] * nu, indexing="ij"))
     X = to_grid(x)
     Theta, Y = X[:nu].real, X[nu : 2 * nu].real
-    rho = np.sqrt(np.array(prob.xi)[:, None, None]
-                  + (eps ** (2 * b - 2) * prob.lam_sites)[:, None, None] * Y)
+    rho = np.sqrt(per_site(prob.xi) + per_site(eps ** (2 * b - 2) * prob.lam_sites) * Y)
     e = np.exp(1j * (phi + Theta))
-    ux = np.zeros((mx, m, m), dtype=complex)
+    ux = np.zeros((mx,) + (m,) * nu, dtype=complex)
     ux[sites % mx] = eps * rho * e
     ux[-sites % mx] = eps * rho * np.conj(e)
     ux[js % mx] = eps**b * X[2 * nu :]
@@ -159,14 +166,14 @@ def full_grid_residual(prob, emb):
     dP = nonlinear_density(u, 1, prob.f_spec, prob.include_cubic)
     gx = scipy.fft.fft(dP, axis=0) / mx + ux
     gm, gp = gx[-sites % mx], gx[sites % mx]
-    dHy = ((prob.lam_sites / (2.0 * eps))[:, None, None] * (gm * e + gp * np.conj(e)) / rho).real
+    dHy = (per_site(prob.lam_sites / (2.0 * eps)) * (gm * e + gp * np.conj(e)) / rho).real
     dHth = (eps ** (1.0 - 2.0 * b) * 1j * rho * (gm * e - gp * np.conj(e))).real
-    zdot = (1j * prob.lam_js * eps ** (-b))[:, None, None] * gx[js % mx]
-    ells = np.arange(-N, N + 1)
-    iwl = 1j * (prob.omega[0] * ells[:, None] + prob.omega[1] * ells)
+    zdot = per_site(1j * prob.lam_js * eps ** (-b)) * gx[js % mx]
+    ells = np.meshgrid(*[np.arange(-N, N + 1)] * nu, indexing="ij")
+    iwl = 1j * sum(w * ell for w, ell in zip(prob.omega, ells))
     f = iwl * x - to_coeffs(np.concatenate([dHy, -dHth, zdot]))
-    f[:nu, N, N] += prob.omega
-    f[nu : 2 * nu, N, N] += emb.zeta
+    f[(slice(None, nu),) + (N,) * nu] += prob.omega
+    f[(slice(nu, 2 * nu),) + (N,) * nu] += emb.zeta
     return f.ravel(), flat, float(np.abs(to_grid(f)).max())
 
 
@@ -178,14 +185,23 @@ ULP = np.finfo(float).eps
 # grid (m = 35) aliases the Fourier tails of e^{i Theta} and
 # sqrt(xi + ... y), which hold the modes +-(7, -6) here; on a grid of
 # m = 45 both fall to rounding, 2.8e-16 and 3.3e-17 (bounds 1e-13 and
-# 1e-12).  The f cases pad the grid for u^9 (m = 75).
+# 1e-12).  The f cases pad the grid for u^9 (m = 75).  At nu = 3 the same
+# holds: nu3 cubic+f (m = 20) and the nu3 solution at most 7.7e-16 and
+# 1.0e-16; nu3 cubic 3.6e-12 and 2.6e-12 on m = 18, whose Theta and y hold
+# +-(1, -2, 1), +-(2, -4, 2), +-(4, 0, -3) and +-(3, 2, -4), and at most
+# 4.5e-16 on m = 24, 30 and 36 (bounds 1e-11).
 ORACLE_CASES = {
     # as in the finite-difference test: a noisy lattice embedding at eps = 1e-2
-    "cubic": (dict(cubic=True, f_coeffs={}), 1e-13, 1e-12),
-    "cubic+f": (dict(cubic=True, f_coeffs={9: 1e10}), 100 * ULP, 100 * ULP),
-    "f only": (dict(cubic=False, f_coeffs={9: 1e10}), 100 * ULP, 100 * ULP),
-    # problem.ini's grid at its converged torus
-    "solved 1/1000": (None, 100 * ULP, 100 * ULP),
+    "cubic": (dict(n_phi=8), 1e-13, 1e-12),
+    "cubic+f": (dict(n_phi=8, f_coeffs={9: 1e10}), 100 * ULP, 100 * ULP),
+    "f only": (dict(n_phi=8, cubic=False, f_coeffs={9: 1e10}), 100 * ULP, 100 * ULP),
+    "nu3 cubic": (dict(S=S678, xi=XI3, n_x=24, n_phi=4), 1e-11, 1e-11),
+    "nu3 cubic+f": (dict(S=S678, xi=XI3, n_x=24, n_phi=2, f_coeffs={9: 1e10}), 100 * ULP,
+                    100 * ULP),
+    # converged tori: problem.ini's grid, and nu = 3 on 388 unknowns
+    "solved 1/1000": (dict(eps=1e-3, n_x=24, n_phi=12, solved=True), 100 * ULP, 100 * ULP),
+    "nu3 solved 1/1000": (dict(S=S678, xi=XI3, eps=1e-3, n_x=24, n_phi=4, solved=True),
+                          100 * ULP, 100 * ULP),
 }
 
 
@@ -195,14 +211,15 @@ def test_residual_matches_the_full_grid_oracle(case):
     # the full-grid functional keeps a lattice embedding's residual on the
     # lattice
     kwargs, on_bound, off_bound = ORACLE_CASES[case]
-    if kwargs is None:
-        prob = small_problem(eps=1e-3, n_x=24, n_phi=12)
+    kwargs = dict(kwargs)
+    solved = kwargs.pop("solved", False)
+    prob = small_problem(**kwargs)
+    if solved:
         emb = newton_solve(prob).emb
     else:
-        prob = small_problem(n_phi=8, **kwargs)
         rng = np.random.default_rng(3)
         emb = _lattice_draw(prob, rng, 1e-3)
-        emb.zeta += 1e-4 * rng.normal(size=2)
+        emb.zeta += 1e-4 * rng.normal(size=prob.S.nu)
     full, flat, full_sup = full_grid_residual(prob, emb)
     res = residual(prob, emb)
     scale = max(np.abs(full).max(), np.abs(prob.omega).max())
@@ -214,26 +231,35 @@ def test_residual_matches_the_full_grid_oracle(case):
     assert abs(res.sup - full_sup) < on_bound * scale
 
 
-@pytest.mark.parametrize(
-    "cubic, f_coeffs",
-    [(True, {}), (True, {9: 1e10}), (False, {9: 1e10})],
-    ids=["cubic", "cubic+f", "f only"],
-)
-def test_jacobian_matches_finite_differences(cubic, f_coeffs):
+FD_CASES = {
     # at eps = 1e-2 the f'' term of c_9 = 1e10 is comparable to the cubic
     # one; n_phi = 8 puts the angle modes +-(7, -6) of Theta and y on the
     # lattice, so tangential blocks couple distinct shifts
+    "cubic": dict(n_phi=8),
+    "cubic+f": dict(n_phi=8, f_coeffs={9: 1e10}),
+    "f only": dict(n_phi=8, cubic=False, f_coeffs={9: 1e10}),
+    # nu = 3 (measured 1.0e-9 and 4.4e-10): the tangential blocks hold
+    # l = +-(1, -2, 1) at n_phi = 2, and +-(2, -4, 2), +-(4, 0, -3) and
+    # +-(3, 2, -4) besides at n_phi = 4
+    "nu3 n_phi2": dict(S=S678, xi=XI3, n_x=24, n_phi=2),
+    "nu3 n_phi4": dict(S=S678, xi=XI3, n_x=24, n_phi=4),
+}
+
+
+@pytest.mark.parametrize("case", list(FD_CASES))
+def test_jacobian_matches_finite_differences(case):
     rng = np.random.default_rng(3)
-    prob = small_problem(n_phi=8, cubic=cubic, f_coeffs=f_coeffs)
+    prob = small_problem(**FD_CASES[case])
+    nu = prob.S.nu
     emb = _lattice_draw(prob, rng, 1e-3)
-    emb.zeta += 1e-4 * rng.normal(size=2)
+    emb.zeta += 1e-4 * rng.normal(size=nu)
     J = jacobian(prob, emb, droptol=1e-16)
-    assert J.shape == (len(emb.x) + 2,) * 2
+    assert J.shape == (len(emb.x) + nu,) * 2
 
     h = 1e-6
     for _ in range(3):
         d = _lattice_draw(prob, rng, 1.0)
-        d.zeta = rng.normal(size=2)
+        d.zeta = rng.normal(size=nu)
         vec = np.concatenate([d.x, d.zeta])
         ep, em = emb.copy(), emb.copy()
         ep.x += h * d.x
@@ -255,13 +281,15 @@ def test_newton_schedule_values():
 
 
 def test_newton_solve_small():
-    prob = small_problem(eps=1e-3, n_x=16, n_phi=6)
-    sol = newton_solve(prob)
-    assert sol.converged
-    assert sol.residuals[-1] < 1e-10
-    assert np.abs(sol.emb.zeta).max() < 1e-9
-    # phase pinned
-    assert abs(sol.emb.x[prob.lattice.origin[0]]) < 1e-12
+    # nu = 2, and nu = 3 on 388 lattice unknowns (4 iterations measured)
+    for kwargs in (dict(n_x=16, n_phi=6), dict(S=S678, xi=XI3, n_x=24, n_phi=4)):
+        prob = small_problem(eps=1e-3, **kwargs)
+        sol = newton_solve(prob)
+        assert sol.converged
+        assert sol.residuals[-1] < 1e-10
+        assert np.abs(sol.emb.zeta).max() < 1e-9
+        # phases pinned
+        assert np.abs(sol.emb.x[prob.lattice.origin[: prob.S.nu]]).max() < 1e-12
 
 
 def test_newton_solves_a_problem_with_f_on_the_lattice():
@@ -331,29 +359,31 @@ def test_action_angle_embed_norm():
 
 
 def test_linearized_operator_eps0_spectrum():
-    prob = small_problem(eps=1e-3, n_x=16, n_phi=4, cubic=False)
-    emb = TorusEmbedding.trivial(S67, prob.grid)
-    # with the cubic off the operator is exactly omega.dphi - J
-    op = linearized_normal_operator(prob, emb, ell_cut=2, phib_order=0)
-    expected = set()
-    for l1 in range(-2, 3):
-        for l2 in range(-2, 3):
-            for j in prob.js:
-                wl = prob.omega[0] * l1 + prob.omega[1] * l2
-                expected.add(round(wl - float(lam(j)), 9))
-    got = {round(v.imag, 9) for v in op.eigvals}
-    assert got == expected
-    assert np.abs(op.eigvals.real).max() < 1e-12
+    for kwargs in (dict(n_x=16), dict(S=S678, xi=XI3, n_x=24)):
+        prob = small_problem(eps=1e-3, n_phi=4, cubic=False, **kwargs)
+        emb = TorusEmbedding.trivial(prob.S, prob.grid)
+        # with the cubic off the operator is exactly omega.dphi - J
+        op = linearized_normal_operator(prob, emb, ell_cut=2, phib_order=0)
+        expected = set()
+        for ell in itertools.product(range(-2, 3), repeat=prob.S.nu):
+            wl = sum(w * l for w, l in zip(prob.omega, ell))
+            expected.update(round(wl - float(lam(j)), 9) for j in prob.js)
+        got = {round(v.imag, 9) for v in op.eigvals}
+        assert got == expected
+        assert np.abs(op.eigvals.real).max() < 1e-12
 
 
 def test_linearized_operator_reality():
-    prob = small_problem(eps=2e-3, n_x=16, n_phi=4)
-    sol = newton_solve(prob)
-    op = linearized_normal_operator(prob, sol.emb, ell_cut=3, phib_order=2)
-    ims = np.sort(op.eigvals.imag)
-    assert np.abs(op.eigvals.real).max() < 1e-10
-    # spectrum closed under conjugation: imaginary parts symmetric about 0
-    assert np.abs(ims + ims[::-1]).max() < 1e-7
+    # nu = 2 at ell_cut 3, and nu = 3 at ell_cut 2 (max |Re eig| measured
+    # 7.1e-14 there)
+    for kwargs, ell_cut in ((dict(n_x=16), 3), (dict(S=S678, xi=XI3, n_x=24), 2)):
+        prob = small_problem(eps=2e-3, n_phi=4, **kwargs)
+        sol = newton_solve(prob)
+        op = linearized_normal_operator(prob, sol.emb, ell_cut=ell_cut, phib_order=2)
+        ims = np.sort(op.eigvals.imag)
+        assert np.abs(op.eigvals.real).max() < 1e-10
+        # spectrum closed under conjugation: imaginary parts symmetric about 0
+        assert np.abs(ims + ims[::-1]).max() < 1e-7
 
 
 def test_min_linear_divisor_positive():
@@ -568,15 +598,15 @@ def test_operators_take_one_fft2_over_a_stack(monkeypatch):
     import scipy.fft
 
     shapes = []
-    fft2 = scipy.fft.fft2
+    fftn = scipy.fft.fftn
 
     def counting(x, *args, **kwargs):
         shapes.append(np.shape(x))
-        return fft2(x, *args, **kwargs)
+        return fftn(x, *args, **kwargs)
 
     prob = small_problem(eps=2e-3, n_x=16, n_phi=4)
     emb = newton_solve(prob).emb
-    monkeypatch.setattr(scipy.fft, "fft2", counting)
+    monkeypatch.setattr(scipy.fft, "fftn", counting)
     m = prob.at.m
     jacobian(prob, emb)
     assert shapes == [(25, m, m)]  # one symbol per (row family, column family)

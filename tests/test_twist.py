@@ -132,6 +132,11 @@ def test_frequency_map_rejects_floats():
         frequency_map(S, [1.5, 1.5], Fraction(1, 100))
     with pytest.raises(TypeError):
         frequency_map(S, [1, 1], 0.01)
+    omega = frequency_map(S, [1, 1], Fraction(1, 100))
+    with pytest.raises(TypeError):
+        inverse_frequency_map(S, [float(w) for w in omega], Fraction(1, 100))
+    with pytest.raises(TypeError):
+        inverse_frequency_map(S, omega, 0.01)
 
 
 def test_frequency_map_jacobian_affine():
