@@ -171,38 +171,75 @@ class HomPoly:
 # -- the bracket -----------------------------------------------------------------
 
 
-def poisson_bracket(F: HomPoly, G: HomPoly) -> HomPoly:
+def poisson_bracket(
+    F: HomPoly,
+    G: HomPoly,
+    *,
+    max_z: int | None = None,
+    S: TangentialSet | None = None,
+    universe: frozenset[int] | None = None,
+) -> HomPoly:
     """{F, G} with the normalization ad_{H2}[u_M] = i (sum lambda(j_i)) u_M.
 
     In Fourier variables {F, G} = i sum_k lambda(k) (dF/du_{-k}) (dG/du_k).
     Each term is one Gaussian product a * b: a = i lambda(k) mult_f c_f is
     formed once per (m_f, k), and b = mult_g c_g once per (m_g, k).
+
+    `max_z` (with `S`) keeps only the monomials of z-degree <= max_z, and
+    `universe` only those with every index in the window; the result equals
+    the full bracket filtered so.  A term's monomial is rest_f + rest_g (m_f
+    without -k, m_g without k), so its z-degree is z(rest_f) + z(rest_g) and
+    it lies in the window iff both halves do: both tests run per half, before
+    any product is formed.
     """
     if F.degree < 2 or G.degree < 2:
         raise ValueError("Poisson bracket needs degree >= 2 on both sides")
+    if (max_z is None) != (S is None):
+        raise ValueError("a z-degree cap needs both max_z and S")
     out = HomPoly.zero(F.degree + G.degree - 2, F.momentum and G.momentum)
+    # z-degree by one set lookup per index; without a cap every z is 0 <= 0
+    tangential = frozenset(S.sites) if S is not None else None
+    cap = 0 if max_z is None else max_z
 
-    # k -> (m_g without one k, mult_g c_g) over the monomials of G containing k
-    g_by_index: dict[int, list[tuple[list[int], GaussianRational]]] = defaultdict(list)
+    def z(mono) -> int:
+        return 0 if tangential is None else sum(j not in tangential for j in mono)
+
+    def outside(rest) -> bool:
+        return universe is not None and not universe.issuperset(rest)
+
+    # k -> partners bucketed by z(rest_g) ascending: (m_g without one k,
+    # mult_g c_g) over the monomials of G containing k
+    g_by_index: dict[int, list[list[tuple[list[int], GaussianRational]]]] = {}
     for mg, cg in G.terms.items():
+        z_g = z(mg)
         for k in set(mg):
             rest_g = list(mg)
             rest_g.remove(k)
+            z_rest = z_g - z((k,))
+            if z_rest > cap or outside(rest_g):
+                continue
             mult_g = mg.count(k)
             b = GaussianRational(cg.re * mult_g, cg.im * mult_g) if mult_g > 1 else cg
-            g_by_index[k].append((rest_g, b))
+            buckets = g_by_index.setdefault(k, [])
+            buckets.extend([] for _ in range(z_rest + 1 - len(buckets)))
+            buckets[z_rest].append((rest_g, b))
 
     for mf, cf in F.terms.items():
+        z_f = z(mf)
         for k_neg in set(mf):
-            partners = g_by_index.get(-k_neg)
-            if not partners:
+            buckets = g_by_index.get(-k_neg)
+            room = cap - (z_f - z((k_neg,))) + 1  # buckets z(rest_g) <= cap - z(rest_f)
+            if not buckets or room <= 0:
                 continue
             rest_f = list(mf)
             rest_f.remove(k_neg)
+            if outside(rest_f):
+                continue
             s = lam(-k_neg) * mf.count(k_neg)
             a = GaussianRational(-cf.im * s, cf.re * s)  # i * s * c_f
-            for rest_g, b in partners:
-                out.accumulate(tuple(sorted(rest_f + rest_g)), a * b)
+            for partners in buckets[:room]:
+                for rest_g, b in partners:
+                    out.accumulate(tuple(sorted(rest_f + rest_g)), a * b)
     return out
 
 
@@ -276,16 +313,19 @@ def flow_conjugate(
     = sum_k ad_F^k[H]/k!  (`inverse=False` gives H o Phi_F with (-1)^k/k!).
     The expansion is truncated at `max_degree`.
 
-    `max_z_keep(degree)` may prune monomials whose z-degree exceeds the given
-    bound; callers must supply a bound compatible with what they read off the
-    result (each later bracket with a z-degree <= 1 generator lowers the
-    z-degree of a monomial by at most one).  `universe` restricts monomials
-    to a finite index window; results are exact for monomials supported in
-    the window provided the window contains the generator support.
+    `max_z_keep(degree)` (with `S`) may prune monomials whose z-degree exceeds
+    the given bound; callers must supply a bound compatible with what they
+    read off the result (each later bracket with a z-degree <= 1 generator
+    lowers the z-degree of a monomial by at most one).  `universe` restricts
+    monomials to a finite index window; results are exact for monomials
+    supported in the window provided the window contains the generator
+    support.  Both act on the input pieces and inside each bracket.
     """
     step = F.degree - 2
     if step <= 0:
         raise ValueError("generator must have degree >= 3")
+    if (max_z_keep is None) != (S is None):
+        raise ValueError("a z-degree cap needs both max_z_keep and S")
     pieces = list(pieces)
     if any(p.degree > max_degree for p in pieces):
         raise ValueError("truncation degree is below an input degree")
@@ -294,7 +334,7 @@ def flow_conjugate(
         q = p
         if universe is not None:
             q = q.map_filter(lambda m: all(j in universe for j in m))
-        if max_z_keep is not None and S is not None:
+        if max_z_keep is not None:
             cap = max_z_keep(q.degree)
             q = q.map_filter(lambda m: z_degree(m, S) <= cap)
         return q
@@ -315,7 +355,8 @@ def flow_conjugate(
         k = 1
         sign = 1
         while current.degree + step <= max_degree:
-            current = prune(poisson_bracket(F, current))
+            max_z = max_z_keep(current.degree + step) if max_z_keep is not None else None
+            current = poisson_bracket(F, current, max_z=max_z, S=S, universe=universe)
             if current.is_zero():
                 break
             if not inverse:

@@ -547,13 +547,15 @@ class LinearizedOperator:
     match_quality: dict[tuple[tuple[int, ...], int], float]
 
 
+@functools.lru_cache(maxsize=None)
 def _correction_pieces(
     S: TangentialSet, n_x: int, phib_order: int
-) -> list[HomPoly]:
+) -> tuple[HomPoly, ...]:
     """dz <= 2 pieces through degree 4 of (H o Phi_B^(<= order)) - H^(2) - H^(3),
-    over the exact windowed universe."""
+    over the exact windowed universe.  They depend on neither the embedding
+    nor epsilon, so they are built once per (S, n_x, order)."""
     if phib_order < 2:
-        return []
+        return ()
     u_max = n_x + 2 * S.jbar1 + 2
     uni = index_universe(u_max)
     wb = run_wbnf(S, 1, universe_max=2 * S.jbar1)
@@ -573,7 +575,7 @@ def _correction_pieces(
         corr = corr.map_filter(lambda m: z_degree(m, S) == 2)
         if not corr.is_zero():
             out.append(corr)
-    return out
+    return tuple(out)
 
 
 def linearized_normal_operator(
@@ -618,7 +620,7 @@ def linearized_normal_operator(
 
     # symbolic correction pieces, evaluated at the unperturbed wave packet:
     # amps[k, k2, dl] is the coefficient of e^{i dl.phi} in d^2 Q/dz_{-j_k} dz_{j_k2}
-    corr = _correction_pieces(S, prob.grid.n_x, phib_order) if prob.include_cubic else []
+    corr = _correction_pieces(S, prob.grid.n_x, phib_order) if prob.include_cubic else ()
     kpos = {j: k for k, j in enumerate(prob.js)}
     sqrt_xi = {s: math.sqrt(prob.xi[i]) for i, s in enumerate(S.splus)}
     sqrt_xi.update({-s: sqrt_xi[s] for s in S.splus})

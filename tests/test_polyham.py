@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from dpkam import polyham
 from dpkam.core import GR_I, GaussianRational, TangentialSet, lam
 from dpkam.polyham import (
     HomPoly,
@@ -19,7 +21,7 @@ from dpkam.polyham import (
     solve_homological,
     z_degree,
 )
-from dpkam.wbnf import dp_h2, dp_h3, index_universe, run_wbnf
+from dpkam.wbnf import Z_TARGET, dp_h2, dp_h3, index_universe, run_wbnf
 
 
 def gr(re, im=0):
@@ -133,6 +135,112 @@ def test_bracket_matches_naive_oracle_on_the_normal_form():
     B = poisson_bracket(F3, H3)
     assert not B.is_zero()
     assert B.terms == naive_bracket(F3, H3).terms
+
+
+def bracket_cases():
+    """(F, G, S, window): the random pairs of the naive oracle test with
+    S+ = {2, 3} (so +-1 are normal) and the window |j| <= 2, then {F3, H3} of
+    the S67 normal form with the window |j| <= 10."""
+    rng = random.Random(12)
+    S23 = TangentialSet.make([2, 3])
+    for _ in range(40):
+        F = random_hompoly(rng, rng.randint(3, 5), bound=3, terms=6, momentum=True)
+        G = random_hompoly(rng, rng.randint(3, 5), bound=3, terms=6, momentum=True)
+        yield F, G, S23, index_universe(2)
+    S67 = TangentialSet.make([6, 7])
+    res = run_wbnf(S67, 1)
+    yield res.generators[3], dp_h3(index_universe(res.universe_max)), S67, index_universe(10)
+
+
+def in_window(window):
+    return lambda m: window is None or all(j in window for j in m)
+
+
+def test_pruned_bracket_equals_the_filtered_full_bracket():
+    pruned = kept = 0
+    for F, G, S, window in bracket_cases():
+        full = poisson_bracket(F, G)
+        for uni in (None, window):
+            inside = in_window(uni)
+            got = poisson_bracket(F, G, universe=uni)
+            assert got.terms == full.map_filter(inside).terms
+            for cap in range(4):
+                keep = lambda m: z_degree(m, S) <= cap and inside(m)
+                got = poisson_bracket(F, G, max_z=cap, S=S, universe=uni)
+                assert got.terms == full.map_filter(keep).terms
+                pruned += len(full) - len(got)
+                kept += len(got)
+    assert pruned > 0 and kept > 0  # the caps and windows cut, but not everything
+
+
+def test_no_bracket_output_leaves_the_cap_or_the_window(monkeypatch):
+    # every bracket of run_wbnf(S67, 4) is capped and windowed inside, which
+    # is what lets flow_conjugate skip a prune of the bracket output
+    outputs = []
+    bracket = polyham.poisson_bracket
+
+    def recording(F, G, **rule):
+        out = bracket(F, G, **rule)
+        outputs.append((out, rule))
+        return out
+
+    monkeypatch.setattr(polyham, "poisson_bracket", recording)
+    S = TangentialSet.make([6, 7])
+    run_wbnf(S, 4)
+    assert len(outputs) == 14
+    for out, rule in outputs:
+        assert rule["S"] is S and rule["max_z"] == Z_TARGET + 6 - out.degree
+        inside = in_window(rule["universe"])
+        assert all(z_degree(m, S) <= rule["max_z"] and inside(m) for m in out.terms)
+    assert sum(len(out) for out, _ in outputs) == 1428
+
+
+def test_flow_conjugate_equals_bracket_then_prune_on_a_normal_form_step():
+    # the degree-3 step of run_wbnf(S67, 4), against a Lie series that forms
+    # every bracket term and prunes afterwards
+    S = TangentialSet.make([6, 7])
+    res = run_wbnf(S, 4)
+    uni = index_universe(res.universe_max)
+
+    def z_keep(degree):
+        return Z_TARGET + (6 - degree)
+
+    def prune(p):
+        return p.map_filter(lambda m: in_window(uni)(m) and z_degree(m, S) <= z_keep(p.degree))
+
+    pieces = [dp_h2(uni), prune(dp_h3(uni))]
+    F = solve_homological(project_z_degree(pieces[1], S, lambda d: d <= 1))
+    assert F.terms == res.generators[3].terms
+    expected: dict[int, HomPoly] = {}
+    for H in pieces:
+        series, current, k = [prune(H)], H, 1
+        while current.degree + 1 <= 6:
+            current = prune(poisson_bracket(F, current))
+            series.append(current.scale(Fraction(1, math.factorial(k))))
+            k += 1
+        for p in series:
+            expected[p.degree] = expected.get(p.degree, HomPoly.zero(p.degree)) + p
+    got = flow_conjugate(pieces, F, 6, inverse=True, max_z_keep=z_keep, universe=uni, S=S)
+    assert {d: p.terms for d, p in got.items()} == {
+        d: p.terms for d, p in expected.items() if not p.is_zero()
+    }
+
+
+def test_a_z_cap_needs_its_bound_and_the_tangential_set():
+    S = TangentialSet.make([2, 3])
+    uni = index_universe(6)
+    H2, H3 = dp_h2(uni), dp_h3(uni)
+    F = solve_homological(project_z_degree(H3, S, lambda d: d <= 1))
+    with pytest.raises(ValueError):
+        flow_conjugate([H2, H3], F, 4, max_z_keep=lambda d: 1, universe=uni)
+    with pytest.raises(ValueError):
+        flow_conjugate([H2, H3], F, 4, universe=uni, S=S)
+    with pytest.raises(ValueError):
+        poisson_bracket(F, H3, max_z=1)
+    with pytest.raises(ValueError):
+        poisson_bracket(F, H3, S=S)
+    out = flow_conjugate([H2, H3], F, 4, max_z_keep=lambda d: 1, universe=uni, S=S)
+    assert all(z_degree(m, S) <= 1 for p in out.values() for m in p.terms)
 
 
 def test_bracket_with_itself_vanishes():

@@ -386,6 +386,27 @@ def test_linearized_operator_reality():
         assert np.abs(ims + ims[::-1]).max() < 1e-7
 
 
+def test_correction_pieces_are_built_once_across_eps(monkeypatch):
+    # the pieces depend on neither the embedding nor eps: three operators at
+    # three eps run the normal form once
+    calls = []
+    run_wbnf = torus.run_wbnf
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return run_wbnf(*args, **kwargs)
+
+    monkeypatch.setattr(torus, "run_wbnf", counting)
+    torus._correction_pieces.cache_clear()
+    for eps in (1e-3, 2e-3, 4e-3):
+        prob = small_problem(eps=eps, n_x=16, n_phi=2)
+        emb = TorusEmbedding.trivial(S67, prob.grid)
+        linearized_normal_operator(prob, emb, ell_cut=1, phib_order=2)
+    assert len(calls) == 1
+    pieces = torus._correction_pieces(S67, 16, 2)
+    assert isinstance(pieces, tuple) and pieces and len(calls) == 1
+
+
 def test_min_linear_divisor_positive():
     prob = small_problem(eps=1e-3, n_x=16, n_phi=4)
     d, wit = min_linear_divisor(prob)
