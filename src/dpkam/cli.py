@@ -395,17 +395,15 @@ def _torus_problem(cfg: dict) -> torus_mod.TorusProblem:
 
     S = cfg["problem"]["splus"]
     sc = _scaling(cfg, S)
-    xi, trunc = cfg["problem"]["xi"], cfg["truncation"]
-    try:
-        grid = torus_mod.TruncationGrid(n_x=trunc["n_x"], n_phi=trunc["n_phi"], jbar1=S.jbar1)
+    trunc = cfg["truncation"]
+    try:  # the grid's own bounds, and n_x against the sites
+        return torus_mod.TorusProblem(
+            S=S, grid=torus_mod.TruncationGrid(n_x=trunc["n_x"], n_phi=trunc["n_phi"]),
+            xi=cfg["problem"]["xi"], scaling=sc,
+            f_spec=torus_mod.FSpec(cfg["problem"]["f_coeffs"]),
+        )
     except ValueError as exc:
         raise UsageError(f"[truncation] {exc}") from None
-    eps_frac = Fraction(str(sc.epsilon)).limit_denominator(10**12)
-    omega = np.array([float(w) for w in twist_mod.frequency_map(S, xi, eps_frac)])
-    return torus_mod.TorusProblem(
-        S=S, grid=grid, xi=tuple(float(v) for v in xi), scaling=sc, omega=omega,
-        f_spec=torus_mod.FSpec(cfg["problem"]["f_coeffs"]),
-    )
 
 
 def _failed(check: str, exc: Exception, witness: str = "") -> dict:
@@ -453,6 +451,14 @@ def cmd_evolve(cfg: dict, outdir: str, budget: int) -> int:
 
     prob = _torus_problem(cfg)
     ev = cfg["evolve"]
+    T, tol = ev["T"], ev["drift_tol"]
+    if not T > 0:
+        raise UsageError(f"[evolve] T must be positive, got {T}")
+    # the evolver keeps |j| <= n_modes: the sites and every normal mode of the lattice
+    top = int(max(np.abs(prob.lattice.j).max(), prob.S.jbar1))
+    if ev["n_modes"] < top:
+        raise UsageError(f"[evolve] n_modes must be at least {top}, the largest mode "
+                         f"|j| of the embedding, got {ev['n_modes']}")
     checks = []
     if ev["checkpoint"] is not None:
         try:
@@ -468,7 +474,6 @@ def cmd_evolve(cfg: dict, outdir: str, budget: int) -> int:
         emb, checks = _solve(cfg, prob, outdir)
         if emb is None:
             return _summary(outdir, cfg, "evolve", checks)
-    T, tol = ev["T"], ev["drift_tol"]
     try:
         u0 = torus_mod.action_angle_embed(prob, emb, (0.0,) * prob.S.nu)
         res = torus_mod.evolve(u0, T=T, n_modes=ev["n_modes"], f_spec=prob.f_spec)

@@ -34,15 +34,17 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+
 import numpy as np
 import scipy.fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .core import ScalingParams, TangentialSet, lam
-from .polyham import HomPoly, z_degree
+from .polyham import HomPoly, flow_conjugate, z_degree
+from .twist import frequency_map
 from .wbnf import dp_h2, dp_h3, index_universe, run_wbnf
-from .polyham import flow_conjugate
 
 
 class TorusError(RuntimeError):
@@ -59,15 +61,15 @@ class DivergenceError(TorusError):
 @dataclass(frozen=True)
 class TruncationGrid:
     """Fourier truncation: angle modes |l|_inf <= n_phi, normal modes
-    |j| <= n_x, with a padded pseudo-spectral angle grid."""
+    |j| <= n_x, with a padded pseudo-spectral angle grid.  The bound n_x
+    needs against the sites is checked where they meet (MomentumLattice)."""
 
     n_x: int
     n_phi: int
-    jbar1: int
 
     def __post_init__(self):
-        if self.n_x <= 2 * self.jbar1:
-            raise ValueError("need n_x > 2*jbar1 so quadratic images of S fit")
+        if self.n_phi < 1:
+            raise ValueError(f"need n_phi >= 1 angle modes, got {self.n_phi}")
 
     @property
     def m_phi(self) -> int:
@@ -112,6 +114,9 @@ class MomentumLattice:
     (fam, -l); origin: the entries of l = 0 in the 2 nu tangential blocks."""
 
     def __init__(self, S: TangentialSet, grid: TruncationGrid):
+        if grid.n_x <= 2 * S.jbar1:
+            raise ValueError(f"need n_x > 2 jbar1 = {2 * S.jbar1} so the quadratic images "
+                             f"of S fit, got n_x = {grid.n_x}")
         modes, nt = angle_modes(grid.n_phi, S.nu), 2 * S.nu
         L, momentum = len(modes), ell_dot(modes, S.splus)
         js = normal_modes(S, grid.n_x)
@@ -226,16 +231,24 @@ def nonlinear_density(u: np.ndarray, n: int, f_spec: FSpec, cubic: bool = True) 
 
 @dataclass
 class TorusProblem:
+    """The torus of amplitudes xi on the sites S at epsilon.  Its frequency
+    is the frequency-amplitude map omega = omega_bar + eps^2 A xi of the
+    twist, evaluated exactly: int and Fraction entries of xi are taken as
+    given, a float x as Fraction(str(x)), and eps as the nearest fraction
+    with denominator <= 10^12 to Fraction(str(eps))."""
+
     S: TangentialSet
     grid: TruncationGrid
     xi: tuple[float, ...]
     scaling: ScalingParams
-    omega: np.ndarray
     f_spec: FSpec = field(default_factory=FSpec)
     include_cubic: bool = True
+    omega: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=float)
+        xi = [v if isinstance(v, (int, Fraction)) else Fraction(str(v)) for v in self.xi]
+        eps = Fraction(str(self.eps)).limit_denominator(10**12)
+        self.omega = np.array([float(w) for w in frequency_map(self.S, xi, eps)])
         self.xi = tuple(float(v) for v in self.xi)
         self.js = normal_modes(self.S, self.grid.n_x)
         self.lattice = momentum_lattice(self.S, self.grid)
@@ -322,10 +335,12 @@ class GridState:
 class Residual:
     f: np.ndarray  # the rows on the lattice, in the order of TorusEmbedding.x
     sup: float  # max over the families Theta_i, y_i and z_j of the angle-grid sup
+    state: GridState  # the embedding on the angle grid, which `jacobian` reads
 
 
 def residual(prob: TorusProblem, emb: TorusEmbedding) -> Residual:
-    """The invariant-torus functional on the truncation."""
+    """The invariant-torus functional on the truncation, with the grid state
+    it was evaluated from."""
     at, lat, nu = prob.at, prob.lattice, prob.S.nu
     gs = GridState(prob, emb)
     f = 1j * ell_dot(lat.ell, prob.omega) * emb.x
@@ -334,16 +349,15 @@ def residual(prob: TorusProblem, emb: TorusEmbedding) -> Residual:
     f[lat.origin[nu:]] += emb.zeta
     # each family of the full truncation (z_j per momentum class) on its own
     grid = at.to_grid(f, lat.full_fam, lat.ell, 2 * nu + len(prob.js))
-    return Residual(f=f, sup=float(np.abs(grid).max()))
+    return Residual(f=f, sup=float(np.abs(grid).max()), state=gs)
 
 
 # -- Jacobian --------------------------------------------------------------------------
 
 
-def jacobian(
-    prob: TorusProblem, emb: TorusEmbedding, droptol: float = 1e-11
-) -> sp.csc_matrix:
-    """Analytic Jacobian of the residual on the momentum lattice (verified
+def jacobian(prob: TorusProblem, gs: GridState, droptol: float = 1e-11) -> sp.csc_matrix:
+    """Analytic Jacobian of the residual on the momentum lattice at the
+    embedding that `gs` evaluates, `residual(prob, emb).state` (verified
     against finite differences in the test suite).
 
     Unknowns (complex): the lattice coefficients TorusEmbedding.x, then
@@ -355,7 +369,6 @@ def jacobian(
     go through one FFT, and the entries with |J| <= droptol are dropped."""
     at, lat, nu = prob.at, prob.lattice, prob.S.nu
     eps, b = prob.eps, prob.b
-    gs = GridState(prob, emb)
 
     # delta-G per unit change of each column family: (1 + P''(V)) dV with
     # dV/dTheta_i = -2 eps rho_i sin_i and dV/dy_i = 2 eps rho_i sigma_i cos_i;
@@ -445,7 +458,8 @@ def newton_solve(
 ) -> NewtonResult:
     """Damped Newton on (embedding, zeta) with the geometric projection
     schedule; the linearized system on the momentum lattice is solved by
-    sparse LU.
+    sparse LU.  Each iterate is evaluated on the angle grid once: its
+    Jacobian reads the state of the residual that accepted it.
 
     Step n is projected to the angle modes |l|_inf <= N_n = N_0^(chi^n),
     capped at n_phi (see `TorusEmbedding.project`); the spatial truncation
@@ -467,7 +481,7 @@ def newton_solve(
     for it in range(schedule.max_iter):
         if res.sup < schedule.tol:
             return NewtonResult(emb, history, True, it)
-        J = jacobian(prob, emb)
+        J = jacobian(prob, res.state)
         rhs = -np.concatenate([res.f, emb.x[th0]])
 
         full_cut = prob.grid.n_phi
@@ -809,16 +823,22 @@ def evolve(
     cubic: bool = True,
     blowup: float = 1e6,
 ) -> EvolveResult:
-    """Integrate the DP flow from the Fourier data u0 of a real field
-    (u0[-j] = conj(u0[j]), else ValueError); report relative drifts of H and
-    of the momentum K1.  The states are half spectra (see DPEvolver).
+    """Integrate the DP flow to time T > 0 from the Fourier data u0 of a real
+    field (u0[-j] = conj(u0[j])) whose nonzero modes all have |j| <= n_modes,
+    else ValueError; report relative drifts of H and of the momentum K1.  The
+    states are half spectra (see DPEvolver).
 
     An adaptive step compares one step of dt with two of dt/2; the full step
     and the first half step share N(u)."""
+    if not T > 0:
+        raise ValueError(f"need a final time T > 0, got {T}")
     size = max((abs(c) for c in u0.values()), default=0.0)
     for j, c in u0.items():
         if abs(u0.get(-j, 0.0) - np.conj(c)) > 1e-12 * size:
             raise ValueError(f"u0 is not conjugate-symmetric at j = {j}")
+    lost = sorted({abs(j) for j, c in u0.items() if abs(j) > n_modes and c != 0})
+    if lost:
+        raise ValueError(f"u0 has nonzero modes |j| = {lost} above n_modes = {n_modes}")
     ev = DPEvolver(n_modes, f_spec, cubic)
     uhat = np.zeros(len(ev.k), dtype=complex)
     for j, c in u0.items():
@@ -921,7 +941,7 @@ def load_embedding(path: str) -> TorusEmbedding:
         if hashlib.sha256(body.encode()).hexdigest() != wrapper["sha256"]:
             raise TorusError("checkpoint hash mismatch")
         S = TangentialSet.make(payload["splus"])
-        grid = TruncationGrid(payload["n_x"], payload["n_phi"], S.jbar1)
+        grid = TruncationGrid(payload["n_x"], payload["n_phi"])
         d = payload["x"]
         x = np.array(d["re"]) + 1j * np.array(d["im"])
         zeta = np.array(payload["zeta"], dtype=float)

@@ -53,7 +53,6 @@ from dpkam.spectrum import (
 )
 from dpkam.twist import (
     b_jk,
-    frequency_map,
     normalized_det,
     normalized_det_limit_form,
     twist_matrix,
@@ -87,9 +86,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 def solve_at(eps_frac: Fraction):
     eps = float(eps_frac)
     sc = ScalingParams(epsilon=eps, a=0.1, nu=2)
-    grid = TruncationGrid(n_x=24, n_phi=12, jbar1=7)
-    omega = np.array([float(w) for w in frequency_map(S67, list(XI), eps_frac)])
-    prob = TorusProblem(S=S67, grid=grid, xi=(1.3, 1.7), scaling=sc, omega=omega)
+    prob = TorusProblem(S=S67, grid=TruncationGrid(n_x=24, n_phi=12), xi=XI, scaling=sc)
     sol = newton_solve(prob, schedule=NewtonSchedule(n0=4.0, chi=1.5, max_iter=8))
     # every number a criterion reads comes from a converged solve
     assert sol.converged and sol.residuals[-1] < 1e-10, (

@@ -210,6 +210,14 @@ REJECTED = {
     "epsilon above 1": ("measure", "", ["--set", "mc.eps_values=0.1 1.5"],
                         "[mc] epsilon must lie in (0, 1)"),
     "max_order 9": ("wbnf", "", ["--set", "scan.max_order=9"], "[scan] max_order must lie in 1..6"),
+    "n_phi 0": ("solve", "", ["--set", "truncation.n_phi=0"], "[truncation] need n_phi >= 1"),
+    "n_phi -1": ("evolve", "", ["--set", "truncation.n_phi=-1"], "[truncation] need n_phi >= 1"),
+    "n_x 14": ("solve", "", ["--set", "truncation.n_x=14"], "[truncation] need n_x > 2 jbar1"),
+    # problem.ini's lattice holds z modes up to |j| = 24, the packet 6 and 7
+    "n_modes 4": ("evolve", "", ["--set", "evolve.n_modes=4", "--set", "evolve.T=1"],
+                  "[evolve] n_modes must be at least 24"),
+    "T -1": ("evolve", "", ["--set", "evolve.T=-1"], "[evolve] T must be positive"),
+    "T 0": ("evolve", "", ["--set", "evolve.T=0"], "[evolve] T must be positive"),
 }
 
 

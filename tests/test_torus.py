@@ -39,26 +39,64 @@ S678, XI3 = TangentialSet.make([6, 7, 8]), (1.3, 1.5, 1.7)
 
 
 def small_problem(eps=1e-2, n_x=16, n_phi=2, xi=(1.3, 1.7), cubic=True, f_coeffs=None, S=S67):
-    sc = ScalingParams(epsilon=eps, a=0.1, nu=S.nu)
-    grid = TruncationGrid(n_x=n_x, n_phi=n_phi, jbar1=S.jbar1)
-    eps_frac = Fraction(eps).limit_denominator(10**9)
-    omega = np.array(
-        [float(w) for w in frequency_map(S, [Fraction(str(x)) for x in xi], eps_frac)]
-    )
     return TorusProblem(
-        S=S, grid=grid, xi=xi, scaling=sc, omega=omega, include_cubic=cubic,
+        S=S, grid=TruncationGrid(n_x=n_x, n_phi=n_phi), xi=xi,
+        scaling=ScalingParams(epsilon=eps, a=0.1, nu=S.nu), include_cubic=cubic,
         f_spec=FSpec(f_coeffs or {}),
     )
 
 
 def test_truncation_grid_validation():
-    with pytest.raises(ValueError):
-        TruncationGrid(n_x=10, n_phi=4, jbar1=7)
-    g = TruncationGrid(n_x=24, n_phi=12, jbar1=7)
+    for n_phi in (0, -1):
+        with pytest.raises(ValueError, match="n_phi >= 1"):
+            TruncationGrid(n_x=24, n_phi=n_phi)
+    # n_x must hold the quadratic images |j| <= 2 jbar1 of the sites
+    for S, n_x in ((S67, 14), (S678, 16)):
+        with pytest.raises(ValueError, match=f"n_x > 2 jbar1 = {n_x}"):
+            torus.momentum_lattice(S, TruncationGrid(n_x=n_x, n_phi=4))
+        with pytest.raises(ValueError, match="jbar1"):
+            small_problem(S=S, xi=(1.5,) * S.nu, n_x=n_x)
+        torus.momentum_lattice(S, TruncationGrid(n_x=n_x + 1, n_phi=4))
+    g = TruncationGrid(n_x=24, n_phi=12)
     assert g.m_phi >= 4 * 12 + 2
     # the cubic keeps the grid's angle padding; u^9 needs 9N + 1 points
     assert small_problem(n_x=24, n_phi=12).at.m == g.m_phi
     assert small_problem(n_x=24, n_phi=12, f_coeffs={9: 1.0}).at.m >= 9 * 12 + 1
+
+
+def test_problem_frequency_is_the_frequency_map():
+    # omega is derived from (S, xi, eps): exact xi as given, a float xi and
+    # eps through their decimal strings
+    for S, xi in ((S67, (Fraction(13, 10), Fraction(17, 10))), (S678, (1, Fraction(3, 2), 2))):
+        for eps, eps_frac in ((1e-3, Fraction(1, 1000)), (1 / 150, Fraction(1, 150))):
+            want = [float(w) for w in frequency_map(S, xi, eps_frac)]
+            exact = small_problem(eps=eps, S=S, xi=xi, n_x=24)
+            floats = small_problem(eps=eps, S=S, xi=tuple(float(v) for v in xi), n_x=24)
+            assert exact.omega.tolist() == floats.omega.tolist() == want
+            assert floats.xi == exact.xi == tuple(float(v) for v in xi)
+    with pytest.raises(TypeError):
+        TorusProblem(S=S67, grid=TruncationGrid(16, 2), xi=(1.3, 1.7),
+                     scaling=ScalingParams(1e-3, 0.1, 2), omega=np.zeros(2))
+
+
+def test_newton_builds_one_grid_state_per_residual(monkeypatch):
+    # the Jacobian reads the state of the residual that accepted its iterate:
+    # on problem.ini's grid, 4, 5 and 6 residual calls build 4, 5 and 6 states
+    calls = {"GridState": 0, "residual": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(torus, name, counting(name, getattr(torus, name)))
+    for eps, want in ((1e-3, 4), (2e-3, 5), (4e-3, 6)):
+        calls.update(GridState=0, residual=0)
+        sol = newton_solve(small_problem(eps=eps, n_x=24, n_phi=12))
+        assert sol.converged
+        assert calls == {"GridState": want, "residual": want}
 
 
 def test_linear_trivial_residual_zero():
@@ -253,7 +291,7 @@ def test_jacobian_matches_finite_differences(case):
     nu = prob.S.nu
     emb = _lattice_draw(prob, rng, 1e-3)
     emb.zeta += 1e-4 * rng.normal(size=nu)
-    J = jacobian(prob, emb, droptol=1e-16)
+    J = jacobian(prob, residual(prob, emb).state, droptol=1e-16)
     assert J.shape == (len(emb.x) + nu,) * 2
 
     h = 1e-6
@@ -461,6 +499,17 @@ def test_evolve_rejects_asymmetric_data():
     evolve({2: 0.3, -2: 0.3 + 1e-15}, T=0.01, n_modes=8)
 
 
+def test_evolve_rejects_lost_modes_and_no_time():
+    # a nonzero mode the evolver cannot hold is an error, not a silent drop
+    u0 = {6: 0.01, -6: 0.01, 7: 0.02j, -7: -0.02j}
+    with pytest.raises(ValueError, match=r"\|j\| = \[6, 7\] above n_modes = 4"):
+        evolve(u0, T=1.0, n_modes=4)
+    evolve({**u0, 90: 0.0, -90: 0.0}, T=0.01, n_modes=7)  # zero modes above n_modes are fine
+    for T in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="T > 0"):
+            evolve(u0, T=T, n_modes=8)
+
+
 class ComplexEvolver:
     """The full-spectrum complex evolver that the half-spectrum one replaced,
     kept as the oracle: state u_j at j % mx for |j| <= n_modes."""
@@ -594,7 +643,7 @@ def test_checkpoint_roundtrip(tmp_path):
 
 def test_load_embedding_rejects_arrays_that_do_not_fit_the_grid(tmp_path):
     path = tmp_path / "torus.json"
-    save_embedding(TorusEmbedding.trivial(S67, TruncationGrid(n_x=16, n_phi=2, jbar1=7)), str(path))
+    save_embedding(TorusEmbedding.trivial(S67, TruncationGrid(n_x=16, n_phi=2)), str(path))
     payload = json.loads(path.read_text())["data"]
     payload["n_phi"] = 3
     body = json.dumps(payload, sort_keys=True)
@@ -627,9 +676,10 @@ def test_operators_take_one_fft2_over_a_stack(monkeypatch):
 
     prob = small_problem(eps=2e-3, n_x=16, n_phi=4)
     emb = newton_solve(prob).emb
+    state = residual(prob, emb).state
     monkeypatch.setattr(scipy.fft, "fftn", counting)
     m = prob.at.m
-    jacobian(prob, emb)
+    jacobian(prob, state)
     assert shapes == [(25, m, m)]  # one symbol per (row family, column family)
     shapes.clear()
     linearized_normal_operator(prob, emb, ell_cut=2, phib_order=0)
@@ -641,4 +691,4 @@ def test_jacobian_is_the_lattice_system():
     prob = small_problem(eps=1e-3, n_x=24, n_phi=12)
     assert prob.grid.n_ell**2 * (4 + len(prob.js)) == 30_000
     emb = newton_solve(prob).emb
-    assert jacobian(prob, emb).shape == (170 + 2, 170 + 2)
+    assert jacobian(prob, residual(prob, emb).state).shape == (170 + 2, 170 + 2)
