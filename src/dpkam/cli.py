@@ -32,7 +32,7 @@ from . import twist as twist_mod
 from . import wbnf as wbnf_mod
 from .polyham import serialize
 
-if TYPE_CHECKING:  # torus loads scipy; only solve and evolve import it
+if TYPE_CHECKING:  # only the verbs that solve or evolve import torus
     from . import torus as torus_mod
 
 EXIT_PASS = 0
@@ -164,6 +164,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
         problem["xi"] = problem["xi"] or (Fraction(3, 2),) * nu
         if len(problem["xi"]) != nu:
             raise UsageError(f"xi must have {nu} entries, one per site of splus")
+        if not all(1 <= x <= 2 for x in problem["xi"]):
+            raise UsageError(f"xi must lie in [1,2]^{nu}, got "
+                             f"{' '.join(map(str, problem['xi']))}")
     return cfg
 
 
@@ -411,13 +414,21 @@ def _failed(check: str, exc: Exception, witness: str = "") -> dict:
     return {"check": check, "value": str(exc), "threshold": "", "witness": witness, "pass": False}
 
 
-def _solve(cfg: dict, prob: torus_mod.TorusProblem, outdir: str):
+def _schedule(cfg: dict) -> torus_mod.NewtonSchedule:
+    from . import torus as torus_mod
+
+    try:  # the schedule's own domain
+        return torus_mod.NewtonSchedule(**_given(cfg["solve"]))
+    except ValueError as exc:
+        raise UsageError(f"[solve] {exc}") from None
+
+
+def _solve(sched: torus_mod.NewtonSchedule, prob: torus_mod.TorusProblem, outdir: str):
     """Newton on `prob`: writes the checkpoint and the residual history to
     `outdir` and returns the embedding, None unless it converged, and the
     solve checks.  A solver failure is a failed newton_converged check."""
     from . import torus as torus_mod
 
-    sched = torus_mod.NewtonSchedule(**_given(cfg["solve"]))
     try:
         sol = torus_mod.newton_solve(prob, schedule=sched)
     except torus_mod.TorusError as exc:
@@ -441,7 +452,8 @@ def _solve(cfg: dict, prob: torus_mod.TorusProblem, outdir: str):
 
 
 def cmd_solve(cfg: dict, outdir: str, budget: int) -> int:
-    return _summary(outdir, cfg, "solve", _solve(cfg, _torus_problem(cfg), outdir)[1])
+    prob, sched = _torus_problem(cfg), _schedule(cfg)
+    return _summary(outdir, cfg, "solve", _solve(sched, prob, outdir)[1])
 
 
 def cmd_evolve(cfg: dict, outdir: str, budget: int) -> int:
@@ -449,11 +461,13 @@ def cmd_evolve(cfg: dict, outdir: str, budget: int) -> int:
     files) it reports as `solve` does; a failed solve or flow is a failed check."""
     from . import torus as torus_mod
 
-    prob = _torus_problem(cfg)
+    prob, sched = _torus_problem(cfg), _schedule(cfg)
     ev = cfg["evolve"]
     T, tol = ev["T"], ev["drift_tol"]
     if not T > 0:
         raise UsageError(f"[evolve] T must be positive, got {T}")
+    if not tol > 0:
+        raise UsageError(f"[evolve] drift_tol must be positive, got {tol}")
     # the evolver keeps |j| <= n_modes: the sites and every normal mode of the lattice
     top = int(max(np.abs(prob.lattice.j).max(), prob.S.jbar1))
     if ev["n_modes"] < top:
@@ -471,7 +485,7 @@ def cmd_evolve(cfg: dict, outdir: str, budget: int) -> int:
             if saved != wanted:
                 raise UsageError(f"checkpoint has {name} = {saved}, the config {name} = {wanted}")
     else:
-        emb, checks = _solve(cfg, prob, outdir)
+        emb, checks = _solve(sched, prob, outdir)
         if emb is None:
             return _summary(outdir, cfg, "evolve", checks)
     try:

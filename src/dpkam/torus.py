@@ -31,20 +31,34 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.fft
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .core import ScalingParams, TangentialSet, lam
 from .polyham import HomPoly, flow_conjugate, z_degree
 from .twist import frequency_map
 from .wbnf import dp_h2, dp_h3, index_universe, run_wbnf
+
+
+class _Deferred:
+    """A module imported on its first attribute access."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+# scipy.sparse takes about 0.3 s to import and only Newton's Jacobian and LU
+# use it, so the linearized operator and the evolver never load it
+sp = _Deferred("scipy.sparse")
+spla = _Deferred("scipy.sparse.linalg")
 
 
 class TorusError(RuntimeError):
@@ -56,6 +70,21 @@ class DivergenceError(TorusError):
 
 
 # -- truncation bookkeeping ---------------------------------------------------------
+
+
+def fast_len(n: int) -> int:
+    """The smallest 11-smooth length >= n, one that the FFT factors into its
+    radices 2, 3, 5, 7 and 11 (the value of scipy.fft.next_fast_len)."""
+    if n < 1:
+        raise ValueError(f"need a positive transform length, got {n}")
+    while True:
+        k = n
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
 
 
 @dataclass(frozen=True)
@@ -76,7 +105,7 @@ class TruncationGrid:
         # 4N+2 makes every coupling |l_r - l_c| <= 2N a unique circular shift,
         # so the assembled Jacobian is the exact derivative of the grid
         # functional (3N+1 would already dealias the cubic terms).
-        return scipy.fft.next_fast_len(4 * self.n_phi + 2)
+        return fast_len(4 * self.n_phi + 2)
 
     @property
     def n_ell(self) -> int:
@@ -153,10 +182,15 @@ class AngleTransform:
     def to_grid(self, coeffs: np.ndarray, fields: np.ndarray, ell: np.ndarray, n_fields: int):
         big = np.zeros((n_fields, *self.shape), dtype=complex)
         big[(fields, *(ell % self.m).T)] = coeffs
-        return scipy.fft.ifftn(big, axes=self.axes, overwrite_x=True) * self.m**self.nu
+        return np.fft.ifftn(big, axes=self.axes, norm="forward")
+
+    def fft(self, grid: np.ndarray) -> np.ndarray:
+        """The angle coefficients of grid values: the FFT over the last nu
+        axes divided by m^nu."""
+        return np.fft.fftn(grid, axes=self.axes, norm="forward")
 
     def to_coeffs(self, grid: np.ndarray, fields: np.ndarray, ell: np.ndarray) -> np.ndarray:
-        return scipy.fft.fftn(grid, axes=self.axes)[(fields, *(ell % self.m).T)] / self.m**self.nu
+        return self.fft(grid)[(fields, *(ell % self.m).T)]
 
     def sites(self, v) -> np.ndarray:
         """One value per site, shaped to broadcast against (nu, *shape) grids."""
@@ -261,7 +295,7 @@ class TorusProblem:
         # sqrt(xi + ... y)) aliases, at the decay of its Fourier tails.
         top = max(self.f_spec.coeffs, default=0)
         self.at = AngleTransform(
-            max(self.grid.m_phi, scipy.fft.next_fast_len(top * self.grid.n_phi + 1)), self.S.nu
+            max(self.grid.m_phi, fast_len(top * self.grid.n_phi + 1)), self.S.nu
         )
         self.lam_js = np.array([float(lam(j)) for j in self.js])
         self.lam_sites = np.array([float(lam(s)) for s in self.S.splus])
@@ -407,10 +441,22 @@ MAX_BACKTRACK = 8  # step halvings tried before a Newton step counts as failed
 
 @dataclass
 class NewtonSchedule:
+    """Step n of `newton_solve` projects to the angle cutoff
+    N_n = floor(n0^(chi^n)); the solve takes at most max_iter steps and has
+    converged once the sup residual is below tol.  The domain is n0 >= 1,
+    chi >= 1, max_iter >= 1 and tol > 0; other values raise ValueError."""
+
     n0: float = 4.0
     chi: float = 1.5
     max_iter: int = 12
     tol: float = 1e-10
+
+    def __post_init__(self):
+        for name in ("n0", "chi", "max_iter"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
 
     def cutoff(self, n: int, full: int) -> int:
         """The angle cutoff N_n = floor(N_0^(chi^n)) of step n, capped at the
@@ -630,7 +676,7 @@ def linearized_normal_operator(
     # omega.dphi - J
     vhat = np.zeros(at.shape)
     if prob.include_cubic:
-        vhat = scipy.fft.fftn(GridState(prob, emb).V) / m**S.nu
+        vhat = at.fft(GridState(prob, emb).V)
 
     # symbolic correction pieces, evaluated at the unperturbed wave packet:
     # amps[k, k2, dl] is the coefficient of e^{i dl.phi} in d^2 Q/dz_{-j_k} dz_{j_k2}
@@ -757,7 +803,7 @@ class DPEvolver:
         self.n = n_modes
         self.f_spec = f_spec or FSpec()
         self.cubic = cubic
-        self.mx = scipy.fft.next_fast_len(3 * n_modes + 1)
+        self.mx = fast_len(3 * n_modes + 1)
         k = np.arange(self.mx // 2 + 1)
         self.k = k
         self.lam = k * (4.0 + k * k) / (1.0 + k * k)
@@ -769,10 +815,11 @@ class DPEvolver:
 
     def field(self, uhat: np.ndarray) -> np.ndarray:
         """The real field u on the grid of mx points."""
-        return scipy.fft.irfft(uhat, self.mx) * self.mx
+        return np.fft.irfft(uhat, self.mx, norm="forward")
 
     def nonlinear(self, uhat: np.ndarray) -> np.ndarray:
-        what = scipy.fft.rfft(nonlinear_density(self.field(uhat), 1, self.f_spec, self.cubic)) / self.mx
+        dP = nonlinear_density(self.field(uhat), 1, self.f_spec, self.cubic)
+        what = np.fft.rfft(dP, norm="forward")
         return 1j * self.lam * what * self.mask
 
     def energy(self, uhat: np.ndarray) -> float:

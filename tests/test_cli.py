@@ -203,6 +203,8 @@ REJECTED = {
     "non-integer order": ("resonances", "", ["--set", "scan.order=four"], "[scan] order: 'four'"),
     "three xi for nu = 2": ("resonances", "", ["--set", "problem.xi=1 3/2 2"],
                             "xi must have 2 entries"),
+    "xi 5 5": ("solve", "", ["--set", "problem.xi=5 5"], "xi must lie in [1,2]^2, got 5 5"),
+    "xi 0 0": ("solve", "", ["--set", "problem.xi=0 0"], "xi must lie in [1,2]^2, got 0 0"),
     "malformed f_coeffs": ("resonances", "f_coeffs = 9:x\n", [], "[problem] f_coeffs: '9:x'"),
     "f_coeffs below order 9": ("resonances", "f_coeffs = 3:1.0\n", [], "[problem] f_coeffs"),
     "too few samples": ("measure", "", ["--set", "mc.samples=10"], "[mc] samples must be at least"),
@@ -218,6 +220,13 @@ REJECTED = {
                   "[evolve] n_modes must be at least 24"),
     "T -1": ("evolve", "", ["--set", "evolve.T=-1"], "[evolve] T must be positive"),
     "T 0": ("evolve", "", ["--set", "evolve.T=0"], "[evolve] T must be positive"),
+    "drift_tol -1": ("evolve", "", ["--set", "evolve.drift_tol=-1"],
+                     "[evolve] drift_tol must be positive"),
+    "max_iter -1": ("solve", "", ["--set", "solve.max_iter=-1"],
+                    "[solve] max_iter must be at least 1"),
+    "n0 0": ("solve", "", ["--set", "solve.n0=0"], "[solve] n0 must be at least 1"),
+    "chi 0": ("evolve", "", ["--set", "solve.chi=0"], "[solve] chi must be at least 1"),
+    "tol -1": ("solve", "", ["--set", "solve.tol=-1"], "[solve] tol must be positive"),
 }
 
 

@@ -2,6 +2,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -316,6 +319,9 @@ def test_newton_schedule_values():
     assert s.cutoff(1, 100) == 8
     assert s.cutoff(2, 100) == 22
     assert s.cutoff(2, 12) == 12
+    for bad in (dict(n0=0.5), dict(chi=0), dict(max_iter=0), dict(tol=0.0), dict(tol=-1.0)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            NewtonSchedule(**bad)
 
 
 def test_newton_solve_small():
@@ -665,25 +671,69 @@ def test_energy_momentum_definitions():
 
 
 def test_operators_take_one_fft2_over_a_stack(monkeypatch):
-    import scipy.fft
-
     shapes = []
-    fftn = scipy.fft.fftn
+    fft = torus.AngleTransform.fft
 
-    def counting(x, *args, **kwargs):
-        shapes.append(np.shape(x))
-        return fftn(x, *args, **kwargs)
+    def counting(self, grid):
+        shapes.append(np.shape(grid))
+        return fft(self, grid)
 
     prob = small_problem(eps=2e-3, n_x=16, n_phi=4)
     emb = newton_solve(prob).emb
     state = residual(prob, emb).state
-    monkeypatch.setattr(scipy.fft, "fftn", counting)
+    monkeypatch.setattr(torus.AngleTransform, "fft", counting)
     m = prob.at.m
     jacobian(prob, state)
     assert shapes == [(25, m, m)]  # one symbol per (row family, column family)
     shapes.clear()
     linearized_normal_operator(prob, emb, ell_cut=2, phib_order=0)
     assert shapes == [(m, m)]  # the field V
+
+
+def test_fast_len_is_scipys_next_fast_len():
+    assert [torus.fast_len(n) for n in range(1, 4097)] == [
+        scipy.fft.next_fast_len(n) for n in range(1, 4097)]
+    with pytest.raises(ValueError, match="positive transform length"):
+        torus.fast_len(0)
+
+
+@pytest.mark.parametrize("shape", [(25, 50, 50), (3, 12, 12, 12)], ids=["nu=2", "nu=3"])
+def test_angle_transform_matches_scipy_fftn(shape):
+    # scipy.fft is the reference for the numpy transforms
+    nu = len(shape) - 1
+    at, axes = torus.AngleTransform(shape[-1], nu), tuple(range(-nu, 0))
+    rng = np.random.default_rng(7)
+    grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = scipy.fft.fftn(grid, axes=axes) / at.m**nu
+    assert np.abs(at.fft(grid) - want).max() <= 1e-15 * np.abs(want).max()
+    # to_grid of every coefficient of the grid is the unscaled inverse
+    ell = np.tile(np.indices(at.shape).reshape(nu, -1).T, (shape[0], 1))
+    fields = np.repeat(np.arange(shape[0]), at.m**nu)
+    got = at.to_grid(grid[(fields, *ell.T)], fields, ell, shape[0])
+    want = scipy.fft.ifftn(grid, axes=axes) * at.m**nu
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_float_layer_loads_scipy_sparse_only_to_solve():
+    # the linearized operator and the evolver run on numpy alone; the first
+    # Newton Jacobian loads scipy.sparse for its LU
+    src = os.path.dirname(os.path.dirname(os.path.abspath(torus.__file__)))
+    code = """
+import sys
+from dpkam import torus
+from dpkam.core import ScalingParams, TangentialSet
+S = TangentialSet.make([6, 7])
+prob = torus.TorusProblem(S=S, grid=torus.TruncationGrid(n_x=16, n_phi=2), xi=(1.3, 1.7),
+                          scaling=ScalingParams(epsilon=1e-3, a=0.1, nu=2))
+emb = torus.TorusEmbedding.trivial(S, prob.grid)
+torus.linearized_normal_operator(prob, emb, ell_cut=1, phib_order=0)
+torus.evolve(torus.action_angle_embed(prob, emb, (0.0, 0.0)), T=0.1, n_modes=16)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+print(torus.newton_solve(prob).converged, "scipy.sparse.linalg" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.splitlines() == ["[]", "True True"]
 
 
 def test_jacobian_is_the_lattice_system():
