@@ -180,6 +180,16 @@ def _given(section: dict, *keys: str) -> dict:
     return {k: section[k] for k in keys or section if section[k] is not None}
 
 
+def _scan_window(cfg: dict, S: TangentialSet) -> dict:
+    """The set [scan] j_bound as keyword arguments of the twist and spectrum
+    scans; the window |j| <= j_bound must hold a normal site."""
+    given = _given(cfg["scan"], "j_bound")
+    lowest = next(j for j in range(1, S.jbar1 + 2) if S.in_sc(j))
+    if given.get("j_bound", lowest) < lowest:
+        raise UsageError(f"[scan] j_bound must be at least {lowest}")
+    return given
+
+
 def _scaling(cfg: dict, S: TangentialSet) -> ScalingParams:
     try:
         return ScalingParams(epsilon=cfg["problem"]["epsilon"], a=cfg["problem"]["a"], nu=S.nu)
@@ -212,8 +222,10 @@ def _summary(outdir: str, cfg: dict, command: str, checks: list[dict]) -> int:
 
 def cmd_resonances(cfg: dict, outdir: str, budget: int) -> int:
     order, bound = cfg["scan"]["order"], cfg["scan"]["bound"]
-    if order > wbnf_mod.DEGREE_CAP:
-        raise UsageError(f"order capped at {wbnf_mod.DEGREE_CAP}")
+    if not 3 <= order <= wbnf_mod.DEGREE_CAP:
+        raise UsageError(f"[scan] order must lie in 3..{wbnf_mod.DEGREE_CAP}")
+    if bound < 1:
+        raise UsageError("[scan] bound must be at least 1")
     try:
         tuples = wbnf_mod.enumerate_h2_resonances(
             order, bound, budget=budget, **_given(cfg["scan"], "m_cap")
@@ -276,8 +288,9 @@ def cmd_wbnf(cfg: dict, outdir: str, budget: int) -> int:
 
 def cmd_twist(cfg: dict, outdir: str, budget: int) -> int:
     S = cfg["problem"]["splus"]
+    window = _scan_window(cfg, S)
     td = twist_mod.twist_matrix(S)
-    report = twist_mod.nondegeneracy_report(S, **_given(cfg["scan"], "j_bound"))
+    report = twist_mod.nondegeneracy_report(S, **window)
     _write(outdir, "nondegeneracy.json", report.to_json())
     det_norm = abs(td.det_A) / Fraction(S.jbar1) ** (3 * S.nu)
     payload = {
@@ -302,6 +315,7 @@ def cmd_spectrum(cfg: dict, outdir: str, budget: int) -> int:
     sc = _scaling(cfg, S)
     xi = cfg["problem"]["xi"]
     opts = cfg["scan"]
+    window = _scan_window(cfg, S)
     model = spectrum_mod.EigenModel(S, xi, sc)
     j_lo = S.jbar1 + 1 if opts["spectrum_j_min"] is None else opts["spectrum_j_min"]
     js = [j for j in range(j_lo, opts["spectrum_j_max"] + 1) if S.in_sc(j)]
@@ -320,7 +334,7 @@ def cmd_spectrum(cfg: dict, outdir: str, budget: int) -> int:
         c_ok = True
     except spectrum_mod.SpectrumError:
         c_ok = False
-    scan = spectrum_mod.min_divisor_scan(S, **_given(opts, "j_bound"))
+    scan = spectrum_mod.min_divisor_scan(S, **window)
     checks = [
         {"check": "identification_sweep", "value": ident_all, "threshold": True,
          "witness": f"j <= {ident_hi}", "pass": ident_all},

@@ -232,29 +232,42 @@ class DivisorScan:
 def min_divisor_scan(
     S: TangentialSet, ell_bound: int = 2, j_bound: int = 2000
 ) -> DivisorScan:
-    """Minimum |delta| over momentum-compatible triples with nonzero divisor."""
-    best = None
+    """Minimum |delta| over momentum-compatible triples with nonzero divisor:
+    normal j with |j| <= j_bound, j' = j + ell . sbar normal, ell in
+    `momentum_ells` order, then j ascending; the first minimum is the witness.
+
+    With lambda(j) = j + 3j/(1+j^2) and j - j' = -ell . sbar = -shift,
+
+        delta = c - 3 shift (1 - j j') / D,   D = (1+j^2)(1+j'^2),
+
+    where c = omega_bar . ell - ell . sbar = P/Q is taken once per ell.  So
+    delta = num/(Q D) with the integer num = P D - 3 Q shift (1 - j j'), and
+    candidates are compared by integer cross-multiplication; a Fraction is
+    built only for a new minimum.
+    """
+    best_num, best_den = None, 1  # |delta| of the witness, as |num| / (Q D)
     witness = None
     checked = 0
     for ell, shift in momentum_ells(S, ell_bound):
-        base = omega_bar_dot(S, ell)
+        c = omega_bar_dot(S, ell) - shift
+        P, Q = c.numerator, c.denominator
         for j in range(-j_bound, j_bound + 1):
             if not S.in_sc(j):
                 continue
             jp = j + shift
             if not S.in_sc(jp):
                 continue
-            delta = base + lam(j) - lam(jp)
             checked += 1
-            if delta == 0:
+            D = (1 + j * j) * (1 + jp * jp)
+            num = P * D - 3 * Q * shift * (1 - j * jp)
+            if num == 0:
                 continue
-            a = abs(delta)
-            if best is None or a < best:
-                best = a
-                witness = SmallDivisor(tuple(ell), j, jp, delta, None, True)
-    if best is None:
+            if best_num is None or abs(num) * best_den < best_num * Q * D:
+                best_num, best_den = abs(num), Q * D
+                witness = SmallDivisor(tuple(ell), j, jp, Fraction(num, Q * D), None, True)
+    if best_num is None:
         raise SpectrumError("no nonzero divisors in the scanned range")
-    return DivisorScan(min_abs=best, witness=witness, checked=checked)
+    return DivisorScan(min_abs=abs(witness.delta), witness=witness, checked=checked)
 
 
 # -- homogeneous symbols of the wave-packet function -----------------------------------

@@ -10,11 +10,12 @@ with D = diag(lambda(j)) and B the off-diagonal matrix of cross sums b_jk.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .core import (
     TangentialSet,
@@ -294,14 +295,58 @@ class NondegReport:
         return json.dumps([r.as_dict() for r in self.records], indent=2)
 
 
-def _nearest_ell(ells: list[tuple[tuple[int, ...], int]], u: Vector) -> tuple[float, tuple]:
-    """Minimum over (ell, |ell|_1) in `ells` of |ell - u| / |ell|_1 (Euclidean
-    numerator, in floats) and the first ell that attains it."""
-    uf = [float(x) for x in u]
-    return min(
-        ((sum((e - x) ** 2 for e, x in zip(ell, uf)) ** 0.5 / n, ell) for ell, n in ells),
-        key=lambda p: p[0],
-    )
+_RTOL = 1e-12  # far above the ulp by which numpy's ranking values can differ
+
+
+def _distance(ell: tuple[int, ...], x: Sequence[float]) -> float:
+    """|ell - x| / |ell|_1 with the Euclidean numerator in floats: the value
+    the scans (iii) report."""
+    return sum((e - v) ** 2 for e, v in zip(ell, x)) ** 0.5 / ell_norm(ell)
+
+
+class _NearestEll:
+    """Running first minimum of `_distance(ell, x)` over blocks of rows x,
+    taken in order, and the ells, in order within each row.
+
+    Numpy ranks a block at once.  Its squares and root are correctly rounded,
+    while `_distance` uses Python's float pow, so the two can differ by an
+    ulp: every candidate within `_RTOL` of the block minimum is re-evaluated
+    with `_distance` and taken with strict <, which keeps the value and the
+    witness of a scan over one candidate at a time."""
+
+    def __init__(self, ells: list[tuple[int, ...]]):
+        self.ells = ells
+        self.components = np.array(ells, dtype=float).T  # (nu, ells)
+        self.norms = np.array([ell_norm(ell) for ell in ells], dtype=float)
+        self.value: float | None = None
+        self.witness = ""
+
+    def scan(self, X: np.ndarray, label) -> None:
+        """Rows X (m, nu); `label(r)` names row r in the witness."""
+        sq = sum((e - x[:, None]) ** 2 for e, x in zip(self.components, X.T))
+        V = np.sqrt(sq) / self.norms
+        lo = V.min()
+        if self.value is not None and lo > self.value * (1 + _RTOL):
+            return
+        for r, i in zip(*np.nonzero(V <= lo * (1 + _RTOL))):
+            val = _distance(self.ells[i], X[r].tolist())
+            if self.value is None or val < self.value:
+                self.value, self.witness = val, f"ell={self.ells[i]}, {label(r)}"
+
+
+def _exact_rows(vectors: list[Vector]) -> tuple[np.ndarray, np.ndarray]:
+    """Numerators and denominators of exact vectors, one row each (int objects)."""
+    num = np.array([[v.numerator for v in vec] for vec in vectors], dtype=object)
+    den = np.array([[v.denominator for v in vec] for vec in vectors], dtype=object)
+    return num, den
+
+
+def _differences_after(num: np.ndarray, den: np.ndarray, a: int) -> np.ndarray:
+    """Floats of the exact differences x_a - x_k, k > a, of the rows of
+    `_exact_rows`.  Python's int / rounds the exact quotient correctly, so each
+    entry is the float of the exact difference; float(x_a) - float(x_k) is not."""
+    diff = num[a] * den[a + 1:] - num[a + 1:] * den[a]
+    return (diff / (den[a] * den[a + 1:])).astype(float)
 
 
 def nondegeneracy_report(S: TangentialSet, j_bound: int = 60) -> NondegReport:
@@ -312,6 +357,13 @@ def nondegeneracy_report(S: TangentialSet, j_bound: int = 60) -> NondegReport:
     (iii) scanned minima of |l - (I - A^{-T} v wb^T)^{-1} A^{-T}(w_j - w_k)|/|l|
           and the single-j analogue;
     plus the decay-constant fit for |w_j - w_k|.
+
+    The scans (iii) run over the normal sites |j| <= j_bound (ValueError if
+    there is none), the pairs j < k and the ells with |ell|_1 <=
+    NONDEG_ELL_BOUND; each reports its first extremum in that order.  The
+    floats of t_j - t_k and w_j - w_k are those of the exact differences,
+    formed from integer numerators and denominators, never
+    float(t_j) - float(t_k).
     """
     records: list[CheckRecord] = []
     td = twist_matrix(S)
@@ -355,45 +407,50 @@ def nondegeneracy_report(S: TangentialSet, j_bound: int = 60) -> NondegReport:
     # (iii) corto / cortissimo scans (floating minima over a finite window).
     # t_j = (I - y wb^T)^{-1} A^{-T} w_j solves (A^T - v wb^T) t_j = w_j, since
     # A^T y = v; it is exact and built once per normal mode.  The map is
-    # linear, so a pair's vector is t_j - t_k, taken exactly before the floats.
+    # linear, so a pair's vector is t_j - t_k, and its floats are those of the
+    # exact difference.  Each row j scans every k > j and every ell at once.
     normal = [j for j in range(-j_bound, j_bound + 1) if S.in_sc(j)]
+    if not normal:
+        raise ValueError(f"no normal site |j| <= j_bound = {j_bound}")
     K = [[a - vi * wk for a, wk in zip(row, td.omega_bar)] for row, vi in zip(At, v)]
-    w = {j: w_vec(S, j) for j in normal}
-    t = {j: mat_solve(K, w[j]) for j in normal}
-    ells = [(ell, ell_norm(ell)) for ell in ell_vectors_up_to(S.nu, NONDEG_ELL_BOUND)]
+    w = [w_vec(S, j) for j in normal]
+    t = [mat_solve(K, wj) for wj in w]
+    ells = ell_vectors_up_to(S.nu, NONDEG_ELL_BOUND)
 
-    (single, ell), j = min(
-        ((_nearest_ell(ells, t[j]), j) for j in normal), key=lambda p: p[0][0]
-    )
-    witness_single = f"ell={ell}, j={j}"
-    # one pass over the pairs: the pair scan and the w-difference decay
-    # constant |w_j - w_k| <= C |j-k| (|j|^-2 + |jk|^-1)
-    pair, cbest, cwitness = None, 0.0, ""
-    for j, k in itertools.combinations(normal, 2):
-        val, ell = _nearest_ell(ells, [a - b for a, b in zip(t[j], t[k])])
-        if pair is None or val < pair:
-            pair, witness_pair = val, f"ell={ell}, j={j}, k={k}"
-        ratio = max(abs(float(a - b)) for a, b in zip(w[j], w[k])) / (
-            abs(j - k) * (1.0 / j**2 + 1.0 / abs(j * k))
+    single = _NearestEll(ells)
+    single.scan(np.array([[float(x) for x in tj] for tj in t]), lambda r: f"j={normal[r]}")
+    # the pair scan and the w-difference decay constant
+    # |w_j - w_k| <= C |j-k| (|j|^-2 + |jk|^-1), one row j at a time
+    pair = _NearestEll(ells)
+    t_num, t_den = _exact_rows(t)
+    w_num, w_den = _exact_rows(w)
+    sites = np.array(normal)
+    cbest, cwitness = 0.0, ""
+    for a, j in enumerate(normal[:-1]):
+        ks = sites[a + 1:]
+        pair.scan(_differences_after(t_num, t_den, a), lambda r: f"j={j}, k={ks[r]}")
+        ratio = np.abs(_differences_after(w_num, w_den, a)).max(axis=1) / (
+            np.abs(j - ks) * (1.0 / j**2 + 1.0 / np.abs(j * ks))
         )
-        if ratio > cbest:
-            cbest, cwitness = ratio, f"j={j}, k={k}"
+        r = int(ratio.argmax())
+        if ratio[r] > cbest:
+            cbest, cwitness = float(ratio[r]), f"j={j}, k={ks[r]}"
     records.append(
         CheckRecord(
             check="corto_pair_scan",
-            value=pair,
+            value=pair.value,
             threshold=CORTO_DELTA,
-            witness=witness_pair,
-            passed=pair >= CORTO_DELTA,
+            witness=pair.witness,
+            passed=pair.value >= CORTO_DELTA,
         )
     )
     records.append(
         CheckRecord(
             check="cortissimo_single_scan",
-            value=single,
+            value=single.value,
             threshold=CORTO_DELTA,
-            witness=witness_single,
-            passed=single >= CORTO_DELTA,
+            witness=single.witness,
+            passed=single.value >= CORTO_DELTA,
         )
     )
     records.append(

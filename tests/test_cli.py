@@ -212,6 +212,21 @@ REJECTED = {
     "epsilon above 1": ("measure", "", ["--set", "mc.eps_values=0.1 1.5"],
                         "[mc] epsilon must lie in (0, 1)"),
     "max_order 9": ("wbnf", "", ["--set", "scan.max_order=9"], "[scan] max_order must lie in 1..6"),
+    "twist j_bound 0": ("twist", "", ["--set", "scan.j_bound=0"],
+                        "[scan] j_bound must be at least 1"),
+    "twist j_bound -5": ("twist", "", ["--set", "scan.j_bound=-5"],
+                         "[scan] j_bound must be at least 1"),
+    "spectrum j_bound 0": ("spectrum", "", ["--set", "scan.j_bound=0"],
+                           "[scan] j_bound must be at least 1"),
+    # the sites 1 and 2 leave no normal site in |j| <= 2
+    "twist j_bound 2 at S+ = {1, 2}": ("twist", "", ["--set", "problem.splus=1 2",
+                                                     "--set", "scan.j_bound=2"],
+                                       "[scan] j_bound must be at least 3"),
+    "order 0": ("resonances", "", ["--set", "scan.order=0"], "[scan] order must lie in 3..8"),
+    "order 1": ("resonances", "", ["--set", "scan.order=1"], "[scan] order must lie in 3..8"),
+    "order 9": ("resonances", "", ["--set", "scan.order=9"], "[scan] order must lie in 3..8"),
+    "bound 0": ("resonances", "", ["--set", "scan.bound=0"], "[scan] bound must be at least 1"),
+    "bound -3": ("resonances", "", ["--set", "scan.bound=-3"], "[scan] bound must be at least 1"),
     "n_phi 0": ("solve", "", ["--set", "truncation.n_phi=0"], "[truncation] need n_phi >= 1"),
     "n_phi -1": ("evolve", "", ["--set", "truncation.n_phi=-1"], "[truncation] need n_phi >= 1"),
     "n_x 14": ("solve", "", ["--set", "truncation.n_x=14"], "[truncation] need n_x > 2 jbar1"),

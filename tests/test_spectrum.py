@@ -6,7 +6,9 @@ import pytest
 from dpkam.core import ScalingParams, TangentialSet, lam
 from dpkam.polyham import adjoint_action_h2
 from dpkam.spectrum import (
+    DivisorScan,
     EigenModel,
+    SmallDivisor,
     SpectrumError,
     beta1_solves_transport,
     beta1_symbol,
@@ -21,6 +23,8 @@ from dpkam.spectrum import (
     identification_check,
     kappa_j,
     min_divisor_scan,
+    momentum_ells,
+    omega_bar_dot,
     psi2_symbol,
     small_divisor,
     solve_transport,
@@ -104,6 +108,41 @@ def test_min_divisor_scan_small():
     assert scan.checked > 0
     w = scan.witness
     assert w.delta != 0
+
+
+def _fraction_divisor_scan(S, ell_bound, j_bound):
+    """Oracle: the scan with one Fraction delta per candidate, in the order
+    and with the strict < of `min_divisor_scan`."""
+    best = witness = None
+    checked = 0
+    for ell, shift in momentum_ells(S, ell_bound):
+        base = omega_bar_dot(S, ell)
+        for j in range(-j_bound, j_bound + 1):
+            jp = j + shift
+            if not (S.in_sc(j) and S.in_sc(jp)):
+                continue
+            delta = base + lam(j) - lam(jp)
+            checked += 1
+            if delta != 0 and (best is None or abs(delta) < best):
+                best = abs(delta)
+                witness = SmallDivisor(tuple(ell), j, jp, delta, None, True)
+    return DivisorScan(min_abs=best, witness=witness, checked=checked)
+
+
+@pytest.mark.parametrize("splus", [(6, 7), (6, 7, 8), (3, 5), (20, 21, 22)])
+@pytest.mark.parametrize("ell_bound", [2, 3])
+@pytest.mark.parametrize("j_bound", [50, 300])
+def test_min_divisor_scan_matches_fraction_oracle(splus, ell_bound, j_bound):
+    S = TangentialSet.make(splus)
+    assert min_divisor_scan(S, ell_bound, j_bound) == _fraction_divisor_scan(S, ell_bound, j_bound)
+
+
+def test_min_divisor_scan_at_bench_size():
+    scan = min_divisor_scan(S67, ell_bound=2, j_bound=2000)
+    assert scan.min_abs == Fraction(13077, 493025)
+    assert (scan.witness.ell, scan.witness.j, scan.witness.jp) == ((-1, 1), -9, -8)
+    assert scan.witness.delta == -scan.min_abs
+    assert scan.checked == 47912
 
 
 def test_transport_divisor_and_solve():

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from dpkam.core import TangentialSet, lam, signed_ell_vectors
+from dpkam.core import TangentialSet, ell_vectors_up_to, lam, signed_ell_vectors
 from dpkam.twist import (
+    NONDEG_ELL_BOUND,
+    _distance,
+    _NearestEll,
     b_jk,
     frequency_map,
     inverse_frequency_map,
@@ -185,8 +189,9 @@ def test_nondegeneracy_report():
 
 
 def _brute_force_scans(S, j_bound, ell_bound=3):
-    """Pair and single scan minima with witnesses, solving
-    (I - y wb^T) x = A^{-T} u on the full matrix for every pair and mode."""
+    """Pair and single scan minima and the w-decay constant, with witnesses,
+    one candidate at a time: (I - y wb^T) x = A^{-T} u is solved on the full
+    matrix for every pair and mode."""
     td = twist_matrix(S)
     At = mat_transpose(td.A)
     y = mat_solve(At, v_vec(S))
@@ -204,22 +209,81 @@ def _brute_force_scans(S, j_bound, ell_bound=3):
 
     normal = [j for j in range(-j_bound, j_bound + 1) if S.in_sc(j)]
     single = pair = None
+    decay = (0.0, "")
     for j in normal:
         single = scan(w_vec(S, j), single, f"j={j}")
     for a, j in enumerate(normal):
         for k in normal[a + 1:]:
             diff = [p - q for p, q in zip(w_vec(S, j), w_vec(S, k))]
             pair = scan(diff, pair, f"j={j}, k={k}")
-    return pair, single
+            ratio = max(abs(float(d)) for d in diff) / (
+                abs(j - k) * (1.0 / j**2 + 1.0 / abs(j * k)))
+            if ratio > decay[0]:
+                decay = (ratio, f"j={j}, k={k}")
+    return pair, single, decay
+
+
+SCANNED = ("corto_pair_scan", "cortissimo_single_scan", "w_decay_fitted_constant")
 
 
 @pytest.mark.parametrize("splus,j_bound", [((6, 7), 20), ((20, 21, 22), 12)])
 def test_nondegeneracy_scans_match_brute_force(splus, j_bound):
     S = TangentialSet.make(splus)
     by_name = {r.check: r for r in nondegeneracy_report(S, j_bound=j_bound).records}
-    pair, single = _brute_force_scans(S, j_bound)
-    for name, (value, witness) in (("corto_pair_scan", pair), ("cortissimo_single_scan", single)):
+    for name, (value, witness) in zip(SCANNED, _brute_force_scans(S, j_bound)):
         assert (by_name[name].value, by_name[name].witness) == (value, witness), name
+
+
+# (value, witness) of the three scans, recorded from the scan that formed one
+# Fraction and one float vector per candidate
+SCAN_RECORDS = {
+    ((6, 7), 60): [
+        (0.12644610002365153, "ell=(-1, -1), j=-5, k=5"),
+        (0.40080090360144954, "ell=(-1, -1), j=-4"),
+        (609.7280318043772, "j=-60, k=-8"),
+    ],
+    ((6, 7), 240): [
+        (0.12644610002365153, "ell=(-1, -1), j=-5, k=5"),
+        (0.40080090360144954, "ell=(-1, -1), j=-4"),
+        (612.5565677744148, "j=-240, k=-8"),
+    ],
+    ((6, 7, 8), 60): [
+        (0.2355621159563246, "ell=(-1, -1, -1), j=-5, k=5"),
+        (0.4003492730579837, "ell=(-1, -1, -1), j=-5"),
+        (1012.8249303342212, "j=-38, k=-9"),
+    ],
+}
+
+
+@pytest.mark.parametrize("splus,j_bound", list(SCAN_RECORDS))
+def test_nondegeneracy_scans_keep_recorded_values(splus, j_bound):
+    by_name = {r.check: r for r in
+               nondegeneracy_report(TangentialSet.make(splus), j_bound=j_bound).records}
+    assert [(by_name[n].value, by_name[n].witness) for n in SCANNED] == SCAN_RECORDS[splus, j_bound]
+
+
+def test_nearest_ell_reports_python_float_distances():
+    # on about 0.2 % of these rows numpy's correctly rounded square and root
+    # give a minimum one ulp off the value of Python's float pow
+    ells = ell_vectors_up_to(2, NONDEG_ELL_BOUND)
+    rng = random.Random(5)
+    rows = [[rng.uniform(-3, 3), rng.uniform(-3, 3)] for _ in range(3000)]
+    candidates = [(_distance(ell, x), f"ell={ell}, r={r}") for r, x in enumerate(rows)
+                  for ell in ells]
+    for r, x in enumerate(rows):
+        one = _NearestEll(ells)
+        one.scan(np.array([x]), lambda _: f"r={r}")
+        assert (one.value, one.witness) == min(candidates[r * len(ells):(r + 1) * len(ells)],
+                                               key=lambda p: p[0])
+    blocks = _NearestEll(ells)
+    for lo, hi in ((0, 1000), (1000, 3000)):
+        blocks.scan(np.array(rows[lo:hi]), lambda r: f"r={lo + r}")
+    assert (blocks.value, blocks.witness) == min(candidates, key=lambda p: p[0])
+
+
+def test_nondegeneracy_report_needs_a_normal_site():
+    with pytest.raises(ValueError, match="no normal site"):
+        nondegeneracy_report(TangentialSet.make([1, 2]), j_bound=2)
 
 
 def test_w_vec_odd_in_j():
