@@ -2,8 +2,8 @@
 lattice, the invariant-torus functional on T^nu, a Newton solver with the
 geometric projection schedule, the linearized normal-direction operator, and
 a pseudo-spectral time integrator: ETDRK4 on the real half spectrum (rfft),
-with step doubling whose full step and first half step share N(u).  One
-function, `nonlinear_density`, evaluates the nonlinear density
+with step doubling whose full step and first half step run as one stacked
+step.  One function, `nonlinear_density`, evaluates the nonlinear density
 P(u) = -u^3/6 + f(u) and its derivatives for the residual, the Jacobian and
 the integrator.
 
@@ -749,6 +749,10 @@ def linearized_normal_operator(
 
 @dataclass
 class EvolveResult:
+    """The trajectory at the report times, the drifts of H and K1, and the
+    step accounting: accepted and rejected steps and the range of the
+    accepted step lengths."""
+
     times: np.ndarray
     h_values: np.ndarray
     k1_values: np.ndarray
@@ -756,6 +760,10 @@ class EvolveResult:
     h_drift: float
     k1_drift: float
     states: list[np.ndarray]
+    accepted: int
+    rejected: int
+    dt_min: float
+    dt_max: float
 
 
 def _phi_funcs(z: np.ndarray):
@@ -797,13 +805,18 @@ class DPEvolver:
     exponential (ETDRK4) scheme for the stiff dispersive part.  A state is the
     half spectrum u_j, j = 0 ... mx/2, of the real field u (the rfft layout,
     u_-j = conj(u_j)); the modes run along the last axis, so `nonlinear` and
-    `step_etdrk4` also step a stack of states in one call."""
+    `step_etdrk4` also step a stack of states in one call, and `coefs` of a
+    tuple of steps gives one coefficient row per step.
+
+    The field grid has mx >= p n_modes + 1 points, p the top power of P (at
+    least 3): P'(u) then holds modes up to (p - 1) n_modes, and no aliased
+    image of it lands on a kept mode |j| <= n_modes."""
 
     def __init__(self, n_modes: int, f_spec: FSpec | None = None, cubic: bool = True):
         self.n = n_modes
         self.f_spec = f_spec or FSpec()
         self.cubic = cubic
-        self.mx = fast_len(3 * n_modes + 1)
+        self.mx = fast_len(max([3, *self.f_spec.coeffs]) * n_modes + 1)
         k = np.arange(self.mx // 2 + 1)
         self.k = k
         self.lam = k * (4.0 + k * k) / (1.0 + k * k)
@@ -811,16 +824,19 @@ class DPEvolver:
         self.L = 1j * self.lam
         # sums over all modes j of the circle count u_j and u_-j for j > 0
         self.weight = np.where(k == 0, 1.0, 2.0)
-        self._coefs: dict[float, tuple] = {}
+        self._coefs: dict[float | tuple[float, ...], tuple] = {}
 
     def field(self, uhat: np.ndarray) -> np.ndarray:
         """The real field u on the grid of mx points."""
         return np.fft.irfft(uhat, self.mx, norm="forward")
 
-    def nonlinear(self, uhat: np.ndarray) -> np.ndarray:
-        dP = nonlinear_density(self.field(uhat), 1, self.f_spec, self.cubic)
+    def nonlinear(self, uhat: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+        """N(uhat); u is the field of uhat when the caller has it already."""
+        if u is None:
+            u = self.field(uhat)
+        dP = nonlinear_density(u, 1, self.f_spec, self.cubic)
         what = np.fft.rfft(dP, norm="forward")
-        return 1j * self.lam * what * self.mask
+        return self.L * what * self.mask
 
     def energy(self, uhat: np.ndarray) -> float:
         P = nonlinear_density(self.field(uhat), 0, self.f_spec, self.cubic)
@@ -832,27 +848,34 @@ class DPEvolver:
         return 0.5 * float(np.sum(self.weight * w * np.abs(uhat) ** 2))
 
     def step_etdrk4(
-        self, uhat: np.ndarray, dt: float, coefs, Nu: np.ndarray | None = None
+        self, uhat: np.ndarray, dt: float | np.ndarray, coefs, Nu: np.ndarray | None = None
     ) -> np.ndarray:
-        """One ETDRK4 step (Cox-Matthews); Nu is N(uhat) when the caller has
-        it already."""
-        E, E2, Q, f1, f2, f3 = coefs
+        """One ETDRK4 step (Cox-Matthews) of the coefficients `coefs(dt)`; Nu
+        is N(uhat) when the caller has it already.  With coefficient rows of
+        several steps and dt a column of them, one state (or one state per
+        row) takes each of those steps, one row each."""
+        E, E2, dtQ, f1, f2x2, f3 = coefs
         if Nu is None:
             Nu = self.nonlinear(uhat)
-        a = E2 * uhat + dt * Q * Nu
+        a = E2 * uhat + dtQ * Nu
         Na = self.nonlinear(a)
-        bb = E2 * uhat + dt * Q * Na
+        bb = E2 * uhat + dtQ * Na
         Nb = self.nonlinear(bb)
-        c = E2 * a + dt * Q * (2 * Nb - Nu)
+        c = E2 * a + dtQ * (2 * Nb - Nu)
         Nc = self.nonlinear(c)
-        out = E * uhat + dt * (f1 * Nu + 2 * f2 * (Na + Nb) + f3 * Nc)
+        out = E * uhat + dt * (f1 * Nu + f2x2 * (Na + Nb) + f3 * Nc)
         return out * self.mask
 
-    def coefs(self, dt: float):
-        """The ETDRK4 coefficients of step dt, computed once per dt."""
+    def coefs(self, dt: float | tuple[float, ...]):
+        """The ETDRK4 coefficients (E, E2, dt Q, f1, 2 f2, f3) of step dt,
+        computed once per dt; for a tuple of steps, their rows stacked."""
         if dt not in self._coefs:
-            z = dt * self.L
-            self._coefs[dt] = (np.exp(z), np.exp(z / 2), *_phi_funcs(z))
+            if isinstance(dt, tuple):
+                self._coefs[dt] = tuple(np.stack(rows) for rows in zip(*map(self.coefs, dt)))
+            else:
+                z = dt * self.L
+                Q, f1, f2, f3 = _phi_funcs(z)
+                self._coefs[dt] = (np.exp(z), np.exp(z / 2), dt * Q, f1, 2 * f2, f3)
         return self._coefs[dt]
 
 
@@ -872,11 +895,15 @@ def evolve(
 ) -> EvolveResult:
     """Integrate the DP flow to time T > 0 from the Fourier data u0 of a real
     field (u0[-j] = conj(u0[j])) whose nonzero modes all have |j| <= n_modes,
-    else ValueError; report relative drifts of H and of the momentum K1.  The
-    states are half spectra (see DPEvolver).
+    else ValueError; report relative drifts of H and of the momentum K1, and
+    the step accounting.  The states are half spectra (see DPEvolver).
 
-    An adaptive step compares one step of dt with two of dt/2; the full step
-    and the first half step share N(u)."""
+    An adaptive step compares one step of dt with two of dt/2.  The full step
+    and the first half step start from the same state: they run as one
+    ETDRK4 step of a two-row stack (coefficient rows for dt and dt/2) on one
+    N(u), and only the second half step runs alone, so an accepted step makes
+    8 nonlinear evaluations.  The field of an accepted state serves both the
+    blow-up check and the next N(u)."""
     if not T > 0:
         raise ValueError(f"need a final time T > 0, got {T}")
     size = max((abs(c) for c in u0.values()), default=0.0)
@@ -895,26 +922,29 @@ def evolve(
     if dt is None:
         dt = min(0.01, T / 100.0)
     t = 0.0
+    u = ev.field(uhat)
     times = [0.0]
     hs = [ev.energy(uhat)]
     k1s = [ev.momentum(uhat)]
-    sups = [float(np.abs(ev.field(uhat)).max())]
+    sups = [float(np.abs(u).max())]
     states = [uhat.copy()]
     report_every = max(T / REPORT_POINTS, dt)
     next_report = report_every
-    rejections = 0
+    rejections = rejected = 0
+    steps = []
     scale = max(sups[0], 1e-30)
 
     while t < T - 1e-14:
         step = dt = min(dt, T - t)
-        Nu = ev.nonlinear(uhat)
-        big = ev.step_etdrk4(uhat, dt, ev.coefs(dt), Nu)
+        Nu = ev.nonlinear(uhat, u)
         if adaptive:
-            half = ev.step_etdrk4(uhat, dt / 2, ev.coefs(dt / 2), Nu)
+            pair = np.array([[dt], [dt / 2]])
+            big, half = ev.step_etdrk4(uhat, pair, ev.coefs((dt, dt / 2)), Nu)
             half = ev.step_etdrk4(half, dt / 2, ev.coefs(dt / 2))
             err = float(np.abs(big - half).max()) / scale
             if err > rtol:
                 rejections += 1
+                rejected += 1
                 if rejections > 12:
                     raise DivergenceError("step-rejection cascade in evolve")
                 dt *= 0.5
@@ -924,9 +954,11 @@ def evolve(
             if err < rtol / 64 and dt < T / 16:
                 dt *= 1.5
         else:
-            uhat = big
+            uhat = ev.step_etdrk4(uhat, dt, ev.coefs(dt), Nu)
         t += step
-        sup = float(np.abs(ev.field(uhat)).max())
+        steps.append(step)
+        u = ev.field(uhat)
+        sup = float(np.abs(u).max())
         if not math.isfinite(sup) or sup > blowup:
             raise DivergenceError(f"blow-up detected at t = {t}")
         if t >= next_report - 1e-12 or t >= T - 1e-14:
@@ -948,6 +980,10 @@ def evolve(
         h_drift=h_drift,
         k1_drift=k1_drift,
         states=states,
+        accepted=len(steps),
+        rejected=rejected,
+        dt_min=min(steps, default=math.nan),
+        dt_max=max(steps, default=math.nan),
     )
 
 

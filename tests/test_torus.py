@@ -522,7 +522,7 @@ class ComplexEvolver:
 
     def __init__(self, n_modes, f_spec, cubic):
         self.f_spec, self.cubic = f_spec, cubic
-        self.mx = DPEvolver(n_modes).mx
+        self.mx = DPEvolver(n_modes, f_spec, cubic).mx
         k = np.fft.fftfreq(self.mx, d=1.0 / self.mx).astype(int)
         self.lam = k * (4.0 + k * k) / (1.0 + k * k)
         self.mask = np.abs(k) <= n_modes
@@ -608,10 +608,123 @@ def test_adaptive_step_shares_one_nonlinear_evaluation(monkeypatch):
             return _orig(self, *args, **kwargs)
 
         monkeypatch.setattr(DPEvolver, name, counting)
-    # T = dt and a tolerance every step meets: one accepted step
+    # T = dt and a tolerance every step meets: one accepted step, one stacked
+    # step of dt and dt/2 on a shared N(u) (1 + 3) and the second half step (4)
     res = evolve({1: 0.1, -1: 0.1}, T=0.01, n_modes=8, dt=0.01, rtol=1.0)
     assert len(res.times) == 2
-    assert calls == {"step_etdrk4": 3, "nonlinear": 11}
+    assert calls == {"step_etdrk4": 2, "nonlinear": 8}
+
+
+def _step_doubling_oracle(u0, T, n_modes, dt=None, adaptive=True, rtol=1e-10, f_spec=None,
+                          cubic=True, blowup=1e6):
+    """The evolve loop that the stacked step replaced, kept as the oracle:
+    one full and two half ETDRK4 steps of one state each, the full and the
+    first half step sharing N(u), on the coefficients (E, E2, Q, f1, f2, f3)."""
+    ev = DPEvolver(n_modes, f_spec, cubic)
+    cache = {}
+
+    def step(uhat, dt, Nu=None):
+        if dt not in cache:
+            z = dt * ev.L
+            cache[dt] = (np.exp(z), np.exp(z / 2), *_phi_funcs(z))
+        E, E2, Q, f1, f2, f3 = cache[dt]
+        if Nu is None:
+            Nu = ev.nonlinear(uhat)
+        a = E2 * uhat + dt * Q * Nu
+        Na = ev.nonlinear(a)
+        bb = E2 * uhat + dt * Q * Na
+        Nb = ev.nonlinear(bb)
+        c = E2 * a + dt * Q * (2 * Nb - Nu)
+        Nc = ev.nonlinear(c)
+        out = E * uhat + dt * (f1 * Nu + 2 * f2 * (Na + Nb) + f3 * Nc)
+        return out * ev.mask
+
+    uhat = np.zeros(len(ev.k), dtype=complex)
+    for j, c in u0.items():
+        if 0 <= j <= n_modes:
+            uhat[j] = c
+    if dt is None:
+        dt = min(0.01, T / 100.0)
+    t = 0.0
+    times, hs, k1s = [0.0], [ev.energy(uhat)], [ev.momentum(uhat)]
+    sups, states = [float(np.abs(ev.field(uhat)).max())], [uhat.copy()]
+    report_every = max(T / torus.REPORT_POINTS, dt)
+    next_report = report_every
+    rejections = 0
+    scale = max(sups[0], 1e-30)
+    while t < T - 1e-14:
+        h = dt = min(dt, T - t)
+        Nu = ev.nonlinear(uhat)
+        big = step(uhat, dt, Nu)
+        if adaptive:
+            half = step(step(uhat, dt / 2, Nu), dt / 2)
+            err = float(np.abs(big - half).max()) / scale
+            if err > rtol:
+                rejections += 1
+                assert rejections <= 12
+                dt *= 0.5
+                continue
+            rejections = 0
+            uhat = half
+            if err < rtol / 64 and dt < T / 16:
+                dt *= 1.5
+        else:
+            uhat = big
+        t += h
+        sup = float(np.abs(ev.field(uhat)).max())
+        assert math.isfinite(sup) and sup <= blowup
+        if t >= next_report - 1e-12 or t >= T - 1e-14:
+            times.append(t)
+            hs.append(ev.energy(uhat))
+            k1s.append(ev.momentum(uhat))
+            sups.append(sup)
+            states.append(uhat.copy())
+            next_report += report_every
+    h_drift = max(abs(h - hs[0]) for h in hs) / max(abs(hs[0]), 1e-300)
+    k1_drift = max(abs(k - k1s[0]) for k in k1s) / max(abs(k1s[0]), 1e-300)
+    return times, hs, k1s, sups, states, h_drift, k1_drift
+
+
+@pytest.mark.parametrize("case", ["torus", "rejections", "f9 no cubic", "fixed step"])
+def test_stacked_step_doubling_matches_the_oracle(case):
+    data = _random_real_data(n=8)
+    kwargs = {
+        "torus": dict(u0=_torus_initial_data(), T=1.0, n_modes=32),
+        # dt 0.5 is rejected down to 2^-5, later to 2^-8, and grows twice by
+        # 1.5 in between: ten dt and dt/2 pairs
+        "rejections": dict(u0=_random_real_data(n=8, seed=5), T=2.0, n_modes=16, dt=0.5,
+                           rtol=1e-6, f_spec=FSpec({9: 1.0})),
+        "f9 no cubic": dict(u0=data, T=0.5, n_modes=16, f_spec=FSpec({9: 0.5}), cubic=False),
+        "fixed step": dict(u0=data, T=1.0, n_modes=16, adaptive=False, dt=0.01),
+    }[case]
+    res = evolve(**kwargs)
+    times, hs, k1s, sups, states, h_drift, k1_drift = _step_doubling_oracle(**kwargs)
+    for got, want in ((res.times, times), (res.h_values, hs), (res.k1_values, k1s),
+                      (res.sup_values, sups), (res.states, states)):
+        assert np.array_equal(got, want)
+    assert (res.h_drift, res.k1_drift) == (h_drift, k1_drift)
+    if case == "rejections":
+        assert res.rejected > 0 and res.dt_min < res.dt_max
+
+
+def test_evolve_step_accounting():
+    u0 = {j: 0.5 * c for j, c in _random_real_data(n=8, seed=5).items()}
+    res = evolve(u0, T=2.0, n_modes=16, dt=0.5, rtol=1e-8, f_spec=FSpec({9: 1.0}), cubic=False)
+    # dt 0.5 is rejected four times down to 2^-5, grows by 1.5, is rejected
+    # once more and ends on a step of 2^-6
+    assert (res.accepted, res.rejected) == (66, 5)
+    assert (res.dt_min, res.dt_max) == (2.0**-6, 1.5 * 2.0**-5)
+    fixed = evolve(_random_real_data(n=8), T=1.0, n_modes=16, adaptive=False, dt=0.25)
+    assert (fixed.accepted, fixed.rejected, fixed.dt_min, fixed.dt_max) == (4, 0, 0.25, 0.25)
+
+
+def test_evolver_grid_dealiases_the_top_power():
+    # P'(u) = 9 u^8 holds modes up to 8 n_modes: on the cubic's 3 n_modes + 1
+    # points its aliases land on kept modes and K1 drifts by about 1e-2
+    assert DPEvolver(16, FSpec({9: 1.0})).mx >= 9 * 16 + 1
+    assert DPEvolver(64).mx == DPEvolver(64, cubic=False).mx == 196
+    res = evolve(_random_real_data(n=8), T=0.5, n_modes=16, f_spec=FSpec({9: 1.0}))
+    assert res.k1_drift < 1e-6
 
 
 def test_fspec_validation_and_gradient():
