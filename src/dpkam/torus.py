@@ -625,14 +625,15 @@ def _correction_pieces(
     def z_keep(degree: int) -> int:
         return 2 + (4 - degree)
 
+    def dz2(poly: HomPoly) -> HomPoly:
+        return poly.map_filter(lambda m: z_degree(m, S) == 2)
+
     composed = flow_conjugate(
         pieces, F3, 4, inverse=True, max_z_keep=z_keep, universe=uni, S=S
     )
     out = []
     for deg, poly in sorted(composed.items()):
-        base = pieces[0] if deg == 2 else (pieces[1] if deg == 3 else None)
-        corr = poly - base if base is not None else poly
-        corr = corr.map_filter(lambda m: z_degree(m, S) == 2)
+        corr = dz2(poly) - dz2(pieces[deg - 2]) if deg in (2, 3) else dz2(poly)
         if not corr.is_zero():
             out.append(corr)
     return tuple(out)
@@ -655,7 +656,12 @@ def linearized_normal_operator(
     corrections left to the measured deviation.  Those corrections move the
     matched eigenvalues by O(eps^4): shifting every angle by pi maps the
     packet at eps to the packet at -eps and leaves omega fixed, so the
-    matched eigenvalues are even in eps."""
+    matched eigenvalues are even in eps.
+
+    Only the classes p >= 0 are eigensolved: u is real, lambda is odd and the
+    correction Hamiltonians are real, so under (l, j) -> (-l, -j) the block of
+    class -p is the entrywise conjugate of class p's, with the conjugate
+    eigenvalues and each column's dominant mode (l, j) mirrored to (-l, -j)."""
     S = prob.S
     eps = prob.eps
     at, m = prob.at, prob.at.m
@@ -667,7 +673,8 @@ def linearized_normal_operator(
     ell, kb = np.repeat(modes, len(js), axis=0), np.tile(np.arange(len(js)), len(modes))
     momentum = js[kb] - ell_dot(ell, S.splus)
     order = np.argsort(momentum, kind="stable")
-    _, first = np.unique(momentum[order], return_index=True)
+    order = order[momentum[order] >= 0]  # each class -p is mirrored from p
+    classes, first = np.unique(momentum[order], return_index=True)
 
     # the angle spectrum of V (multiplication part): within a momentum class
     # j_r - j_c = (l_r - l_c).sbar, so V_hat(l_r - l_c) is the x-mode
@@ -710,7 +717,7 @@ def linearized_normal_operator(
     eigvals = []
     matched: dict = {}
     quality: dict = {}
-    for idxs in np.split(order, first[1:]):
+    for p, idxs in zip(classes, np.split(order, first[1:])):
         a, k = ell[idxs], kb[idxs]
         nb = len(idxs)
         ilj = (1j * prob.lam_js[k])[:, None]
@@ -725,20 +732,23 @@ def linearized_normal_operator(
         near = (np.abs(d) <= wd).all(axis=0)
         amp = amps[(k[:, None], k, *(np.clip(d, -wd, wd) + wd))]
         M -= np.where(near, ilj * amp, 0)
-        local = list(zip(map(tuple, a.tolist()), js[k].tolist()))
         w, V = np.linalg.eig(M)
-        eigvals.extend(w.tolist())
-        dom = np.argmax(np.abs(V), axis=0)
-        for col in range(nb):
-            mode = local[dom[col]]
-            weight = abs(V[dom[col], col]) / np.linalg.norm(V[:, col])
-            prev = quality.get(mode)
-            if prev is None or weight > prev:
-                matched[mode] = w[col]
-                quality[mode] = float(weight)
+        # eig returns unit columns: the weight is the dominant entry's modulus
+        absV = np.abs(V)
+        dom = np.argmax(absV, axis=0)
+        weights = absV[dom, np.arange(nb)].tolist()
+        # class p, and for p > 0 its mirror -p
+        for sign, vals in [(1, w), (-1, w.conj())] if p > 0 else [(1, w)]:
+            eigvals.append(vals)
+            keys = zip(map(tuple, (sign * a[dom]).tolist()), (sign * js[k[dom]]).tolist())
+            for mode, val, weight in zip(keys, vals, weights):
+                if weight > quality.get(mode, -1.0):
+                    matched[mode] = val
+                    quality[mode] = weight
 
+    eigvals = np.concatenate(eigvals)
     return LinearizedOperator(
-        eigvals=np.array(sorted(eigvals, key=lambda v: v.imag)),
+        eigvals=eigvals[np.argsort(eigvals.imag, kind="stable")],
         matched=matched,
         match_quality=quality,
     )

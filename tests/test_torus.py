@@ -13,6 +13,7 @@ import scipy.fft
 
 from dpkam import torus
 from dpkam.core import ScalingParams, TangentialSet, lam
+from dpkam.polyham import flow_conjugate, z_degree
 from dpkam.twist import frequency_map
 from dpkam.torus import (
     DivergenceError,
@@ -35,6 +36,7 @@ from dpkam.torus import (
     save_embedding,
 )
 from dpkam.torus import _phi_funcs
+from dpkam.wbnf import dp_h2, dp_h3, index_universe, run_wbnf
 
 S67 = TangentialSet.make([6, 7])
 # a three-site packet: S+ = {6, 7, 8} needs n_x > 2 jbar1 = 16
@@ -449,6 +451,166 @@ def test_correction_pieces_are_built_once_across_eps(monkeypatch):
     assert len(calls) == 1
     pieces = torus._correction_pieces(S67, 16, 2)
     assert isinstance(pieces, tuple) and pieces and len(calls) == 1
+
+
+def test_correction_pieces_filter_before_subtracting():
+    # the dz = 2 filter commutes with the exact subtraction of H^(2) and H^(3)
+    S, n_x = S67, 16
+    uni = index_universe(n_x + 2 * S.jbar1 + 2)
+    base = [dp_h2(uni), dp_h3(uni)]
+    F3 = run_wbnf(S, 1, universe_max=2 * S.jbar1).generators[3]
+    composed = flow_conjugate(base, F3, 4, inverse=True, max_z_keep=lambda deg: 6 - deg,
+                              universe=uni, S=S)
+    want = []
+    for deg, poly in sorted(composed.items()):
+        corr = (poly - base[deg - 2] if deg in (2, 3) else poly).map_filter(
+            lambda m: z_degree(m, S) == 2)
+        if not corr.is_zero():
+            want.append(corr)
+    got = torus._correction_pieces(S, n_x, 2)
+    assert len(got) == len(want) == 1  # degree 4; the dz = 2 parts of degree 2 and 3 cancel
+    for g, w in zip(got, want):
+        assert (g.degree, g.momentum) == (w.degree, w.momentum)
+        assert list(g.terms.items()) == list(w.terms.items())
+
+
+def _every_class_operator(prob, emb, ell_cut, phib_order):
+    """The operator as it was before the classes -p were mirrored from p,
+    kept as the oracle: one eigensolve per momentum class, the match weight
+    |V[dom, col]| / |V[:, col]| per column."""
+    S, js, m = prob.S, np.array(prob.js), prob.at.m
+    modes = torus.angle_modes(ell_cut, S.nu)
+    ell, kb = np.repeat(modes, len(js), axis=0), np.tile(np.arange(len(js)), len(modes))
+    momentum = js[kb] - torus.ell_dot(ell, S.splus)
+    order = np.argsort(momentum, kind="stable")
+    _, first = np.unique(momentum[order], return_index=True)
+    vhat = prob.at.fft(torus.GridState(prob, emb).V)
+    kpos = {j: k for k, j in enumerate(prob.js)}
+    sqrt_xi = {s: math.sqrt(prob.xi[i]) for i, s in enumerate(S.splus)}
+    sqrt_xi.update({-s: sqrt_xi[s] for s in S.splus})
+    acc = {}
+    for poly in torus._correction_pieces(S, prob.grid.n_x, phib_order):
+        for mono, cval in poly.terms.items():
+            zslots = [v for v in mono if S.in_sc(v)]
+            vslots = [v for v in mono if S.in_s(v)]
+            if len(zslots) != 2:
+                continue
+            amp = complex(cval) * prob.eps ** len(vslots) * math.prod(sqrt_xi[v] for v in vslots)
+            dl = tuple(sum(S.angle_vector(v)[i] for v in vslots) for i in range(S.nu))
+            a_z, b_z = zslots
+            mult = 2 if a_z == b_z else 1
+            for out_slot, other in ([(a_z, b_z)] if a_z == b_z else [(a_z, b_z), (b_z, a_z)]):
+                if -out_slot in kpos and other in kpos:
+                    cell = (kpos[-out_slot], kpos[other], dl)
+                    acc[cell] = acc.get(cell, 0.0) + amp * mult
+    wd = max((max(map(abs, cell[2])) for cell in acc), default=0)
+    amps = np.zeros((len(js), len(js)) + (2 * wd + 1,) * S.nu, dtype=complex)
+    for (k, k2, dl), amp in acc.items():
+        amps[(k, k2, *np.add(dl, wd))] = amp
+    eigvals, matched, quality = [], {}, {}
+    for idxs in np.split(order, first[1:]):
+        a, k = ell[idxs], kb[idxs]
+        nb = len(idxs)
+        ilj = (1j * prob.lam_js[k])[:, None]
+        d = np.moveaxis(a[:, None] - a, -1, 0)
+        M = np.zeros((nb, nb), dtype=complex)
+        M[np.diag_indices(nb)] += 1j * torus.ell_dot(a, prob.omega) - ilj[:, 0]
+        v = vhat[tuple(d % m)]
+        M += np.where(np.abs(v) > 1e-15, ilj * v, 0)
+        near = (np.abs(d) <= wd).all(axis=0)
+        M -= np.where(near, ilj * amps[(k[:, None], k, *(np.clip(d, -wd, wd) + wd))], 0)
+        local = list(zip(map(tuple, a.tolist()), js[k].tolist()))
+        w, V = np.linalg.eig(M)
+        eigvals.extend(w.tolist())
+        dom = np.argmax(np.abs(V), axis=0)
+        for col in range(nb):
+            mode = local[dom[col]]
+            weight = abs(V[dom[col], col]) / np.linalg.norm(V[:, col])
+            prev = quality.get(mode)
+            if prev is None or weight > prev:
+                matched[mode] = w[col]
+                quality[mode] = float(weight)
+    return np.array(sorted(eigvals, key=lambda v: v.imag)), matched, quality
+
+
+def _perturbed(emb, scale=1e-3, seed=4):
+    """A real but not reversible embedding near `emb`."""
+    rng = np.random.default_rng(seed)
+    out = emb.copy()
+    out.x += scale * (rng.normal(size=len(out.x)) + 1j * rng.normal(size=len(out.x)))
+    out.enforce_reality()
+    return out
+
+
+OPERATOR_CASES = {
+    # problem.ini's torus at 1/1000 with the bench's ell_cut
+    "solved": (dict(eps=1e-3, n_x=24, n_phi=12), 6, False),
+    "perturbed": (dict(eps=2e-3, n_x=16, n_phi=4), 3, True),
+    "nu3": (dict(S=S678, xi=XI3, eps=2e-3, n_x=24, n_phi=4), 2, False),
+}
+
+
+@pytest.mark.parametrize("case", list(OPERATOR_CASES))
+def test_mirrored_classes_match_the_every_class_oracle(case):
+    kwargs, ell_cut, perturb = OPERATOR_CASES[case]
+    prob = small_problem(**kwargs)
+    emb = newton_solve(prob).emb
+    if perturb:
+        emb = _perturbed(emb)
+    op = linearized_normal_operator(prob, emb, ell_cut=ell_cut, phib_order=2)
+    eigvals, matched, quality = _every_class_operator(prob, emb, ell_cut, 2)
+    key = lambda v: (round(v.imag, 9), round(v.real, 9))
+    assert np.abs(np.array(sorted(op.eigvals, key=key)) - sorted(eigvals, key=key)).max() < 1e-11
+    assert op.matched.keys() == matched.keys() == op.match_quality.keys() == quality.keys()
+    assert max(abs(op.matched[mode] - val) for mode, val in matched.items()) < 1e-11
+    assert max(abs(op.match_quality[mode] - q) for mode, q in quality.items()) < 1e-9
+    # a mode and its mirror sit in the classes p and -p; class 0 is solved
+    # as it is, so its pairs are conjugate only to rounding
+    sbar = np.array(prob.S.splus)
+    for (ell, j), val in op.matched.items():
+        mirror = op.matched[(tuple(-x for x in ell), -j)]
+        if j != int(np.dot(ell, sbar)):
+            assert mirror == np.conj(val)
+        else:
+            assert abs(mirror - np.conj(val)) < 1e-11
+
+
+def test_operator_solves_one_block_per_class_p_at_least_0(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+
+    def counting(M):
+        calls.append(M.shape)
+        return eig(M)
+
+    # problem.ini's grid at ell_cut 6: 7 436 modes in 205 classes -102 ... 102
+    prob = small_problem(eps=1e-3, n_x=24, n_phi=12)
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    op = linearized_normal_operator(prob, TorusEmbedding.trivial(S67, prob.grid), ell_cut=6,
+                                    phib_order=0)
+    assert len(calls) == 103
+    assert len(op.eigvals) == 7436 == 2 * sum(n for n, _ in calls) - calls[0][0]
+
+
+def test_nu3_operator_values():
+    # matched eigenvalues of the nu = 3 torus at 2/1000, recorded before the
+    # classes -p were mirrored; (1, -1, 0), (-1, 0, 1), (0, 1, -1) and
+    # (2, 0, -1) move all three angles
+    prob = small_problem(eps=2e-3, n_phi=4, S=S678, xi=XI3, n_x=24)
+    op = linearized_normal_operator(prob, newton_solve(prob).emb, ell_cut=2, phib_order=2)
+    pinned = {
+        ((0, 0, 0), 1): -2.5000468199266916,
+        ((0, 0, 0), 3): -3.9004327670179944,
+        ((0, 0, 0), 10): -10.302317154943886,
+        ((0, 0, 0), 11): -11.276451779517561,
+        ((0, 0, 0), -5): 5.578272958452578,
+        ((1, -1, 0), 9): -10.267778550278225,
+        ((-1, 0, 1), -13): 15.120557860161309,
+        ((0, 1, -1), 4): -5.6564354563759025,
+        ((2, 0, -1), -2): 7.804772716269312,
+    }
+    for mode, im in pinned.items():
+        assert abs(op.matched[mode] - 1j * im) < 1e-10
 
 
 def test_min_linear_divisor_positive():
