@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .core import ScalingParams, TangentialSet, float_fmt, fraction_str
+from .core import ScalingParams, TangentialSet, check, float_fmt, fraction_str
 from . import measure as measure_mod
 from . import spectrum as spectrum_mod
 from . import twist as twist_mod
@@ -220,20 +220,17 @@ def _summary(outdir: str, cfg: dict, command: str, checks: list[dict]) -> int:
 # -- verbs ---------------------------------------------------------------------
 
 
-def cmd_resonances(cfg: dict, outdir: str, budget: int) -> int:
-    order, bound = cfg["scan"]["order"], cfg["scan"]["bound"]
+def cmd_resonances(cfg: dict, outdir: str, budget: int) -> list[dict]:
+    order, bound, m_cap = cfg["scan"]["order"], cfg["scan"]["bound"], cfg["scan"]["m_cap"]
     if not 3 <= order <= wbnf_mod.DEGREE_CAP:
         raise UsageError(f"[scan] order must lie in 3..{wbnf_mod.DEGREE_CAP}")
     if bound < 1:
         raise UsageError("[scan] bound must be at least 1")
-    try:
-        tuples = wbnf_mod.enumerate_h2_resonances(
-            order, bound, budget=budget, **_given(cfg["scan"], "m_cap")
-        )
-    except wbnf_mod.BudgetExceeded as exc:
-        _write(outdir, "resonances.csv", f"# budget exceeded: {exc}\n")
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    # resonance_triviality counts the tuples resonant up to M >= 3
+    if m_cap is not None and m_cap < 3:
+        raise UsageError("[scan] m_cap must be at least 3")
+    tuples = wbnf_mod.enumerate_h2_resonances(order, bound, budget=budget,
+                                              **_given(cfg["scan"], "m_cap"))
     lines = ["order,indices,m_resonant_up_to,trivial,permutations"]
     nontrivial_resonant = []
     for t in tuples:
@@ -244,19 +241,11 @@ def cmd_resonances(cfg: dict, outdir: str, budget: int) -> int:
         if not t.trivial and t.m_resonant_up_to >= 3:
             nontrivial_resonant.append(t)
     _write(outdir, "resonances.csv", "\n".join(lines) + "\n")
-    checks = [
-        {
-            "check": "resonance_triviality",
-            "value": len(nontrivial_resonant),
-            "threshold": 0,
-            "witness": str([t.indices for t in nontrivial_resonant[:3]]),
-            "pass": not nontrivial_resonant,
-        }
-    ]
-    return _summary(outdir, cfg, "resonances", checks)
+    return [check("resonance_triviality", len(nontrivial_resonant), 0, not nontrivial_resonant,
+                  str([t.indices for t in nontrivial_resonant[:3]]))]
 
 
-def cmd_wbnf(cfg: dict, outdir: str, budget: int) -> int:
+def cmd_wbnf(cfg: dict, outdir: str, budget: int) -> list[dict]:
     S = cfg["problem"]["splus"]
     max_order = cfg["scan"]["max_order"]
     if not 1 <= max_order <= wbnf_mod.DEGREE_CAP - 2:
@@ -269,29 +258,19 @@ def cmd_wbnf(cfg: dict, outdir: str, budget: int) -> int:
     checks = []
     if 4 in res.z_pieces:
         closed = wbnf_mod.h40_closed_form(S)
-        checks.append(
-            {
-                "check": "degree4_closed_form",
-                "value": "exact" if res.z_pieces[4].terms == closed.terms else "mismatch",
-                "threshold": "exact",
-                "witness": f"{len(closed)} monomials",
-                "pass": res.z_pieces[4].terms == closed.terms,
-            }
-        )
+        same = res.z_pieces[4].terms == closed.terms
+        checks.append(check("degree4_closed_form", "exact" if same else "mismatch", "exact", same,
+                            f"{len(closed)} monomials"))
     odd_ok = all(res.z_pieces[d].is_zero() for d in res.z_pieces if d % 2 == 1)
-    checks.append(
-        {"check": "odd_kernels_vanish", "value": odd_ok, "threshold": True,
-         "witness": "", "pass": odd_ok}
-    )
-    return _summary(outdir, cfg, "wbnf", checks)
+    return checks + [check("odd_kernels_vanish", odd_ok, True, odd_ok)]
 
 
-def cmd_twist(cfg: dict, outdir: str, budget: int) -> int:
+def cmd_twist(cfg: dict, outdir: str, budget: int) -> list[dict]:
     S = cfg["problem"]["splus"]
     window = _scan_window(cfg, S)
     td = twist_mod.twist_matrix(S)
-    report = twist_mod.nondegeneracy_report(S, **window)
-    _write(outdir, "nondegeneracy.json", report.to_json())
+    records = twist_mod.nondegeneracy_report(S, **window)
+    _write(outdir, "nondegeneracy.json", json.dumps(records, indent=2))
     det_norm = abs(td.det_A) / Fraction(S.jbar1) ** (3 * S.nu)
     payload = {
         "splus": list(S.splus),
@@ -301,27 +280,29 @@ def cmd_twist(cfg: dict, outdir: str, budget: int) -> int:
         "omega_bar": [fraction_str(w) for w in td.omega_bar],
     }
     _write(outdir, "twist.json", json.dumps(payload, indent=2))
-    checks = [
-        {"check": "det_nonzero", "value": float_fmt(float(td.det_A)),
-         "threshold": "!= 0", "witness": "", "pass": td.det_A != 0},
-        {"check": "nondegeneracy", "value": report.all_pass(),
-         "threshold": True, "witness": "", "pass": report.all_pass()},
-    ]
-    return _summary(outdir, cfg, "twist", checks)
+    nondeg = all(r["pass"] for r in records)
+    return [check("det_nonzero", float_fmt(float(td.det_A)), "!= 0", td.det_A != 0),
+            check("nondegeneracy", nondeg, True, nondeg)]
 
 
-def cmd_spectrum(cfg: dict, outdir: str, budget: int) -> int:
+def cmd_spectrum(cfg: dict, outdir: str, budget: int) -> list[dict]:
     S = cfg["problem"]["splus"]
     sc = _scaling(cfg, S)
     xi = cfg["problem"]["xi"]
     opts = cfg["scan"]
     window = _scan_window(cfg, S)
-    model = spectrum_mod.EigenModel(S, xi, sc)
     j_lo = S.jbar1 + 1 if opts["spectrum_j_min"] is None else opts["spectrum_j_min"]
     js = [j for j in range(j_lo, opts["spectrum_j_max"] + 1) if S.in_sc(j)]
+    if not js:
+        raise UsageError(f"[scan] spectrum_j_min..spectrum_j_max = {j_lo}..{opts['spectrum_j_max']}"
+                         " holds no normal mode")
+    # every mode above jbar1 is normal, so the sweep checks at least one
+    ident_hi = opts["ident_j_max"]
+    if ident_hi <= S.jbar1:
+        raise UsageError(f"[scan] ident_j_max must exceed jbar1 = {S.jbar1}")
+    model = spectrum_mod.EigenModel(S, xi, sc)
     _write(outdir, "spectrum.csv", model.csv(js))
 
-    ident_hi = opts["ident_j_max"]
     ident_all = True
     for j in range(S.jbar1 + 1, ident_hi + 1):
         if not S.in_sc(j):
@@ -335,20 +316,15 @@ def cmd_spectrum(cfg: dict, outdir: str, budget: int) -> int:
     except spectrum_mod.SpectrumError:
         c_ok = False
     scan = spectrum_mod.min_divisor_scan(S, **window)
-    checks = [
-        {"check": "identification_sweep", "value": ident_all, "threshold": True,
-         "witness": f"j <= {ident_hi}", "pass": ident_all},
-        {"check": "c_via_f2", "value": c_ok, "threshold": True, "witness": "",
-         "pass": c_ok},
-        {"check": "min_divisor_positive", "value": float_fmt(float(scan.min_abs)),
-         "threshold": "> 0",
-         "witness": f"ell={scan.witness.ell}, j={scan.witness.j}, j'={scan.witness.jp}",
-         "pass": scan.min_abs > 0},
-    ]
-    return _summary(outdir, cfg, "spectrum", checks)
+    w = scan.witness
+    return [check("identification_sweep", ident_all, True, ident_all, f"j <= {ident_hi}"),
+            check("c_via_f2", c_ok, True, c_ok),
+            check("min_divisor_positive", float_fmt(float(scan.min_abs)), "> 0",
+                  scan.min_abs > 0, f"ell={w.ell}, j={w.j}, j'={w.jp}")]
 
 
-def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int, threads: int = 0) -> int:
+def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int,
+                threads: int = 0) -> list[dict]:
     S = cfg["problem"]["splus"]
     a = cfg["problem"]["a"]
     mc = cfg["mc"]
@@ -388,23 +364,20 @@ def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int, threads: int = 0
     z = [(e.fraction - e.quadrature) / measure_mod.binomial_stderr(e.quadrature, samples)
          for e in sweep.estimates]
     w = int(np.argmax(z))
-    checks = [
-        {"check": "mc_within_quadrature", "value": float_fmt(z[w]),
-         "threshold": "<= 3 standard errors at the quadrature",
-         "witness": f"eps={float_fmt(eps_values[w])}", "pass": all(v <= 3.0 for v in z)}
-    ]
+    checks = [check("mc_within_quadrature", float_fmt(z[w]),
+                    "<= 3 standard errors at the quadrature", all(v <= 3.0 for v in z),
+                    f"eps={float_fmt(eps_values[w])}")]
     if family == "G0_0":
         lemma_c = measure_mod.g0_lemma_constant(S, cfgs[0].scaling.tau, cfgs[0].ell_max)
         bounds = [lemma_c * c.scaling.epsilon ** (2 * (S.nu - 1)) * c.gamma for c in cfgs]
         measures = [e.quadrature * e.volume for e in sweep.estimates]
         ratio = [m / b for m, b in zip(measures, bounds)]
         w = int(np.argmax(ratio))
-        checks.insert(0, {
-            "check": "slab_within_lemma_bound", "value": float_fmt(ratio[w]),
-            "threshold": "quadrature measure <= C eps^(2(nu-1)) gamma",
-            "witness": f"eps={float_fmt(eps_values[w])}, C={float_fmt(lemma_c)}",
-            "pass": all(m <= b for m, b in zip(measures, bounds))})
-    return _summary(outdir, cfg, "measure", checks)
+        checks.insert(0, check("slab_within_lemma_bound", float_fmt(ratio[w]),
+                               "quadrature measure <= C eps^(2(nu-1)) gamma",
+                               all(m <= b for m, b in zip(measures, bounds)),
+                               f"eps={float_fmt(eps_values[w])}, C={float_fmt(lemma_c)}"))
+    return checks
 
 
 def _torus_problem(cfg: dict) -> torus_mod.TorusProblem:
@@ -423,9 +396,9 @@ def _torus_problem(cfg: dict) -> torus_mod.TorusProblem:
         raise UsageError(f"[truncation] {exc}") from None
 
 
-def _failed(check: str, exc: Exception, witness: str = "") -> dict:
-    print(f"{check} failed: {exc}", file=sys.stderr)
-    return {"check": check, "value": str(exc), "threshold": "", "witness": witness, "pass": False}
+def _failed(name: str, exc: Exception, witness: str = "") -> dict:
+    print(f"{name} failed: {exc}", file=sys.stderr)
+    return check(name, str(exc), "", False, witness)
 
 
 def _schedule(cfg: dict) -> torus_mod.NewtonSchedule:
@@ -451,26 +424,22 @@ def _solve(sched: torus_mod.NewtonSchedule, prob: torus_mod.TorusProblem, outdir
     digest = torus_mod.save_embedding(sol.emb, os.path.join(outdir, "torus.json"))
     hist = "\n".join(float_fmt(r) for r in sol.residuals)
     _write(outdir, "residual_history.txt", hist + "\n")
+    converged, zeta = bool(sol.converged), float(np.abs(sol.emb.zeta).max())
     checks = [
-        {"check": "newton_converged", "value": bool(sol.converged),
-         "threshold": f"sup residual < {sched.tol}",
-         "witness": f"{sol.iterations} iterations, final "
-                    f"{float_fmt(sol.residuals[-1])}, checkpoint {digest}",
-         "pass": bool(sol.converged)},
-        {"check": "counterterm_small",
-         "value": float_fmt(float(np.abs(sol.emb.zeta).max())),
-         "threshold": "< 1e-9",
-         "witness": "", "pass": bool(np.abs(sol.emb.zeta).max() < 1e-9)},
+        check("newton_converged", converged, f"sup residual < {sched.tol}", converged,
+              f"{sol.iterations} iterations, final {float_fmt(sol.residuals[-1])}, "
+              f"checkpoint {digest}"),
+        check("counterterm_small", float_fmt(zeta), "< 1e-9", zeta < 1e-9),
     ]
     return (sol.emb if sol.converged else None), checks
 
 
-def cmd_solve(cfg: dict, outdir: str, budget: int) -> int:
+def cmd_solve(cfg: dict, outdir: str, budget: int) -> list[dict]:
     prob, sched = _torus_problem(cfg), _schedule(cfg)
-    return _summary(outdir, cfg, "solve", _solve(sched, prob, outdir)[1])
+    return _solve(sched, prob, outdir)[1]
 
 
-def cmd_evolve(cfg: dict, outdir: str, budget: int) -> int:
+def cmd_evolve(cfg: dict, outdir: str, budget: int) -> list[dict]:
     """Evolve from the checkpoint, or from a fresh solve whose checks (and
     files) it reports as `solve` does; a failed solve or flow is a failed check."""
     from . import torus as torus_mod
@@ -501,23 +470,18 @@ def cmd_evolve(cfg: dict, outdir: str, budget: int) -> int:
     else:
         emb, checks = _solve(sched, prob, outdir)
         if emb is None:
-            return _summary(outdir, cfg, "evolve", checks)
+            return checks
     try:
         u0 = torus_mod.action_angle_embed(prob, emb, (0.0,) * prob.S.nu)
         res = torus_mod.evolve(u0, T=T, n_modes=ev["n_modes"], f_spec=prob.f_spec)
     except torus_mod.TorusError as exc:
-        return _summary(outdir, cfg, "evolve", checks + [_failed("flow_completed", exc, f"T={T}")])
+        return checks + [_failed("flow_completed", exc, f"T={T}")]
     lines = ["t,H,K1,sup_norm_u"]
     for t, h, k1, s in zip(res.times, res.h_values, res.k1_values, res.sup_values):
         lines.append(f"{float_fmt(t)},{float_fmt(h)},{float_fmt(k1)},{float_fmt(s)}")
     _write(outdir, "trajectory.csv", "\n".join(lines) + "\n")
-    checks += [
-        {"check": "H_drift", "value": float_fmt(res.h_drift), "threshold": f"< {tol}",
-         "witness": f"T={T}", "pass": bool(res.h_drift < tol)},
-        {"check": "K1_drift", "value": float_fmt(res.k1_drift), "threshold": f"< {tol}",
-         "witness": f"T={T}", "pass": bool(res.k1_drift < tol)},
-    ]
-    return _summary(outdir, cfg, "evolve", checks)
+    return checks + [check(name, float_fmt(drift), f"< {tol}", bool(drift < tol), f"T={T}")
+                     for name, drift in (("H_drift", res.h_drift), ("K1_drift", res.k1_drift))]
 
 
 COMMANDS = {
@@ -557,11 +521,12 @@ def main(argv: list[str] | None = None) -> int:
             if not eq:
                 raise UsageError(f"bad override {item!r}; use section.key=value")
             overrides[key] = val
+        if args.budget < 1:
+            raise UsageError(f"--budget must be at least 1, got {args.budget}")
         cfg = load_config(args.config, overrides)
-        fn = COMMANDS[args.command]
-        if args.command == "measure":
-            return fn(cfg, args.out, args.budget, args.seed, args.threads)
-        return fn(cfg, args.out, args.budget)
+        extra = (args.seed, args.threads) if args.command == "measure" else ()
+        checks = COMMANDS[args.command](cfg, args.out, args.budget, *extra)
+        return _summary(args.out, cfg, args.command, checks)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -246,3 +246,10 @@ def float_fmt(x: float) -> str:
 
 def fraction_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
+
+
+def check(name: str, value, threshold, passed: bool, witness: str = "") -> dict:
+    """One pass/fail record of a report.  Every report writes this shape, with
+    the keys in this order: check, value, threshold, witness, pass."""
+    return {"check": name, "value": value, "threshold": threshold, "witness": witness,
+            "pass": passed}

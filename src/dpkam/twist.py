@@ -10,7 +10,7 @@ with D = diag(lambda(j)) and B the off-diagonal matrix of cross sums b_jk.
 """
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     TangentialSet,
+    check,
     ell_norm,
     ell_vectors_up_to,
     fraction_str,
@@ -265,54 +266,21 @@ def w_vec(S: TangentialSet, j: int) -> Vector:
 # -- non-degeneracy report ------------------------------------------------------------
 
 
-@dataclass
-class CheckRecord:
-    check: str
-    value: float
-    threshold: float
-    witness: str
-    passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "value": self.value,
-            "threshold": self.threshold,
-            "witness": self.witness,
-            "pass": self.passed,
-        }
-
-
-@dataclass
-class NondegReport:
-    S: TangentialSet
-    records: list[CheckRecord]
-
-    def all_pass(self) -> bool:
-        return all(r.passed for r in self.records)
-
-    def to_json(self) -> str:
-        return json.dumps([r.as_dict() for r in self.records], indent=2)
-
-
-_RTOL = 1e-12  # far above the ulp by which numpy's ranking values can differ
-
-
 def _distance(ell: tuple[int, ...], x: Sequence[float]) -> float:
     """|ell - x| / |ell|_1 with the Euclidean numerator in floats: the value
-    the scans (iii) report."""
-    return sum((e - v) ** 2 for e, v in zip(ell, x)) ** 0.5 / ell_norm(ell)
+    the scans (iii) report.  Its squares and root are correctly rounded, so
+    the value does not depend on the platform's libm."""
+    return math.sqrt(sum((e - v) * (e - v) for e, v in zip(ell, x))) / ell_norm(ell)
 
 
 class _NearestEll:
     """Running first minimum of `_distance(ell, x)` over blocks of rows x,
     taken in order, and the ells, in order within each row.
 
-    Numpy ranks a block at once.  Its squares and root are correctly rounded,
-    while `_distance` uses Python's float pow, so the two can differ by an
-    ulp: every candidate within `_RTOL` of the block minimum is re-evaluated
-    with `_distance` and taken with strict <, which keeps the value and the
-    witness of a scan over one candidate at a time."""
+    Numpy ranks a block at once with the operations of `_distance`, in its
+    order, so each entry equals `_distance` bit for bit: the first minimum of
+    a block is the first in (row, ell) order, and a later block takes over
+    only with a strictly smaller value."""
 
     def __init__(self, ells: list[tuple[int, ...]]):
         self.ells = ells
@@ -323,15 +291,11 @@ class _NearestEll:
 
     def scan(self, X: np.ndarray, label) -> None:
         """Rows X (m, nu); `label(r)` names row r in the witness."""
-        sq = sum((e - x[:, None]) ** 2 for e, x in zip(self.components, X.T))
-        V = np.sqrt(sq) / self.norms
-        lo = V.min()
-        if self.value is not None and lo > self.value * (1 + _RTOL):
-            return
-        for r, i in zip(*np.nonzero(V <= lo * (1 + _RTOL))):
-            val = _distance(self.ells[i], X[r].tolist())
-            if self.value is None or val < self.value:
-                self.value, self.witness = val, f"ell={self.ells[i]}, {label(r)}"
+        diffs = (e - x[:, None] for e, x in zip(self.components, X.T))
+        V = np.sqrt(sum(d * d for d in diffs)) / self.norms
+        r, i = np.unravel_index(V.argmin(), V.shape)
+        if self.value is None or V[r, i] < self.value:
+            self.value, self.witness = float(V[r, i]), f"ell={self.ells[i]}, {label(r)}"
 
 
 def _exact_rows(vectors: list[Vector]) -> tuple[np.ndarray, np.ndarray]:
@@ -349,8 +313,8 @@ def _differences_after(num: np.ndarray, den: np.ndarray, a: int) -> np.ndarray:
     return (diff / (den[a] * den[a + 1:])).astype(float)
 
 
-def nondegeneracy_report(S: TangentialSet, j_bound: int = 60) -> NondegReport:
-    """Run the non-degeneracy checks with witnesses.
+def nondegeneracy_report(S: TangentialSet, j_bound: int = 60) -> list[dict]:
+    """The non-degeneracy checks with witnesses, as `core.check` records.
 
     (i) the l1-norm 1,2,3,5 sums and the wave-packet |l| = 4 case (exact);
     (ii) |1 - A^{-T} v . omega_bar| >= DET_THRESHOLD (exact);
@@ -365,7 +329,7 @@ def nondegeneracy_report(S: TangentialSet, j_bound: int = 60) -> NondegReport:
     formed from integer numerators and denominators, never
     float(t_j) - float(t_k).
     """
-    records: list[CheckRecord] = []
+    records = []
     td = twist_matrix(S)
     # the parity argument gives jbar1 * |sum| > 1/2 for odd |l|
     r_threshold = Fraction(1, S.jbar1)
@@ -379,30 +343,17 @@ def nondegeneracy_report(S: TangentialSet, j_bound: int = 60) -> NondegReport:
             key=lambda p: p[0],
         )
         thr = r_threshold / 2 if norm % 2 == 1 else Fraction(0)
-        records.append(
-            CheckRecord(
-                check=f"ell_condition_norm_{norm}",
-                value=float(best),
-                threshold=float(thr),
-                witness=f"ell={witness}, |sum|={fraction_str(best)}",
-                passed=best > thr,
-            )
-        )
+        records.append(check(f"ell_condition_norm_{norm}", float(best), float(thr), best > thr,
+                             f"ell={witness}, |sum|={fraction_str(best)}"))
 
     # (ii) rank-one determinant, exact
     v = v_vec(S)
     At = mat_transpose(td.A)
     y = mat_solve(At, v)  # A^{-T} v
     det_val = 1 - dot(y, td.omega_bar)
-    records.append(
-        CheckRecord(
-            check="corto100_rank_one_det",
-            value=float(abs(det_val)),
-            threshold=float(DET_THRESHOLD),
-            witness=f"1 - A^-T v . omega_bar = {fraction_str(det_val)}",
-            passed=abs(det_val) >= DET_THRESHOLD,
-        )
-    )
+    records.append(check("corto100_rank_one_det", float(abs(det_val)), float(DET_THRESHOLD),
+                         abs(det_val) >= DET_THRESHOLD,
+                         f"1 - A^-T v . omega_bar = {fraction_str(det_val)}"))
 
     # (iii) corto / cortissimo scans (floating minima over a finite window).
     # t_j = (I - y wb^T)^{-1} A^{-T} w_j solves (A^T - v wb^T) t_j = w_j, since
@@ -435,32 +386,9 @@ def nondegeneracy_report(S: TangentialSet, j_bound: int = 60) -> NondegReport:
         r = int(ratio.argmax())
         if ratio[r] > cbest:
             cbest, cwitness = float(ratio[r]), f"j={j}, k={ks[r]}"
-    records.append(
-        CheckRecord(
-            check="corto_pair_scan",
-            value=pair.value,
-            threshold=CORTO_DELTA,
-            witness=pair.witness,
-            passed=pair.value >= CORTO_DELTA,
-        )
-    )
-    records.append(
-        CheckRecord(
-            check="cortissimo_single_scan",
-            value=single.value,
-            threshold=CORTO_DELTA,
-            witness=single.witness,
-            passed=single.value >= CORTO_DELTA,
-        )
-    )
-    records.append(
-        CheckRecord(
-            check="w_decay_fitted_constant",
-            value=cbest,
-            threshold=float("inf"),
-            witness=cwitness,
-            passed=True,
-        )
-    )
-    return NondegReport(S=S, records=records)
+    for name, scan in (("corto_pair_scan", pair), ("cortissimo_single_scan", single)):
+        records.append(check(name, scan.value, CORTO_DELTA, scan.value >= CORTO_DELTA,
+                             scan.witness))
+    records.append(check("w_decay_fitted_constant", cbest, float("inf"), True, cwitness))
+    return records
 

@@ -53,6 +53,7 @@ def test_resonances_budget(tmp_path):
     rc = main(["resonances", "--config", cfg, "--out", str(tmp_path / "o"),
                "--budget", "50"])
     assert rc == 2
+    assert not os.path.exists(tmp_path / "o")  # no artifact, no summary
 
 
 def test_missing_field_usage_error(tmp_path):
@@ -73,6 +74,11 @@ def test_wbnf_cmd(tmp_path):
     assert checks["degree4_closed_form"]["pass"]
 
 
+# nondegeneracy.json at S+ = {6, 7}, j_bound 20: its values, witnesses and
+# record key order (check, value, threshold, witness, pass)
+NONDEGENERACY_SHA256 = "c27be9a7bd4cd4b8af8714e0dcc8a776acdc3a91dc6262ef9d6d98e7219f4a59"
+
+
 def test_twist_cmd(tmp_path):
     cfg = write_config(tmp_path, BASE + "[scan]\nj_bound = 20\n")
     out = str(tmp_path / "out")
@@ -80,9 +86,8 @@ def test_twist_cmd(tmp_path):
     assert rc == 0
     payload = json.loads((tmp_path / "out" / "twist.json").read_text())
     assert payload["det_A"].count("/") == 1
-    report = json.loads((tmp_path / "out" / "nondegeneracy.json").read_text())
-    assert all(set(r) == {"check", "value", "threshold", "witness", "pass"}
-               for r in report)
+    report = (tmp_path / "out" / "nondegeneracy.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == NONDEGENERACY_SHA256
 
 
 def test_spectrum_cmd(tmp_path):
@@ -242,6 +247,23 @@ REJECTED = {
     "n0 0": ("solve", "", ["--set", "solve.n0=0"], "[solve] n0 must be at least 1"),
     "chi 0": ("evolve", "", ["--set", "solve.chi=0"], "[solve] chi must be at least 1"),
     "tol -1": ("solve", "", ["--set", "solve.tol=-1"], "[solve] tol must be positive"),
+    # resonance_triviality counts M >= 3 only, so a smaller m_cap counts nothing
+    "m_cap 2": ("resonances", "", ["--set", "scan.m_cap=2"], "[scan] m_cap must be at least 3"),
+    "m_cap 0": ("resonances", "", ["--set", "scan.m_cap=0"], "[scan] m_cap must be at least 3"),
+    "m_cap -1": ("resonances", "", ["--set", "scan.m_cap=-1"], "[scan] m_cap must be at least 3"),
+    "ident_j_max 7": ("spectrum", "", ["--set", "scan.ident_j_max=7"],
+                      "[scan] ident_j_max must exceed jbar1 = 7"),
+    "ident_j_max 0": ("spectrum", "", ["--set", "scan.ident_j_max=0"],
+                      "[scan] ident_j_max must exceed jbar1 = 7"),
+    "ident_j_max 0, spectrum_j_max 0": ("spectrum", "", ["--set", "scan.ident_j_max=0", "--set",
+                                                         "scan.spectrum_j_max=0"],
+                                        "8..0 holds no normal mode"),
+    "spectrum_j_max 7": ("spectrum", "", ["--set", "scan.spectrum_j_max=7"],
+                         "[scan] spectrum_j_min..spectrum_j_max = 8..7 holds no normal mode"),
+    "spectrum window 6..7": ("spectrum", "", ["--set", "scan.spectrum_j_min=6", "--set",
+                                              "scan.spectrum_j_max=7"], "holds no normal mode"),
+    "budget 0": ("resonances", "", ["--budget", "0"], "--budget must be at least 1"),
+    "budget -5": ("resonances", "", ["--budget", "-5"], "--budget must be at least 1, got -5"),
 }
 
 
@@ -253,6 +275,24 @@ def test_rejected_input_exits_3(tmp_path, capsys, verb, extra, args, message):
     assert rc == 3
     assert err.startswith("usage error:") and message in err and "Traceback" not in err
     assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("verb,extra", [
+    ("resonances", "[scan]\norder = 4\nbound = 3\n"),
+    ("wbnf", "[scan]\nmax_order = 2\n"),
+    ("twist", "[scan]\nj_bound = 20\n"),
+    ("spectrum", "[scan]\nident_j_max = 10\nspectrum_j_max = 12\nj_bound = 60\n"),
+    ("measure", "[mc]\nfamily = G0_0\nsamples = 2000\neps_values = 0.08 0.16\nell_max = 4\n"),
+    ("solve", "[truncation]\nn_x = 16\nn_phi = 4\n"),
+    ("evolve", "[truncation]\nn_x = 16\nn_phi = 4\n[evolve]\nT = 1\nn_modes = 32\n"),
+])
+def test_summary_records_have_the_check_shape(tmp_path, verb, extra):
+    out = tmp_path / "out"
+    assert main([verb, "--config", write_config(tmp_path, BASE + extra), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["command"] == verb and summary["checks"]
+    assert all(set(c) == {"check", "value", "threshold", "witness", "pass"}
+               for c in summary["checks"])
 
 
 def test_import_leaves_scipy_unloaded():
