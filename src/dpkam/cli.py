@@ -180,14 +180,20 @@ def _given(section: dict, *keys: str) -> dict:
     return {k: section[k] for k in keys or section if section[k] is not None}
 
 
-def _scan_window(cfg: dict, S: TangentialSet) -> dict:
-    """The set [scan] j_bound as keyword arguments of the twist and spectrum
-    scans; the window |j| <= j_bound must hold a normal site."""
-    given = _given(cfg["scan"], "j_bound")
+def _j_bound(cfg: dict, S: TangentialSet, default: int) -> int:
+    """[scan] j_bound of the twist and spectrum scans, `default` when unset;
+    the window |j| <= j_bound must hold a normal site."""
+    j_bound = default if cfg["scan"]["j_bound"] is None else cfg["scan"]["j_bound"]
     lowest = next(j for j in range(1, S.jbar1 + 2) if S.in_sc(j))
-    if given.get("j_bound", lowest) < lowest:
+    if j_bound < lowest:
         raise UsageError(f"[scan] j_bound must be at least {lowest}")
-    return given
+    return j_bound
+
+
+def _within_budget(budget: int, work: int, what: str) -> None:
+    """Refuse, before any work, a scan of `work` steps beyond `budget`."""
+    if work > budget:
+        raise wbnf_mod.BudgetExceeded(f"{what} of {work} steps exceeds the budget {budget}")
 
 
 def _scaling(cfg: dict, S: TangentialSet) -> ScalingParams:
@@ -203,6 +209,15 @@ def _write(outdir: str, name: str, text: str) -> str:
     with open(path, "w") as fh:
         fh.write(text)
     return path
+
+
+def _write_csv(outdir: str, name: str, header: tuple[str, ...], rows) -> str:
+    """One CSV line per row after the header: floats through `float_fmt`,
+    every other cell through `str`."""
+    lines = [",".join(header)]
+    lines += [",".join(float_fmt(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    return _write(outdir, name, "\n".join(lines) + "\n")
 
 
 def _summary(outdir: str, cfg: dict, command: str, checks: list[dict]) -> int:
@@ -231,16 +246,11 @@ def cmd_resonances(cfg: dict, outdir: str, budget: int) -> list[dict]:
         raise UsageError("[scan] m_cap must be at least 3")
     tuples = wbnf_mod.enumerate_h2_resonances(order, bound, budget=budget,
                                               **_given(cfg["scan"], "m_cap"))
-    lines = ["order,indices,m_resonant_up_to,trivial,permutations"]
-    nontrivial_resonant = []
-    for t in tuples:
-        lines.append(
-            f"{t.order},{' '.join(map(str, t.indices))},{t.m_resonant_up_to},"
-            f"{int(t.trivial)},{t.permutations}"
-        )
-        if not t.trivial and t.m_resonant_up_to >= 3:
-            nontrivial_resonant.append(t)
-    _write(outdir, "resonances.csv", "\n".join(lines) + "\n")
+    _write_csv(outdir, "resonances.csv",
+               ("order", "indices", "m_resonant_up_to", "trivial", "permutations"),
+               ((t.order, " ".join(map(str, t.indices)), t.m_resonant_up_to, int(t.trivial),
+                 t.permutations) for t in tuples))
+    nontrivial_resonant = [t for t in tuples if not t.trivial and t.m_resonant_up_to >= 3]
     return [check("resonance_triviality", len(nontrivial_resonant), 0, not nontrivial_resonant,
                   str([t.indices for t in nontrivial_resonant[:3]]))]
 
@@ -267,9 +277,11 @@ def cmd_wbnf(cfg: dict, outdir: str, budget: int) -> list[dict]:
 
 def cmd_twist(cfg: dict, outdir: str, budget: int) -> list[dict]:
     S = cfg["problem"]["splus"]
-    window = _scan_window(cfg, S)
+    j_bound = _j_bound(cfg, S, twist_mod.NONDEG_J_BOUND)
+    n = 2 * (j_bound - sum(s <= j_bound for s in S.splus))  # normal sites |j| <= j_bound
+    _within_budget(budget, n * (n - 1) // 2, "the twist pair scan")
     td = twist_mod.twist_matrix(S)
-    records = twist_mod.nondegeneracy_report(S, **window)
+    records = twist_mod.nondegeneracy_report(S, j_bound=j_bound)
     _write(outdir, "nondegeneracy.json", json.dumps(records, indent=2))
     det_norm = abs(td.det_A) / Fraction(S.jbar1) ** (3 * S.nu)
     payload = {
@@ -280,9 +292,9 @@ def cmd_twist(cfg: dict, outdir: str, budget: int) -> list[dict]:
         "omega_bar": [fraction_str(w) for w in td.omega_bar],
     }
     _write(outdir, "twist.json", json.dumps(payload, indent=2))
-    nondeg = all(r["pass"] for r in records)
+    failed = [r["check"] for r in records if not r["pass"]]
     return [check("det_nonzero", float_fmt(float(td.det_A)), "!= 0", td.det_A != 0),
-            check("nondegeneracy", nondeg, True, nondeg)]
+            check("nondegeneracy", not failed, True, not failed, ", ".join(failed))]
 
 
 def cmd_spectrum(cfg: dict, outdir: str, budget: int) -> list[dict]:
@@ -290,7 +302,7 @@ def cmd_spectrum(cfg: dict, outdir: str, budget: int) -> list[dict]:
     sc = _scaling(cfg, S)
     xi = cfg["problem"]["xi"]
     opts = cfg["scan"]
-    window = _scan_window(cfg, S)
+    j_bound = _j_bound(cfg, S, spectrum_mod.DIVISOR_J_BOUND)
     j_lo = S.jbar1 + 1 if opts["spectrum_j_min"] is None else opts["spectrum_j_min"]
     js = [j for j in range(j_lo, opts["spectrum_j_max"] + 1) if S.in_sc(j)]
     if not js:
@@ -300,8 +312,10 @@ def cmd_spectrum(cfg: dict, outdir: str, budget: int) -> list[dict]:
     ident_hi = opts["ident_j_max"]
     if ident_hi <= S.jbar1:
         raise UsageError(f"[scan] ident_j_max must exceed jbar1 = {S.jbar1}")
+    ells = spectrum_mod.momentum_ells(S, spectrum_mod.DIVISOR_ELL_BOUND)
+    _within_budget(budget, len(ells) * (2 * j_bound + 1), "the divisor scan")
     model = spectrum_mod.EigenModel(S, xi, sc)
-    _write(outdir, "spectrum.csv", model.csv(js))
+    _write_csv(outdir, "spectrum.csv", spectrum_mod.EigenModel.COLUMNS, map(model.row, js))
 
     ident_all = True
     for j in range(S.jbar1 + 1, ident_hi + 1):
@@ -315,7 +329,7 @@ def cmd_spectrum(cfg: dict, outdir: str, budget: int) -> list[dict]:
         c_ok = True
     except spectrum_mod.SpectrumError:
         c_ok = False
-    scan = spectrum_mod.min_divisor_scan(S, **window)
+    scan = spectrum_mod.min_divisor_scan(S, j_bound=j_bound)
     w = scan.witness
     return [check("identification_sweep", ident_all, True, ident_all, f"j <= {ident_hi}"),
             check("c_via_f2", c_ok, True, c_ok),
@@ -338,15 +352,10 @@ def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int,
     if threads <= 0:
         threads = os.cpu_count() or 1
     sweep = measure_mod.measure_sweep(S, cfgs, family, samples, seed, threads=threads)
-    lines = ["eps,gamma,samples,excluded,fraction,stderr,volume,measure"]
-    for est in sweep.estimates:
-        g = est.eps ** (2.0 + a)
-        lines.append(
-            f"{float_fmt(est.eps)},{float_fmt(g)},{est.samples},{est.excluded},"
-            f"{float_fmt(est.fraction)},{float_fmt(est.stderr)},"
-            f"{float_fmt(est.volume)},{float_fmt(est.measure)}"
-        )
-    _write(outdir, "measure.csv", "\n".join(lines) + "\n")
+    _write_csv(outdir, "measure.csv",
+               ("eps", "gamma", "samples", "excluded", "fraction", "stderr", "volume", "measure"),
+               ((e.eps, e.eps ** (2.0 + a), e.samples, e.excluded, e.fraction, e.stderr,
+                 e.volume, e.measure) for e in sweep.estimates))
     summary = {
         "family": family,
         "samples": samples,
@@ -476,10 +485,8 @@ def cmd_evolve(cfg: dict, outdir: str, budget: int) -> list[dict]:
         res = torus_mod.evolve(u0, T=T, n_modes=ev["n_modes"], f_spec=prob.f_spec)
     except torus_mod.TorusError as exc:
         return checks + [_failed("flow_completed", exc, f"T={T}")]
-    lines = ["t,H,K1,sup_norm_u"]
-    for t, h, k1, s in zip(res.times, res.h_values, res.k1_values, res.sup_values):
-        lines.append(f"{float_fmt(t)},{float_fmt(h)},{float_fmt(k1)},{float_fmt(s)}")
-    _write(outdir, "trajectory.csv", "\n".join(lines) + "\n")
+    _write_csv(outdir, "trajectory.csv", ("t", "H", "K1", "sup_norm_u"),
+               zip(res.times, res.h_values, res.k1_values, res.sup_values))
     return checks + [check(name, float_fmt(drift), f"< {tol}", bool(drift < tol), f"T={T}")
                      for name, drift in (("H_drift", res.h_drift), ("K1_drift", res.k1_drift))]
 

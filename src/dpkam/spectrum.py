@@ -8,7 +8,6 @@ cross-check that ties the linear normal form back to the cubic Hamiltonian.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -19,7 +18,6 @@ from .core import (
     ScalingParams,
     TangentialSet,
     ell_vectors_up_to,
-    float_fmt,
     lam,
 )
 from .polyham import (
@@ -108,6 +106,8 @@ class EigenModel:
     xi: tuple
     scaling: ScalingParams
 
+    COLUMNS = ("j", "lambda", "ell_j", "kappa_j", "j_kappa_j", "d0_j")
+
     def __post_init__(self):
         self.xi = tuple(_xi_fractions(self.S, self.xi))
         self.c = c_of_xi(self.S, self.xi)
@@ -137,18 +137,11 @@ class EigenModel:
         e, a = self.scaling.epsilon, self.scaling.a
         return RESIDUAL_CONSTANT * e ** (4.0 - 3.0 * a) / max(1, abs(j))
 
-    def csv(self, js: Sequence[int]) -> str:
-        out = io.StringIO()
-        out.write("j,lambda,ell_j,kappa_j,j_kappa_j,d0_j\n")
-        for j in js:
-            lj = self.ell(j)
-            kj = _kappa(self.S, self.xi, j, lj, self.c)
-            out.write(
-                f"{j},{float_fmt(float(lam(j)))},{float_fmt(float(lj))},"
-                f"{float_fmt(float(kj))},{float_fmt(float(j * kj))},"
-                f"{float_fmt(self._d0(j, kj))}\n"
-            )
-        return out.getvalue()
+    def row(self, j: int) -> tuple:
+        """The `COLUMNS` of mode j, with kappa_j computed once."""
+        lj = self.ell(j)
+        kj = _kappa(self.S, self.xi, j, lj, self.c)
+        return (j, float(lam(j)), float(lj), float(kj), float(j * kj), self._d0(j, kj))
 
 
 # -- small divisors ---------------------------------------------------------------------
@@ -229,8 +222,12 @@ class DivisorScan:
     checked: int
 
 
+DIVISOR_ELL_BOUND = 2  # default |ell|_1 of `min_divisor_scan`
+DIVISOR_J_BOUND = 2000  # default |j| of `min_divisor_scan`
+
+
 def min_divisor_scan(
-    S: TangentialSet, ell_bound: int = 2, j_bound: int = 2000
+    S: TangentialSet, ell_bound: int = DIVISOR_ELL_BOUND, j_bound: int = DIVISOR_J_BOUND
 ) -> DivisorScan:
     """Minimum |delta| over momentum-compatible triples with nonzero divisor:
     normal j with |j| <= j_bound, j' = j + ell . sbar normal, ell in

@@ -36,6 +36,7 @@ Vector = list[Fraction]
 DET_THRESHOLD = Fraction(1)  # of the rank-one determinant (ii)
 CORTO_DELTA = 1e-3  # of the corto and cortissimo scans (iii)
 NONDEG_ELL_BOUND = 3  # |l|_1 of the scans (iii)
+NONDEG_J_BOUND = 60  # default |j| of the scans (iii)
 
 
 def b_jk(j: int, k: int) -> Fraction:
@@ -53,27 +54,30 @@ def b_jk(j: int, k: int) -> Fraction:
 # -- exact linear algebra -------------------------------------------------------------
 
 
-def mat_det(A: Matrix) -> Fraction:
-    """Determinant by exact Gaussian elimination with partial pivoting."""
+def _eliminate(A: Matrix, b: Vector | None = None) -> tuple[Fraction, Vector | None]:
+    """Exact Gauss-Jordan elimination with partial pivoting: (det A, x) with
+    A x = b, or x None when b is None.  A singular A gives (0, None)."""
     n = len(A)
-    M = [row[:] for row in A]
+    M = [row[:] + ([] if b is None else [b[r]]) for r, row in enumerate(A)]
     det = Fraction(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if M[r][col] != 0), None)
         if piv is None:
-            return Fraction(0)
+            return Fraction(0), None
         if piv != col:
             M[col], M[piv] = M[piv], M[col]
             det = -det
         det *= M[col][col]
-        inv = 1 / M[col][col]
-        for r in range(col + 1, n):
-            if M[r][col] == 0:
-                continue
-            f = M[r][col] * inv
-            for c in range(col, n):
-                M[r][c] -= f * M[col][c]
-    return det
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col] / M[col][col]
+                M[r] = [vr - f * vc for vr, vc in zip(M[r], M[col])]
+    return det, None if b is None else [M[r][n] / M[r][r] for r in range(n)]
+
+
+def mat_det(A: Matrix) -> Fraction:
+    """Determinant by exact Gaussian elimination."""
+    return _eliminate(A)[0]
 
 
 def mat_det_cofactor(A: Matrix) -> Fraction:
@@ -92,21 +96,11 @@ def mat_det_cofactor(A: Matrix) -> Fraction:
 
 
 def mat_solve(A: Matrix, b: Vector) -> Vector:
-    """Exact solve A x = b (Gaussian elimination)."""
-    n = len(A)
-    M = [row[:] + [b[r]] for r, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [v * inv for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [vr - f * vc for vr, vc in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
+    """Exact solve A x = b (Gaussian elimination); ZeroDivisionError on a singular A."""
+    det, x = _eliminate(A, b)
+    if det == 0:
+        raise ZeroDivisionError("singular matrix")
+    return x
 
 
 def mat_transpose(A: Matrix) -> Matrix:
@@ -128,36 +122,18 @@ def dot(x: Vector, y: Vector) -> Fraction:
 class TwistData:
     S: TangentialSet
     A: Matrix
-    D: Vector  # diagonal lambda(j) over S+
-    B: Matrix  # off-diagonal cross sums, zero diagonal
     omega_bar: Vector
     det_A: Fraction
 
 
 def twist_matrix(S: TangentialSet) -> TwistData:
-    sites = S.splus
-    nu = S.nu
-    D = [lam(j) for j in sites]
-    B: Matrix = [[Fraction(0)] * nu for _ in range(nu)]
-    for a, j in enumerate(sites):
-        for b, k in enumerate(sites):
-            if a != b:
-                B[a][b] = b_jk(j, k)
-    A: Matrix = [[Fraction(0)] * nu for _ in range(nu)]
-    for a, j in enumerate(sites):
-        d2 = 2 * lam(j) - lam(2 * j)
-        A[a][a] = Fraction(1, 2) * D[a] * lam(2 * j) / d2
-        for b in range(nu):
-            if a != b:
-                A[a][b] = D[a] * B[a][b]
-    return TwistData(
-        S=S,
-        A=A,
-        D=D,
-        B=B,
-        omega_bar=list(linear_frequencies(S)),
-        det_A=mat_det(A),
-    )
+    def entry(j: int, k: int) -> Fraction:
+        if j == k:
+            return Fraction(1, 2) * lam(j) * lam(2 * j) / (2 * lam(j) - lam(2 * j))
+        return lam(j) * b_jk(j, k)
+
+    A = [[entry(j, k) for k in S.splus] for j in S.splus]
+    return TwistData(S=S, A=A, omega_bar=list(linear_frequencies(S)), det_A=mat_det(A))
 
 
 # -- normalized determinant (appendix substitution jbar1 = 1/x) -----------------------
@@ -313,7 +289,7 @@ def _differences_after(num: np.ndarray, den: np.ndarray, a: int) -> np.ndarray:
     return (diff / (den[a] * den[a + 1:])).astype(float)
 
 
-def nondegeneracy_report(S: TangentialSet, j_bound: int = 60) -> list[dict]:
+def nondegeneracy_report(S: TangentialSet, j_bound: int = NONDEG_J_BOUND) -> list[dict]:
     """The non-degeneracy checks with witnesses, as `core.check` records.
 
     (i) the l1-norm 1,2,3,5 sums and the wave-packet |l| = 4 case (exact);

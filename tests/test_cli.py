@@ -56,6 +56,17 @@ def test_resonances_budget(tmp_path):
     assert not os.path.exists(tmp_path / "o")  # no artifact, no summary
 
 
+@pytest.mark.parametrize("verb,work", [
+    ("twist", "the twist pair scan of 6670 steps"),  # 116 normal sites |j| <= 60
+    ("spectrum", "the divisor scan of 48012 steps"),  # 12 ells, |j| <= 2000
+], ids=["twist", "spectrum"])
+def test_scan_budget(tmp_path, capsys, verb, work):
+    rc = main([verb, "--config", write_config(tmp_path, BASE), "--out", str(tmp_path / "o"),
+               "--budget", "1"])
+    assert rc == 2 and work in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_missing_field_usage_error(tmp_path):
     cfg = write_config(tmp_path, "[scan]\norder = 4\n")
     rc = main(["twist", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -88,6 +99,21 @@ def test_twist_cmd(tmp_path):
     assert payload["det_A"].count("/") == 1
     report = (tmp_path / "out" / "nondegeneracy.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == NONDEGENERACY_SHA256
+
+
+@pytest.mark.parametrize("splus,xi,witness", [
+    ("6 7", "13/10 17/10", ""),
+    ("20 21 22", "3/2 3/2 3/2", "corto100_rank_one_det"),
+], ids=["6 7 passes", "20 21 22 fails"])
+def test_twist_nondegeneracy_names_the_failed_records(tmp_path, splus, xi, witness):
+    out = tmp_path / "out"
+    rc = main(["twist", "--config", write_config(tmp_path, BASE), "--out", str(out),
+               "--set", f"problem.splus={splus}", "--set", f"problem.xi={xi}",
+               "--set", "scan.j_bound=12"])
+    assert rc == (1 if witness else 0)
+    checks = {c["check"]: c for c in json.loads((out / "summary.json").read_text())["checks"]}
+    assert checks["nondegeneracy"]["witness"] == witness
+    assert checks["nondegeneracy"]["pass"] is (witness == "")
 
 
 def test_spectrum_cmd(tmp_path):
@@ -137,6 +163,30 @@ def test_measure_cmd_checks(tmp_path, family, checks):
     assert [c["check"] for c in summary["checks"]] == checks
     quad = json.loads((tmp_path / "out" / "measure_summary.json").read_text())
     assert len(quad["slab_quadrature_fractions"]) == 2
+
+
+# every CSV artifact at a small size, byte for byte
+CSV_SHA256 = {
+    "resonances.csv": ("resonances", "[scan]\norder = 4\nbound = 3\n", [],
+                       "0fa284b468be989126659fe3fe56848ca7335a008dbf3c0785057771430cfc49"),
+    "spectrum.csv": ("spectrum", "[scan]\nident_j_max = 10\nspectrum_j_max = 12\nj_bound = 60\n",
+                     [], "a41398038c0353c867752f36d2988e2b82c9aaa9371cd5c7be89a41eb30222ee"),
+    "measure.csv": ("measure", "[mc]\nfamily = G0_1\nsamples = 2000\neps_values = 0.15 0.2\n"
+                               "ell_max = 4\n", ["--seed", "7"],
+                    "e69dc0534dd2fa1c04202c18025548ff5c0cefea9dd2d0e7a8cae7991d18e4ae"),
+    "trajectory.csv": ("evolve", "[truncation]\nn_x = 16\nn_phi = 4\n[evolve]\nT = 1\n"
+                                 "n_modes = 32\n", [],
+                       "0962d3330358a13c6354292c82cc93b5400b6df8cf03bcbb64b23f3902aa8c53"),
+}
+
+
+@pytest.mark.parametrize("name,verb,extra,args,sha256",
+                         [(name, *row) for name, row in CSV_SHA256.items()], ids=list(CSV_SHA256))
+def test_csv_bytes(tmp_path, name, verb, extra, args, sha256):
+    out = tmp_path / "out"
+    assert main([verb, "--config", write_config(tmp_path, BASE + extra), "--out", str(out)]
+                + args) == 0
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha256
 
 
 def test_solve_and_evolve_cmd(tmp_path):

@@ -202,9 +202,11 @@ def test_eigen_model():
     assert model.residual_bound(10) == pytest.approx(
         1e-3 ** (4 - 0.3) / 10.0
     )
-    csv = model.csv([8, 9, 10])
-    assert csv.splitlines()[0] == "j,lambda,ell_j,kappa_j,j_kappa_j,d0_j"
-    assert len(csv.splitlines()) == 4
+    rows = [model.row(j) for j in (8, 9, 10)]
+    assert ",".join(model.COLUMNS) == "j,lambda,ell_j,kappa_j,j_kappa_j,d0_j"
+    assert [len(r) for r in rows] == [len(model.COLUMNS)] * 3
+    assert [r[0] for r in rows] == [8, 9, 10]
+    assert rows[-1][-1] == model.d0(10)
 
 
 def test_f2_has_only_quadratic_tuples():

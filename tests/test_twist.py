@@ -9,6 +9,7 @@ from dpkam.core import TangentialSet, ell_vectors_up_to, lam, signed_ell_vectors
 from dpkam.twist import (
     NONDEG_ELL_BOUND,
     _distance,
+    _eliminate,
     _NearestEll,
     b_jk,
     frequency_map,
@@ -71,6 +72,29 @@ def test_exact_linear_algebra():
             assert sum(A[i][k] * x[k] for k in range(n)) == b[i]
         assert mat_det(A) == mat_det_cofactor(A)
         assert mat_det(mat_transpose(A)) == mat_det(A)
+
+
+@pytest.mark.parametrize("A", [
+    [[Fraction(2), Fraction(1, 3)], [Fraction(-1, 2), Fraction(5)]],
+    [[Fraction(0), Fraction(1), Fraction(2)], [Fraction(3), Fraction(0), Fraction(1)],
+     [Fraction(1, 2), Fraction(1), Fraction(0)]],  # needs a row swap
+    [[Fraction(1), Fraction(2)], [Fraction(1, 2), Fraction(1)]],  # singular
+    [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(0), Fraction(0), Fraction(0)],
+     [Fraction(4), Fraction(5), Fraction(6)]],  # singular, zero row
+], ids=["2x2", "3x3 pivoting", "2x2 singular", "3x3 zero row"])
+def test_eliminate_against_cofactors(A):
+    det = mat_det_cofactor(A)
+    b = [Fraction(k + 1, 7) for k in range(len(A))]
+    assert _eliminate(A) == (det, None)
+    got, x = _eliminate(A, b)
+    assert got == det == mat_det(A)
+    if det == 0:
+        assert x is None
+        with pytest.raises(ZeroDivisionError):
+            mat_solve(A, b)
+    else:
+        assert [sum(a * v for a, v in zip(row, x)) for row in A] == b
+        assert mat_solve(A, b) == x
 
 
 def test_normalized_det_at_origin():
