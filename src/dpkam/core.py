@@ -1,9 +1,8 @@
 """Exact scalar arithmetic, the DP dispersion law, and tangential-set bookkeeping.
 
-Everything in this module is exact: scalars are `fractions.Fraction`
-(aliased `Rational`) or `GaussianRational`, and all predicates are decided
-with integer arithmetic.  Floating point enters the package only in the
-measure and torus modules.
+Everything in this module is exact: scalars are `fractions.Fraction`, and
+all predicates are decided with integer arithmetic.  Floating point enters
+the package only in the measure and torus modules.
 """
 from __future__ import annotations
 
@@ -12,86 +11,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
 
-
-def _as_rational(x) -> Fraction:
+def as_rational(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """Element of Q[i] with exact rational real and imaginary parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "re", _as_rational(self.re))
-        object.__setattr__(self, "im", _as_rational(self.im))
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        other = as_gaussian(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        other = as_gaussian(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other) -> "GaussianRational":
-        return as_gaussian(other) - self
-
-    def __mul__(self, other) -> "GaussianRational":
-        other = as_gaussian(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "GaussianRational":
-        other = as_gaussian(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self) -> str:
-        return f"({self.re}+{self.im}i)"
-
-
-GR_ZERO = GaussianRational()
-GR_I = GaussianRational(Fraction(0), Fraction(1))
-
-
-def as_gaussian(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(_as_rational(x))
-    raise TypeError(f"cannot interpret {type(x).__name__} as GaussianRational")
 
 
 def check_mode_index(j: int) -> int:
@@ -190,7 +116,7 @@ def packet_sum(S: TangentialSet, ell: Sequence[int]) -> Fraction:
 
 def is_in_wave_packet_class(S: TangentialSet, r: Fraction) -> bool:
     """Exact wave-packet test: large clustered sites plus the |l|=4 condition."""
-    r = _as_rational(r)
+    r = as_rational(r)
     if not (0 < r < 1):
         raise ValueError("wave-packet parameter must lie in (0, 1)")
     if Fraction(min(S.splus)) * r <= 1:

@@ -1,9 +1,15 @@
 """Algebra of finitely supported homogeneous polynomial Hamiltonians.
 
 A Hamiltonian is a map from sorted Fourier index tuples (monomials in the
-coefficients u_j, j != 0) to Gaussian-rational coefficients:
+coefficients u_j, j != 0) to rational coefficients, times one phase i^p:
 
-    K(u) = sum_M  coeff[M] * u_{j_1} ... u_{j_n},   M = (j_1 <= ... <= j_n).
+    K(u) = i^p sum_M  coeff[M] * u_{j_1} ... u_{j_n},   M = (j_1 <= ... <= j_n),
+
+with p = 0 (`imaginary=False`) or p = 1 (`imaginary=True`).  One phase bit
+suffices: DP is reversible under x -> -x, so its Hamiltonian has real
+coefficients, and every bracket and every homological solve multiplies by i
+once, so each polynomial the normal form forms is either real or purely
+imaginary.  Adding a nonzero real and a nonzero imaginary polynomial raises.
 
 Coefficients are attached to the *monomial basis*: permutation multiplicity
 is absorbed into the coefficient at construction, so every multiset of
@@ -22,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .core import GR_I, GR_ZERO, GaussianRational, TangentialSet, as_gaussian, lam
+from .core import TangentialSet, as_rational, fraction_str, lam
 
 Monomial = tuple[int, ...]
 
@@ -50,6 +56,11 @@ def ordering_count(mono: Monomial) -> int:
     return mult
 
 
+def i_power(n: int) -> tuple[int, bool]:
+    """i^n as (sign, imaginary): the phase of a product of n factors i."""
+    return (-1 if n % 4 >= 2 else 1), n % 2 == 1
+
+
 def z_degree(mono: Monomial, S: TangentialSet) -> int:
     """Number of indices of the monomial lying in the normal set S^c."""
     return sum(1 for j in mono if S.in_sc(j))
@@ -60,23 +71,24 @@ class HomPoly:
     """Homogeneous polynomial Hamiltonian of fixed degree."""
 
     degree: int
-    terms: dict[Monomial, GaussianRational] = field(default_factory=dict)
+    terms: dict[Monomial, Fraction] = field(default_factory=dict)
     momentum: bool = False  # if set, every monomial must satisfy sum(j_i) = 0
+    imaginary: bool = False  # if set, the polynomial is i times its terms
 
     def __post_init__(self):
-        clean: dict[Monomial, GaussianRational] = {}
+        clean: dict[Monomial, Fraction] = {}
         for mono, c in self.terms.items():
             m = _check_monomial(mono)
             if len(m) != self.degree:
                 raise ValueError(f"monomial {m} does not have degree {self.degree}")
-            c = as_gaussian(c)
-            if c.is_zero():
+            c = as_rational(c)
+            if not c:
                 continue
             if self.momentum and monomial_momentum(m) != 0:
                 raise ValueError(f"momentum flag set but sum of {m} is nonzero")
             if m in clean:
                 c = clean[m] + c
-                if c.is_zero():
+                if not c:
                     del clean[m]
                     continue
             clean[m] = c
@@ -85,11 +97,11 @@ class HomPoly:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def zero(cls, degree: int, momentum: bool = False) -> "HomPoly":
-        return cls(degree, {}, momentum)
+    def zero(cls, degree: int, momentum: bool = False, imaginary: bool = False) -> "HomPoly":
+        return cls(degree, {}, momentum, imaginary)
 
     def copy(self) -> "HomPoly":
-        out = HomPoly.zero(self.degree, self.momentum)
+        out = HomPoly.zero(self.degree, self.momentum, self.imaginary)
         out.terms = dict(self.terms)
         return out
 
@@ -97,22 +109,26 @@ class HomPoly:
         """Accumulate `coeff` for an *ordered* tuple: the coefficient of the
         sorted monomial grows by coeff times the number of distinct orderings."""
         m = _check_monomial(indices)
-        self.accumulate(m, as_gaussian(coeff) * Fraction(ordering_count(m)))
+        self.accumulate(m, as_rational(coeff) * ordering_count(m))
 
-    def accumulate(self, mono: Monomial, coeff: GaussianRational) -> None:
-        cur = self.terms.get(mono, GR_ZERO) + coeff
-        if cur.is_zero():
-            self.terms.pop(mono, None)
-        else:
+    def accumulate(self, mono: Monomial, coeff: Fraction) -> None:
+        cur = self.terms.get(mono)
+        cur = coeff if cur is None else cur + coeff
+        if cur:
             self.terms[mono] = cur
+        else:
+            self.terms.pop(mono, None)
 
     # -- ring-ish operations ---------------------------------------------------
 
     def __add__(self, other: "HomPoly") -> "HomPoly":
         if other.degree != self.degree:
             raise ValueError("cannot add polynomials of different degree")
+        if self.terms and other.terms and self.imaginary != other.imaginary:
+            raise ValueError("cannot add a real and an imaginary polynomial")
         out = self.copy()
         out.momentum = self.momentum and other.momentum
+        out.imaginary = self.imaginary if self.terms else other.imaginary
         for m, c in other.terms.items():
             out.accumulate(m, c)
         return out
@@ -121,7 +137,8 @@ class HomPoly:
         return self + other.scale(Fraction(-1))
 
     def scale(self, c) -> "HomPoly":
-        c = as_gaussian(c)
+        """Multiply by the rational c."""
+        c = as_rational(c)
         return self.multiplier(lambda _: c)
 
     def is_zero(self) -> bool:
@@ -131,33 +148,41 @@ class HomPoly:
         return len(self.terms)
 
     def __mul__(self, other: "HomPoly") -> "HomPoly":
-        out = HomPoly.zero(self.degree + other.degree, self.momentum and other.momentum)
+        sign, imaginary = i_power(self.imaginary + other.imaginary)
+        out = HomPoly.zero(
+            self.degree + other.degree, self.momentum and other.momentum, imaginary
+        )
         for m1, c1 in self.terms.items():
+            a = -c1 if sign < 0 else c1
             for m2, c2 in other.terms.items():
-                out.accumulate(tuple(sorted(m1 + m2)), c1 * c2)
+                out.accumulate(tuple(sorted(m1 + m2)), a * c2)
         return out
 
-    def multiplier(self, fn: Callable[[Monomial], GaussianRational | Fraction]) -> "HomPoly":
-        """Multiply each coefficient by fn(monomial), dropping the zero products."""
-        out = HomPoly.zero(self.degree, self.momentum)
+    def multiplier(self, fn: Callable[[Monomial], Fraction], times_i: bool = False) -> "HomPoly":
+        """Multiply each coefficient by fn(monomial), or by i fn(monomial) with
+        `times_i`, dropping the zero products."""
+        sign, imaginary = i_power(self.imaginary + times_i)
+        out = HomPoly.zero(self.degree, self.momentum, imaginary)
         for m, c in self.terms.items():
             p = c * fn(m)
-            if not p.is_zero():
-                out.terms[m] = p
+            if p:
+                out.terms[m] = -p if sign < 0 else p
         return out
 
     def map_filter(self, keep: Callable[[Monomial], bool]) -> "HomPoly":
-        out = HomPoly.zero(self.degree, self.momentum)
+        out = HomPoly.zero(self.degree, self.momentum, self.imaginary)
         out.terms = {m: c for m, c in self.terms.items() if keep(m)}
         return out
 
     # -- invariants ------------------------------------------------------------
 
     def is_real_hamiltonian(self) -> bool:
-        """Reality: coeff(-M) equals the conjugate of coeff(M) for every M."""
+        """Reality: the coefficient of -M is the conjugate of that of M, so
+        coeff(-M) = (-1)^p coeff(M) for the phase i^p."""
+        sign = -1 if self.imaginary else 1
         for m, c in self.terms.items():
             neg = tuple(sorted(-j for j in m))
-            if self.terms.get(neg, GR_ZERO) != c.conjugate():
+            if self.terms.get(neg, 0) != sign * c:
                 return False
         return True
 
@@ -181,9 +206,10 @@ def poisson_bracket(
 ) -> HomPoly:
     """{F, G} with the normalization ad_{H2}[u_M] = i (sum lambda(j_i)) u_M.
 
-    In Fourier variables {F, G} = i sum_k lambda(k) (dF/du_{-k}) (dG/du_k).
-    Each term is one Gaussian product a * b: a = i lambda(k) mult_f c_f is
-    formed once per (m_f, k), and b = mult_g c_g once per (m_g, k).
+    In Fourier variables {F, G} = i sum_k lambda(k) (dF/du_{-k}) (dG/du_k),
+    so the bracket has the phase i^(p_F + p_G + 1).  Each term is one
+    Fraction product a * b: a = +-lambda(k) mult_f c_f (the sign of the
+    phase) is formed once per (m_f, k), and b = mult_g c_g once per (m_g, k).
 
     `max_z` (with `S`) keeps only the monomials of z-degree <= max_z, and
     `universe` only those with every index in the window; the result equals
@@ -196,7 +222,8 @@ def poisson_bracket(
         raise ValueError("Poisson bracket needs degree >= 2 on both sides")
     if (max_z is None) != (S is None):
         raise ValueError("a z-degree cap needs both max_z and S")
-    out = HomPoly.zero(F.degree + G.degree - 2, F.momentum and G.momentum)
+    sign, imaginary = i_power(F.imaginary + G.imaginary + 1)
+    out = HomPoly.zero(F.degree + G.degree - 2, F.momentum and G.momentum, imaginary)
     # z-degree by one set lookup per index; without a cap every z is 0 <= 0
     tangential = frozenset(S.sites) if S is not None else None
     cap = 0 if max_z is None else max_z
@@ -209,7 +236,7 @@ def poisson_bracket(
 
     # k -> partners bucketed by z(rest_g) ascending: (m_g without one k,
     # mult_g c_g) over the monomials of G containing k
-    g_by_index: dict[int, list[list[tuple[list[int], GaussianRational]]]] = {}
+    g_by_index: dict[int, list[list[tuple[list[int], Fraction]]]] = {}
     for mg, cg in G.terms.items():
         z_g = z(mg)
         for k in set(mg):
@@ -219,7 +246,7 @@ def poisson_bracket(
             if z_rest > cap or outside(rest_g):
                 continue
             mult_g = mg.count(k)
-            b = GaussianRational(cg.re * mult_g, cg.im * mult_g) if mult_g > 1 else cg
+            b = cg * mult_g if mult_g > 1 else cg
             buckets = g_by_index.setdefault(k, [])
             buckets.extend([] for _ in range(z_rest + 1 - len(buckets)))
             buckets[z_rest].append((rest_g, b))
@@ -235,8 +262,7 @@ def poisson_bracket(
             rest_f.remove(k_neg)
             if outside(rest_f):
                 continue
-            s = lam(-k_neg) * mf.count(k_neg)
-            a = GaussianRational(-cf.im * s, cf.re * s)  # i * s * c_f
+            a = lam(-k_neg) * (sign * mf.count(k_neg)) * cf
             for partners in buckets[:room]:
                 for rest_g, b in partners:
                     out.accumulate(tuple(sorted(rest_f + rest_g)), a * b)
@@ -245,7 +271,7 @@ def poisson_bracket(
 
 def adjoint_action_h2(K: HomPoly) -> HomPoly:
     """ad_{H2}[K]: multiply each monomial coefficient by i * sum lambda(j_i)."""
-    return K.multiplier(lambda m: GR_I * monomial_lambda_sum(m))
+    return K.multiplier(monomial_lambda_sum, times_i=True)
 
 
 def solve_homological(
@@ -258,11 +284,13 @@ def solve_homological(
     divisor, project_kernel retrieves them.
     """
 
-    def inverse(m: Monomial) -> GaussianRational:
-        d = divisor(m)
-        return GaussianRational(Fraction(0), -1 / d) if d else GR_ZERO
+    minus_one = Fraction(-1)
 
-    return K.multiplier(inverse)
+    def inverse(m: Monomial) -> Fraction:
+        d = divisor(m)
+        return minus_one / d if d else 0  # 1/(i d) = -i/d
+
+    return K.multiplier(inverse, times_i=True)
 
 
 # -- projectors -------------------------------------------------------------------
@@ -302,7 +330,6 @@ def flow_conjugate(
     pieces: Iterable[HomPoly],
     F: HomPoly,
     max_degree: int,
-    inverse: bool = True,
     max_z_keep: Callable[[int], int] | None = None,
     universe: frozenset[int] | None = None,
     S: TangentialSet | None = None,
@@ -310,16 +337,16 @@ def flow_conjugate(
     """Lie-series conjugation of a Hamiltonian by the time-1 flow of F.
 
     Returns the homogeneous pieces (keyed by degree) of H o Phi_F^{-1}
-    = sum_k ad_F^k[H]/k!  (`inverse=False` gives H o Phi_F with (-1)^k/k!).
-    The expansion is truncated at `max_degree`.
+    = sum_k ad_F^k[H]/k!, truncated at `max_degree`.
 
-    `max_z_keep(degree)` (with `S`) may prune monomials whose z-degree exceeds
+    `max_z_keep(degree)` (with `S`) prunes monomials whose z-degree exceeds
     the given bound; callers must supply a bound compatible with what they
     read off the result (each later bracket with a z-degree <= 1 generator
     lowers the z-degree of a monomial by at most one).  `universe` restricts
     monomials to a finite index window; results are exact for monomials
     supported in the window provided the window contains the generator
-    support.  Both act on the input pieces and inside each bracket.
+    support.  Both act inside each bracket only: the caller passes pieces
+    already inside the window and of z-degree at most max_z_keep(degree).
     """
     step = F.degree - 2
     if step <= 0:
@@ -329,15 +356,6 @@ def flow_conjugate(
     pieces = list(pieces)
     if any(p.degree > max_degree for p in pieces):
         raise ValueError("truncation degree is below an input degree")
-
-    def prune(p: HomPoly) -> HomPoly:
-        q = p
-        if universe is not None:
-            q = q.map_filter(lambda m: all(j in universe for j in m))
-        if max_z_keep is not None:
-            cap = max_z_keep(q.degree)
-            q = q.map_filter(lambda m: z_degree(m, S) <= cap)
-        return q
 
     out: dict[int, HomPoly] = {}
 
@@ -350,19 +368,15 @@ def flow_conjugate(
             out[p.degree] = p
 
     for H in pieces:
-        add_piece(prune(H))
+        add_piece(H)
         current = H
         k = 1
-        sign = 1
         while current.degree + step <= max_degree:
             max_z = max_z_keep(current.degree + step) if max_z_keep is not None else None
             current = poisson_bracket(F, current, max_z=max_z, S=S, universe=universe)
             if current.is_zero():
                 break
-            if not inverse:
-                sign = -sign
-            coeff = Fraction(sign, math.factorial(k))
-            add_piece(current.scale(coeff))
+            add_piece(current.scale(Fraction(1, math.factorial(k))))
             k += 1
     return out
 
@@ -371,29 +385,34 @@ def flow_conjugate(
 
 
 def serialize(K: HomPoly) -> str:
-    """Line-oriented canonical text form, one monomial per line."""
+    """Line-oriented canonical text form, one monomial per line: the indices,
+    then the real and the imaginary part, one of them 0/1."""
     lines = []
     for m in sorted(K.terms):
-        c = K.terms[m]
+        c = fraction_str(K.terms[m])
+        re, im = ("0/1", c) if K.imaginary else (c, "0/1")
         idx = " ".join(str(j) for j in m)
-        lines.append(
-            f"{idx}  {c.re.numerator}/{c.re.denominator}  "
-            f"{c.im.numerator}/{c.im.denominator}"
-        )
+        lines.append(f"{idx}  {re}  {im}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def deserialize(text: str, degree: int, momentum: bool = False) -> HomPoly:
-    terms: dict[Monomial, GaussianRational] = {}
+    """Inverse of `serialize`; the phase is read off the lines, and a line or
+    a polynomial mixing real and imaginary parts raises ValueError."""
+    terms: dict[Monomial, Fraction] = {}
+    phases = set()
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         idx = tuple(int(p) for p in parts[:-2])
-        re_n, re_d = parts[-2].split("/")
-        im_n, im_d = parts[-1].split("/")
-        terms[idx] = GaussianRational(
-            Fraction(int(re_n), int(re_d)), Fraction(int(im_n), int(im_d))
-        )
-    return HomPoly(degree, terms, momentum)
+        re, im = (Fraction(int(n), int(d)) for n, d in (p.split("/") for p in parts[-2:]))
+        if re and im:
+            raise ValueError(f"monomial {idx} has both a real and an imaginary part")
+        if re or im:
+            phases.add(bool(im))
+        terms[idx] = im or re
+    if len(phases) > 1:
+        raise ValueError("the polynomial mixes real and imaginary coefficients")
+    return HomPoly(degree, terms, momentum, imaginary=True in phases)

@@ -13,8 +13,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
-    GR_I,
-    GaussianRational,
     ScalingParams,
     TangentialSet,
     ell_vectors_up_to,
@@ -23,6 +21,7 @@ from .core import (
 from .polyham import (
     HomPoly,
     adjoint_action_h2,
+    i_power,
     poisson_bracket,
     project_trivial,
     project_z_degree,
@@ -277,25 +276,28 @@ def min_divisor_scan(
 
 
 def dx(K: HomPoly) -> HomPoly:
-    return K.multiplier(lambda m: GR_I * sum(m))
+    return K.multiplier(sum, times_i=True)
 
 
-def spatial_average_xi_form(K: HomPoly) -> dict[int, GaussianRational]:
-    """Zero spatial mode of a quadratic symbol as a linear form in the
+def spatial_average_xi_form(K: HomPoly) -> dict[int, Fraction]:
+    """Zero spatial mode of a real quadratic symbol as a linear form in the
     squared amplitudes: the monomial (-s, s) carries xi_s."""
     if K.degree != 2:
         raise SpectrumError(f"the average of a degree-{K.degree} symbol is not xi-linear")
-    return {b: v for (a, b), v in K.terms.items() if a + b == 0}
+    form = {b: v for (a, b), v in K.terms.items() if a + b == 0}
+    if form and K.imaginary:
+        raise SpectrumError(f"the average is imaginary at the sites {sorted(form)}")
+    return form
 
 
 def vbar_symbol(S: TangentialSet) -> HomPoly:
-    return HomPoly(1, {(s,): GaussianRational(Fraction(1)) for s in S.sites})
+    return HomPoly(1, {(s,): Fraction(1) for s in S.sites})
 
 
 def beta1_symbol(S: TangentialSet) -> HomPoly:
     """beta_1 = (1/3)(Lambda d_x)^{-1} vbar: coefficient -(1+s^2)/(3s) i."""
     return HomPoly(
-        1, {(s,): GaussianRational(Fraction(0), Fraction(-(1 + s * s), 3 * s)) for s in S.sites}
+        1, {(s,): Fraction(-(1 + s * s), 3 * s) for s in S.sites}, imaginary=True
     )
 
 
@@ -329,7 +331,8 @@ def psi2_symbol(S: TangentialSet, F3: HomPoly) -> HomPoly:
 
     (X_F)_j = i lambda(j) dF/du_{-j}; evaluating at u = vbar keeps the
     monomials whose two remaining slots are tangential."""
-    out = HomPoly.zero(2)
+    sign, imaginary = i_power(F3.imaginary + 1)  # the phase of i lambda(j) F3
+    out = HomPoly.zero(2, imaginary=imaginary)
     sset = set(S.sites)
     for mono, c in F3.terms.items():
         for slot in set(mono):
@@ -339,8 +342,7 @@ def psi2_symbol(S: TangentialSet, F3: HomPoly) -> HomPoly:
                 continue
             j = -slot
             mult = mono.count(slot)
-            coeff = (GR_I * lam(j)) * c * Fraction(mult)
-            out.accumulate(tuple(sorted(rest)), -coeff)
+            out.accumulate(tuple(sorted(rest)), -sign * lam(j) * c * mult)
     return out
 
 
@@ -362,9 +364,7 @@ def c_via_f2(S: TangentialSet, xi: Sequence, F3: HomPoly) -> Fraction:
     form = spatial_average_xi_form(f2_symbol(S, F3))
     total = Fraction(0)
     for site, coeff in form.items():
-        if coeff.im != 0:
-            raise SpectrumError(f"f_2 average has an imaginary part at site {site}")
-        total += coeff.re * vals[S.splus.index(site)]
+        total += coeff * vals[S.splus.index(site)]
     expected = c_of_xi(S, xi)
     if total != expected:
         raise SpectrumError(
@@ -405,9 +405,9 @@ def identification_check(
         bracket = poisson_bracket(f3, h3).scale(Fraction(1, 2))
         bracket = project_trivial(project_z_degree(bracket, S, lambda d: d == 2))
         target = tuple(sorted((-j, -s, s, j)))
-        c = bracket.terms.get(target, GaussianRational())
-        if c.im != 0:
+        c = bracket.terms.get(target, Fraction(0))
+        if c and bracket.imaginary:
             raise SpectrumError(f"identification lhs has imaginary part at s={s}")
-        lhs[s] = c.re
+        lhs[s] = c
         rhs[s] = twist_cross_sum(j, s)
     return lhs, rhs, lhs == rhs

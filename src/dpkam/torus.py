@@ -628,9 +628,7 @@ def _correction_pieces(
     def dz2(poly: HomPoly) -> HomPoly:
         return poly.map_filter(lambda m: z_degree(m, S) == 2)
 
-    composed = flow_conjugate(
-        pieces, F3, 4, inverse=True, max_z_keep=z_keep, universe=uni, S=S
-    )
+    composed = flow_conjugate(pieces, F3, 4, max_z_keep=z_keep, universe=uni, S=S)
     out = []
     for deg, poly in sorted(composed.items()):
         corr = dz2(poly) - dz2(pieces[deg - 2]) if deg in (2, 3) else dz2(poly)
@@ -698,7 +696,8 @@ def linearized_normal_operator(
             vslots = [v for v in mono if S.in_s(v)]
             if len(zslots) != 2:
                 continue
-            amp = complex(cval) * eps ** (len(vslots)) * math.prod(
+            coeff = complex(0.0, float(cval)) if poly.imaginary else complex(float(cval), 0.0)
+            amp = coeff * eps ** (len(vslots)) * math.prod(
                 sqrt_xi[v] for v in vslots
             )
             dl = tuple(sum(S.angle_vector(v)[i] for v in vslots) for i in range(S.nu))

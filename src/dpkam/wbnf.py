@@ -13,7 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import GaussianRational, TangentialSet, lam
+from .core import TangentialSet, lam
 from .polyham import (
     HomPoly,
     Monomial,
@@ -58,7 +58,7 @@ def dp_h2(universe: frozenset[int]) -> HomPoly:
     H = HomPoly.zero(2, momentum=True)
     for j in sorted(u for u in universe if u > 0):
         if -j in universe:
-            H.accumulate((-j, j), GaussianRational(Fraction(1)))
+            H.accumulate((-j, j), Fraction(1))
     return H
 
 
@@ -243,7 +243,9 @@ def wbnf_step(
 
     Returns (generator, transformed pieces, Z^(N+3,0), Z^(N+3,1)); the
     z-degree-1 kernel piece must vanish for admissible tangential sets and a
-    surviving monomial raises WbnfError.
+    surviving monomial raises WbnfError.  The pieces must lie in `universe`
+    with z-degree at most Z_TARGET + (max_degree - degree), as `run_wbnf`
+    builds them and as each step returns them.
     """
     deg = N + 3
     if deg not in pieces or pieces[deg].is_zero():
@@ -271,7 +273,6 @@ def wbnf_step(
         pieces.values(),
         F,
         max_degree,
-        inverse=True,
         max_z_keep=z_keep,
         universe=universe,
         S=S,
@@ -369,11 +370,11 @@ def h40_closed_form(S: TangentialSet) -> HomPoly:
             raise WbnfError(f"vanishing self denominator at site {j}")
         H.accumulate(
             tuple(sorted((-j, -j, j, j))),
-            GaussianRational(lam(2 * j) / d / 4),
+            lam(2 * j) / d / 4,
         )
     for j, k in itertools.combinations(S.splus, 2):
         H.accumulate(
             tuple(sorted((-k, -j, j, k))),
-            GaussianRational(twist_cross_sum(j, k)),
+            twist_cross_sum(j, k),
         )
     return H

@@ -85,6 +85,28 @@ def test_wbnf_cmd(tmp_path):
     assert checks["degree4_closed_form"]["pass"]
 
 
+# the symbolic artifacts of `dpkam wbnf` at S+ = {6, 7}, max_order 3: every
+# generator and normal-form coefficient, its phase and the text form
+WBNF_SHA256 = {
+    "generator_deg3.txt": "8ec0b74adce8018c122cc558658e8b44189ad053fc74231cd08997c8d53b9b50",
+    "generator_deg4.txt": "220cf060a0cdcc9f252979dd67c098f1196a51c5374f568d9d808f063c4277f8",
+    "generator_deg5.txt": "15d56bf3c2bd464720cf0a9a26baa0d706d57330a1429554400a079809393316",
+    "normalform_deg3.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "normalform_deg4.txt": "6445d2e14db21053794870c501283acec42365405055e945bee1a7cd921e3686",
+    "normalform_deg5.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+
+
+def test_wbnf_artifact_bytes(tmp_path):
+    cfg = write_config(tmp_path, BASE + "[scan]\nmax_order = 3\n")
+    out = tmp_path / "out"
+    assert main(["wbnf", "--config", cfg, "--out", str(out)]) == 0
+    written = sorted(p.name for p in out.glob("*_deg*.txt"))
+    assert written == sorted(WBNF_SHA256)
+    for name, digest in WBNF_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 # nondegeneracy.json at S+ = {6, 7}, j_bound 20: its values, witnesses and
 # record key order (check, value, threshold, witness, pass)
 NONDEGENERACY_SHA256 = "c27be9a7bd4cd4b8af8714e0dcc8a776acdc3a91dc6262ef9d6d98e7219f4a59"

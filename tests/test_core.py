@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from dpkam.core import (
-    GaussianRational,
     ScalingParams,
     TangentialSet,
     is_in_wave_packet_class,
@@ -94,11 +93,3 @@ def test_scaling_params():
     with pytest.raises(ValueError):
         ScalingParams(epsilon=0.1, a=-1.0, nu=2)
 
-
-def test_gaussian_rational_field_ops():
-    x = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
-    y = GaussianRational(Fraction(2), Fraction(5))
-    assert (x + y) - y == x
-    assert (x * y) / y == x
-    assert x.conjugate().conjugate() == x
-    assert complex(x) == complex(0.5, -1 / 3)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dpkam import polyham
-from dpkam.core import GR_I, GaussianRational, TangentialSet, lam
+from dpkam.core import TangentialSet, lam
 from dpkam.polyham import (
     HomPoly,
     adjoint_action_h2,
@@ -24,12 +24,14 @@ from dpkam.polyham import (
 from dpkam.wbnf import Z_TARGET, dp_h2, dp_h3, index_universe, run_wbnf
 
 
-def gr(re, im=0):
-    return GaussianRational(Fraction(re), Fraction(im))
+def pairs(P: HomPoly) -> dict:
+    """The coefficients of P with its phase, as (real, imaginary) pairs."""
+    return {m: (0, c) if P.imaginary else (c, 0) for m, c in P.terms.items()}
 
 
 def random_hompoly(rng, degree, bound=4, terms=4, momentum=False):
-    H = HomPoly.zero(degree, momentum)
+    """A real or (as often) an imaginary polynomial with random terms."""
+    H = HomPoly.zero(degree, momentum, imaginary=rng.random() < 0.5)
     tries = 0
     while len(H) < terms and tries < 200:
         tries += 1
@@ -40,38 +42,38 @@ def random_hompoly(rng, degree, bound=4, terms=4, momentum=False):
             if last == 0 or abs(last) > bound:
                 continue
             idx.append(last)
-        c = gr(rng.randint(-3, 3), rng.randint(-3, 3))
-        if not c.is_zero():
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        if c:
             H.accumulate(tuple(sorted(idx)), c)
     return H
 
 
 def test_monomial_canonicalization():
-    H = HomPoly(3, {(2, 1, -3): gr(1)})
+    H = HomPoly(3, {(2, 1, -3): Fraction(1)})
     assert (-3, 1, 2) in H.terms
     with pytest.raises(ValueError):
-        HomPoly(3, {(0, 1, -1): gr(1)})
+        HomPoly(3, {(0, 1, -1): Fraction(1)})
     with pytest.raises(ValueError):
-        HomPoly(3, {(1, 2, 3): gr(1)}, momentum=True)
+        HomPoly(3, {(1, 2, 3): Fraction(1)}, momentum=True)
 
 
 def test_add_ordered_multiplicity():
     H = HomPoly.zero(3)
     H.add_ordered((1, 2, -3), Fraction(-1, 6))
-    assert H.terms[(-3, 1, 2)] == gr(-1)  # six orderings
+    assert H.terms[(-3, 1, 2)] == -1  # six orderings
     H2 = HomPoly.zero(3)
     H2.add_ordered((2, 2, -4), Fraction(-1, 6))
-    assert H2.terms[(-4, 2, 2)] == gr(Fraction(-1, 2))  # three orderings
+    assert H2.terms[(-4, 2, 2)] == Fraction(-1, 2)  # three orderings
 
 
 def test_adjoint_examples():
-    K = HomPoly(2, {(-1, 1): gr(1)})
+    K = HomPoly(2, {(-1, 1): Fraction(1)})
     assert adjoint_action_h2(K).is_zero()
-    K2 = HomPoly(4, {(-3, -1, 2, 2): gr(1)})
+    K2 = HomPoly(4, {(-3, -1, 2, 2): Fraction(1)})
     assert adjoint_action_h2(K2).is_zero()  # 2 lam(2) = lam(1) + lam(3)
-    K3 = HomPoly(3, {(-3, 1, 2): gr(1)})
+    K3 = HomPoly(3, {(-3, 1, 2): Fraction(1)})
     out = adjoint_action_h2(K3)
-    assert out.terms[(-3, 1, 2)] == GR_I * Fraction(9, 5)
+    assert out.imaginary and out.terms[(-3, 1, 2)] == Fraction(9, 5)
 
 
 def test_adjoint_equals_bracket_with_h2():
@@ -80,7 +82,7 @@ def test_adjoint_equals_bracket_with_h2():
     rng = random.Random(0)
     for _ in range(5):
         K = random_hompoly(rng, 3, bound=4)
-        assert poisson_bracket(H2, K).terms == adjoint_action_h2(K).terms
+        assert pairs(poisson_bracket(H2, K)) == pairs(adjoint_action_h2(K))
 
 
 def test_bracket_antisymmetry_and_momentum():
@@ -95,9 +97,12 @@ def test_bracket_antisymmetry_and_momentum():
 
 
 def naive_bracket(F: HomPoly, G: HomPoly, mults: set | None = None) -> HomPoly:
-    """{F, G} term by term as i * lam(k) * (mult_f mult_g) * c_f * c_g, four
-    Gaussian products per term; records each (mult_f, mult_g) in `mults`."""
-    out = HomPoly.zero(F.degree + G.degree - 2, F.momentum and G.momentum)
+    """{F, G} term by term as i * lam(k) * (mult_f mult_g) * c_f * c_g: the
+    Fraction product times the phase i^(p_F + p_G + 1), read as a sign and a
+    phase bit; records each (mult_f, mult_g) in `mults`."""
+    n = F.imaginary + G.imaginary + 1
+    sign = (-1) ** (n // 2)  # i^2 = -1
+    out = HomPoly.zero(F.degree + G.degree - 2, F.momentum and G.momentum, n % 2 == 1)
     for mf, cf in F.terms.items():
         for k_neg in set(mf):
             k = -k_neg
@@ -110,7 +115,7 @@ def naive_bracket(F: HomPoly, G: HomPoly, mults: set | None = None) -> HomPoly:
                 rest_f, rest_g = list(mf), list(mg)
                 rest_f.remove(k_neg)
                 rest_g.remove(k)
-                coeff = GR_I * lam(k) * Fraction(mult_f * mult_g) * cf * cg
+                coeff = sign * lam(k) * Fraction(mult_f * mult_g) * cf * cg
                 out.accumulate(tuple(sorted(rest_f + rest_g)), coeff)
     return out
 
@@ -118,11 +123,14 @@ def naive_bracket(F: HomPoly, G: HomPoly, mults: set | None = None) -> HomPoly:
 def test_bracket_matches_naive_oracle():
     rng = random.Random(12)
     mults: set = set()
+    phases: set = set()
     for _ in range(40):
         F = random_hompoly(rng, rng.randint(3, 5), bound=3, terms=6, momentum=True)
         G = random_hompoly(rng, rng.randint(3, 5), bound=3, terms=6, momentum=True)
-        assert any(c.im != 0 for c in F.terms.values())
-        assert poisson_bracket(F, G).terms == naive_bracket(F, G, mults).terms
+        phases.add((F.imaginary, G.imaginary))
+        assert pairs(poisson_bracket(F, G)) == pairs(naive_bracket(F, G, mults))
+    # every pair of phases, so every power of i in the bracket
+    assert len(phases) == 4
     # repeated indices: multiplicities 2 and 3 on both sides of the bracket
     assert {m for m, _ in mults} >= {1, 2, 3} and {m for _, m in mults} >= {1, 2, 3}
 
@@ -134,7 +142,9 @@ def test_bracket_matches_naive_oracle_on_the_normal_form():
     H3 = dp_h3(index_universe(res.universe_max))
     B = poisson_bracket(F3, H3)
     assert not B.is_zero()
-    assert B.terms == naive_bracket(F3, H3).terms
+    assert F3.imaginary and not H3.imaginary and not B.imaginary
+    assert all(type(c) is Fraction for P in (F3, H3, B) for c in P.terms.values())
+    assert pairs(B) == pairs(naive_bracket(F3, H3))
 
 
 def bracket_cases():
@@ -163,11 +173,11 @@ def test_pruned_bracket_equals_the_filtered_full_bracket():
         for uni in (None, window):
             inside = in_window(uni)
             got = poisson_bracket(F, G, universe=uni)
-            assert got.terms == full.map_filter(inside).terms
+            assert pairs(got) == pairs(full.map_filter(inside))
             for cap in range(4):
                 keep = lambda m: z_degree(m, S) <= cap and inside(m)
                 got = poisson_bracket(F, G, max_z=cap, S=S, universe=uni)
-                assert got.terms == full.map_filter(keep).terms
+                assert pairs(got) == pairs(full.map_filter(keep))
                 pruned += len(full) - len(got)
                 kept += len(got)
     assert pruned > 0 and kept > 0  # the caps and windows cut, but not everything
@@ -210,7 +220,7 @@ def test_flow_conjugate_equals_bracket_then_prune_on_a_normal_form_step():
 
     pieces = [dp_h2(uni), prune(dp_h3(uni))]
     F = solve_homological(project_z_degree(pieces[1], S, lambda d: d <= 1))
-    assert F.terms == res.generators[3].terms
+    assert pairs(F) == pairs(res.generators[3])
     expected: dict[int, HomPoly] = {}
     for H in pieces:
         series, current, k = [prune(H)], H, 1
@@ -220,7 +230,7 @@ def test_flow_conjugate_equals_bracket_then_prune_on_a_normal_form_step():
             k += 1
         for p in series:
             expected[p.degree] = expected.get(p.degree, HomPoly.zero(p.degree)) + p
-    got = flow_conjugate(pieces, F, 6, inverse=True, max_z_keep=z_keep, universe=uni, S=S)
+    got = flow_conjugate(pieces, F, 6, max_z_keep=z_keep, universe=uni, S=S)
     assert {d: p.terms for d, p in got.items()} == {
         d: p.terms for d, p in expected.items() if not p.is_zero()
     }
@@ -229,18 +239,24 @@ def test_flow_conjugate_equals_bracket_then_prune_on_a_normal_form_step():
 def test_a_z_cap_needs_its_bound_and_the_tangential_set():
     S = TangentialSet.make([2, 3])
     uni = index_universe(6)
-    H2, H3 = dp_h2(uni), dp_h3(uni)
+
+    def z_keep(degree):
+        return Z_TARGET + (4 - degree)
+
+    # the input pieces come within the cap, as run_wbnf builds them
+    H2, H3 = dp_h2(uni), dp_h3(uni).map_filter(lambda m: z_degree(m, S) <= z_keep(3))
     F = solve_homological(project_z_degree(H3, S, lambda d: d <= 1))
     with pytest.raises(ValueError):
-        flow_conjugate([H2, H3], F, 4, max_z_keep=lambda d: 1, universe=uni)
+        flow_conjugate([H2, H3], F, 4, max_z_keep=z_keep, universe=uni)
     with pytest.raises(ValueError):
         flow_conjugate([H2, H3], F, 4, universe=uni, S=S)
     with pytest.raises(ValueError):
         poisson_bracket(F, H3, max_z=1)
     with pytest.raises(ValueError):
         poisson_bracket(F, H3, S=S)
-    out = flow_conjugate([H2, H3], F, 4, max_z_keep=lambda d: 1, universe=uni, S=S)
-    assert all(z_degree(m, S) <= 1 for p in out.values() for m in p.terms)
+    out = flow_conjugate([H2, H3], F, 4, max_z_keep=z_keep, universe=uni, S=S)
+    assert all(z_degree(m, S) <= z_keep(p.degree) for p in out.values() for m in p.terms)
+    assert any(z_degree(m, S) == z_keep(4) for m in out[4].terms)  # the cap is reached
 
 
 def test_bracket_with_itself_vanishes():
@@ -265,16 +281,20 @@ def test_reality_preservation():
     rng = random.Random(4)
 
     def make_real(degree):
+        # the conjugate of i^p c is (-1)^p i^p c
         H = random_hompoly(rng, degree, bound=3, terms=3)
-        out = HomPoly.zero(degree)
+        out = HomPoly.zero(degree, imaginary=H.imaginary)
         for m, c in H.terms.items():
             out.accumulate(m, c)
-            out.accumulate(tuple(sorted(-j for j in m)), c.conjugate())
+            out.accumulate(tuple(sorted(-j for j in m)), -c if H.imaginary else c)
         return out
 
-    F, G = make_real(3), make_real(3)
-    assert F.is_real_hamiltonian() and G.is_real_hamiltonian()
-    assert poisson_bracket(F, G).is_real_hamiltonian()
+    for _ in range(4):
+        F, G = make_real(3), make_real(3)
+        assert F.is_real_hamiltonian() and G.is_real_hamiltonian()
+        assert poisson_bracket(F, G).is_real_hamiltonian()
+    flipped = HomPoly(3, F.terms, imaginary=not F.imaginary)
+    assert not flipped.is_real_hamiltonian()
 
 
 def test_momentum_quadratic_commutes():
@@ -283,7 +303,7 @@ def test_momentum_quadratic_commutes():
     uni = index_universe(10)
     K1 = HomPoly.zero(2, momentum=True)
     for j in sorted(u for u in uni if u > 0):
-        K1.accumulate((-j, j), GaussianRational(Fraction(1 + j * j, 4 + j * j)))
+        K1.accumulate((-j, j), Fraction(1 + j * j, 4 + j * j))
     rng = random.Random(5)
     F = random_hompoly(rng, 4, bound=5, momentum=True)
     assert poisson_bracket(K1, F).is_zero()
@@ -293,8 +313,8 @@ def test_solve_homological_inverse_on_range():
     rng = random.Random(6)
     K = random_hompoly(rng, 3, bound=4)
     F = solve_homological(K)
-    assert adjoint_action_h2(F).terms == project_range(K).terms
-    assert solve_homological(adjoint_action_h2(F)).terms == project_range(F).terms
+    assert pairs(adjoint_action_h2(F)) == pairs(project_range(K))
+    assert pairs(solve_homological(adjoint_action_h2(F))) == pairs(project_range(F))
 
 
 def test_product_obeys_the_leibniz_rule():
@@ -303,37 +323,35 @@ def test_product_obeys_the_leibniz_rule():
     F = random_hompoly(rng, 3, bound=3)
     G = random_hompoly(rng, 2, bound=3)
     H = random_hompoly(rng, 3, bound=3)
-    assert (G * H).degree == 5 and (G * H).terms == (H * G).terms
+    assert (G * H).degree == 5 and pairs(G * H) == pairs(H * G)
     lhs = poisson_bracket(F, G * H)
-    assert lhs.terms == (poisson_bracket(F, G) * H + G * poisson_bracket(F, H)).terms
+    assert pairs(lhs) == pairs(poisson_bracket(F, G) * H + G * poisson_bracket(F, H))
     assert not lhs.is_zero()
     ad = adjoint_action_h2(G * H)
-    assert ad.terms == (adjoint_action_h2(G) * H + G * adjoint_action_h2(H)).terms
+    assert pairs(ad) == pairs(adjoint_action_h2(G) * H + G * adjoint_action_h2(H))
 
 
 def test_solve_homological_cubic_value():
     # cubic coefficient -1/6 at (6,7,-13): divisor lam(6)+lam(7)-lam(13)
     d = lam(6) + lam(7) + lam(-13)
     assert d == Fraction(10647, 15725)
-    K = HomPoly(3, {(-13, 6, 7): gr(Fraction(-1, 6))})
+    K = HomPoly(3, {(-13, 6, 7): Fraction(-1, 6)})
     F = solve_homological(K)
-    c = F.terms[(-13, 6, 7)]
-    assert c.re == 0
-    assert abs(complex(c)) == pytest.approx(abs(1.0 / (6.0 * float(d))))
-    assert complex(c).imag == pytest.approx(1.0 / (6.0 * float(d)))
+    # (-1/6) / (i d) = i / (6 d)
+    assert F.imaginary and F.terms[(-13, 6, 7)] == 1 / (6 * d)
 
 
 def test_projectors():
     S = TangentialSet.make([2, 3])
-    triv = HomPoly(4, {(-2, -1, 1, 2): gr(5)})
-    assert project_trivial(triv).terms == triv.terms
-    nontriv = HomPoly(4, {(-3, -1, 2, 2): gr(1)})
+    triv = HomPoly(4, {(-2, -1, 1, 2): Fraction(5)})
+    assert pairs(project_trivial(triv)) == pairs(triv)
+    nontriv = HomPoly(4, {(-3, -1, 2, 2): Fraction(1)})
     assert project_trivial(nontriv).is_zero()
     rng = random.Random(7)
     K = random_hompoly(rng, 4, bound=4)
     assert project_kernel(project_range(K)).is_zero()
     zsplit = project_z_degree(K, S, lambda d: d >= 0)
-    assert zsplit.terms == K.terms
+    assert pairs(zsplit) == pairs(K)
     assert is_trivial_monomial((-4, -4, 4, 4))
     assert not is_trivial_monomial((-3, -1, 2, 2))
     assert z_degree((-3, -1, 2, 2), S) == 1
@@ -347,13 +365,13 @@ def test_flow_cancels_cubic_range_part():
     H2, H3 = dp_h2(uni), dp_h3(uni)
     low = project_z_degree(H3, S, lambda d: d <= 1)
     F = solve_homological(low)
-    out = flow_conjugate([H2, H3], F, 4, inverse=True, universe=uni)
+    out = flow_conjugate([H2, H3], F, 4, universe=uni)
     remaining = project_z_degree(out[3], S, lambda d: d <= 1)
-    assert remaining.terms == project_kernel(low).terms
-    assert out[2].terms == H2.terms  # H2 untouched
+    assert pairs(remaining) == pairs(project_kernel(low))
+    assert pairs(out[2]) == pairs(H2)  # H2 untouched
     # F = 0 acts as the identity
     out0 = flow_conjugate([H3], HomPoly(3, {}), 5, universe=uni)
-    assert out0[3].terms == H3.terms
+    assert pairs(out0[3]) == pairs(H3)
 
 
 def test_flow_first_order_term():
@@ -361,10 +379,8 @@ def test_flow_first_order_term():
     H2 = dp_h2(uni)
     rng = random.Random(8)
     F = random_hompoly(rng, 3, bound=4, momentum=True)
-    out = flow_conjugate([H2], F, 3, inverse=True, universe=uni)
-    assert out[3].terms == poisson_bracket(F, H2).terms
-    out_fwd = flow_conjugate([H2], F, 3, inverse=False, universe=uni)
-    assert out_fwd[3].terms == poisson_bracket(F, H2).scale(Fraction(-1)).terms
+    out = flow_conjugate([H2], F, 3, universe=uni)
+    assert pairs(out[3]) == pairs(poisson_bracket(F, H2))
 
 
 def test_flow_degree4_matches_double_bracket_identity():
@@ -377,19 +393,47 @@ def test_flow_degree4_matches_double_bracket_identity():
     low = project_z_degree(H3, S, lambda d: d <= 1)
     high = H3 - low
     F = solve_homological(low)
-    out = flow_conjugate([H2, H3], F, 4, inverse=True, universe=uni)
+    out = flow_conjugate([H2, H3], F, 4, universe=uni)
     direct = poisson_bracket(F, poisson_bracket(F, H2)).scale(Fraction(1, 2))
     direct = direct + poisson_bracket(F, H3)
     keep = lambda m: all(j in uni for j in m)
-    assert out[4].terms == direct.map_filter(keep).terms
+    assert pairs(out[4]) == pairs(direct.map_filter(keep))
     collapsed = poisson_bracket(F, low).scale(Fraction(1, 2)) + poisson_bracket(F, high)
-    assert out[4].terms == collapsed.map_filter(keep).terms
+    assert pairs(out[4]) == pairs(collapsed.map_filter(keep))
 
 
 def test_serialization_roundtrip():
     rng = random.Random(9)
-    K = random_hompoly(rng, 3, bound=4, momentum=True)
-    text = serialize(K)
-    K2 = deserialize(text, 3, momentum=True)
-    assert K2.terms == K.terms
-    assert serialize(K2) == text
+    phases = set()
+    for _ in range(6):
+        K = random_hompoly(rng, 3, bound=4, momentum=True)
+        phases.add(K.imaginary)
+        text = serialize(K)
+        K2 = deserialize(text, 3, momentum=True)
+        assert pairs(K2) == pairs(K)
+        assert serialize(K2) == text
+    assert phases == {False, True}
+    assert serialize(HomPoly(3, {(-3, 1, 2): Fraction(-1, 2)})) == "-3 1 2  -1/2  0/1\n"
+    assert serialize(HomPoly(3, {(-3, 1, 2): 2}, imaginary=True)) == "-3 1 2  0/1  2/1\n"
+
+
+def test_deserialize_rejects_a_mixed_line_or_polynomial():
+    with pytest.raises(ValueError):
+        deserialize("-3 1 2  1/2  1/3\n", 3)
+    with pytest.raises(ValueError):
+        deserialize("-3 1 2  1/2  0/1\n-4 2 2  0/1  1/3\n", 3)
+    K = deserialize("-3 1 2  0/1  1/3\n-4 2 2  0/1  0/1\n", 3)
+    assert K.imaginary and K.terms == {(-3, 1, 2): Fraction(1, 3)}
+
+
+def test_adding_a_real_and_an_imaginary_polynomial_raises():
+    re = HomPoly(3, {(-3, 1, 2): 1})
+    im = HomPoly(3, {(-3, 1, 2): 1}, imaginary=True)
+    with pytest.raises(ValueError):
+        re + im
+    with pytest.raises(ValueError):
+        im - re
+    # a zero side takes the phase of the other
+    zero = HomPoly.zero(3)
+    assert (zero + im).imaginary and (im + zero).imaginary
+    assert (im - im).is_zero()

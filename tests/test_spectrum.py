@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dpkam.core import ScalingParams, TangentialSet, lam
-from dpkam.polyham import adjoint_action_h2
+from dpkam.polyham import HomPoly, adjoint_action_h2
 from dpkam.spectrum import (
     DivisorScan,
     EigenModel,
@@ -28,6 +28,7 @@ from dpkam.spectrum import (
     psi2_symbol,
     small_divisor,
     solve_transport,
+    spatial_average_xi_form,
     transport_divisor,
     vbar_symbol,
 )
@@ -161,7 +162,7 @@ def test_transport_divisor_and_solve():
 def test_beta1_transport():
     assert beta1_solves_transport(S67)
     b = beta1_symbol(S67)
-    assert b.terms[(6,)].im == Fraction(-37, 18)
+    assert b.imaginary and b.terms[(6,)] == Fraction(-37, 18)
 
 
 def test_psi2_zero_average():
@@ -171,7 +172,7 @@ def test_psi2_zero_average():
     # off-average part of d_xx(beta1^2) also drops
     b1 = beta1_symbol(S67)
     d2 = dx(dx(b1 * b1))
-    assert all(sum(k) != 0 or v.is_zero() for k, v in d2.terms.items())
+    assert all(sum(k) != 0 or v == 0 for k, v in d2.terms.items())
 
 
 def test_c_via_f2_matches():
@@ -207,6 +208,14 @@ def test_eigen_model():
     assert [len(r) for r in rows] == [len(model.COLUMNS)] * 3
     assert [r[0] for r in rows] == [8, 9, 10]
     assert rows[-1][-1] == model.d0(10)
+
+
+def test_the_average_of_an_imaginary_symbol_raises():
+    b1 = beta1_symbol(S67)
+    # beta_1 is imaginary, so its square is real: 2 |beta_1(s)|^2 = 2 (1+s^2)^2 / (9 s^2)
+    assert spatial_average_xi_form(b1 * b1) == {6: Fraction(1369, 162), 7: Fraction(5000, 441)}
+    with pytest.raises(SpectrumError):
+        spatial_average_xi_form(HomPoly(2, {(-6, 6): 1}, imaginary=True))
 
 
 def test_f2_has_only_quadratic_tuples():

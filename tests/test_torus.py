@@ -459,8 +459,7 @@ def test_correction_pieces_filter_before_subtracting():
     uni = index_universe(n_x + 2 * S.jbar1 + 2)
     base = [dp_h2(uni), dp_h3(uni)]
     F3 = run_wbnf(S, 1, universe_max=2 * S.jbar1).generators[3]
-    composed = flow_conjugate(base, F3, 4, inverse=True, max_z_keep=lambda deg: 6 - deg,
-                              universe=uni, S=S)
+    composed = flow_conjugate(base, F3, 4, max_z_keep=lambda deg: 6 - deg, universe=uni, S=S)
     want = []
     for deg, poly in sorted(composed.items()):
         corr = (poly - base[deg - 2] if deg in (2, 3) else poly).map_filter(
@@ -495,7 +494,8 @@ def _every_class_operator(prob, emb, ell_cut, phib_order):
             vslots = [v for v in mono if S.in_s(v)]
             if len(zslots) != 2:
                 continue
-            amp = complex(cval) * prob.eps ** len(vslots) * math.prod(sqrt_xi[v] for v in vslots)
+            coeff = complex(0.0, float(cval)) if poly.imaginary else complex(float(cval), 0.0)
+            amp = coeff * prob.eps ** len(vslots) * math.prod(sqrt_xi[v] for v in vslots)
             dl = tuple(sum(S.angle_vector(v)[i] for v in vslots) for i in range(S.nu))
             a_z, b_z = zslots
             mult = 2 if a_z == b_z else 1
