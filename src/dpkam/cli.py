@@ -487,7 +487,9 @@ def cmd_evolve(cfg: dict, outdir: str, budget: int) -> list[dict]:
         return checks + [_failed("flow_completed", exc, f"T={T}")]
     _write_csv(outdir, "trajectory.csv", ("t", "H", "K1", "sup_norm_u"),
                zip(res.times, res.h_values, res.k1_values, res.sup_values))
-    return checks + [check(name, float_fmt(drift), f"< {tol}", bool(drift < tol), f"T={T}")
+    steps = (f"T={T}, accepted {res.accepted}, rejected {res.rejected}, "
+             f"dt {res.dt_min:.6g} to {res.dt_max:.6g}")
+    return checks + [check(name, float_fmt(drift), f"< {tol}", bool(drift < tol), steps)
                      for name, drift in (("H_drift", res.h_drift), ("K1_drift", res.k1_drift))]
 
 

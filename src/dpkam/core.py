@@ -6,6 +6,7 @@ the package only in the measure and torus modules.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,6 +72,11 @@ class TangentialSet:
     def sites(self) -> tuple[int, ...]:
         """S = S+ together with the opposite modes, sorted ascending."""
         return tuple(sorted([-s for s in self.splus] + list(self.splus)))
+
+    @functools.cached_property
+    def non_normal(self) -> frozenset[int]:
+        """The indices outside S^c: the sites of S and 0."""
+        return frozenset((0, *self.sites))
 
     def in_s(self, j: int) -> bool:
         return abs(j) in self.splus

@@ -10,6 +10,7 @@ justifies them.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -116,8 +117,8 @@ class Slabs(NamedTuple):
 def g0_0_slabs(box: FrequencyBox, ell_max: int, tau: int, gamma: float) -> Slabs:
     """Zeroth Melnikov: |omega.l| < gamma <l>^-tau for 0 < |l| <= ell_max.
     At eps = 1 and gamma = 1 the slabs are g = A^T l, t = <l>^-tau."""
-    ells = ell_vectors_up_to(box.S.nu, ell_max)
-    c0, g, scale = box.ell_forms(np.array(ells, dtype=float))
+    ells, rows = _ell_table(box.S.nu, ell_max)
+    c0, g, scale = box.ell_forms(rows)
     return Slabs(c0, g, np.array([gamma * ell_bracket(ell) ** (-tau) for ell in ells]), scale)
 
 
@@ -188,12 +189,8 @@ def _melnikov_modes(box: FrequencyBox, cfg: MelnikovConfig, jmax: int) -> tuple:
     eps^2 kappa_j as lambda(j) + d_g.xi with its summand bound d_scale, and
     the margin eps^(4-3a)/<j> that bounds the residual of the first-order
     model; and the c of m = 1 + eps^2 c.xi with m's summand bound."""
-    S, e2 = box.S, box.eps**2
-    js = [j for j in range(-jmax, jmax + 1) if S.in_sc(j)]
-    ja = np.asarray(js)
-    lam_v = np.array([float(lam(j)) for j in js])
-    kap = _kappa_matrix(S, js)  # per-site coefficients; kappa_j = kap[j] . xi
-    c_coeff = np.array([float(v) for v in v_vec(S)])
+    e2 = box.eps**2
+    ja, lam_v, kap, c_coeff = _mode_table(box.S, jmax)
     m_scale = 1.0 + 2 * e2 * np.abs(c_coeff).sum()
     d_g = e2 * (lam_v[:, None] * c_coeff + kap)
     d_scale = np.abs(lam_v) * m_scale + 2 * e2 * np.abs(kap).sum(1)
@@ -211,8 +208,8 @@ def first_melnikov_slabs(box: FrequencyBox, cfg: MelnikovConfig, jmax: int) -> I
     mode = Slabs(np.concatenate([jf, lam_v]),
                  np.concatenate([box.eps**2 * jf[:, None] * c_coeff, d_g]),
                  np.concatenate([margin, margin]), np.concatenate([np.abs(jf) * m_scale, d_scale]))
-    ells = ell_vectors_up_to(box.S.nu, cfg.ell_max)
-    wl_c0, wl_g, wl_scale = box.ell_forms(np.array(ells, dtype=float))
+    ells, rows = _ell_table(box.S.nu, cfg.ell_max)
+    wl_c0, wl_g, wl_scale = box.ell_forms(rows)
     for i, ell in enumerate(ells):
         thr = 2.0 * cfg.gamma_n(0) * ell_bracket(ell) ** (-cfg.scaling.tau)
         yield Slabs(wl_c0[i] + mode.c0, wl_g[i] + mode.g, thr + mode.t, wl_scale[i] + mode.scale)
@@ -227,8 +224,8 @@ def second_melnikov_slabs(box: FrequencyBox, cfg: MelnikovConfig, jmax: int) -> 
     # position of mode k in ja, or -1, for k in [-jmax, jmax]
     pos = np.full(2 * jmax + 1, -1, dtype=np.intp)
     pos[ja + jmax] = np.arange(len(ja))
-    ells = ell_vectors_up_to(S.nu, cfg.ell_max)
-    wl_c0, wl_g, wl_scale = box.ell_forms(np.array(ells, dtype=float))
+    ells, rows = _ell_table(S.nu, cfg.ell_max)
+    wl_c0, wl_g, wl_scale = box.ell_forms(rows)
     for i, ell in enumerate(ells):
         shift = sum(s * e for s, e in zip(S.splus, ell))
         if shift == 0:
@@ -248,6 +245,31 @@ def second_melnikov_slabs(box: FrequencyBox, cfg: MelnikovConfig, jmax: int) -> 
 
 def _kappa_matrix(S: TangentialSet, js: Sequence[int]) -> np.ndarray:
     return np.array([[float(c) for c in w_vec(S, j)] for j in js])
+
+
+# The two tables below do not depend on eps, so a sweep builds them once and
+# not once per eps.  Their arrays are shared between calls: read-only.
+
+
+@functools.lru_cache(maxsize=8)
+def _ell_table(nu: int, ell_max: int) -> tuple[tuple, np.ndarray]:
+    """The ell of `ell_vectors_up_to(nu, ell_max)`, and the same rows as floats."""
+    ells = tuple(ell_vectors_up_to(nu, ell_max))
+    rows = np.array(ells, dtype=float)
+    rows.flags.writeable = False
+    return ells, rows
+
+
+@functools.lru_cache(maxsize=8)
+def _mode_table(S: TangentialSet, jmax: int) -> tuple[np.ndarray, ...]:
+    """The modes j in S^c with |j| <= jmax, lambda(j), the rows w_j of
+    kappa_j = w_j . xi, and the c of m = 1 + eps^2 c.xi."""
+    js = [j for j in range(-jmax, jmax + 1) if S.in_sc(j)]
+    table = (np.asarray(js), np.array([float(lam(j)) for j in js]), _kappa_matrix(S, js),
+             np.array([float(v) for v in v_vec(S)]))
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def pruning_slope_constant(S: TangentialSet, m_abs: float = 1.0) -> float:

@@ -63,7 +63,8 @@ def i_power(n: int) -> tuple[int, bool]:
 
 def z_degree(mono: Monomial, S: TangentialSet) -> int:
     """Number of indices of the monomial lying in the normal set S^c."""
-    return sum(1 for j in mono if S.in_sc(j))
+    non_normal = S.non_normal
+    return sum(j not in non_normal for j in mono)
 
 
 @dataclass
@@ -225,11 +226,11 @@ def poisson_bracket(
     sign, imaginary = i_power(F.imaginary + G.imaginary + 1)
     out = HomPoly.zero(F.degree + G.degree - 2, F.momentum and G.momentum, imaginary)
     # z-degree by one set lookup per index; without a cap every z is 0 <= 0
-    tangential = frozenset(S.sites) if S is not None else None
+    non_normal = S.non_normal if S is not None else None
     cap = 0 if max_z is None else max_z
 
     def z(mono) -> int:
-        return 0 if tangential is None else sum(j not in tangential for j in mono)
+        return 0 if non_normal is None else sum(j not in non_normal for j in mono)
 
     def outside(rest) -> bool:
         return universe is not None and not universe.issuperset(rest)

@@ -256,9 +256,12 @@ class FSpec:
 def nonlinear_density(u: np.ndarray, n: int, f_spec: FSpec, cubic: bool = True) -> np.ndarray:
     """The n-th derivative (n = 0, 1, 2) of the nonlinear density
     P(u) = -u^3/6 [cubic] + sum_k c_k u^k at the grid values u."""
-    terms = list(f_spec.coeffs.items()) + ([(3, -1.0 / 6.0)] if cubic else [])
-    out = np.zeros_like(u)
-    for k, c in terms:
+    terms = [*f_spec.coeffs.items(), *([(3, -1.0 / 6.0)] if cubic else [])]
+    if not terms:
+        return np.zeros_like(u)
+    (k, c), *rest = terms
+    out = math.perm(k, n) * c * u ** (k - n)
+    for k, c in rest:
         out = out + math.perm(k, n) * c * u ** (k - n)
     return out
 
@@ -775,26 +778,27 @@ class EvolveResult:
     dt_max: float
 
 
+# the Taylor coefficients of z^m, m = 29 ... 0, in Q, f1, f2 and f3 of _phi_funcs
+_PHI_TAYLOR = np.array([
+    [1.0 / (2.0 ** (m + 1) * math.factorial(m + 1)), (m + 1) ** 2 / math.factorial(m + 3),
+     (m + 1) / math.factorial(m + 3), (1 - m) / math.factorial(m + 3)]
+    for m in reversed(range(30))
+])
+
+
 def _phi_funcs(z: np.ndarray):
     """ETDRK4 coefficient functions, evaluated by Taylor series near the
     removable singularity at 0 and by the closed forms away from it (the
     contour trick leaves a dt-independent bias that shows up as secular
-    energy drift over long integrations)."""
+    energy drift over long integrations).  The four series run as one
+    Horner recursion on a stack."""
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) <= 1.0
     zs = np.where(small, z, 0.0)
-    Q = np.zeros_like(z)
-    f1 = np.zeros_like(z)
-    f2 = np.zeros_like(z)
-    f3 = np.zeros_like(z)
-    term = np.ones_like(z)
-    for m in range(30):
-        fact = math.factorial(m + 3)
-        Q += term / (2.0 ** (m + 1) * math.factorial(m + 1))
-        f1 += term * (m + 1) ** 2 / fact
-        f2 += term * (m + 1) / fact
-        f3 += term * (1 - m) / fact
-        term = term * zs
+    series = np.zeros((4, *z.shape), dtype=complex)
+    for c in _PHI_TAYLOR.reshape(_PHI_TAYLOR.shape + (1,) * z.ndim):
+        series = series * zs + c
+    Q, f1, f2, f3 = series
     zb = np.where(small, 1.0, z)
     ez = np.exp(zb)
     Qb = (np.exp(zb / 2) - 1) / zb
@@ -831,6 +835,7 @@ class DPEvolver:
         self.lam = k * (4.0 + k * k) / (1.0 + k * k)
         self.mask = k <= n_modes
         self.L = 1j * self.lam
+        self.L_masked = self.L * self.mask
         # sums over all modes j of the circle count u_j and u_-j for j > 0
         self.weight = np.where(k == 0, 1.0, 2.0)
         self._coefs: dict[float | tuple[float, ...], tuple] = {}
@@ -844,8 +849,7 @@ class DPEvolver:
         if u is None:
             u = self.field(uhat)
         dP = nonlinear_density(u, 1, self.f_spec, self.cubic)
-        what = np.fft.rfft(dP, norm="forward")
-        return self.L * what * self.mask
+        return self.L_masked * np.fft.rfft(dP, norm="forward")
 
     def energy(self, uhat: np.ndarray) -> float:
         P = nonlinear_density(self.field(uhat), 0, self.f_spec, self.cubic)
@@ -862,7 +866,8 @@ class DPEvolver:
         """One ETDRK4 step (Cox-Matthews) of the coefficients `coefs(dt)`; Nu
         is N(uhat) when the caller has it already.  With coefficient rows of
         several steps and dt a column of them, one state (or one state per
-        row) takes each of those steps, one row each."""
+        row) takes each of those steps, one row each.  uhat must vanish above
+        n_modes; every term of the step then does, as N(u) does."""
         E, E2, dtQ, f1, f2x2, f3 = coefs
         if Nu is None:
             Nu = self.nonlinear(uhat)
@@ -872,23 +877,29 @@ class DPEvolver:
         Nb = self.nonlinear(bb)
         c = E2 * a + dtQ * (2 * Nb - Nu)
         Nc = self.nonlinear(c)
-        out = E * uhat + dt * (f1 * Nu + f2x2 * (Na + Nb) + f3 * Nc)
-        return out * self.mask
+        return E * uhat + dt * (f1 * Nu + f2x2 * (Na + Nb) + f3 * Nc)
 
     def coefs(self, dt: float | tuple[float, ...]):
         """The ETDRK4 coefficients (E, E2, dt Q, f1, 2 f2, f3) of step dt,
-        computed once per dt; for a tuple of steps, their rows stacked."""
+        computed once per dt; for a tuple of steps, their rows stacked.  Only
+        the COEF_CACHE latest entries are kept, so a run whose dt changes
+        often does not pile them up."""
         if dt not in self._coefs:
             if isinstance(dt, tuple):
-                self._coefs[dt] = tuple(np.stack(rows) for rows in zip(*map(self.coefs, dt)))
+                value = tuple(np.stack(rows) for rows in zip(*map(self.coefs, dt)))
             else:
                 z = dt * self.L
                 Q, f1, f2, f3 = _phi_funcs(z)
-                self._coefs[dt] = (np.exp(z), np.exp(z / 2), dt * Q, f1, 2 * f2, f3)
+                value = (np.exp(z), np.exp(z / 2), dt * Q, f1, 2 * f2, f3)
+            if len(self._coefs) >= COEF_CACHE:
+                del self._coefs[next(iter(self._coefs))]
+            self._coefs[dt] = value
         return self._coefs[dt]
 
 
 REPORT_POINTS = 64  # evolve records the trajectory every T / REPORT_POINTS
+COEF_CACHE = 8  # coefficient entries a DPEvolver keeps: evolve takes three per step length
+KEEP_BAND = (0.95, 1.2)  # an accepted step keeps dt while its step factor lies in this band
 
 
 def evolve(
@@ -912,7 +923,19 @@ def evolve(
     ETDRK4 step of a two-row stack (coefficient rows for dt and dt/2) on one
     N(u), and only the second half step runs alone, so an accepted step makes
     8 nonlinear evaluations.  The field of an accepted state serves both the
-    blow-up check and the next N(u)."""
+    blow-up check and the next N(u).
+
+    The error err of the two results, relative to the initial sup norm, scales
+    as dt^5, so the step control is the standard one of order 4: the factor
+    is clip(0.9 (rtol / err)^(1/5), 1/2, 2).  A step with err > rtol is
+    retried at dt times the factor; more than 12 rejections in a row raise
+    DivergenceError.  An accepted step keeps dt while the factor lies in
+    KEEP_BAND = [0.95, 1.2), else dt takes the factor, growing to at most
+    T/16, so the coefficients are recomputed only when dt moves.  The band is
+    RADAU5's [1, 1.2) (Hairer and Wanner) with its lower edge moved off 1, the
+    factor that follows any change of dt (err moves as dt^5): with an edge at
+    1, rounding shrank dt by 1e-5 and recomputed the coefficients on many
+    steps."""
     if not T > 0:
         raise ValueError(f"need a final time T > 0, got {T}")
     size = max((abs(c) for c in u0.values()), default=0.0)
@@ -951,17 +974,18 @@ def evolve(
             big, half = ev.step_etdrk4(uhat, pair, ev.coefs((dt, dt / 2)), Nu)
             half = ev.step_etdrk4(half, dt / 2, ev.coefs(dt / 2))
             err = float(np.abs(big - half).max()) / scale
+            factor = min(2.0, max(0.5, 0.9 * (rtol / max(err, 1e-300)) ** 0.2))
             if err > rtol:
                 rejections += 1
                 rejected += 1
                 if rejections > 12:
                     raise DivergenceError("step-rejection cascade in evolve")
-                dt *= 0.5
+                dt *= factor
                 continue
             rejections = 0
             uhat = half
-            if err < rtol / 64 and dt < T / 16:
-                dt *= 1.5
+            if not KEEP_BAND[0] <= factor < KEEP_BAND[1]:
+                dt = min(dt * factor, max(dt, T / 16))  # a growth stops at T/16
         else:
             uhat = ev.step_etdrk4(uhat, dt, ev.coefs(dt), Nu)
         t += step

@@ -198,7 +198,7 @@ CSV_SHA256 = {
                     "e69dc0534dd2fa1c04202c18025548ff5c0cefea9dd2d0e7a8cae7991d18e4ae"),
     "trajectory.csv": ("evolve", "[truncation]\nn_x = 16\nn_phi = 4\n[evolve]\nT = 1\n"
                                  "n_modes = 32\n", [],
-                       "0962d3330358a13c6354292c82cc93b5400b6df8cf03bcbb64b23f3902aa8c53"),
+                       "0f5589c3fedcea75fdaf38c433d6448a620174d37e4507bbc4d29e4cd1712f8c"),
 }
 
 
@@ -229,6 +229,11 @@ def test_solve_and_evolve_cmd(tmp_path):
     assert traj[0] == "t,H,K1,sup_norm_u"
     assert len(traj) > 3
     assert float(traj[-1].split(",")[0]) == 5.0  # [evolve] T = 5 from the file
+    # the drift checks carry the step accounting of the run
+    checks = json.loads((tmp_path / "ev" / "summary.json").read_text())["checks"]
+    assert [c["check"] for c in checks] == ["H_drift", "K1_drift"]
+    for c in checks:
+        assert re.fullmatch(r"T=5\.0, accepted \d+, rejected \d+, dt \S+ to \S+", c["witness"])
 
 
 @pytest.mark.parametrize("eps, value", [("0.05", "residual stalled"), ("0.2", False)],

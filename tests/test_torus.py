@@ -778,10 +778,13 @@ def test_adaptive_step_shares_one_nonlinear_evaluation(monkeypatch):
 
 
 def _step_doubling_oracle(u0, T, n_modes, dt=None, adaptive=True, rtol=1e-10, f_spec=None,
-                          cubic=True, blowup=1e6):
+                          cubic=True, blowup=1e6, controller="order 4"):
     """The evolve loop that the stacked step replaced, kept as the oracle:
     one full and two half ETDRK4 steps of one state each, the full and the
-    first half step sharing N(u), on the coefficients (E, E2, Q, f1, f2, f3)."""
+    first half step sharing N(u), on the coefficients (E, E2, Q, f1, f2, f3).
+    Its step control is evolve's ("order 4") or, with controller "x1.5", the
+    one evolve had before: halve dt on a rejection, and grow it by 1.5 only
+    when err < rtol/64.  Also returns the accepted step lengths."""
     ev = DPEvolver(n_modes, f_spec, cubic)
     cache = {}
 
@@ -813,6 +816,7 @@ def _step_doubling_oracle(u0, T, n_modes, dt=None, adaptive=True, rtol=1e-10, f_
     report_every = max(T / torus.REPORT_POINTS, dt)
     next_report = report_every
     rejections = 0
+    steps = []
     scale = max(sups[0], 1e-30)
     while t < T - 1e-14:
         h = dt = min(dt, T - t)
@@ -821,18 +825,25 @@ def _step_doubling_oracle(u0, T, n_modes, dt=None, adaptive=True, rtol=1e-10, f_
         if adaptive:
             half = step(step(uhat, dt / 2, Nu), dt / 2)
             err = float(np.abs(big - half).max()) / scale
+            factor = min(2.0, max(0.5, 0.9 * (rtol / max(err, 1e-300)) ** 0.2))
             if err > rtol:
                 rejections += 1
                 assert rejections <= 12
-                dt *= 0.5
+                dt *= factor if controller == "order 4" else 0.5
                 continue
             rejections = 0
             uhat = half
-            if err < rtol / 64 and dt < T / 16:
-                dt *= 1.5
+            if controller == "x1.5":
+                if err < rtol / 64 and dt < T / 16:
+                    dt *= 1.5
+            elif factor < 0.95:
+                dt *= factor
+            elif factor >= 1.2 and dt < T / 16:
+                dt = min(dt * factor, T / 16)
         else:
             uhat = big
         t += h
+        steps.append(h)
         sup = float(np.abs(ev.field(uhat)).max())
         assert math.isfinite(sup) and sup <= blowup
         if t >= next_report - 1e-12 or t >= T - 1e-14:
@@ -844,40 +855,111 @@ def _step_doubling_oracle(u0, T, n_modes, dt=None, adaptive=True, rtol=1e-10, f_
             next_report += report_every
     h_drift = max(abs(h - hs[0]) for h in hs) / max(abs(hs[0]), 1e-300)
     k1_drift = max(abs(k - k1s[0]) for k in k1s) / max(abs(k1s[0]), 1e-300)
-    return times, hs, k1s, sups, states, h_drift, k1_drift
+    return times, hs, k1s, sups, states, h_drift, k1_drift, steps
 
 
-@pytest.mark.parametrize("case", ["torus", "rejections", "f9 no cubic", "fixed step"])
+EVOLVE_CASES = {
+    "torus": lambda: dict(u0=_torus_initial_data(), T=1.0, n_modes=32),
+    # dt 0.5 is rejected down to about 0.05, then shrinks and grows again,
+    # with 7 rejections in all
+    "rejections": lambda: dict(u0=_random_real_data(n=8, seed=5), T=2.0, n_modes=16, dt=0.5,
+                               rtol=1e-6, f_spec=FSpec({9: 1.0})),
+    "f9 no cubic": lambda: dict(u0=_random_real_data(n=8), T=0.5, n_modes=16,
+                                f_spec=FSpec({9: 0.5}), cubic=False),
+    "fixed step": lambda: dict(u0=_random_real_data(n=8), T=1.0, n_modes=16, adaptive=False,
+                               dt=0.01),
+}
+
+
+@pytest.mark.parametrize("case", list(EVOLVE_CASES))
 def test_stacked_step_doubling_matches_the_oracle(case):
-    data = _random_real_data(n=8)
-    kwargs = {
-        "torus": dict(u0=_torus_initial_data(), T=1.0, n_modes=32),
-        # dt 0.5 is rejected down to 2^-5, later to 2^-8, and grows twice by
-        # 1.5 in between: ten dt and dt/2 pairs
-        "rejections": dict(u0=_random_real_data(n=8, seed=5), T=2.0, n_modes=16, dt=0.5,
-                           rtol=1e-6, f_spec=FSpec({9: 1.0})),
-        "f9 no cubic": dict(u0=data, T=0.5, n_modes=16, f_spec=FSpec({9: 0.5}), cubic=False),
-        "fixed step": dict(u0=data, T=1.0, n_modes=16, adaptive=False, dt=0.01),
-    }[case]
+    kwargs = EVOLVE_CASES[case]()
     res = evolve(**kwargs)
-    times, hs, k1s, sups, states, h_drift, k1_drift = _step_doubling_oracle(**kwargs)
+    times, hs, k1s, sups, states, h_drift, k1_drift, steps = _step_doubling_oracle(**kwargs)
     for got, want in ((res.times, times), (res.h_values, hs), (res.k1_values, k1s),
                       (res.sup_values, sups), (res.states, states)):
         assert np.array_equal(got, want)
     assert (res.h_drift, res.k1_drift) == (h_drift, k1_drift)
+    assert (res.accepted, res.dt_min, res.dt_max) == (len(steps), min(steps), max(steps))
     if case == "rejections":
-        assert res.rejected > 0 and res.dt_min < res.dt_max
+        assert res.rejected == 7 and res.dt_min < res.dt_max
+
+
+@pytest.mark.parametrize("rtol", [1e-6, 1e-10])
+@pytest.mark.parametrize("case", ["torus", "rejections", "f9 no cubic"])
+def test_order4_control_agrees_with_the_x15_control(case, rtol):
+    # each accepted step of either control keeps its error estimate below
+    # rtol times the initial sup norm, so the two runs end within the sum of
+    # those bounds over the steps of both
+    kwargs = dict(EVOLVE_CASES[case](), rtol=rtol)
+    res = evolve(**kwargs)
+    times, _, _, sups, states, h_drift, k1_drift, steps = _step_doubling_oracle(
+        **kwargs, controller="x1.5")
+    assert res.times[-1] == pytest.approx(kwargs["T"]) == times[-1]
+    n = res.accepted + len(steps)
+    assert np.abs(res.states[-1] - states[-1]).max() <= n * rtol * sups[0]
+    assert abs(res.h_drift - h_drift) <= n * rtol and abs(res.k1_drift - k1_drift) <= n * rtol
+    # the order-4 control takes fewer steps than the x1.5 one on each case
+    assert res.accepted < len(steps)
 
 
 def test_evolve_step_accounting():
     u0 = {j: 0.5 * c for j, c in _random_real_data(n=8, seed=5).items()}
     res = evolve(u0, T=2.0, n_modes=16, dt=0.5, rtol=1e-8, f_spec=FSpec({9: 1.0}), cubic=False)
-    # dt 0.5 is rejected four times down to 2^-5, grows by 1.5, is rejected
-    # once more and ends on a step of 2^-6
-    assert (res.accepted, res.rejected) == (66, 5)
-    assert (res.dt_min, res.dt_max) == (2.0**-6, 1.5 * 2.0**-5)
+    # dt 0.5 is halved three times and rejected once more at 1/16, grows once
+    # to 0.0595, is rejected there, shrinks as the data steepen and ends on
+    # the remainder 0.01006
+    assert (res.accepted, res.rejected) == (45, 5)
+    assert (res.dt_min, res.dt_max) == pytest.approx((0.010062535374596, 0.059511837355164),
+                                                     rel=1e-9)
     fixed = evolve(_random_real_data(n=8), T=1.0, n_modes=16, adaptive=False, dt=0.25)
     assert (fixed.accepted, fixed.rejected, fixed.dt_min, fixed.dt_max) == (4, 0, 0.25, 0.25)
+    # ETDRK4 is exact on a linear flow: dt doubles from 0.01 up to the cap T/16
+    linear = evolve({2: 0.3, -2: 0.3}, T=3.0, n_modes=8, cubic=False, dt=0.01)
+    assert (linear.accepted, linear.rejected, linear.dt_max) == (20, 0, 3.0 / 16)
+
+
+def test_dt_grows_back_after_a_forced_rejection(monkeypatch):
+    # spoil the full step of the tenth attempt: its error estimate is huge, so
+    # dt is halved, and the next accepted step must take dt back up
+    tried = []
+    orig = DPEvolver.step_etdrk4
+
+    def spoiling(self, uhat, dt, coefs, Nu=None):
+        out = orig(self, uhat, dt, coefs, Nu)
+        if np.ndim(dt) == 2:  # the stacked full and first half step
+            tried.append(float(dt[0, 0]))
+            if len(tried) == 10:
+                out = out.copy()
+                out[0] += 1.0
+        return out
+
+    monkeypatch.setattr(DPEvolver, "step_etdrk4", spoiling)
+    res = evolve(_torus_initial_data(), T=1.0, n_modes=32)
+    assert res.rejected == 1
+    assert tried[10] == tried[9] / 2
+    assert tried[11] >= 0.99 * tried[9]
+
+
+def test_evolve_reuses_its_coefficient_sets(monkeypatch):
+    # one _phi_funcs call per step length and one per half step: from the
+    # solved torus the run takes three step lengths (0.01, the grown step and
+    # the remainder), so a change to the keep band or the step factor shows
+    calls = []
+
+    def counting(z):
+        calls.append(z)
+        return _phi_funcs(z)
+
+    monkeypatch.setattr(torus, "_phi_funcs", counting)
+    res = evolve(_torus_initial_data(), T=1.0, n_modes=32)
+    assert (res.accepted, res.rejected, len(calls)) == (76, 0, 6)
+    # the cache keeps only the latest entries
+    ev = DPEvolver(16)
+    for dt in np.linspace(0.01, 0.02, 3 * torus.COEF_CACHE):
+        coefs = ev.coefs((dt, dt / 2))
+    assert len(ev._coefs) == torus.COEF_CACHE
+    assert all(np.array_equal(a, b) for a, b in zip(coefs, DPEvolver(16).coefs((dt, dt / 2))))
 
 
 def test_evolver_grid_dealiases_the_top_power():
