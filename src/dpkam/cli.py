@@ -54,7 +54,10 @@ def _list(kind: Callable) -> Callable[[str], tuple]:
 
 
 def _f_coeffs(text: str) -> dict[int, float]:
-    coeffs = {int(k): float(c) for k, c in (item.split(":") for item in text.split())}
+    pairs = [(int(k), float(c)) for k, c in (item.split(":") for item in text.split())]
+    coeffs = dict(pairs)
+    if len(coeffs) < len(pairs):
+        raise ValueError("a degree is given twice")
     if not coeffs:
         return coeffs
     from . import torus as torus_mod
@@ -337,8 +340,7 @@ def cmd_spectrum(cfg: dict, outdir: str, budget: int) -> list[dict]:
                   scan.min_abs > 0, f"ell={w.ell}, j={w.j}, j'={w.jp}")]
 
 
-def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int,
-                threads: int = 0) -> list[dict]:
+def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int, threads: int) -> list[dict]:
     S = cfg["problem"]["splus"]
     a = cfg["problem"]["a"]
     mc = cfg["mc"]
@@ -349,6 +351,11 @@ def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int,
         cfgs = measure_mod.sweep_configs(S, a, eps_values, **_given(mc, "c_g1", "ell_max"))
     except ValueError as exc:
         raise UsageError(f"[mc] {exc}") from None
+    # eps number i draws from the Philox stream keyed by seed + i, a 64-bit integer
+    top = 2**63 - len(eps_values)
+    if not 0 <= seed <= top:
+        raise UsageError(f"--seed must lie in 0..{top} for {len(eps_values)} eps values, "
+                         f"got {seed}")
     if threads <= 0:
         threads = os.cpu_count() or 1
     sweep = measure_mod.measure_sweep(S, cfgs, family, samples, seed, threads=threads)
@@ -532,6 +539,8 @@ def main(argv: list[str] | None = None) -> int:
             overrides[key] = val
         if args.budget < 1:
             raise UsageError(f"--budget must be at least 1, got {args.budget}")
+        if args.threads < 0:
+            raise UsageError(f"--threads must be at least 0, got {args.threads}")
         cfg = load_config(args.config, overrides)
         extra = (args.seed, args.threads) if args.command == "measure" else ()
         checks = COMMANDS[args.command](cfg, args.out, args.budget, *extra)

@@ -120,19 +120,6 @@ def packet_sum(S: TangentialSet, ell: Sequence[int]) -> Fraction:
     return sum((Fraction(s, 1 + s * s) * e for s, e in zip(S.splus, ell)), Fraction(0))
 
 
-def is_in_wave_packet_class(S: TangentialSet, r: Fraction) -> bool:
-    """Exact wave-packet test: large clustered sites plus the |l|=4 condition."""
-    r = as_rational(r)
-    if not (0 < r < 1):
-        raise ValueError("wave-packet parameter must lie in (0, 1)")
-    if Fraction(min(S.splus)) * r <= 1:
-        return False
-    for s in S.splus:
-        if abs(Fraction(s, S.jbar1) - 1) > r:
-            return False
-    return all(packet_sum(S, ell) != 0 for ell in signed_ell_vectors(S.nu, 4))
-
-
 @dataclass(frozen=True)
 class ScalingParams:
     """Perturbation scalings: epsilon, a = 2b-2, gamma = eps^(2b), tau = 2nu+6."""

@@ -4,7 +4,7 @@ Parameters are sampled uniformly in the amplitude box xi in [1,2]^nu and
 pushed forward through the affine frequency map omega = omega_bar + eps^2 A xi,
 so fractions in xi equal fractions in omega.  Every exclusion test is affine
 in xi, |c0 + g.xi| < t; one builder per family returns those slabs, and the
-Monte-Carlo count, the slab quadrature and `in_g0` all read them.  Every scan
+Monte-Carlo count and the slab quadrature both read them.  Every scan
 records the truncations it used and, where one exists, the pruning bound that
 justifies them.
 """
@@ -44,14 +44,14 @@ class MelnikovConfig:
         return self.scaling.gamma
 
     @property
-    def gamma32(self) -> float:
-        return self.scaling.gamma ** 1.5
+    def gamma_0(self) -> float:
+        """gamma_0 = gamma (1 + 2^-0) of the first Melnikov conditions."""
+        return self.gamma * 2.0
 
-    def gamma_n(self, n: int) -> float:
-        return self.gamma * (1.0 + 2.0 ** (-n))
-
-    def gamma_n_star(self, n: int) -> float:
-        return self.gamma32 * (1.0 + 2.0 ** (-n))
+    @property
+    def gamma_0_star(self) -> float:
+        """gamma*_0 = gamma^(3/2) (1 + 2^-0) of the second Melnikov conditions."""
+        return self.scaling.gamma ** 1.5 * 2.0
 
 
 # -- frequency box geometry -------------------------------------------------------------
@@ -73,13 +73,10 @@ class FrequencyBox:
         return cls(S=S, td=td, eps=eps, A=np.array(td.A, dtype=float),
                    omega_bar=np.array(td.omega_bar, dtype=float))
 
-    def omega_of_xi(self, xi: np.ndarray) -> np.ndarray:
-        return self.omega_bar + self.eps**2 * xi @ self.A.T
-
     def ell_forms(self, ells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """omega.l = c0 + g.xi for each row l of `ells`, as (c0, g, scale);
         `scale` is the sum of the absolute values of the summands of
-        `omega_of_xi(xi) @ l` on the box."""
+        (omega_bar + eps^2 A xi) . l on the box."""
         A, wb = self.A, self.omega_bar
         e2 = self.eps**2
         return ells @ wb, e2 * (ells @ A), np.abs(ells) @ (np.abs(wb) + 2 * e2 * np.abs(A).sum(1))
@@ -122,7 +119,7 @@ def g0_0_slabs(box: FrequencyBox, ell_max: int, tau: int, gamma: float) -> Slabs
     return Slabs(c0, g, np.array([gamma * ell_bracket(ell) ** (-tau) for ell in ells]), scale)
 
 
-def g1_scan_pairs(S: TangentialSet, cfg: MelnikovConfig) -> tuple[list, float]:
+def g1_scan_pairs(S: TangentialSet) -> tuple[list, float]:
     """Momentum-compatible (ell, j, j') cases for the five-wave condition with
     the finite j-bound justified by the asymptotics of the divisor.
 
@@ -163,9 +160,9 @@ def g0_1_slabs(box: FrequencyBox, pairs: Sequence, M: np.ndarray, thr: float) ->
     l_j the coefficient vector of `spectrum.ell_j_form`, built once per
     distinct mode (with its exact two-form check) and once per distinct ell.
 
-    With M = A^T the frequency term is omega.l under `FrequencyBox.omega_of_xi`,
-    as `in_g0` needs.  A is not symmetric; `estimate_excluded_measure` passes
-    M = A, the form its recorded G0_1 counts were taken with."""
+    With M = A^T the frequency term is omega.l for omega = omega_bar +
+    eps^2 A xi.  A is not symmetric; `estimate_excluded_measure` passes M = A,
+    the form its recorded G0_1 counts were taken with."""
     S = box.S
     ell_list = sorted({ell for ell, _, _ in pairs})
     ell_base = np.array([float(sum(lam(s) * e for s, e in zip(S.splus, ell))) for ell in ell_list])
@@ -211,7 +208,7 @@ def first_melnikov_slabs(box: FrequencyBox, cfg: MelnikovConfig, jmax: int) -> I
     ells, rows = _ell_table(box.S.nu, cfg.ell_max)
     wl_c0, wl_g, wl_scale = box.ell_forms(rows)
     for i, ell in enumerate(ells):
-        thr = 2.0 * cfg.gamma_n(0) * ell_bracket(ell) ** (-cfg.scaling.tau)
+        thr = 2.0 * cfg.gamma_0 * ell_bracket(ell) ** (-cfg.scaling.tau)
         yield Slabs(wl_c0[i] + mode.c0, wl_g[i] + mode.g, thr + mode.t, wl_scale[i] + mode.scale)
 
 
@@ -234,7 +231,7 @@ def second_melnikov_slabs(box: FrequencyBox, cfg: MelnikovConfig, jmax: int) -> 
         jdx = np.flatnonzero(np.abs(k) <= jmax)
         kdx = pos[k[jdx] + jmax]
         jdx, kdx = jdx[kdx >= 0], kdx[kdx >= 0]
-        thr2 = 2.0 * cfg.gamma_n_star(0) * ell_bracket(ell) ** (-cfg.scaling.tau)
+        thr2 = 2.0 * cfg.gamma_0_star * ell_bracket(ell) ** (-cfg.scaling.tau)
         yield Slabs(
             wl_c0[i] + lam_v[jdx] - lam_v[kdx],
             wl_g[i] + d_g[jdx] - d_g[kdx],
@@ -272,10 +269,10 @@ def _mode_table(S: TangentialSet, jmax: int) -> tuple[np.ndarray, ...]:
     return table
 
 
-def pruning_slope_constant(S: TangentialSet, m_abs: float = 1.0) -> float:
-    """C-tilde = |m| / (4 |omega_bar|), the pruning slope of the resonant sets."""
+def pruning_slope_constant(S: TangentialSet) -> float:
+    """C-tilde = |m| / (4 |omega_bar|) at |m| = 1, the pruning slope of the resonant sets."""
     wb = np.array([float(lam(s)) for s in S.splus])
-    return m_abs / (4.0 * float(np.linalg.norm(wb)))
+    return 1.0 / (4.0 * float(np.linalg.norm(wb)))
 
 
 def _melnikov_j_range(S: TangentialSet, cfg: MelnikovConfig) -> int:
@@ -341,23 +338,7 @@ def slab_volumes(c0: np.ndarray, g: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.clip(vol, 0.0, 1.0)
 
 
-# -- G0 membership ----------------------------------------------------------------------
-
-
-def in_g0(xi: Sequence[float], S: TangentialSet, cfg: MelnikovConfig) -> tuple[bool, bool]:
-    """(zeroth Melnikov flag, five-wave flag) for the frequency in Omega_eps
-    of the amplitude xi.
-
-    Both flags test the slabs of `g0_0_slabs` (0 < |l| <= cfg.ell_max,
-    truncation recorded by the caller via `g0_truncation_note`) and of
-    `g0_1_slabs` (the pruning-justified finite case list, with M = A^T so
-    that the frequency term is omega.l) at xi."""
-    eps = cfg.scaling.epsilon
-    x = np.asarray(xi, dtype=float)
-    box = FrequencyBox.make(S, eps)
-    g0 = g0_0_slabs(box, cfg.ell_max, cfg.scaling.tau, cfg.gamma)
-    g1 = g0_1_slabs(box, g1_scan_pairs(S, cfg)[0], box.A.T, cfg.c_g1 * cfg.gamma)
-    return tuple(not bool(np.any(np.abs(s.c0 + s.g @ x) < s.t)) for s in (g0, g1))
+# -- the G0_0 truncation and the measure lemma --------------------------------------------
 
 
 def g0_truncation_note(cfg: MelnikovConfig) -> str:
@@ -479,7 +460,7 @@ def estimate_excluded_measure(
     if family == "G0_0":
         blocks = [g0_0_slabs(box, cfg.ell_max, cfg.scaling.tau, cfg.gamma)]
     elif family == "G0_1":
-        pairs, min_ell = g1_scan_pairs(S, cfg)
+        pairs, min_ell = g1_scan_pairs(S)
         notes.append(f"five-wave scan over {len(pairs)} momentum cases, min_ell={min_ell}")
         blocks = [g0_1_slabs(box, pairs, box.A, cfg.c_g1 * cfg.gamma)]
     else:
@@ -559,8 +540,7 @@ def fit_loglog_slope(
             continue
         xs.append(math.log(e))
         ys.append(math.log(mval))
-        rel = s / mval if mval > 0 else 1.0
-        ws.append(1.0 / max(rel, 1e-12) ** 2)
+        ws.append(1.0 / max(s / mval, 1e-12) ** 2)
     if len(xs) < 2:
         return float("nan"), float("nan")
     xs_a, ys_a, ws_a = map(np.asarray, (xs, ys, ws))
@@ -602,7 +582,7 @@ def measure_sweep(
         return estimate_excluded_measure(S, cfg, family, samples, seed + i)
 
     jobs = list(enumerate(cfgs))
-    if threads and threads > 1:
+    if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:

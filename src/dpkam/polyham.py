@@ -177,19 +177,6 @@ class HomPoly:
 
     # -- invariants ------------------------------------------------------------
 
-    def is_real_hamiltonian(self) -> bool:
-        """Reality: the coefficient of -M is the conjugate of that of M, so
-        coeff(-M) = (-1)^p coeff(M) for the phase i^p."""
-        sign = -1 if self.imaginary else 1
-        for m, c in self.terms.items():
-            neg = tuple(sorted(-j for j in m))
-            if self.terms.get(neg, 0) != sign * c:
-                return False
-        return True
-
-    def preserves_momentum(self) -> bool:
-        return all(monomial_momentum(m) == 0 for m in self.terms)
-
     def max_abs_index(self) -> int:
         return max((max(abs(j) for j in m) for m in self.terms), default=0)
 
@@ -270,25 +257,17 @@ def poisson_bracket(
     return out
 
 
-def adjoint_action_h2(K: HomPoly) -> HomPoly:
-    """ad_{H2}[K]: multiply each monomial coefficient by i * sum lambda(j_i)."""
-    return K.multiplier(monomial_lambda_sum, times_i=True)
+def solve_homological(K: HomPoly) -> HomPoly:
+    """Inverse of the adjoint action on the range: F_M = K_M / (i sum lambda(j_i)).
 
-
-def solve_homological(
-    K: HomPoly, divisor: Callable[[Monomial], Fraction] = monomial_lambda_sum
-) -> HomPoly:
-    """Inverse of the adjoint action on the range: F_M = K_M / (i divisor(M)),
-    with divisor sum lambda(j_i) by default.
-
-    Kernel monomials (divisor 0) are dropped silently; for the default
-    divisor, project_kernel retrieves them.
+    Kernel monomials (divisor 0) are dropped silently; project_kernel
+    retrieves them.
     """
 
     minus_one = Fraction(-1)
 
     def inverse(m: Monomial) -> Fraction:
-        d = divisor(m)
+        d = monomial_lambda_sum(m)
         return minus_one / d if d else 0  # 1/(i d) = -i/d
 
     return K.multiplier(inverse, times_i=True)
@@ -299,10 +278,6 @@ def solve_homological(
 
 def project_kernel(K: HomPoly) -> HomPoly:
     return K.map_filter(lambda m: monomial_lambda_sum(m) == 0)
-
-
-def project_range(K: HomPoly) -> HomPoly:
-    return K.map_filter(lambda m: monomial_lambda_sum(m) != 0)
 
 
 def is_trivial_monomial(mono: Monomial) -> bool:
@@ -395,25 +370,3 @@ def serialize(K: HomPoly) -> str:
         idx = " ".join(str(j) for j in m)
         lines.append(f"{idx}  {re}  {im}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def deserialize(text: str, degree: int, momentum: bool = False) -> HomPoly:
-    """Inverse of `serialize`; the phase is read off the lines, and a line or
-    a polynomial mixing real and imaginary parts raises ValueError."""
-    terms: dict[Monomial, Fraction] = {}
-    phases = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        idx = tuple(int(p) for p in parts[:-2])
-        re, im = (Fraction(int(n), int(d)) for n, d in (p.split("/") for p in parts[-2:]))
-        if re and im:
-            raise ValueError(f"monomial {idx} has both a real and an imaginary part")
-        if re or im:
-            phases.add(bool(im))
-        terms[idx] = im or re
-    if len(phases) > 1:
-        raise ValueError("the polynomial mixes real and imaginary coefficients")
-    return HomPoly(degree, terms, momentum, imaginary=True in phases)

@@ -20,14 +20,13 @@ from .core import (
 )
 from .polyham import (
     HomPoly,
-    adjoint_action_h2,
     i_power,
     poisson_bracket,
     project_trivial,
     project_z_degree,
     solve_homological,
 )
-from .twist import b_jk, mat_vec, twist_matrix, v_vec, w_vec
+from .twist import b_jk, v_vec, w_vec
 from .wbnf import dp_h3, twist_cross_sum
 
 
@@ -72,33 +71,14 @@ def ell_j(S: TangentialSet, xi: Sequence, j: int) -> Fraction:
     return sum((c * x for c, x in zip(ell_j_form(S, j), vals)), Fraction(0))
 
 
-def kappa_j(S: TangentialSet, xi: Sequence, j: int) -> Fraction:
-    """kappa_j = lambda(j) (l_j - c), checked against the single-fraction form."""
-    vals = _xi_fractions(S, xi)
-    return _kappa(S, vals, j, ell_j(S, vals, j), c_of_xi(S, vals))
-
-
-def _kappa(
-    S: TangentialSet, vals: Sequence[Fraction], j: int, lj: Fraction, c: Fraction
-) -> Fraction:
-    value = lam(j) * (lj - c)
-    combined = sum((wc * x for wc, x in zip(w_vec(S, j), vals)), Fraction(0))
-    if value != combined:
-        raise SpectrumError(f"kappa_j forms disagree at j={j}")
-    return value
-
-
-RESIDUAL_CONSTANT = 1.0  # C of the bound |r_j^infty| <= C eps^(4-3a) / <j>
-
-
 @dataclass
 class EigenModel:
     """First-order reduced eigenvalues d_j = m lambda(j) + eps^2 kappa_j.
 
     m is modelled as 1 + eps^2 c only; the eps^4 correction d(omega) of the
     full reduction is not asserted (its closed-form coefficients are not
-    specified), and the KAM residuals r_j^infty are carried as a bound, not
-    values.
+    specified), and the KAM residuals r_j^infty are not modelled: `measure`
+    adds their bound eps^(4-3a)/<j> to its thresholds.
     """
 
     S: TangentialSet
@@ -115,32 +95,24 @@ class EigenModel:
     def m(self) -> float:
         return 1.0 + self.scaling.epsilon**2 * float(self.c)
 
-    def m_exact(self, eps: Fraction) -> Fraction:
-        return 1 + Fraction(eps) ** 2 * self.c
-
     def ell(self, j: int) -> Fraction:
         return ell_j(self.S, self.xi, j)
 
-    def kappa(self, j: int) -> Fraction:
-        return _kappa(self.S, self.xi, j, self.ell(j), self.c)
-
-    def d0(self, j: int) -> float:
-        return self._d0(j, self.kappa(j))
-
-    def _d0(self, j: int, kj: Fraction) -> float:
-        return self.m * float(lam(j)) + self.scaling.epsilon**2 * float(kj)
-
-    def residual_bound(self, j: int) -> float:
-        """|r_j^infty| <= C eps^(4-3a) / <j> (bound only; the KAM iteration
-        producing the residuals is out of scope)."""
-        e, a = self.scaling.epsilon, self.scaling.a
-        return RESIDUAL_CONSTANT * e ** (4.0 - 3.0 * a) / max(1, abs(j))
+    def kappa(self, j: int, lj: Fraction) -> Fraction:
+        """kappa_j = lambda(j) (l_j - c) from lj = `ell(j)`, checked against
+        the single-fraction form w_j . xi."""
+        value = lam(j) * (lj - self.c)
+        combined = sum((wc * x for wc, x in zip(w_vec(self.S, j), self.xi)), Fraction(0))
+        if value != combined:
+            raise SpectrumError(f"kappa_j forms disagree at j={j}")
+        return value
 
     def row(self, j: int) -> tuple:
-        """The `COLUMNS` of mode j, with kappa_j computed once."""
+        """The `COLUMNS` of mode j, with l_j and kappa_j computed once."""
         lj = self.ell(j)
-        kj = _kappa(self.S, self.xi, j, lj, self.c)
-        return (j, float(lam(j)), float(lj), float(kj), float(j * kj), self._d0(j, kj))
+        kj = self.kappa(j, lj)
+        d0 = self.m * float(lam(j)) + self.scaling.epsilon**2 * float(kj)
+        return (j, float(lam(j)), float(lj), float(kj), float(j * kj), d0)
 
 
 # -- small divisors ---------------------------------------------------------------------
@@ -152,58 +124,10 @@ class SmallDivisor:
     j: int
     jp: int
     delta: Fraction
-    delta_star: float | None
-    momentum_ok: bool
 
 
 def omega_bar_dot(S: TangentialSet, ell: Sequence[int]) -> Fraction:
     return sum((lam(s) * e for s, e in zip(S.splus, ell)), Fraction(0))
-
-
-def small_divisor(
-    S: TangentialSet,
-    ell: Sequence[int],
-    j: int,
-    jp: int,
-    xi: Sequence | None = None,
-    eps: float | None = None,
-) -> SmallDivisor:
-    """delta = omega_bar . ell + lambda(j) - lambda(j'); delta* adds the
-    eps^2 (A xi . ell + lambda(j') l_{j'} - lambda(j) l_j) correction."""
-    ell = tuple(int(e) for e in ell)
-    delta = omega_bar_dot(S, ell) + lam(j) - lam(jp)
-    momentum_ok = sum(s * e for s, e in zip(S.splus, ell)) + j - jp == 0
-    delta_star = None
-    if xi is not None and eps is not None:
-        td = twist_matrix(S)
-        axi = mat_vec(td.A, _xi_fractions(S, xi))
-        corr = sum((a * e for a, e in zip(axi, ell)), Fraction(0))
-        corr += lam(jp) * ell_j(S, xi, jp) - lam(j) * ell_j(S, xi, j)
-        delta_star = float(delta) + float(eps) ** 2 * float(corr)
-    return SmallDivisor(ell, j, jp, delta, delta_star, momentum_ok)
-
-
-def divisor_closed_form_ell1(j: int, jp: int) -> Fraction:
-    """lambda(j-j') - lambda(j) + lambda(j') =
-    3 j j' (j-j') (3 + j j' + (j-j')^2) / ((1+j^2)(1+j'^2)(1+(j-j')^2))."""
-    m = j - jp
-    if m == 0:
-        raise ValueError("needs j != j'")
-    num = 3 * j * jp * m * (3 + j * jp + m * m)
-    den = (1 + j * j) * (1 + jp * jp) * (1 + m * m)
-    return Fraction(num, den)
-
-
-def divisor_closed_form_ell2(j1: int, j2: int, j: int) -> Fraction:
-    """lambda(j1)+lambda(j2)+lambda(j)-lambda(j1+j2+j) in the factored form
-    3 (j1+j2)(j1+j)(j2+j) P(j1,j2,j) with
-    P = (3 + x^2+y^2+z^2 + xy+xz+yz + xyz(x+y+z)) / prod(1 + .^2)."""
-    x, y, z = j1, j2, j
-    num = (
-        3 + x * x + y * y + z * z + x * y + x * z + y * z + x * y * z * (x + y + z)
-    )
-    den = (1 + x * x) * (1 + y * y) * (1 + z * z) * (1 + (x + y + z) ** 2)
-    return 3 * Fraction((x + y) * (x + z) * (y + z)) * Fraction(num, den)
 
 
 def momentum_ells(S: TangentialSet, ell_bound: int):
@@ -260,7 +184,7 @@ def min_divisor_scan(
                 continue
             if best_num is None or abs(num) * best_den < best_num * Q * D:
                 best_num, best_den = abs(num), Q * D
-                witness = SmallDivisor(tuple(ell), j, jp, Fraction(num, Q * D), None, True)
+                witness = SmallDivisor(tuple(ell), j, jp, Fraction(num, Q * D))
     if best_num is None:
         raise SpectrumError("no nonzero divisors in the scanned range")
     return DivisorScan(min_abs=abs(witness.delta), witness=witness, checked=checked)
@@ -271,8 +195,8 @@ def min_divisor_scan(
 # A p-homogeneous function of the unperturbed wave packet is a degree-p
 # HomPoly over the sites S: the monomial (s_1 <= ... <= s_p) stands for
 # sqrt(xi_{|s_1|} ... xi_{|s_p|}) e^{i (sum s_i) x} e^{i (sum l(s_i)) phi}, so
-# omega_bar . d_phi is `adjoint_action_h2` (l is additive) and d_x multiplies
-# by i sum s_i.
+# omega_bar . d_phi multiplies by i sum lambda(s_i) (l is additive), as ad_{H2}
+# does, and d_x multiplies by i sum s_i.
 
 
 def dx(K: HomPoly) -> HomPoly:
@@ -299,31 +223,6 @@ def beta1_symbol(S: TangentialSet) -> HomPoly:
     return HomPoly(
         1, {(s,): Fraction(-(1 + s * s), 3 * s) for s in S.sites}, imaginary=True
     )
-
-
-def transport_divisor(indices: Sequence[int]) -> Fraction:
-    """sum_i 3 j_i/(1+j_i^2) = sum_i (lambda(j_i) - j_i)."""
-    return sum((lam(j) - j for j in indices), Fraction(0))
-
-
-def solve_transport(f: HomPoly, S: TangentialSet) -> tuple[HomPoly, HomPoly]:
-    """Solve omega_bar . d_phi beta - beta_x = f termwise.
-
-    Non-resonant tuples get beta = f / (i * divisor); resonant tuples
-    (vanishing transport divisor) are returned separately -- for p = 2 they
-    are the spatial average, for p = 4 they feed the eps^4 frequency
-    correction d(omega)."""
-    if f.degree > 5:
-        raise SpectrumError("transport equations are solved for p <= 5")
-    resonant = f.map_filter(lambda m: transport_divisor(m) == 0)
-    return solve_homological(f, transport_divisor), resonant
-
-
-def beta1_solves_transport(S: TangentialSet) -> bool:
-    """Coefficientwise check that beta_1 solves
-    omega_bar . d_phi beta - beta_x - vbar = 0."""
-    b = beta1_symbol(S)
-    return (adjoint_action_h2(b) - dx(b) - vbar_symbol(S)).is_zero()
 
 
 def psi2_symbol(S: TangentialSet, F3: HomPoly) -> HomPoly:

@@ -107,10 +107,6 @@ class TruncationGrid:
         # functional (3N+1 would already dealias the cubic terms).
         return fast_len(4 * self.n_phi + 2)
 
-    @property
-    def n_ell(self) -> int:
-        return 2 * self.n_phi + 1
-
 
 def normal_modes(S: TangentialSet, n_x: int) -> list[int]:
     return [j for j in range(-n_x, n_x + 1) if S.in_sc(j)]

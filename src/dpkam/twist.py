@@ -10,7 +10,6 @@ with D = diag(lambda(j)) and B the off-diagonal matrix of cross sums b_jk.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -80,21 +79,6 @@ def mat_det(A: Matrix) -> Fraction:
     return _eliminate(A)[0]
 
 
-def mat_det_cofactor(A: Matrix) -> Fraction:
-    """Cofactor expansion; independent oracle for small matrices."""
-    n = len(A)
-    if n == 1:
-        return A[0][0]
-    total = Fraction(0)
-    for c in range(n):
-        if A[0][c] == 0:
-            continue
-        minor = [[A[r][cc] for cc in range(n) if cc != c] for r in range(1, n)]
-        sign = Fraction(-1) ** c
-        total += sign * A[0][c] * mat_det_cofactor(minor)
-    return total
-
-
 def mat_solve(A: Matrix, b: Vector) -> Vector:
     """Exact solve A x = b (Gaussian elimination); ZeroDivisionError on a singular A."""
     det, x = _eliminate(A, b)
@@ -136,52 +120,6 @@ def twist_matrix(S: TangentialSet) -> TwistData:
     return TwistData(S=S, A=A, omega_bar=list(linear_frequencies(S)), det_A=mat_det(A))
 
 
-# -- normalized determinant (appendix substitution jbar1 = 1/x) -----------------------
-
-
-def normalized_det(x: Fraction, p: Sequence[Fraction]) -> Fraction:
-    """det K where A = (2/9) diag(lambda(j)(1+j^2)) K under jbar1 = 1/x,
-    jbar_i = p_i/x.  Entries are continued rationally to x = 0:
-
-        K_ii = 1 + x^2/p_i^2,
-        K_ik = 3 (x^2+p_k^2)(2x^2+p_k^2+p_i^2)
-               / ((3x^2+p_k^2+p_i^2+p_k p_i)(3x^2+p_k^2+p_i^2-p_k p_i)).
-    """
-    x = Fraction(x)
-    ps = [Fraction(q) for q in p]
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if any(not (0 < q <= 1) for q in ps):
-        raise ValueError("p entries must lie in (0, 1]")
-    if x > 0 and any(q / x <= 0 for q in ps):
-        raise ValueError("mapped sites must stay positive")
-    nu = len(ps)
-    K: Matrix = [[Fraction(0)] * nu for _ in range(nu)]
-    for i in range(nu):
-        K[i][i] = 1 + x * x / (ps[i] * ps[i])
-        for k in range(nu):
-            if k == i:
-                continue
-            pi, pk = ps[i], ps[k]
-            num = 3 * (x * x + pk * pk) * (2 * x * x + pk * pk + pi * pi)
-            den = (3 * x * x + pk * pk + pi * pi + pk * pi) * (
-                3 * x * x + pk * pk + pi * pi - pk * pi
-            )
-            K[i][k] = num / den
-    return mat_det(K)
-
-
-def normalized_det_limit_form(x: Fraction, nu: int) -> Fraction:
-    """Closed form of det K at p = 1:
-    ((1+x^2)/(1+3x^2))^nu (3x^2-1)^(nu-1) (3x^2+2nu-1)."""
-    x = Fraction(x)
-    return (
-        ((1 + x * x) / (1 + 3 * x * x)) ** nu
-        * (3 * x * x - 1) ** (nu - 1)
-        * (3 * x * x + 2 * nu - 1)
-    )
-
-
 # -- frequency-amplitude map ----------------------------------------------------------
 
 
@@ -197,23 +135,6 @@ def frequency_map(S: TangentialSet, xi: Sequence, eps: Fraction) -> list[Fractio
     e2 = Fraction(eps) ** 2
     Ax = mat_vec(td.A, [Fraction(v) for v in xi])
     return [w + e2 * a for w, a in zip(td.omega_bar, Ax)]
-
-
-def inverse_frequency_map(
-    S: TangentialSet, omega: Sequence, eps: Fraction, tol: float = 1e-9
-) -> list[Fraction]:
-    """Solve omega = omega_bar + eps^2 A xi for xi, exactly: omega and eps
-    must be int or Fraction (TypeError otherwise); rejects xi outside
-    [1,2]^nu beyond `tol`."""
-    if not all(isinstance(v, (int, Fraction)) for v in (*omega, eps)):
-        raise TypeError("inverse_frequency_map takes exact omega and eps (int or Fraction)")
-    td = twist_matrix(S)
-    e2 = Fraction(eps) ** 2
-    xi = mat_solve(td.A, [(Fraction(w) - wb) / e2 for w, wb in zip(omega, td.omega_bar)])
-    vals = [float(v) for v in xi]
-    if any(v < 1 - tol or v > 2 + tol for v in vals):
-        raise ValueError(f"omega maps to xi = {vals} outside the parameter box [1,2]^nu")
-    return xi
 
 
 # -- kappa coefficient vectors --------------------------------------------------------
@@ -242,21 +163,17 @@ def w_vec(S: TangentialSet, j: int) -> Vector:
 # -- non-degeneracy report ------------------------------------------------------------
 
 
-def _distance(ell: tuple[int, ...], x: Sequence[float]) -> float:
-    """|ell - x| / |ell|_1 with the Euclidean numerator in floats: the value
-    the scans (iii) report.  Its squares and root are correctly rounded, so
-    the value does not depend on the platform's libm."""
-    return math.sqrt(sum((e - v) * (e - v) for e, v in zip(ell, x))) / ell_norm(ell)
-
-
 class _NearestEll:
-    """Running first minimum of `_distance(ell, x)` over blocks of rows x,
-    taken in order, and the ells, in order within each row.
+    """Running first minimum of |ell - x| / |ell|_1 over blocks of rows x,
+    taken in order, and the ells, in order within each row: the value the
+    scans (iii) report.
 
-    Numpy ranks a block at once with the operations of `_distance`, in its
-    order, so each entry equals `_distance` bit for bit: the first minimum of
-    a block is the first in (row, ell) order, and a later block takes over
-    only with a strictly smaller value."""
+    Numpy ranks a block at once with the operations of the scalar formula
+    sqrt(sum (e - v)^2) / |ell|_1 in floats, in its order, so each entry
+    equals that formula bit for bit (its squares and root are correctly
+    rounded, so the value does not depend on the platform's libm): the first
+    minimum of a block is the first in (row, ell) order, and a later block
+    takes over only with a strictly smaller value."""
 
     def __init__(self, ells: list[tuple[int, ...]]):
         self.ells = ells

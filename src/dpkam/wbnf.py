@@ -125,18 +125,6 @@ def _is_h2_resonant(mono: Monomial) -> bool:
     return sum(num[j] for j in mono) == 0
 
 
-def is_M_resonance(indices, M: int) -> bool:
-    """Momentum, lambda-sum, and the hierarchy weights for r = 2..M+1, exactly."""
-    if M < 3:
-        raise ValueError("M-resonances are defined for M >= 3")
-    mono = tuple(sorted(int(j) for j in indices))
-    if any(j == 0 for j in mono):
-        raise ValueError("indices must be nonzero")
-    if not _is_h2_resonant(mono):
-        return False
-    return all(weight_sum(mono, r) == 0 for r in range(2, M + 2))
-
-
 def m_resonant_up_to(mono: Monomial, m_cap: int) -> int:
     """Largest M <= m_cap with all hierarchy conditions r = 2..M+1; 0 if none."""
     if not _is_h2_resonant(mono):

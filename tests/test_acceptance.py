@@ -30,7 +30,6 @@ import pytest
 from dpkam.core import (
     ScalingParams,
     TangentialSet,
-    is_in_wave_packet_class,
     lam,
 )
 from dpkam.measure import (
@@ -43,18 +42,13 @@ from dpkam.spectrum import (
     EigenModel,
     c_of_xi,
     c_via_f2,
-    divisor_closed_form_ell1,
-    divisor_closed_form_ell2,
     ell_j_form,
     identification_check,
-    kappa_j,
     momentum_ells,
     omega_bar_dot,
 )
 from dpkam.twist import (
     b_jk,
-    normalized_det,
-    normalized_det_limit_form,
     twist_matrix,
 )
 from dpkam.torus import (
@@ -72,6 +66,14 @@ from dpkam.wbnf import (
     run_wbnf,
     twist_cross_sum,
     weight_sum,
+)
+from reference import (
+    divisor_closed_form_ell1,
+    divisor_closed_form_ell2,
+    in_g0,
+    is_in_wave_packet_class,
+    normalized_det,
+    normalized_det_limit_form,
 )
 
 S67 = TangentialSet.make([6, 7])
@@ -218,13 +220,14 @@ def test_criterion_05_reduction_constant():
 def test_criterion_06_eigenvalue_decay():
     xi = (Fraction(1), Fraction(1))
     c = c_of_xi(S67, xi)
+    model = EigenModel(S67, xi, ScalingParams(epsilon=1e-3, a=0.1, nu=2))
     best = Fraction(0)
     best_j = None
     val_1000 = None
     for j in range(1, 10001):
         if not S67.in_sc(j):
             continue
-        k = kappa_j(S67, xi, j)  # odd in j, so positive j suffice
+        k = model.kappa(j, model.ell(j))  # odd in j, so positive j suffice
         v = abs(j * k)
         if v > best:
             best, best_j = v, j
@@ -357,7 +360,7 @@ def test_criterion_09_torus_solve(torus_1em3):
     t0 = time.monotonic()
     prob, sol = torus_1em3
     elapsed = time.monotonic() - t0
-    from dpkam.measure import MelnikovConfig, in_g0
+    from dpkam.measure import MelnikovConfig
 
     cfg = MelnikovConfig(
         scaling=ScalingParams(epsilon=1e-3, a=0.1, nu=2), ell_max=12
@@ -447,7 +450,8 @@ def test_criterion_10_spectrum_order(torus_1em3):
         model = EigenModel(S67, XI, prob.scaling)
         remax = max(remax, float(np.abs(op.eigvals.real).max()))
         for j in modes:
-            devs[j][float(eps_f)] = abs(op.matched[((0, 0), j)] + 1j * model.d0(j))
+            d0 = model.row(j)[-1]
+            devs[j][float(eps_f)] = abs(op.matched[((0, 0), j)] + 1j * d0)
     table = {j: deviation_order(devs[j]) for j in modes}
     table3 = {
         j: deviation_order({e: d / e for e, d in devs[j].items()}) for j in modes

@@ -341,6 +341,13 @@ REJECTED = {
                                               "scan.spectrum_j_max=7"], "holds no normal mode"),
     "budget 0": ("resonances", "", ["--budget", "0"], "--budget must be at least 1"),
     "budget -5": ("resonances", "", ["--budget", "-5"], "--budget must be at least 1, got -5"),
+    # refused before the sweep starts a thread
+    "threads -3": ("measure", "", ["--threads", "-3"], "--threads must be at least 0, got -3"),
+    "f_coeffs repeated degree": ("resonances", "", ["--set", "problem.f_coeffs=9:1 9:2"],
+                                 "[problem] f_coeffs: '9:1 9:2' (a degree is given twice)"),
+    # eps number i keys its Philox stream with seed + i: five eps need seed <= 2^63 - 5
+    "seed -1": ("measure", "", ["--seed", "-1"], f"--seed must lie in 0..{2**63 - 5} for 5 eps"),
+    "seed 2^63": ("measure", "", ["--seed", str(2**63)], f"got {2**63}"),
 }
 
 

@@ -5,11 +5,11 @@ import pytest
 from dpkam.core import (
     ScalingParams,
     TangentialSet,
-    is_in_wave_packet_class,
     kr_weight,
     lam,
     linear_frequencies,
 )
+from reference import is_in_wave_packet_class
 
 
 def test_lambda_values():

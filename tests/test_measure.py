@@ -18,7 +18,6 @@ from dpkam.measure import (
     g0_0_slabs,
     g0_1_slabs,
     g1_scan_pairs,
-    in_g0,
     measure_sweep,
     pruning_slope_constant,
     second_melnikov_slabs,
@@ -27,9 +26,10 @@ from dpkam.measure import (
     sweep_configs,
     _melnikov_j_range,
 )
-from dpkam.spectrum import kappa_j, c_of_xi
+from dpkam.spectrum import EigenModel, c_of_xi
 from dpkam.twist import frequency_map
 from fractions import Fraction
+from reference import in_g0
 
 S67 = TangentialSet.make([6, 7])
 
@@ -113,7 +113,7 @@ def test_frequency_box_volume():
         abs(float(box.td.det_A)) * 0.1**4
     )
     xi = np.array([[1.0, 1.0]])
-    w = box.omega_of_xi(xi)
+    w = box.omega_bar + box.eps**2 * xi @ box.A.T
     expect = [float(v) for v in frequency_map(S67, [1, 1], Fraction(1, 10))]
     assert w[0] == pytest.approx(expect)
 
@@ -143,7 +143,7 @@ def test_in_g0_five_wave_divisor_is_omega_dot_ell():
 
     smallest = min(
         abs(sum(w * e for w, e in zip(omega, ell)) + mu(jp) - mu(j))
-        for ell, j, jp in g1_scan_pairs(S67, cfg)[0]
+        for ell, j, jp in g1_scan_pairs(S67)[0]
     )
     x = [float(v) for v in xi]
     for factor, flag in ((1 - 1e-9, True), (1 + 1e-9, False)):
@@ -162,7 +162,7 @@ def test_g0_0_excludes_near_resonant_frequencies():
 
 
 def test_g1_scan_pairs_momentum():
-    pairs, min_ell = g1_scan_pairs(S67, _cfg())
+    pairs, min_ell = g1_scan_pairs(S67)
     assert min_ell > 0
     for ell, j, jp in pairs:
         assert 6 * ell[0] + 7 * ell[1] + jp - j == 0
@@ -223,7 +223,7 @@ def _labelled_cases(cfg, eps):
         return lambda xi, w, m, d: sum(a * e for a, e in zip(w, ell))
 
     out = [("G0_0", g0_0_slabs(box, cfg.ell_max, cfg.scaling.tau, cfg.gamma), [wl(e) for e in ells])]
-    pairs = g1_scan_pairs(S67, cfg)[0]
+    pairs = g1_scan_pairs(S67)[0]
     A = box.td.A
     for name, M in (("G0_1 A^T", lambda i, k: A[k][i]), ("G0_1 A", lambda i, k: A[i][k])):
         def five(ell, j, jp, M=M):
@@ -259,10 +259,11 @@ def test_affine_decomposition_reconstruction():
         xi = [Fraction(v) for v in x]
         w = frequency_map(S67, xi, Fraction(eps))
         m = 1 + Fraction(eps) ** 2 * c_of_xi(S67, xi)
+        model = EigenModel(S67, xi, cfg.scaling)
 
         @functools.cache
         def d(j):
-            return m * lam(j) + Fraction(eps) ** 2 * kappa_j(S67, xi, j)
+            return m * lam(j) + Fraction(eps) ** 2 * model.kappa(j, model.ell(j))
 
         for name, slabs, divisors in _labelled_cases(cfg, eps):
             assert len(divisors) == len(slabs.t), name
@@ -380,7 +381,7 @@ def _unpruned_excluded(S, cfg, family, samples, seed):
         done += size
         widx += 1
     xi = np.concatenate(chunks, axis=0)
-    w = box.omega_of_xi(xi)
+    w = box.omega_bar + box.eps**2 * xi @ box.A.T
     ells = [ell for n in range(1, cfg.ell_max + 1) for ell in signed_ell_vectors(nu, n)]
     excluded = np.zeros(samples, dtype=bool)
     e2 = eps**2
@@ -389,7 +390,7 @@ def _unpruned_excluded(S, cfg, family, samples, seed):
             thr = cfg.gamma * ell_bracket(ell) ** (-cfg.scaling.tau)
             excluded |= np.abs(w @ np.asarray(ell, dtype=float)) < thr
     elif family == "G0_1":
-        pairs, _ = g1_scan_pairs(S, cfg)
+        pairs, _ = g1_scan_pairs(S)
         A = box.A
         for ell, j, jp in pairs:
             base = float(sum(lam(s) * e for s, e in zip(S.splus, ell)))
@@ -412,14 +413,14 @@ def _unpruned_excluded(S, cfg, family, samples, seed):
         )
         for ell in ells:
             wl = w @ np.asarray(ell, dtype=float)
-            thr = 2.0 * cfg.gamma_n(0) * ell_bracket(ell) ** (-cfg.scaling.tau)
+            thr = 2.0 * cfg.gamma_0 * ell_bracket(ell) ** (-cfg.scaling.tau)
             if family == "first_melnikov":
                 for idx, j in enumerate(js):
                     t = thr + margin[idx]
                     excluded |= np.abs(wl + m * j) < t
                     excluded |= np.abs(wl + d[:, idx]) < t
             else:
-                thr2 = 2.0 * cfg.gamma_n_star(0) * ell_bracket(ell) ** (-cfg.scaling.tau)
+                thr2 = 2.0 * cfg.gamma_0_star * ell_bracket(ell) ** (-cfg.scaling.tau)
                 shift = sum(s * e for s, e in zip(S.splus, ell))
                 for idx, j in enumerate(js):
                     k = j - shift
@@ -443,7 +444,7 @@ def test_box_pruning_matches_unpruned_loops(family, eps, ell_max, seed):
                                        est.notes[-1]).groups())
     assert 0 <= met <= total
     if family == "G0_1":
-        assert total == len(g1_scan_pairs(S67, cfg)[0])
+        assert total == len(g1_scan_pairs(S67)[0])
     # the new note stays out of the patterns that read the scan sizes from the notes
     assert not re.search(r"over (\d+) momentum cases|\|j\| <= (\d+)", est.notes[-1])
 

