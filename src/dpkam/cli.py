@@ -193,10 +193,10 @@ def _j_bound(cfg: dict, S: TangentialSet, default: int) -> int:
     return j_bound
 
 
-def _within_budget(budget: int, work: int, what: str) -> None:
-    """Refuse, before any work, a scan of `work` steps beyond `budget`."""
+def _within_budget(budget: int, work: int, what: str, unit: str = "steps") -> None:
+    """Refuse, before any work, a task of `work` units beyond `budget`."""
     if work > budget:
-        raise wbnf_mod.BudgetExceeded(f"{what} of {work} steps exceeds the budget {budget}")
+        raise wbnf_mod.BudgetExceeded(f"{what} of {work} {unit} exceeds the budget {budget}")
 
 
 def _scaling(cfg: dict, S: TangentialSet) -> ScalingParams:
@@ -426,12 +426,16 @@ def _schedule(cfg: dict) -> torus_mod.NewtonSchedule:
         raise UsageError(f"[solve] {exc}") from None
 
 
-def _solve(sched: torus_mod.NewtonSchedule, prob: torus_mod.TorusProblem, outdir: str):
+def _solve(sched: torus_mod.NewtonSchedule, prob: torus_mod.TorusProblem, outdir: str,
+           budget: int):
     """Newton on `prob`: writes the checkpoint and the residual history to
     `outdir` and returns the embedding, None unless it converged, and the
-    solve checks.  A solver failure is a failed newton_converged check."""
+    solve checks.  A solver failure is a failed newton_converged check.  A
+    Jacobian of more than `budget` index pairs is refused before the solve."""
     from . import torus as torus_mod
 
+    n = len(prob.lattice.fam) + prob.S.nu
+    _within_budget(budget, n * n, "the Newton Jacobian", "index pairs")
     try:
         sol = torus_mod.newton_solve(prob, schedule=sched)
     except torus_mod.TorusError as exc:
@@ -452,7 +456,7 @@ def _solve(sched: torus_mod.NewtonSchedule, prob: torus_mod.TorusProblem, outdir
 
 def cmd_solve(cfg: dict, outdir: str, budget: int) -> list[dict]:
     prob, sched = _torus_problem(cfg), _schedule(cfg)
-    return _solve(sched, prob, outdir)[1]
+    return _solve(sched, prob, outdir, budget)[1]
 
 
 def cmd_evolve(cfg: dict, outdir: str, budget: int) -> list[dict]:
@@ -484,7 +488,7 @@ def cmd_evolve(cfg: dict, outdir: str, budget: int) -> list[dict]:
             if saved != wanted:
                 raise UsageError(f"checkpoint has {name} = {saved}, the config {name} = {wanted}")
     else:
-        emb, checks = _solve(sched, prob, outdir)
+        emb, checks = _solve(sched, prob, outdir, budget)
         if emb is None:
             return checks
     try:

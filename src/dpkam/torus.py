@@ -41,6 +41,7 @@ import numpy as np
 
 from .core import ScalingParams, TangentialSet, lam
 from .polyham import HomPoly, flow_conjugate, z_degree
+from .spectrum import EigenModel
 from .twist import frequency_map
 from .wbnf import dp_h2, dp_h3, index_universe, run_wbnf
 
@@ -471,15 +472,36 @@ class NewtonResult:
     iterations: int
 
 
-def min_linear_divisor(prob: TorusProblem) -> tuple[float, tuple]:
-    """Smallest |omega . l - lambda(l.sbar)| over the z lattice, the divisors
-    the Newton system holds (diagnostic), with its first witness (l, j) in
-    the row-major order of l."""
+@dataclass
+class LinearDivisors:
+    trivial: float  # min |omega . l - lambda(j)|
+    witness: tuple  # its first (l, j)
+    reduced_at_witness: float  # omega . l - d_j there
+    reduced: float  # min |omega . l - d_j|
+    reduced_witness: tuple  # its first (l, j)
+
+
+def min_linear_divisor(prob: TorusProblem) -> LinearDivisors:
+    """The divisors of the z lattice (j = l.sbar), each minimum with its
+    first witness (l, j) in the row-major order of l (diagnostic).  The
+    Newton system at the trivial embedding holds omega . l - lambda(j); near
+    the torus the iterate sees the reduced divisor omega . l - d_j, with
+    d_j = `EigenModel.row(j)[-1]` the first-order eigenvalue of the normal
+    mode j, so both are given."""
     lat = prob.lattice
     z = np.flatnonzero(lat.fam == 2 * prob.S.nu)
-    div = np.abs(ell_dot(lat.ell[z], prob.omega) - prob.lam_lat[z])
-    k = z[int(np.argmin(div))]
-    return float(div.min()), (tuple(lat.ell[k].tolist()), int(lat.j[k]))
+    model = EigenModel(prob.S, tuple(Fraction(str(x)) for x in prob.xi), prob.scaling)
+    d = np.array([model.row(j)[-1] for j in prob.js])
+    wl = ell_dot(lat.ell[z], prob.omega)
+    div = wl - prob.lam_lat[z]
+    red = wl - d[lat.full_fam[z] - 2 * prob.S.nu]
+    k, r = int(np.argmin(np.abs(div))), int(np.argmin(np.abs(red)))
+
+    def witness(i: int) -> tuple:
+        return tuple(lat.ell[z[i]].tolist()), int(lat.j[z[i]])
+
+    return LinearDivisors(float(abs(div[k])), witness(k), float(red[k]),
+                          float(abs(red[r])), witness(r))
 
 
 def _linear_steps(J: sp.csc_matrix, rhs: np.ndarray):
@@ -557,10 +579,13 @@ def newton_solve(
         if not improved:
             grow += 1
             if grow >= 3:
-                div, wit = min_linear_divisor(prob)
+                div = min_linear_divisor(prob)
                 raise DivergenceError(
                     f"residual stalled/grew for 3 steps (last {res.sup:.3e}); nearest "
-                    f"linear divisor |omega.l - lambda(j)| = {div:.3e} at {wit}"
+                    f"linear divisor |omega.l - lambda(j)| = {div.trivial:.3e} at "
+                    f"{div.witness}, where the reduced divisor omega.l - d_j = "
+                    f"{div.reduced_at_witness:.3e}; nearest reduced divisor "
+                    f"|omega.l - d_j| = {div.reduced:.3e} at {div.reduced_witness}"
                 )
         elif not partial:
             grow = 0
@@ -599,11 +624,21 @@ def action_angle_embed(
 # -- linearized normal operator ----------------------------------------------------------
 
 
+# A reversible torus makes each momentum block M = i R with R real.  A block
+# whose dropped part satisfies ||Re M||_F <= REAL_BLOCK_TOL is eigensolved as
+# i R: by Bauer-Fike each eigenvalue moves by at most
+# kappa(V) ||Re M||_2 <= kappa(V) ||Re M||_F, so for a well-conditioned
+# eigenbasis the error stays two orders below the 1e-10 that the
+# max |Re eig| check allows.
+REAL_BLOCK_TOL = 1e-12
+
+
 @dataclass
 class LinearizedOperator:
     eigvals: np.ndarray
     matched: dict[tuple[tuple[int, ...], int], complex]
     match_quality: dict[tuple[tuple[int, ...], int], float]
+    dropped_real: float  # the largest ||Re M||_F of a block solved as i R, else 0.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -658,7 +693,14 @@ def linearized_normal_operator(
     Only the classes p >= 0 are eigensolved: u is real, lambda is odd and the
     correction Hamiltonians are real, so under (l, j) -> (-l, -j) the block of
     class -p is the entrywise conjugate of class p's, with the conjugate
-    eigenvalues and each column's dominant mode (l, j) mirrored to (-l, -j)."""
+    eigenvalues and each column's dominant mode (l, j) mirrored to (-l, -j).
+
+    On a reversible torus each block is M = i R with R real, up to a real
+    part within REAL_BLOCK_TOL, and is eigensolved in real arithmetic as
+    i R; any other block is eigensolved as it is.  The spectrum of i R is
+    i times that of R, closed under lambda -> -conj(lambda): a real
+    eigenvalue of R gives an |Re| of exactly 0, and only a complex pair of R,
+    a collision of two eigenvalues on the axis, gives an |Re| > 0."""
     S = prob.S
     eps = prob.eps
     at, m = prob.at, prob.at.m
@@ -715,6 +757,7 @@ def linearized_normal_operator(
     eigvals = []
     matched: dict = {}
     quality: dict = {}
+    dropped_real = 0.0
     for p, idxs in zip(classes, np.split(order, first[1:])):
         a, k = ell[idxs], kb[idxs]
         nb = len(idxs)
@@ -730,7 +773,13 @@ def linearized_normal_operator(
         near = (np.abs(d) <= wd).all(axis=0)
         amp = amps[(k[:, None], k, *(np.clip(d, -wd, wd) + wd))]
         M -= np.where(near, ilj * amp, 0)
-        w, V = np.linalg.eig(M)
+        re_norm = float(np.linalg.norm(M.real))
+        if re_norm <= REAL_BLOCK_TOL:
+            w, V = np.linalg.eig(M.imag)
+            w = 1j * w
+            dropped_real = max(dropped_real, re_norm)
+        else:
+            w, V = np.linalg.eig(M)
         # eig returns unit columns: the weight is the dominant entry's modulus
         absV = np.abs(V)
         dom = np.argmax(absV, axis=0)
@@ -749,6 +798,7 @@ def linearized_normal_operator(
         eigvals=eigvals[np.argsort(eigvals.imag, kind="stable")],
         matched=matched,
         match_quality=quality,
+        dropped_real=dropped_real,
     )
 
 

@@ -67,6 +67,17 @@ def test_scan_budget(tmp_path, capsys, verb, work):
     assert not os.path.exists(tmp_path / "o")
 
 
+@pytest.mark.parametrize("verb", ["solve", "evolve"])
+def test_solve_budget(tmp_path, capsys, verb):
+    # problem.ini's grid: 170 lattice unknowns + nu; evolve without a
+    # checkpoint solves first
+    rc = main([verb, "--config", write_config(tmp_path, BASE), "--out", str(tmp_path / "o"),
+               "--budget", "29583"])
+    assert rc == 2
+    assert "the Newton Jacobian of 29584 index pairs" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_missing_field_usage_error(tmp_path):
     cfg = write_config(tmp_path, "[scan]\norder = 4\n")
     rc = main(["twist", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -14,6 +14,7 @@ import scipy.fft
 from dpkam import torus
 from dpkam.core import ScalingParams, TangentialSet, lam
 from dpkam.polyham import flow_conjugate, z_degree
+from dpkam.spectrum import EigenModel
 from dpkam.twist import frequency_map
 from dpkam.torus import (
     DivergenceError,
@@ -592,6 +593,50 @@ def test_operator_solves_one_block_per_class_p_at_least_0(monkeypatch):
     assert len(op.eigvals) == 7436 == 2 * sum(n for n, _ in calls) - calls[0][0]
 
 
+@pytest.mark.parametrize("case", list(OPERATOR_CASES))
+def test_reversible_blocks_are_solved_in_real_arithmetic(case, monkeypatch):
+    kwargs, ell_cut, perturb = OPERATOR_CASES[case]
+    prob = small_problem(**kwargs)
+    emb = newton_solve(prob).emb
+    if perturb:
+        emb = _perturbed(emb)
+    solves = []
+    eig = np.linalg.eig
+
+    def recording(M):
+        w, V = eig(M)
+        solves.append((M.dtype, len(M), w))
+        return w, V
+
+    monkeypatch.setattr(np.linalg, "eig", recording)
+    op = linearized_normal_operator(prob, emb, ell_cut=ell_cut, phib_order=2)
+    if perturb:
+        # real but not reversible: every block of more than one row keeps
+        # its real part; the 1 x 1 blocks left are exactly i R
+        assert all(dtype == np.complex128 for dtype, n, _ in solves if n > 1)
+        assert op.dropped_real == 0.0
+        return
+    assert all(dtype == np.float64 for dtype, _, _ in solves)
+    assert 0.0 < op.dropped_real <= torus.REAL_BLOCK_TOL
+    # each class spectrum i R is exactly closed under lambda -> -conj(lambda)
+    key = lambda v: (v.imag, v.real)
+    for _, _, w in solves:
+        assert sorted(1j * w, key=key) == sorted(-np.conj(1j * w), key=key)
+
+
+def test_real_blocks_see_the_nu3_collision():
+    # at 1/250 the nu = 3 spectrum leaves the axis (1.2e-3): R has a complex
+    # pair there, and the real blocks read the complex oracle's max |Re eig|
+    prob = small_problem(S=S678, xi=XI3, eps=4e-3, n_x=24, n_phi=4)
+    emb = newton_solve(prob).emb
+    op = linearized_normal_operator(prob, emb, ell_cut=2, phib_order=2)
+    eigvals, _, _ = _every_class_operator(prob, emb, 2, 2)
+    assert op.dropped_real > 0.0
+    re_max = np.abs(op.eigvals.real).max()
+    assert re_max > 1e-4
+    assert abs(re_max - np.abs(eigvals.real).max()) < 1e-12
+
+
 def test_nu3_operator_values():
     # matched eigenvalues of the nu = 3 torus at 2/1000, recorded before the
     # classes -p were mirrored; (1, -1, 0), (-1, 0, 1), (0, 1, -1) and
@@ -615,7 +660,8 @@ def test_nu3_operator_values():
 
 def test_min_linear_divisor_positive():
     prob = small_problem(eps=1e-3, n_x=16, n_phi=4)
-    d, wit = min_linear_divisor(prob)
+    div = min_linear_divisor(prob)
+    d, wit = div.trivial, div.witness
     assert d > 1e-4
     assert len(wit) == 2
     # the first minimum of the loop over l1, l2, j with the exact lambda,
@@ -631,6 +677,31 @@ def test_min_linear_divisor_positive():
                 if v < best:
                     best, first = v, ((l1, l2), j)
     assert (d, wit) == (best, first)
+
+
+def test_divergence_names_the_reduced_divisor():
+    # a cold solve at 1/150 on problem.ini's grid fails; the trivial divisor
+    # 4.2e-4 at ((-1, 2), 8) crosses 0 near 1/152, the reduced one there does not
+    prob = small_problem(eps=1 / 150, n_x=24, n_phi=12)
+    div = min_linear_divisor(prob)
+    with pytest.raises(DivergenceError) as err:
+        newton_solve(prob)
+    msg = str(err.value)
+    assert f"{div.trivial:.3e} at {div.witness}" in msg
+    assert f"omega.l - d_j = {div.reduced_at_witness:.3e}" in msg
+    assert f"|omega.l - d_j| = {div.reduced:.3e} at {div.reduced_witness}" in msg
+    assert div.witness == ((-1, 2), 8) and div.trivial < 1e-3
+    assert abs(div.reduced_at_witness) > 1e-2
+    # the smallest reduced divisor over the lattice, by a loop over the z entries
+    model = EigenModel(S67, tuple(Fraction(str(x)) for x in prob.xi), prob.scaling)
+    best, first = math.inf, ()
+    for ell in itertools.product(range(-12, 13), repeat=2):
+        j = 6 * ell[0] + 7 * ell[1]
+        if j in prob.js:
+            v = abs(float(np.dot(prob.omega, ell)) - model.row(j)[-1])
+            if v < best:
+                best, first = v, (ell, j)
+    assert (div.reduced, div.reduced_witness) == (pytest.approx(best, abs=1e-15), first)
 
 
 def test_plane_wave_rotation():
