@@ -356,6 +356,7 @@ def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int, threads: int) ->
     if not 0 <= seed <= top:
         raise UsageError(f"--seed must lie in 0..{top} for {len(eps_values)} eps values, "
                          f"got {seed}")
+    _within_budget(budget, samples * S.nu, "the per-eps sample array", "floats")
     if threads <= 0:
         threads = os.cpu_count() or 1
     sweep = measure_mod.measure_sweep(S, cfgs, family, samples, seed, threads=threads)

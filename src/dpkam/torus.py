@@ -40,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import ScalingParams, TangentialSet, lam
-from .polyham import HomPoly, flow_conjugate, z_degree
+from .polyham import HomPoly, flow_conjugate, project_z_degree
 from .spectrum import EigenModel
 from .twist import frequency_map
 from .wbnf import dp_h2, dp_h3, index_universe, run_wbnf
@@ -389,7 +389,10 @@ def residual(prob: TorusProblem, emb: TorusEmbedding) -> Residual:
 # -- Jacobian --------------------------------------------------------------------------
 
 
-def jacobian(prob: TorusProblem, gs: GridState, droptol: float = 1e-11) -> sp.csc_matrix:
+DROP_TOL = 1e-11  # the Jacobian keeps the symbol entries above this modulus
+
+
+def jacobian(prob: TorusProblem, gs: GridState) -> sp.csc_matrix:
     """Analytic Jacobian of the residual on the momentum lattice at the
     embedding that `gs` evaluates, `residual(prob, emb).state` (verified
     against finite differences in the test suite).
@@ -400,7 +403,7 @@ def jacobian(prob: TorusProblem, gs: GridState, droptol: float = 1e-11) -> sp.cs
     block between two of the families Theta_i, y_i and z is omega.d_phi on
     the diagonal plus the multiplication operator of a symbol mu(phi),
     J[l_r, l_c] = row_coef(l_r) mu_hat(l_r - l_c); the (2 nu + 1)^2 symbols
-    go through one FFT, and the entries with |J| <= droptol are dropped."""
+    go through one FFT, and the entries with |J| <= DROP_TOL are dropped."""
     at, lat, nu = prob.at, prob.lattice, prob.S.nu
     eps, b = prob.eps, prob.b
 
@@ -422,7 +425,7 @@ def jacobian(prob: TorusProblem, gs: GridState, droptol: float = 1e-11) -> sp.cs
     val = prob.row_coef[rows] * at.to_coeffs(
         syms.reshape(-1, *at.shape), lat.fam[rows] * nf + lat.fam[cols], lat.ell[rows] - lat.ell[cols]
     )
-    keep = np.abs(val) > droptol
+    keep = np.abs(val) > DROP_TOL
 
     # the diagonal omega.d_phi (- i lambda), zeta_i in the l = 0 row of y_i
     # and the phase rows on Theta_i(0)
@@ -642,27 +645,20 @@ class LinearizedOperator:
 
 
 @functools.lru_cache(maxsize=None)
-def _correction_pieces(
-    S: TangentialSet, n_x: int, phib_order: int
-) -> tuple[HomPoly, ...]:
-    """dz <= 2 pieces through degree 4 of (H o Phi_B^(<= order)) - H^(2) - H^(3),
+def _correction_pieces(S: TangentialSet, n_x: int) -> tuple[HomPoly, ...]:
+    """dz <= 2 pieces through degree 4 of (H o Phi_B^(<= 2)) - H^(2) - H^(3),
     over the exact windowed universe.  They depend on neither the embedding
-    nor epsilon, so they are built once per (S, n_x, order)."""
-    if phib_order < 2:
-        return ()
+    nor epsilon, so they are built once per (S, n_x)."""
     u_max = n_x + 2 * S.jbar1 + 2
     uni = index_universe(u_max)
     wb = run_wbnf(S, 1, universe_max=2 * S.jbar1)
     F3 = wb.generators[3]
     pieces = [dp_h2(uni), dp_h3(uni)]
 
-    def z_keep(degree: int) -> int:
-        return 2 + (4 - degree)
-
     def dz2(poly: HomPoly) -> HomPoly:
-        return poly.map_filter(lambda m: z_degree(m, S) == 2)
+        return project_z_degree(poly, S, lambda d: d == 2)
 
-    composed = flow_conjugate(pieces, F3, 4, max_z_keep=z_keep, universe=uni, S=S)
+    composed = flow_conjugate(pieces, F3, 4, max_z_keep=lambda deg: 6 - deg, universe=uni, S=S)
     out = []
     for deg, poly in sorted(composed.items()):
         corr = dz2(poly) - dz2(pieces[deg - 2]) if deg in (2, 3) else dz2(poly)
@@ -725,34 +721,29 @@ def linearized_normal_operator(
         vhat = at.fft(GridState(prob, emb).V)
 
     # symbolic correction pieces, evaluated at the unperturbed wave packet:
-    # amps[k, k2, dl] is the coefficient of e^{i dl.phi} in d^2 Q/dz_{-j_k} dz_{j_k2}
-    corr = _correction_pieces(S, prob.grid.n_x, phib_order) if prob.include_cubic else ()
+    # amps[k, k2, dl + wd] is the coefficient of e^{i dl.phi} in
+    # d^2 Q/dz_{-j_k} dz_{j_k2}; a dz = 2 piece of degree d has d - 2
+    # tangential slots, so |dl|_inf <= d - 2
+    corr = (_correction_pieces(S, prob.grid.n_x)
+            if prob.include_cubic and phib_order >= 2 else ())
     kpos = {j: k for k, j in enumerate(prob.js)}
-    sqrt_xi = {s: math.sqrt(prob.xi[i]) for i, s in enumerate(S.splus)}
-    sqrt_xi.update({-s: sqrt_xi[s] for s in S.splus})
-    acc: dict[tuple, complex] = {}
+    rho = [math.sqrt(x) for x in prob.xi]
+    wd = max((poly.degree - 2 for poly in corr), default=0)
+    amps = np.zeros((len(js), len(js)) + (2 * wd + 1,) * S.nu, dtype=complex)
     for poly in corr:
         for mono, cval in poly.terms.items():
             zslots = [v for v in mono if S.in_sc(v)]
             vslots = [v for v in mono if S.in_s(v)]
-            if len(zslots) != 2:
-                continue
             coeff = complex(0.0, float(cval)) if poly.imaginary else complex(float(cval), 0.0)
-            amp = coeff * eps ** (len(vslots)) * math.prod(
-                sqrt_xi[v] for v in vslots
-            )
-            dl = tuple(sum(S.angle_vector(v)[i] for v in vslots) for i in range(S.nu))
+            amp = coeff * eps ** len(vslots) * math.prod(
+                rho[S.splus.index(abs(v))] for v in vslots)
+            dl = tuple(sum(S.angle_vector(v)[i] for v in vslots) + wd for i in range(S.nu))
             a_z, b_z = zslots
             mult = 2 if a_z == b_z else 1
             # quadratic form amp * z_a z_b: d/dz_{-j} nonzero for j = -a, -b
             for out_slot, other in ([(a_z, b_z)] if a_z == b_z else [(a_z, b_z), (b_z, a_z)]):
                 if -out_slot in kpos and other in kpos:
-                    cell = (kpos[-out_slot], kpos[other], dl)
-                    acc[cell] = acc.get(cell, 0.0) + amp * mult
-    wd = max((max(map(abs, cell[2])) for cell in acc), default=0)
-    amps = np.zeros((len(js), len(js)) + (2 * wd + 1,) * S.nu, dtype=complex)
-    for (k, k2, dl), amp in acc.items():
-        amps[(k, k2, *np.add(dl, wd))] = amp
+                    amps[(kpos[-out_slot], kpos[other], *dl)] += amp * mult
 
     eigvals = []
     matched: dict = {}
@@ -865,7 +856,7 @@ class DPEvolver:
     half spectrum u_j, j = 0 ... mx/2, of the real field u (the rfft layout,
     u_-j = conj(u_j)); the modes run along the last axis, so `nonlinear` and
     `step_etdrk4` also step a stack of states in one call, and `coefs` of a
-    tuple of steps gives one coefficient row per step.
+    column of steps gives one coefficient row per step.
 
     The field grid has mx >= p n_modes + 1 points, p the top power of P (at
     least 3): P'(u) then holds modes up to (p - 1) n_modes, and no aliased
@@ -884,7 +875,6 @@ class DPEvolver:
         self.L_masked = self.L * self.mask
         # sums over all modes j of the circle count u_j and u_-j for j > 0
         self.weight = np.where(k == 0, 1.0, 2.0)
-        self._coefs: dict[float | tuple[float, ...], tuple] = {}
 
     def field(self, uhat: np.ndarray) -> np.ndarray:
         """The real field u on the grid of mx points."""
@@ -925,26 +915,15 @@ class DPEvolver:
         Nc = self.nonlinear(c)
         return E * uhat + dt * (f1 * Nu + f2x2 * (Na + Nb) + f3 * Nc)
 
-    def coefs(self, dt: float | tuple[float, ...]):
-        """The ETDRK4 coefficients (E, E2, dt Q, f1, 2 f2, f3) of step dt,
-        computed once per dt; for a tuple of steps, their rows stacked.  Only
-        the COEF_CACHE latest entries are kept, so a run whose dt changes
-        often does not pile them up."""
-        if dt not in self._coefs:
-            if isinstance(dt, tuple):
-                value = tuple(np.stack(rows) for rows in zip(*map(self.coefs, dt)))
-            else:
-                z = dt * self.L
-                Q, f1, f2, f3 = _phi_funcs(z)
-                value = (np.exp(z), np.exp(z / 2), dt * Q, f1, 2 * f2, f3)
-            if len(self._coefs) >= COEF_CACHE:
-                del self._coefs[next(iter(self._coefs))]
-            self._coefs[dt] = value
-        return self._coefs[dt]
+    def coefs(self, dt: float | np.ndarray):
+        """The ETDRK4 coefficients (E, E2, dt Q, f1, 2 f2, f3) of step dt; for
+        a column of steps, one row per step."""
+        z = dt * self.L
+        Q, f1, f2, f3 = _phi_funcs(z)
+        return np.exp(z), np.exp(z / 2), dt * Q, f1, 2 * f2, f3
 
 
 REPORT_POINTS = 64  # evolve records the trajectory every T / REPORT_POINTS
-COEF_CACHE = 8  # coefficient entries a DPEvolver keeps: evolve takes three per step length
 KEEP_BAND = (0.95, 1.2)  # an accepted step keeps dt while its step factor lies in this band
 
 
@@ -953,7 +932,6 @@ def evolve(
     T: float,
     n_modes: int = 128,
     dt: float | None = None,
-    adaptive: bool = True,
     rtol: float = 1e-10,
     f_spec: FSpec | None = None,
     cubic: bool = True,
@@ -964,7 +942,7 @@ def evolve(
     else ValueError; report relative drifts of H and of the momentum K1, and
     the step accounting.  The states are half spectra (see DPEvolver).
 
-    An adaptive step compares one step of dt with two of dt/2.  The full step
+    Each step compares one step of dt with two of dt/2.  The full step
     and the first half step start from the same state: they run as one
     ETDRK4 step of a two-row stack (coefficient rows for dt and dt/2) on one
     N(u), and only the second half step runs alone, so an accepted step makes
@@ -1011,29 +989,30 @@ def evolve(
     rejections = rejected = 0
     steps = []
     scale = max(sups[0], 1e-30)
+    pair = None  # the steps [[dt], [dt / 2]] that `coefs` holds the rows of
 
     while t < T - 1e-14:
         step = dt = min(dt, T - t)
-        Nu = ev.nonlinear(uhat, u)
-        if adaptive:
+        if pair is None or pair[0, 0] != dt:
             pair = np.array([[dt], [dt / 2]])
-            big, half = ev.step_etdrk4(uhat, pair, ev.coefs((dt, dt / 2)), Nu)
-            half = ev.step_etdrk4(half, dt / 2, ev.coefs(dt / 2))
-            err = float(np.abs(big - half).max()) / scale
-            factor = min(2.0, max(0.5, 0.9 * (rtol / max(err, 1e-300)) ** 0.2))
-            if err > rtol:
-                rejections += 1
-                rejected += 1
-                if rejections > 12:
-                    raise DivergenceError("step-rejection cascade in evolve")
-                dt *= factor
-                continue
-            rejections = 0
-            uhat = half
-            if not KEEP_BAND[0] <= factor < KEEP_BAND[1]:
-                dt = min(dt * factor, max(dt, T / 16))  # a growth stops at T/16
-        else:
-            uhat = ev.step_etdrk4(uhat, dt, ev.coefs(dt), Nu)
+            coefs = ev.coefs(pair)
+            second = tuple(c[1] for c in coefs)
+        Nu = ev.nonlinear(uhat, u)
+        big, half = ev.step_etdrk4(uhat, pair, coefs, Nu)
+        half = ev.step_etdrk4(half, dt / 2, second)
+        err = float(np.abs(big - half).max()) / scale
+        factor = min(2.0, max(0.5, 0.9 * (rtol / max(err, 1e-300)) ** 0.2))
+        if err > rtol:
+            rejections += 1
+            rejected += 1
+            if rejections > 12:
+                raise DivergenceError("step-rejection cascade in evolve")
+            dt *= factor
+            continue
+        rejections = 0
+        uhat = half
+        if not KEEP_BAND[0] <= factor < KEEP_BAND[1]:
+            dt = min(dt * factor, max(dt, T / 16))  # a growth stops at T/16
         t += step
         steps.append(step)
         u = ev.field(uhat)

@@ -59,7 +59,8 @@ def test_resonances_budget(tmp_path):
 @pytest.mark.parametrize("verb,work", [
     ("twist", "the twist pair scan of 6670 steps"),  # 116 normal sites |j| <= 60
     ("spectrum", "the divisor scan of 48012 steps"),  # 12 ells, |j| <= 2000
-], ids=["twist", "spectrum"])
+    ("measure", "the per-eps sample array of 200000 floats"),  # 1e5 samples x nu = 2
+], ids=["twist", "spectrum", "measure"])
 def test_scan_budget(tmp_path, capsys, verb, work):
     rc = main([verb, "--config", write_config(tmp_path, BASE), "--out", str(tmp_path / "o"),
                "--budget", "1"])
