@@ -17,6 +17,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
 import traceback
@@ -53,8 +54,15 @@ def _list(kind: Callable) -> Callable[[str], tuple]:
     return lambda text: tuple(kind(v) for v in text.split())
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _f_coeffs(text: str) -> dict[int, float]:
-    pairs = [(int(k), float(c)) for k, c in (item.split(":") for item in text.split())]
+    pairs = [(int(k), _finite(c)) for k, c in (item.split(":") for item in text.split())]
     coeffs = dict(pairs)
     if len(coeffs) < len(pairs):
         raise ValueError("a degree is given twice")
@@ -79,8 +87,8 @@ REQUIRED = object()  # default of a key that a verb needs set
 SCHEMA: dict[str, dict[str, tuple[Callable[[str], object], object, str]]] = {
     "problem": {
         "splus": (lambda t: TangentialSet.make(t.split()), REQUIRED, "tangential sites S+"),
-        "epsilon": (float, REQUIRED, "amplitude of the torus"),
-        "a": (float, "0.1", "gamma = epsilon^(2+a), b = 1 + a/2"),
+        "epsilon": (_finite, REQUIRED, "amplitude of the torus"),
+        "a": (_finite, "0.1", "gamma = epsilon^(2+a), b = 1 + a/2"),
         "xi": (_list(Fraction), None, "amplitudes in [1,2]^nu; unset: 3/2 each"),
         "f_coeffs": (_f_coeffs, "", "density f(u) = sum c_k u^k as k:c_k, k >= 9"),
     },
@@ -101,21 +109,19 @@ SCHEMA: dict[str, dict[str, tuple[Callable[[str], object], object, str]]] = {
     "mc": {
         "family": (_family, "G0_0", " | ".join(measure_mod.FAMILIES)),
         "samples": (int, "100000", "Monte-Carlo samples per epsilon"),
-        "eps_values": (_list(float), "0.04 0.057 0.08 0.113 0.16", "epsilon sweep"),
+        "eps_values": (_list(_finite), "0.04 0.057 0.08 0.113 0.16", "epsilon sweep"),
         "ell_max": (int, None, "truncation of the diophantine scan"),
-        "c_g1": (float, None, "the constant of the five-wave set"),
+        "c_g1": (_finite, None, "the constant of the five-wave set"),
     },
     "solve": {
-        "n0": (float, None, "schedule N_n = n0^(chi^n)"),
-        "chi": (float, None, "schedule exponent"),
         "max_iter": (int, None, "Newton iterations"),
-        "tol": (float, None, "sup-norm residual tolerance"),
+        "tol": (_finite, None, "sup-norm residual tolerance"),
     },
     "evolve": {
         "checkpoint": (str, None, "saved embedding; unset: solve first"),
-        "T": (float, "100", "final time"),
+        "T": (_finite, "100", "final time"),
         "n_modes": (int, "64", "Fourier modes of the evolver"),
-        "drift_tol": (float, "1e-6", "bound on the relative H and K1 drift"),
+        "drift_tol": (_finite, "1e-6", "bound on the relative H and K1 drift"),
     },
 }
 

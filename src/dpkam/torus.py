@@ -1,7 +1,7 @@
 """Galerkin truncation of the rescaled Hamiltonian system on the momentum
-lattice, the invariant-torus functional on T^nu, a Newton solver with the
-geometric projection schedule, the linearized normal-direction operator, and
-a pseudo-spectral time integrator: ETDRK4 on the real half spectrum (rfft),
+lattice, the invariant-torus functional on T^nu, a damped Newton solver on
+the full truncation, the linearized normal-direction operator, and a
+pseudo-spectral time integrator: ETDRK4 on the real half spectrum (rfft),
 with step doubling whose full step and first half step run as one stacked
 step.  One function, `nonlinear_density`, evaluates the nonlinear density
 P(u) = -u^3/6 + f(u) and its derivatives for the residual, the Jacobian and
@@ -227,13 +227,6 @@ class TorusEmbedding:
         self.x += np.conj(self.x[self.lattice.neg])
         self.x *= 0.5
 
-    def project(self, cutoff: int) -> None:
-        """Apply the schedule projector Pi_n: keep the angle modes
-        |l|_inf <= cutoff.  The projector acts on the angles only; the cut
-        |l.sbar| <= n_x of z stays, so the quadratic images |j| <= 2 jbar1
-        of the packet survive every step."""
-        self.x *= np.abs(self.lattice.ell).max(axis=1) <= cutoff
-
 
 # -- problem data ---------------------------------------------------------------------
 
@@ -444,27 +437,18 @@ MAX_BACKTRACK = 8  # step halvings tried before a Newton step counts as failed
 
 @dataclass
 class NewtonSchedule:
-    """Step n of `newton_solve` projects to the angle cutoff
-    N_n = floor(n0^(chi^n)); the solve takes at most max_iter steps and has
-    converged once the sup residual is below tol.  The domain is n0 >= 1,
-    chi >= 1, max_iter >= 1 and tol > 0; other values raise ValueError."""
+    """`newton_solve` takes at most max_iter steps and has converged once the
+    sup residual is below tol.  The domain is max_iter >= 1 and tol > 0;
+    other values raise ValueError."""
 
-    n0: float = 4.0
-    chi: float = 1.5
     max_iter: int = 12
     tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("n0", "chi", "max_iter"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-
-    def cutoff(self, n: int, full: int) -> int:
-        """The angle cutoff N_n = floor(N_0^(chi^n)) of step n, capped at the
-        angle truncation `full`."""
-        return min(int(math.floor(self.n0 ** (self.chi**n))), full)
 
 
 @dataclass
@@ -521,21 +505,39 @@ def _linear_steps(J: sp.csc_matrix, rhs: np.ndarray):
     yield np.linalg.lstsq(J.toarray(), rhs, rcond=None)[0]
 
 
+def _backtrack(prob: TorusProblem, emb: TorusEmbedding, res: Residual, d: np.ndarray):
+    """The first of the steps d, d/2, ..., d/2^MAX_BACKTRACK from `emb` whose
+    sup residual is below `res.sup`, as (embedding, residual); None if none is."""
+    nu, step = prob.S.nu, 1.0
+    for _ in range(MAX_BACKTRACK + 1):
+        trial = emb.copy()
+        trial.x += step * d[:-nu]
+        trial.zeta += (step * d[-nu:]).real
+        trial.enforce_reality()
+        step *= 0.5
+        try:
+            trial_res = residual(prob, trial)
+        except TorusError:
+            continue
+        if trial_res.sup < res.sup:
+            return trial, trial_res
+    return None
+
+
 def newton_solve(
     prob: TorusProblem,
     start: TorusEmbedding | None = None,
     schedule: NewtonSchedule | None = None,
 ) -> NewtonResult:
-    """Damped Newton on (embedding, zeta) with the geometric projection
-    schedule; the linearized system on the momentum lattice is solved by
-    sparse LU.  Each iterate is evaluated on the angle grid once: its
-    Jacobian reads the state of the residual that accepted it.
+    """Damped Newton on (embedding, zeta) on the full truncation; the
+    linearized system on the momentum lattice is solved by sparse LU.  Each
+    iterate is evaluated on the angle grid once: its Jacobian reads the state
+    of the residual that accepted it.
 
-    Step n is projected to the angle modes |l|_inf <= N_n = N_0^(chi^n),
-    capped at n_phi (see `TorusEmbedding.project`); the spatial truncation
-    n_x is never cut.  A step with N_n < n_phi is projected and accepted
-    without a decrease test; from the first step at N_n = n_phi on, a step
-    is accepted only if it lowers the residual (with backtracking).
+    A step is accepted only if it lowers the sup residual, with
+    backtracking, first along the LU step, then along the least-squares
+    step.  When neither lowers it, the next iteration would build the same
+    Jacobian and try the same steps, so the solve raises DivergenceError.
 
     The nu translation degeneracies of the torus family are fixed by the
     appended phase equations Theta_i(0) = 0; all residual equations
@@ -543,55 +545,29 @@ def newton_solve(
     sup-norm."""
     schedule = schedule or NewtonSchedule()
     emb = (start or TorusEmbedding.trivial(prob.S, prob.grid)).copy()
-    nu, th0 = prob.S.nu, prob.lattice.origin[: prob.S.nu]
+    th0 = prob.lattice.origin[: prob.S.nu]
     res = residual(prob, emb)
     history = [res.sup]
-    grow = 0
 
     for it in range(schedule.max_iter):
         if res.sup < schedule.tol:
             return NewtonResult(emb, history, True, it)
         J = jacobian(prob, res.state)
         rhs = -np.concatenate([res.f, emb.x[th0]])
-
-        full_cut = prob.grid.n_phi
-        cutoff = schedule.cutoff(it, full_cut)
-        partial = cutoff < full_cut
-
-        def try_delta(d: np.ndarray) -> bool:
-            nonlocal emb, res
-            step = 1.0
-            for _ in range(MAX_BACKTRACK + 1):
-                trial = emb.copy()
-                trial.x += step * d[:-nu]
-                trial.zeta += (step * d[-nu:]).real
-                trial.enforce_reality()
-                trial.project(cutoff)
-                try:
-                    trial_res = residual(prob, trial)
-                except TorusError:
-                    step *= 0.5
-                    continue
-                if partial or trial_res.sup < res.sup or trial_res.sup < schedule.tol:
-                    emb, res = trial, trial_res
-                    return True
-                step *= 0.5
-            return False
-
-        improved = any(try_delta(d) for d in _linear_steps(J, rhs))
-        if not improved:
-            grow += 1
-            if grow >= 3:
-                div = min_linear_divisor(prob)
-                raise DivergenceError(
-                    f"residual stalled/grew for 3 steps (last {res.sup:.3e}); nearest "
-                    f"linear divisor |omega.l - lambda(j)| = {div.trivial:.3e} at "
-                    f"{div.witness}, where the reduced divisor omega.l - d_j = "
-                    f"{div.reduced_at_witness:.3e}; nearest reduced divisor "
-                    f"|omega.l - d_j| = {div.reduced:.3e} at {div.reduced_witness}"
-                )
-        elif not partial:
-            grow = 0
+        for d in _linear_steps(J, rhs):
+            accepted = _backtrack(prob, emb, res, d)
+            if accepted:
+                break
+        else:
+            div = min_linear_divisor(prob)
+            raise DivergenceError(
+                f"residual stalled at {res.sup:.3e}; nearest "
+                f"linear divisor |omega.l - lambda(j)| = {div.trivial:.3e} at "
+                f"{div.witness}, where the reduced divisor omega.l - d_j = "
+                f"{div.reduced_at_witness:.3e}; nearest reduced divisor "
+                f"|omega.l - d_j| = {div.reduced:.3e} at {div.reduced_witness}"
+            )
+        emb, res = accepted
         history.append(res.sup)
 
     return NewtonResult(emb, history, res.sup < schedule.tol, schedule.max_iter)

@@ -89,7 +89,7 @@ def solve_at(eps_frac: Fraction):
     eps = float(eps_frac)
     sc = ScalingParams(epsilon=eps, a=0.1, nu=2)
     prob = TorusProblem(S=S67, grid=TruncationGrid(n_x=24, n_phi=12), xi=XI, scaling=sc)
-    sol = newton_solve(prob, schedule=NewtonSchedule(n0=4.0, chi=1.5, max_iter=8))
+    sol = newton_solve(prob, schedule=NewtonSchedule(max_iter=8))
     # every number a criterion reads comes from a converged solve
     assert sol.converged and sol.residuals[-1] < 1e-10, (
         f"Newton at eps = {eps_frac} did not converge: residuals {sol.residuals}"

@@ -333,9 +333,18 @@ REJECTED = {
                      "[evolve] drift_tol must be positive"),
     "max_iter -1": ("solve", "", ["--set", "solve.max_iter=-1"],
                     "[solve] max_iter must be at least 1"),
-    "n0 0": ("solve", "", ["--set", "solve.n0=0"], "[solve] n0 must be at least 1"),
-    "chi 0": ("evolve", "", ["--set", "solve.chi=0"], "[solve] chi must be at least 1"),
+    # the keys of the projection schedule that Newton no longer has
+    "old key n0": ("solve", "", ["--set", "solve.n0=0"], "unknown config key [solve] n0"),
+    "old key chi": ("evolve", "", ["--set", "solve.chi=0"], "unknown config key [solve] chi"),
     "tol -1": ("solve", "", ["--set", "solve.tol=-1"], "[solve] tol must be positive"),
+    # a non-finite float is refused as it is parsed, before any work
+    "tol inf": ("solve", "", ["--set", "solve.tol=inf"],
+                "[solve] tol: 'inf' (not a finite number)"),
+    "a nan": ("solve", "", ["--set", "problem.a=nan"], "[problem] a: 'nan' (not a finite number)"),
+    "f_coeffs nan": ("solve", "", ["--set", "problem.f_coeffs=9:nan"],
+                     "[problem] f_coeffs: '9:nan' (not a finite number)"),
+    "c_g1 nan": ("measure", "", ["--set", "mc.c_g1=nan"], "[mc] c_g1: 'nan' (not a finite number)"),
+    "T inf": ("evolve", "", ["--set", "evolve.T=inf"], "[evolve] T: 'inf' (not a finite number)"),
     # resonance_triviality counts M >= 3 only, so a smaller m_cap counts nothing
     "m_cap 2": ("resonances", "", ["--set", "scan.m_cap=2"], "[scan] m_cap must be at least 3"),
     "m_cap 0": ("resonances", "", ["--set", "scan.m_cap=0"], "[scan] m_cap must be at least 3"),

@@ -85,9 +85,16 @@ def test_problem_frequency_is_the_frequency_map():
                      scaling=ScalingParams(1e-3, 0.1, 2), omega=np.zeros(2))
 
 
-def test_newton_builds_one_grid_state_per_residual(monkeypatch):
-    # the Jacobian reads the state of the residual that accepted its iterate:
-    # on problem.ini's grid, 4, 5 and 6 residual calls build 4, 5 and 6 states
+@pytest.mark.parametrize("kwargs, iterations", [
+    (dict(eps=1e-3, n_x=24, n_phi=12), 3),
+    (dict(eps=2e-3, n_x=24, n_phi=12), 4),
+    (dict(eps=4e-3, n_x=24, n_phi=12), 5),
+    (dict(S=S678, xi=XI3, eps=1e-3, n_x=24, n_phi=4), 4),
+], ids=["nu2 1/1000", "nu2 1/500", "nu2 1/250", "nu3 1/1000"])
+def test_newton_builds_one_grid_state_per_residual(kwargs, iterations, monkeypatch):
+    # the Jacobian reads the state of the residual that accepted its iterate,
+    # so n full Newton steps build n + 1 states; the iteration counts are
+    # pinned on problem.ini's grid and on the three-site packet
     calls = {"GridState": 0, "residual": 0}
 
     def counting(name, fn):
@@ -98,11 +105,10 @@ def test_newton_builds_one_grid_state_per_residual(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(torus, name, counting(name, getattr(torus, name)))
-    for eps, want in ((1e-3, 4), (2e-3, 5), (4e-3, 6)):
-        calls.update(GridState=0, residual=0)
-        sol = newton_solve(small_problem(eps=eps, n_x=24, n_phi=12))
-        assert sol.converged
-        assert calls == {"GridState": want, "residual": want}
+    sol = newton_solve(small_problem(**kwargs))
+    assert sol.converged and sol.iterations == iterations
+    assert sol.residuals[-1] < 1e-13
+    assert calls == {"GridState": iterations + 1, "residual": iterations + 1}
 
 
 def test_linear_trivial_residual_zero():
@@ -317,12 +323,7 @@ def test_jacobian_matches_finite_differences(case):
 
 
 def test_newton_schedule_values():
-    s = NewtonSchedule(n0=4.0, chi=1.5)
-    assert s.cutoff(0, 100) == 4
-    assert s.cutoff(1, 100) == 8
-    assert s.cutoff(2, 100) == 22
-    assert s.cutoff(2, 12) == 12
-    for bad in (dict(n0=0.5), dict(chi=0), dict(max_iter=0), dict(tol=0.0), dict(tol=-1.0)):
+    for bad in (dict(max_iter=0), dict(tol=0.0), dict(tol=-1.0)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             NewtonSchedule(**bad)
 
@@ -353,8 +354,7 @@ def test_zero_nonlinearity_converges_in_one_step():
     prob.omega = np.array([float(lam(6)), float(lam(7))])
     start = _lattice_draw(prob, np.random.default_rng(0), 1e-4)
     start.x[prob.lattice.fam < 2 * S67.nu] = 0  # z alone
-    sched = NewtonSchedule(n0=100.0, tol=1e-12)  # full cutoff immediately
-    sol = newton_solve(prob, start=start, schedule=sched)
+    sol = newton_solve(prob, start=start, schedule=NewtonSchedule(tol=1e-12))
     assert sol.converged and sol.iterations <= 1
 
 
@@ -711,14 +711,25 @@ def test_min_linear_divisor_positive():
     assert (d, wit) == (best, first)
 
 
-def test_divergence_names_the_reduced_divisor():
+def test_divergence_names_the_reduced_divisor(monkeypatch):
     # a cold solve at 1/150 on problem.ini's grid fails; the trivial divisor
-    # 4.2e-4 at ((-1, 2), 8) crosses 0 near 1/152, the reduced one there does not
+    # 4.2e-4 at ((-1, 2), 8) crosses 0 near 1/152, the reduced one there does
+    # not.  The solve raises in the first iteration whose steps all fail, the
+    # third, as the next one would build the same Jacobian
     prob = small_problem(eps=1 / 150, n_x=24, n_phi=12)
     div = min_linear_divisor(prob)
+    jacobians, jacobian_ = [], torus.jacobian
+
+    def counting_jacobian(prob, gs):
+        jacobians.append(gs)
+        return jacobian_(prob, gs)
+
+    monkeypatch.setattr(torus, "jacobian", counting_jacobian)
     with pytest.raises(DivergenceError) as err:
         newton_solve(prob)
+    assert len(jacobians) == 3
     msg = str(err.value)
+    assert msg.startswith("residual stalled")
     assert f"{div.trivial:.3e} at {div.witness}" in msg
     assert f"omega.l - d_j = {div.reduced_at_witness:.3e}" in msg
     assert f"|omega.l - d_j| = {div.reduced:.3e} at {div.reduced_witness}" in msg
