@@ -24,16 +24,14 @@ import traceback
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+from .core import (
+    DEFAULT_BUDGET, FAMILIES, BudgetExceeded, FSpec, ScalingParams, TangentialSet, check,
+    float_fmt, fraction_str,
+)
 
-from .core import ScalingParams, TangentialSet, check, float_fmt, fraction_str
-from . import measure as measure_mod
-from . import spectrum as spectrum_mod
-from . import twist as twist_mod
-from . import wbnf as wbnf_mod
-from .polyham import serialize
-
-if TYPE_CHECKING:  # only the verbs that solve or evolve import torus
+# Each verb imports the modules it runs, so the exact verbs never load numpy
+# and only the verbs that solve or evolve load torus.
+if TYPE_CHECKING:
     from . import torus as torus_mod
 
 EXIT_PASS = 0
@@ -68,14 +66,12 @@ def _f_coeffs(text: str) -> dict[int, float]:
         raise ValueError("a degree is given twice")
     if not coeffs:
         return coeffs
-    from . import torus as torus_mod
-
-    return torus_mod.FSpec(coeffs).coeffs
+    return FSpec(coeffs).coeffs
 
 
 def _family(text: str) -> str:
-    if text not in measure_mod.FAMILIES:
-        raise ValueError(f"not one of {' '.join(measure_mod.FAMILIES)}")
+    if text not in FAMILIES:
+        raise ValueError(f"not one of {' '.join(FAMILIES)}")
     return text
 
 
@@ -107,7 +103,7 @@ SCHEMA: dict[str, dict[str, tuple[Callable[[str], object], object, str]]] = {
         "spectrum_j_max": (int, "60", "last mode of spectrum.csv"),
     },
     "mc": {
-        "family": (_family, "G0_0", " | ".join(measure_mod.FAMILIES)),
+        "family": (_family, "G0_0", " | ".join(FAMILIES)),
         "samples": (int, "100000", "Monte-Carlo samples per epsilon"),
         "eps_values": (_list(_finite), "0.04 0.057 0.08 0.113 0.16", "epsilon sweep"),
         "ell_max": (int, None, "truncation of the diophantine scan"),
@@ -202,7 +198,7 @@ def _j_bound(cfg: dict, S: TangentialSet, default: int) -> int:
 def _within_budget(budget: int, work: int, what: str, unit: str = "steps") -> None:
     """Refuse, before any work, a task of `work` units beyond `budget`."""
     if work > budget:
-        raise wbnf_mod.BudgetExceeded(f"{what} of {work} {unit} exceeds the budget {budget}")
+        raise BudgetExceeded(f"{what} of {work} {unit} exceeds the budget {budget}")
 
 
 def _scaling(cfg: dict, S: TangentialSet) -> ScalingParams:
@@ -245,6 +241,8 @@ def _summary(outdir: str, cfg: dict, command: str, checks: list[dict]) -> int:
 
 
 def cmd_resonances(cfg: dict, outdir: str, budget: int) -> list[dict]:
+    from . import wbnf as wbnf_mod
+
     order, bound, m_cap = cfg["scan"]["order"], cfg["scan"]["bound"], cfg["scan"]["m_cap"]
     if not 3 <= order <= wbnf_mod.DEGREE_CAP:
         raise UsageError(f"[scan] order must lie in 3..{wbnf_mod.DEGREE_CAP}")
@@ -265,6 +263,9 @@ def cmd_resonances(cfg: dict, outdir: str, budget: int) -> list[dict]:
 
 
 def cmd_wbnf(cfg: dict, outdir: str, budget: int) -> list[dict]:
+    from . import wbnf as wbnf_mod
+    from .polyham import serialize
+
     S = cfg["problem"]["splus"]
     max_order = cfg["scan"]["max_order"]
     if not 1 <= max_order <= wbnf_mod.DEGREE_CAP - 2:
@@ -285,6 +286,8 @@ def cmd_wbnf(cfg: dict, outdir: str, budget: int) -> list[dict]:
 
 
 def cmd_twist(cfg: dict, outdir: str, budget: int) -> list[dict]:
+    from . import twist as twist_mod
+
     S = cfg["problem"]["splus"]
     j_bound = _j_bound(cfg, S, twist_mod.NONDEG_J_BOUND)
     n = 2 * (j_bound - sum(s <= j_bound for s in S.splus))  # normal sites |j| <= j_bound
@@ -307,6 +310,9 @@ def cmd_twist(cfg: dict, outdir: str, budget: int) -> list[dict]:
 
 
 def cmd_spectrum(cfg: dict, outdir: str, budget: int) -> list[dict]:
+    from . import spectrum as spectrum_mod
+    from . import wbnf as wbnf_mod
+
     S = cfg["problem"]["splus"]
     sc = _scaling(cfg, S)
     xi = cfg["problem"]["xi"]
@@ -347,6 +353,8 @@ def cmd_spectrum(cfg: dict, outdir: str, budget: int) -> list[dict]:
 
 
 def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int, threads: int) -> list[dict]:
+    from . import measure as measure_mod
+
     S = cfg["problem"]["splus"]
     a = cfg["problem"]["a"]
     mc = cfg["mc"]
@@ -386,7 +394,7 @@ def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int, threads: int) ->
     # so the Monte-Carlo fraction may exceed it only by sampling error
     z = [(e.fraction - e.quadrature) / measure_mod.binomial_stderr(e.quadrature, samples)
          for e in sweep.estimates]
-    w = int(np.argmax(z))
+    w = max(range(len(z)), key=z.__getitem__)
     checks = [check("mc_within_quadrature", float_fmt(z[w]),
                     "<= 3 standard errors at the quadrature", all(v <= 3.0 for v in z),
                     f"eps={float_fmt(eps_values[w])}")]
@@ -395,7 +403,7 @@ def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int, threads: int) ->
         bounds = [lemma_c * c.scaling.epsilon ** (2 * (S.nu - 1)) * c.gamma for c in cfgs]
         measures = [e.quadrature * e.volume for e in sweep.estimates]
         ratio = [m / b for m, b in zip(measures, bounds)]
-        w = int(np.argmax(ratio))
+        w = max(range(len(ratio)), key=ratio.__getitem__)
         checks.insert(0, check("slab_within_lemma_bound", float_fmt(ratio[w]),
                                "quadrature measure <= C eps^(2(nu-1)) gamma",
                                all(m <= b for m, b in zip(measures, bounds)),
@@ -413,7 +421,7 @@ def _torus_problem(cfg: dict) -> torus_mod.TorusProblem:
         return torus_mod.TorusProblem(
             S=S, grid=torus_mod.TruncationGrid(n_x=trunc["n_x"], n_phi=trunc["n_phi"]),
             xi=cfg["problem"]["xi"], scaling=sc,
-            f_spec=torus_mod.FSpec(cfg["problem"]["f_coeffs"]),
+            f_spec=FSpec(cfg["problem"]["f_coeffs"]),
         )
     except ValueError as exc:
         raise UsageError(f"[truncation] {exc}") from None
@@ -451,7 +459,7 @@ def _solve(sched: torus_mod.NewtonSchedule, prob: torus_mod.TorusProblem, outdir
     digest = torus_mod.save_embedding(sol.emb, os.path.join(outdir, "torus.json"))
     hist = "\n".join(float_fmt(r) for r in sol.residuals)
     _write(outdir, "residual_history.txt", hist + "\n")
-    converged, zeta = bool(sol.converged), float(np.abs(sol.emb.zeta).max())
+    converged, zeta = bool(sol.converged), float(abs(sol.emb.zeta).max())
     checks = [
         check("newton_converged", converged, f"sup residual < {sched.tol}", converged,
               f"{sol.iterations} iterations, final {float_fmt(sol.residuals[-1])}, "
@@ -479,7 +487,7 @@ def cmd_evolve(cfg: dict, outdir: str, budget: int) -> list[dict]:
     if not tol > 0:
         raise UsageError(f"[evolve] drift_tol must be positive, got {tol}")
     # the evolver keeps |j| <= n_modes: the sites and every normal mode of the lattice
-    top = int(max(np.abs(prob.lattice.j).max(), prob.S.jbar1))
+    top = int(max(abs(prob.lattice.j).max(), prob.S.jbar1))
     if ev["n_modes"] < top:
         raise UsageError(f"[evolve] n_modes must be at least {top}, the largest mode "
                          f"|j| of the embedding, got {ev['n_modes']}")
@@ -500,7 +508,8 @@ def cmd_evolve(cfg: dict, outdir: str, budget: int) -> list[dict]:
             return checks
     try:
         u0 = torus_mod.action_angle_embed(prob, emb, (0.0,) * prob.S.nu)
-        res = torus_mod.evolve(u0, T=T, n_modes=ev["n_modes"], f_spec=prob.f_spec)
+        res = torus_mod.evolve(u0, T=T, n_modes=ev["n_modes"], f_spec=prob.f_spec,
+                               budget=budget)
     except torus_mod.TorusError as exc:
         return checks + [_failed("flow_completed", exc, f"T={T}")]
     _write_csv(outdir, "trajectory.csv", ("t", "H", "K1", "sup_norm_u"),
@@ -533,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument("--threads", type=int, default=0,
                         help="worker parallelism (0 = automatic)")
-    parser.add_argument("--budget", type=int, default=wbnf_mod.DEFAULT_BUDGET)
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     parser.add_argument("--set", action="append", default=[],
                         metavar="SECTION.KEY=VALUE", help="config override")
     try:
@@ -559,7 +568,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except wbnf_mod.BudgetExceeded as exc:
+    except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except Exception:

@@ -1,16 +1,53 @@
-"""Exact scalar arithmetic, the DP dispersion law, and tangential-set bookkeeping.
+"""Exact scalar arithmetic, the DP dispersion law, and tangential-set
+bookkeeping, with the few names the CLI needs before it knows its verb.
 
-Everything in this module is exact: scalars are `fractions.Fraction`, and
-all predicates are decided with integer arithmetic.  Floating point enters
-the package only in the measure and torus modules.
+The arithmetic is exact: scalars are `fractions.Fraction`, and all
+predicates are decided with integer arithmetic.  Floating point enters the
+package only in the twist scans and the measure and torus modules.  This
+module imports nothing from outside the standard library, so the CLI loads
+it alone and each verb imports what it runs.
 """
 from __future__ import annotations
 
 import functools
+import importlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+
+class _Deferred:
+    """A module imported on its first attribute access."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+DEFAULT_BUDGET = 10_000_000  # of --budget
+
+
+class BudgetExceeded(RuntimeError):
+    """A task beyond its --budget; the CLI exits 2."""
+
+
+# the Monte-Carlo families of measure
+FAMILIES = ("G0_0", "G0_1", "first_melnikov", "second_melnikov")
+
+
+@dataclass
+class FSpec:
+    """Polynomial Hamiltonian density f(u) = sum c_k u^k with valuation >= 9."""
+
+    coeffs: dict[int, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for k in self.coeffs:
+            if k < 9:
+                raise ValueError("the density must vanish to order >= 9")
 
 
 def as_rational(x) -> Fraction:

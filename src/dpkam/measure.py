@@ -19,7 +19,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import spectrum
-from .core import ScalingParams, TangentialSet, ell_bracket, ell_vectors_up_to, lam, packet_sum
+from .core import (
+    FAMILIES, ScalingParams, TangentialSet, ell_bracket, ell_vectors_up_to, lam, packet_sum,
+)
 from .spectrum import momentum_ells
 from .twist import TwistData, twist_matrix, v_vec, w_vec
 
@@ -376,7 +378,6 @@ def g0_lemma_constant(S: TangentialSet, tau: int, ell_max: int) -> float:
 # -- Monte-Carlo measure estimation -------------------------------------------------------
 
 
-FAMILIES = ("G0_0", "G0_1", "first_melnikov", "second_melnikov")
 MIN_SAMPLES = 1000
 
 

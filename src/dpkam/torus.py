@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import importlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -39,21 +38,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import ScalingParams, TangentialSet, lam
+from .core import (
+    DEFAULT_BUDGET, BudgetExceeded, FSpec, ScalingParams, TangentialSet, _Deferred, lam,
+)
 from .polyham import HomPoly, flow_conjugate, project_z_degree
 from .spectrum import EigenModel
 from .twist import frequency_map
 from .wbnf import dp_h2, dp_h3, index_universe, run_wbnf
-
-
-class _Deferred:
-    """A module imported on its first attribute access."""
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __getattr__(self, attr: str):
-        return getattr(importlib.import_module(self._name), attr)
 
 
 # scipy.sparse takes about 0.3 s to import and only Newton's Jacobian and LU
@@ -229,18 +220,6 @@ class TorusEmbedding:
 
 
 # -- problem data ---------------------------------------------------------------------
-
-
-@dataclass
-class FSpec:
-    """Polynomial Hamiltonian density f(u) = sum c_k u^k with valuation >= 9."""
-
-    coeffs: dict[int, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for k in self.coeffs:
-            if k < 9:
-                raise ValueError("the density must vanish to order >= 9")
 
 
 def nonlinear_density(u: np.ndarray, n: int, f_spec: FSpec, cubic: bool = True) -> np.ndarray:
@@ -912,6 +891,7 @@ def evolve(
     f_spec: FSpec | None = None,
     cubic: bool = True,
     blowup: float = 1e6,
+    budget: int = DEFAULT_BUDGET,
 ) -> EvolveResult:
     """Integrate the DP flow to time T > 0 from the Fourier data u0 of a real
     field (u0[-j] = conj(u0[j])) whose nonzero modes all have |j| <= n_modes,
@@ -935,7 +915,8 @@ def evolve(
     RADAU5's [1, 1.2) (Hairer and Wanner) with its lower edge moved off 1, the
     factor that follows any change of dt (err moves as dt^5): with an edge at
     1, rounding shrank dt by 1e-5 and recomputed the coefficients on many
-    steps."""
+    steps.  Each attempted step, accepted or rejected, counts against
+    `budget`; one more raises BudgetExceeded, naming the time reached."""
     if not T > 0:
         raise ValueError(f"need a final time T > 0, got {T}")
     size = max((abs(c) for c in u0.values()), default=0.0)
@@ -968,6 +949,9 @@ def evolve(
     pair = None  # the steps [[dt], [dt / 2]] that `coefs` holds the rows of
 
     while t < T - 1e-14:
+        if len(steps) + rejected >= budget:
+            raise BudgetExceeded(f"the evolver's {len(steps)} accepted and {rejected} rejected "
+                                 f"steps reach the budget {budget} at t = {t:.6g} of T = {T}")
         step = dt = min(dt, T - t)
         if pair is None or pair[0, 0] != dt:
             pair = np.array([[dt], [dt / 2]])

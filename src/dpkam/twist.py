@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .core import (
     TangentialSet,
+    _Deferred,
     check,
     ell_norm,
     ell_vectors_up_to,
@@ -27,6 +26,10 @@ from .core import (
     packet_sum,
     signed_ell_vectors,
 )
+
+# numpy serves only the float scans of nondegeneracy_report, so the spectrum
+# verb, which uses the exact twist data alone, never loads it
+np = _Deferred("numpy")
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]

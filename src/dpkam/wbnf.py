@@ -13,7 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import TangentialSet, lam
+from .core import BudgetExceeded, DEFAULT_BUDGET, TangentialSet, lam
 from .polyham import (
     HomPoly,
     Monomial,
@@ -28,12 +28,7 @@ from .polyham import (
 )
 
 DEGREE_CAP = 8  # six normal form steps, as in the construction
-DEFAULT_BUDGET = 10_000_000
 Z_TARGET = 1  # the z-degree the normal form keeps, beyond the degree headroom
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 class WbnfError(RuntimeError):

@@ -409,6 +409,53 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def _loaded(code, *argv):
+    """The `rc` that `code` sets when run with `argv` in a fresh interpreter,
+    and the dpkam modules it leaves loaded, with numpy and scipy if loaded."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    report = ("import json, sys; print(json.dumps([rc, [m for m in sys.modules if "
+              "m.startswith('dpkam') or m in ('numpy', 'scipy')]]))")
+    proc = subprocess.run([sys.executable, "-c", f"{code}\n{report}", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          check=True)
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    return rc, set(modules)
+
+
+def test_import_loads_the_cli_and_core_alone():
+    assert _loaded("import dpkam.cli; rc = 0") == (0, {"dpkam", "dpkam.cli", "dpkam.core"})
+
+
+VERB = "import sys; from dpkam.cli import main; rc = main(sys.argv[1:])"
+
+
+@pytest.mark.parametrize("rc,args", [
+    (0, ["resonances", "--set", "scan.order=4", "--set", "scan.bound=3"]),
+    (0, ["wbnf"]),
+    (0, ["wbnf", "--set", "problem.f_coeffs=9:1"]),
+    (0, ["spectrum", "--set", "scan.ident_j_max=10", "--set", "scan.spectrum_j_max=12",
+         "--set", "scan.j_bound=60"]),
+    (3, ["solve", "--set", "solve.n0=4"]),
+], ids=["resonances", "wbnf", "wbnf f_coeffs", "spectrum", "usage error"])
+def test_exact_verbs_leave_numpy_unloaded(tmp_path, rc, args):
+    cfg = write_config(tmp_path, BASE)
+    got, modules = _loaded(VERB, *args, "--config", cfg, "--out", str(tmp_path / "o"))
+    assert got == rc
+    assert not modules & {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize("args", [
+    ["twist", "--set", "scan.j_bound=20"],
+    ["measure", "--set", "mc.samples=1000", "--set", "mc.eps_values=0.08",
+     "--set", "mc.ell_max=4"],
+], ids=["twist", "measure"])
+def test_float_scans_load_numpy_alone(tmp_path, args):
+    cfg = write_config(tmp_path, BASE)
+    rc, modules = _loaded(VERB, *args, "--config", cfg, "--out", str(tmp_path / "o"))
+    assert rc == 0 and "numpy" in modules
+    assert not modules & {"scipy", "dpkam.torus"}
+
+
 def test_bad_argument_exits_3():
     assert main(["twist", "--no-such-flag"]) == 3
 
@@ -423,6 +470,23 @@ def test_evolve_rejects_checkpoint_of_other_grid(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3 and "Traceback" not in err
     assert "n_phi = 4" in err and "n_phi = 6" in err
+
+
+def test_evolve_budget_bounds_the_steps(tmp_path, capsys):
+    # from a checkpoint, for a solve first would trip the Newton bound of n^2
+    # index pairs; dt grows to at most T/16, so the flow takes 16 steps or more
+    cfg = write_config(tmp_path, BASE + "[truncation]\nn_x = 16\nn_phi = 4\n"
+                                        "[evolve]\nT = 1\nn_modes = 32\n")
+    prob = cli._torus_problem(load_config(cfg))
+    path = str(tmp_path / "torus.json")
+    torus.save_embedding(torus.TorusEmbedding.trivial(prob.S, prob.grid), path)
+    rc = main(["evolve", "--config", cfg, "--out", str(tmp_path / "ev"), "--budget", "10",
+               "--set", f"evolve.checkpoint={path}"])
+    err = capsys.readouterr().err
+    assert rc == 2 and "Traceback" not in err
+    assert re.search(r"10 accepted and 0 rejected steps reach the budget 10 "
+                     r"at t = 0\.\d+ of T = 1\.0", err)
+    assert not os.path.exists(tmp_path / "ev")
 
 
 def _write_checkpoint(path, payload):

@@ -12,7 +12,7 @@ import pytest
 import scipy.fft
 
 from dpkam import torus
-from dpkam.core import ScalingParams, TangentialSet, lam
+from dpkam.core import BudgetExceeded, ScalingParams, TangentialSet, lam
 from dpkam.polyham import flow_conjugate, z_degree
 from dpkam.spectrum import EigenModel
 from dpkam.twist import frequency_map
@@ -1023,6 +1023,16 @@ def test_evolve_step_accounting():
     # ETDRK4 is exact on a linear flow: dt doubles from 0.01 up to the cap T/16
     linear = evolve({2: 0.3, -2: 0.3}, T=3.0, n_modes=8, cubic=False, dt=0.01)
     assert (linear.accepted, linear.rejected, linear.dt_max) == (20, 0, 3.0 / 16)
+
+
+def test_evolve_budget_counts_attempted_steps():
+    # the run of test_evolve_step_accounting attempts 45 + 5 = 50 steps
+    u0 = {j: 0.5 * c for j, c in _random_real_data(n=8, seed=5).items()}
+    kwargs = dict(T=2.0, n_modes=16, dt=0.5, rtol=1e-8, f_spec=FSpec({9: 1.0}), cubic=False)
+    assert evolve(u0, budget=50, **kwargs).accepted == 45
+    with pytest.raises(BudgetExceeded, match=r"44 accepted and 5 rejected steps reach the "
+                                             r"budget 49 at t = 1\.98\d* of T = 2\.0"):
+        evolve(u0, budget=49, **kwargs)
 
 
 def test_dt_grows_back_after_a_forced_rejection(monkeypatch):
