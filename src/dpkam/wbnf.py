@@ -19,7 +19,6 @@ from .polyham import (
     Monomial,
     flow_conjugate,
     is_trivial_monomial,
-    monomial_momentum,
     ordering_count,
     project_kernel,
     project_z_degree,
@@ -88,57 +87,60 @@ class ResonanceTuple:
         return len(self.indices)
 
 
-def weight_sum(mono: Monomial, r: int) -> int:
-    """sum_i (1+j_i^2)^2 j_i^(2(r-2)) lambda(j_i), the K_r obstruction.
+def _h2_multisets(order: int, bound: int, budget: int) -> list[Monomial]:
+    """Each H2-resonant sorted multiset of `order` indices in [-B, B] \\ {0}
+    once, as the join of its n//2 smallest indices c1 with the rest c2.
 
-    (1+j^2)^2 cancels the denominator of lambda(j) = j(4+j^2)/(1+j^2), so each
-    term is the integer (1+j^2)(4+j^2) j^(2r-3).
+    num[j] = D j/(1+j^2) with D = lcm(1+j^2) over [-B, B] \\ {0}.  Zero
+    momentum gives sum(c1) <= 0 <= sum(c2), so only the left halves with
+    sum <= 0 are tabulated, under the (momentum, sum of num) key their
+    partners must have, and the right halves with sum >= 0 stream past the
+    table.  A matched pair is the canonical split of its multiset exactly when
+    c1[-1] <= c2[0], and then c1 + c2 is already sorted.
     """
-    if r < 2:
-        raise ValueError("conserved-hierarchy weights start at r = 2")
-    if 0 in mono:
-        raise ValueError("mode index 0 is excluded (zero-average phase space)")
-    e = 2 * r - 3
-    return sum((1 + j * j) * (4 + j * j) * j**e for j in mono)
-
-
-def _lambda_numerators(values) -> dict[int, int]:
-    """j -> D j/(1+j^2), with D = lcm(1+j^2) over `values`.
-
-    lambda(j) = j + 3j/(1+j^2), so a multiset of these j with zero momentum
-    has zero lambda-sum exactly when its sum of numerators is zero.
-    """
+    values = [j for j in range(-bound, bound + 1) if j != 0]
+    n1 = order // 2
+    n2 = order - n1
+    est = math.comb(len(values) + n1 - 1, n1) + math.comb(len(values) + n2 - 1, n2)
+    if est > budget:
+        raise BudgetExceeded(
+            f"half-enumeration of ~{est} multisets exceeds the budget {budget}"
+        )
     D = math.lcm(*(1 + j * j for j in values))
-    return {j: j * (D // (1 + j * j)) for j in values}
+    num = {j: j * (D // (1 + j * j)) for j in values}.__getitem__
+    left = defaultdict(list)
+    for c1 in itertools.combinations_with_replacement(values, n1):
+        p = sum(c1)
+        if p <= 0:
+            left[(-p, -sum(map(num, c1)))].append(c1)
+
+    found: list[Monomial] = []
+    for c2 in itertools.combinations_with_replacement(values, n2):
+        p = sum(c2)
+        if p < 0:
+            continue
+        c1s = left.get((p, sum(map(num, c2))))
+        if c1s:
+            found.extend(c1 + c2 for c1 in c1s if c1[-1] <= c2[0])
+            if len(found) > budget:
+                raise BudgetExceeded("resonance candidate set exceeds the budget")
+    return found
 
 
-def _is_h2_resonant(mono: Monomial) -> bool:
-    """Zero momentum and zero lambda-sum, in integers."""
-    if monomial_momentum(mono) != 0:
-        return False
-    num = _lambda_numerators(set(mono))
-    return sum(num[j] for j in mono) == 0
-
-
-def m_resonant_up_to(mono: Monomial, m_cap: int) -> int:
-    """Largest M <= m_cap with all hierarchy conditions r = 2..M+1; 0 if none."""
-    if not _is_h2_resonant(mono):
-        return 0
+def _hierarchy_depth(mono: Monomial, m_cap: int, weights: list[dict[int, int]]) -> int:
+    """Largest M <= m_cap with sum (1+j^2)(4+j^2) j^(2r-3) = 0 over `mono` for
+    r = 2..M+1; 0 if there is none with M >= 3.  weights[r - 2] maps each
+    index to its term at r; the table of r is appended the first time a tuple
+    reaches r."""
     best = 0
     for r in range(2, m_cap + 2):
-        if weight_sum(mono, r) != 0:
+        if len(weights) == r - 2:
+            weights.append({j: w * j * j for j, w in weights[-1].items()})
+        if sum(map(weights[r - 2].__getitem__, mono)):
             break
         if r >= 4:  # conditions r = 2..M+1 complete for M = r-1 >= 3
             best = r - 1
     return best
-
-
-def _halves(values: list[int], size: int, num: dict[int, int]):
-    """Sorted multisets of given size keyed by (momentum, sum of num[j])."""
-    out = defaultdict(list)
-    for combo in itertools.combinations_with_replacement(values, size):
-        out[(sum(combo), sum(map(num.__getitem__, combo)))].append(combo)
-    return out
 
 
 def enumerate_h2_resonances(
@@ -148,11 +150,20 @@ def enumerate_h2_resonances(
     m_cap: int = 8,
 ) -> list[ResonanceTuple]:
     """All multisets {j_1..j_n} in [-B, B] \\ {0} with zero momentum and zero
-    lambda-sum, found by a meet-in-the-middle join on exact partial sums.
+    lambda-sum, in sorted order, with their hierarchy depth.
 
-    Since sum(j_i) = 0 forces sum(lambda(j_i)) = sum 3 j_i/(1+j_i^2), the join
-    key is the momentum and the integer D sum j_i/(1+j_i^2) over the one
-    denominator D = lcm(1+j^2), |j| <= B.
+    Since sum(j_i) = 0 forces sum(lambda(j_i)) = sum 3 j_i/(1+j_i^2), a
+    meet-in-the-middle join on the momentum and the integer D sum j_i/(1+j_i^2)
+    over the one denominator D = lcm(1+j^2), |j| <= B, finds exactly the H2
+    resonances: the join key is the proof, so no tuple is tested again.  The
+    split is canonical, the n//2 smallest indices against the rest, so each
+    multiset is built once.
+
+    m_resonant_up_to is the largest M <= m_cap with the hierarchy conditions
+    sum (1+j^2)(4+j^2) j^(2r-3) = 0 for r = 2..M+1, and 0 if there is none
+    with M >= 3.  Each term is odd in j, so a trivial tuple (pairs j, -j)
+    meets every condition and reads m_cap; the per-index weights of r >= 3
+    are tabulated only when a non-trivial tuple reaches that r.
     """
     if order < 3:
         raise ValueError("resonance order starts at 3")
@@ -160,36 +171,19 @@ def enumerate_h2_resonances(
         raise ValueError(f"resonance order capped at {DEGREE_CAP}")
     if bound < 1:
         raise ValueError("index bound must be >= 1")
-    values = [j for j in range(-bound, bound + 1) if j != 0]
-    n1 = order // 2
-    n2 = order - n1
-    est = math.comb(len(values) + n1 - 1, n1) + math.comb(len(values) + n2 - 1, n2)
-    if est > budget:
-        raise BudgetExceeded(
-            f"half-enumeration of ~{est} multisets exceeds the budget {budget}"
-        )
-    num = _lambda_numerators(values)
-    left = _halves(values, n1, num)
-    right = left if n1 == n2 else _halves(values, n2, num)
+    found = _h2_multisets(order, bound, budget)
+    found.sort()
 
-    found: set[Monomial] = set()
-    for (p, s), combos in left.items():
-        partners = right.get((-p, -s))
-        if not partners:
-            continue
-        for c1 in combos:
-            for c2 in partners:
-                found.add(tuple(sorted(c1 + c2)))
-                if len(found) > budget:
-                    raise BudgetExceeded("resonance candidate set exceeds the budget")
-
+    top = m_cap if m_cap >= 3 else 0
+    weights = [{j: (1 + j * j) * (4 + j * j) * j for j in range(-bound, bound + 1) if j != 0}]
     out = []
-    for mono in sorted(found):
+    for mono in found:
+        trivial = is_trivial_monomial(mono)
         out.append(
             ResonanceTuple(
                 indices=mono,
-                m_resonant_up_to=m_resonant_up_to(mono, m_cap),
-                trivial=is_trivial_monomial(mono),
+                m_resonant_up_to=top if trivial else _hierarchy_depth(mono, m_cap, weights),
+                trivial=trivial,
                 permutations=ordering_count(mono),
             )
         )

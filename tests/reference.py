@@ -2,6 +2,9 @@
 and independent routes to values of the package, which no verb computes."""
 from __future__ import annotations
 
+import itertools
+import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import Sequence
 
@@ -9,8 +12,15 @@ import numpy as np
 
 from dpkam.core import TangentialSet, as_rational, packet_sum, signed_ell_vectors
 from dpkam.measure import FrequencyBox, MelnikovConfig, g0_0_slabs, g0_1_slabs, g1_scan_pairs
-from dpkam.polyham import HomPoly, monomial_lambda_sum, monomial_momentum
+from dpkam.polyham import (
+    HomPoly,
+    is_trivial_monomial,
+    monomial_lambda_sum,
+    monomial_momentum,
+    ordering_count,
+)
 from dpkam.twist import Matrix, mat_det
+from dpkam.wbnf import ResonanceTuple
 
 
 def is_in_wave_packet_class(S: TangentialSet, r: Fraction) -> bool:
@@ -126,3 +136,72 @@ def in_g0(xi: Sequence[float], S: TangentialSet, cfg: MelnikovConfig) -> tuple[b
     g0 = g0_0_slabs(box, cfg.ell_max, cfg.scaling.tau, cfg.gamma)
     g1 = g0_1_slabs(box, g1_scan_pairs(S)[0], box.A.T, cfg.c_g1 * cfg.gamma)
     return tuple(not bool(np.any(np.abs(s.c0 + s.g @ x) < s.t)) for s in (g0, g1))
+
+
+def weight_sum(mono: Sequence[int], r: int) -> int:
+    """sum_i (1+j_i^2)^2 j_i^(2(r-2)) lambda(j_i), the K_r obstruction.
+
+    (1+j^2)^2 cancels the denominator of lambda(j) = j(4+j^2)/(1+j^2), so each
+    term is the integer (1+j^2)(4+j^2) j^(2r-3).
+    """
+    if r < 2:
+        raise ValueError("conserved-hierarchy weights start at r = 2")
+    if 0 in mono:
+        raise ValueError("mode index 0 is excluded (zero-average phase space)")
+    e = 2 * r - 3
+    return sum((1 + j * j) * (4 + j * j) * j**e for j in mono)
+
+
+def _lambda_numerators(values) -> dict[int, int]:
+    """j -> D j/(1+j^2), with D = lcm(1+j^2) over `values`."""
+    D = math.lcm(*(1 + j * j for j in values))
+    return {j: j * (D // (1 + j * j)) for j in values}
+
+
+def is_h2_resonant(mono: Sequence[int]) -> bool:
+    """Zero momentum and zero lambda-sum, in integers."""
+    if monomial_momentum(mono) != 0:
+        return False
+    num = _lambda_numerators(set(mono))
+    return sum(num[j] for j in mono) == 0
+
+
+def m_resonant_up_to(mono: Sequence[int], m_cap: int) -> int:
+    """Largest M <= m_cap with all hierarchy conditions r = 2..M+1; 0 if none."""
+    if not is_h2_resonant(mono):
+        return 0
+    best = 0
+    for r in range(2, m_cap + 2):
+        if weight_sum(mono, r) != 0:
+            break
+        if r >= 4:  # conditions r = 2..M+1 complete for M = r-1 >= 3
+            best = r - 1
+    return best
+
+
+def set_join_resonances(order: int, bound: int, m_cap: int = 8) -> list[ResonanceTuple]:
+    """The H2 resonances of `order` indices in [-B, B] \\ {0} by a plain
+    meet-in-the-middle join: every pairing of halves with opposite keys is
+    sorted into a set, and each tuple is tested and classified on its own."""
+    values = [j for j in range(-bound, bound + 1) if j != 0]
+    num = _lambda_numerators(values)
+    halves = {}
+    for size in {order // 2, order - order // 2}:
+        halves[size] = defaultdict(list)
+        for combo in itertools.combinations_with_replacement(values, size):
+            halves[size][(sum(combo), sum(num[j] for j in combo))].append(combo)
+    found = set()
+    for (p, s), combos in halves[order // 2].items():
+        for c1 in combos:
+            for c2 in halves[order - order // 2].get((-p, -s), ()):
+                found.add(tuple(sorted(c1 + c2)))
+    return [
+        ResonanceTuple(
+            indices=mono,
+            m_resonant_up_to=m_resonant_up_to(mono, m_cap),
+            trivial=is_trivial_monomial(mono),
+            permutations=ordering_count(mono),
+        )
+        for mono in sorted(found)
+        if is_h2_resonant(mono)
+    ]

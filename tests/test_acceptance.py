@@ -65,7 +65,6 @@ from dpkam.wbnf import (
     h40_closed_form,
     run_wbnf,
     twist_cross_sum,
-    weight_sum,
 )
 from reference import (
     divisor_closed_form_ell1,
@@ -74,6 +73,7 @@ from reference import (
     is_in_wave_packet_class,
     normalized_det,
     normalized_det_limit_form,
+    weight_sum,
 )
 
 S67 = TangentialSet.make([6, 7])

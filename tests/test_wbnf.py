@@ -1,12 +1,20 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from dpkam.core import TangentialSet, kr_weight, lam
+from dpkam.core import DEFAULT_BUDGET, TangentialSet, kr_weight, lam
 from dpkam.polyham import is_trivial_monomial
-from reference import is_real_hamiltonian, preserves_momentum
+from reference import (
+    is_h2_resonant,
+    is_real_hamiltonian,
+    m_resonant_up_to,
+    preserves_momentum,
+    set_join_resonances,
+    weight_sum,
+)
 from dpkam.wbnf import (
     BudgetExceeded,
     WbnfError,
@@ -14,12 +22,11 @@ from dpkam.wbnf import (
     enumerate_h2_resonances,
     h40_closed_form,
     index_universe,
-    m_resonant_up_to,
     run_wbnf,
     twist_cross_sum,
     universe_bound,
-    weight_sum,
-    _is_h2_resonant,
+    _h2_multisets,
+    _hierarchy_depth,
 )
 
 
@@ -30,7 +37,7 @@ def is_M_resonance(indices, M: int) -> bool:
     mono = tuple(sorted(int(j) for j in indices))
     if any(j == 0 for j in mono):
         raise ValueError("indices must be nonzero")
-    if not _is_h2_resonant(mono):
+    if not is_h2_resonant(mono):
         return False
     return all(weight_sum(mono, r) == 0 for r in range(2, M + 2))
 
@@ -67,6 +74,49 @@ def test_enumeration_budget_and_caps():
         enumerate_h2_resonances(9, 3)
     with pytest.raises(BudgetExceeded):
         enumerate_h2_resonances(6, 40, budget=100)
+
+
+@pytest.mark.parametrize("order, bound, m_cap", [
+    (3, 50, 8), (4, 3, 8), (4, 30, 2), (4, 30, 3), (5, 24, 8),
+    (6, 24, 8), (6, 24, 3), (7, 10, 8), (8, 6, 8), (6, 40, 8),
+])
+def test_enumeration_matches_the_set_join(order, bound, m_cap):
+    assert enumerate_h2_resonances(order, bound, m_cap=m_cap) == set_join_resonances(
+        order, bound, m_cap)
+
+
+@pytest.mark.parametrize("order, bound", [(6, 24), (8, 6)])
+def test_join_builds_each_multiset_once(order, bound):
+    found = _h2_multisets(order, bound, DEFAULT_BUDGET)
+    assert found and len(found) == len(set(found))
+    assert len(found) == len(enumerate_h2_resonances(order, bound))
+
+
+def test_trivial_tuples_read_m_cap_at_any_depth():
+    t0 = time.monotonic()
+    deep = enumerate_h2_resonances(6, 24, m_cap=10**6)
+    assert time.monotonic() - t0 < 1
+    assert any(t.trivial for t in deep)
+    for t, t8 in zip(deep, enumerate_h2_resonances(6, 24, m_cap=8), strict=True):
+        assert t.m_resonant_up_to == (10**6 if t.trivial else t8.m_resonant_up_to)
+    # below M = 3 no tuple is an M-resonance, trivial or not
+    assert {t.m_resonant_up_to for t in enumerate_h2_resonances(6, 24, m_cap=2)} == {0}
+
+
+def test_hierarchy_depth_grows_its_tables_as_reached():
+    # no H2 resonance in the scanned ranges meets r = 2 without being trivial,
+    # so the tables past r = 2 are checked on tuples built for them
+    weights = [{j: weight_sum((j,), 2) for j in range(-12, 13) if j != 0}]
+    lone = (-11, -1, -1, 9, 10)  # non-trivial, meets r = 2 and fails r = 3
+    assert weight_sum(lone, 2) == 0 != weight_sum(lone, 3)
+    assert _hierarchy_depth(lone, 8, weights) == 0
+    assert len(weights) == 2
+    assert _hierarchy_depth((-3, -1, 2, 2), 8, weights) == 0 and len(weights) == 2
+    assert _hierarchy_depth((-12, -3, 3, 12), 8, weights) == 8
+    assert _hierarchy_depth((-12, -3, 3, 12), 2, weights) == 0
+    assert len(weights) == 8
+    for r, table in enumerate(weights, 2):
+        assert all(w == weight_sum((j,), r) for j, w in table.items())
 
 
 def test_is_m_resonance():
