@@ -40,6 +40,8 @@ class MelnikovConfig:
             raise ValueError("gamma must be < 1")
         if self.ell_max < 1:
             raise ValueError("ell_max must be at least 1")
+        if not self.c_g1 > 0:
+            raise ValueError(f"c_g1 must be positive, got {self.c_g1}")
 
     @property
     def gamma(self) -> float:

@@ -375,7 +375,10 @@ def jacobian(prob: TorusProblem, gs: GridState) -> sp.csc_matrix:
     block between two of the families Theta_i, y_i and z is omega.d_phi on
     the diagonal plus the multiplication operator of a symbol mu(phi),
     J[l_r, l_c] = row_coef(l_r) mu_hat(l_r - l_c); the (2 nu + 1)^2 symbols
-    go through one FFT, and the entries with |J| <= DROP_TOL are dropped."""
+    go through one FFT, and the entries with |J| <= DROP_TOL are dropped.
+    Every coupling |l_r - l_c|_inf <= 2N lies in the window of (4N + 1)^nu
+    modes of each spectrum (m grows with f_coeffs, the window does not); there
+    the flat index of (fam_r nf + fam_c, l_r - l_c) is separable, row[r] + col[c]."""
     at, lat, nu = prob.at, prob.lattice, prob.S.nu
     eps, b = prob.eps, prob.b
 
@@ -392,20 +395,22 @@ def jacobian(prob: TorusProblem, gs: GridState) -> sp.csc_matrix:
     syms[nu + i, i] -= 2.0 * eps ** (1.0 - 2.0 * b) * gs.rho * gs.cos * gs.G
     syms[nu + i, nu + i] += gs.sig * gs.rows[nu + i] * gs.G
 
-    n, nf = len(lat.fam), 2 * nu + 1
-    rows, cols = (a.ravel() for a in np.indices((n, n)))
-    val = prob.row_coef[rows] * at.to_coeffs(
-        syms.reshape(-1, *at.shape), lat.fam[rows] * nf + lat.fam[cols], lat.ell[rows] - lat.ell[cols]
-    )
-    keep = np.abs(val) > DROP_TOL
+    n, nf, N = len(lat.fam), 2 * nu + 1, prob.grid.n_phi
+    w = np.arange(-2 * N, 2 * N + 1) % at.m
+    spec = at.fft(syms.reshape(-1, *at.shape))[(slice(None), *np.ix_(*[w] * nu))].ravel()
+    place = (4 * N + 1) ** np.arange(nu, -1, -1)  # the family pair, then base-(4N+1) digits
+    row = lat.fam * nf * place[0] + (lat.ell + 2 * N) @ place[1:]
+    col = lat.fam * place[0] - lat.ell @ place[1:]
+    val = prob.row_coef[:, None] * spec[row[:, None] + col]
+    rows, cols = np.nonzero(np.abs(val) > DROP_TOL)
 
     # the diagonal omega.d_phi (- i lambda), zeta_i in the l = 0 row of y_i
     # and the phase rows on Theta_i(0)
     th0, y0 = lat.origin[:nu], lat.origin[nu:]
-    rows = np.concatenate([rows[keep], np.arange(n), y0, n + i])
-    cols = np.concatenate([cols[keep], np.arange(n), n + i, th0])
     diag = 1j * (ell_dot(lat.ell, prob.omega) - prob.lam_lat)
-    vals = np.concatenate([val[keep], diag, np.ones(2 * nu)])
+    vals = np.concatenate([val[rows, cols], diag, np.ones(2 * nu)])
+    rows = np.concatenate([rows, np.arange(n), y0, n + i])
+    cols = np.concatenate([cols, np.arange(n), n + i, th0])
     return sp.csc_matrix((vals, (rows, cols)), shape=(n + nu, n + nu))
 
 

@@ -19,6 +19,7 @@ from dpkam.polyham import (
     monomial_momentum,
     ordering_count,
 )
+from dpkam.torus import DROP_TOL, GridState, TorusProblem, ell_dot, nonlinear_density, sp
 from dpkam.twist import Matrix, mat_det
 from dpkam.wbnf import ResonanceTuple
 
@@ -205,3 +206,34 @@ def set_join_resonances(order: int, bound: int, m_cap: int = 8) -> list[Resonanc
         for mono in sorted(found)
         if is_h2_resonant(mono)
     ]
+
+
+def jacobian_by_index_pairs(prob: TorusProblem, gs: GridState):
+    """`torus.jacobian` assembled from n^2 explicit index pairs: the row and
+    column of every pair, their family pair and the angle difference
+    l_r - l_c, read from the whole symbol spectrum (m^nu per symbol)."""
+    at, lat, nu = prob.at, prob.lattice, prob.S.nu
+    eps, b = prob.eps, prob.b
+
+    d2P = nonlinear_density(gs.V, 2, prob.f_spec, prob.include_cubic)
+    dV = np.concatenate([-2.0 * eps * gs.rho * gs.sin, 2.0 * eps * gs.rho * gs.sig * gs.cos])
+    syms = gs.rows[:, None] * np.concatenate([(1.0 + d2P) * dV, eps**b * d2P[None]])
+    i = np.arange(nu)
+    syms[i, i] += at.sites(prob.lam_sites / eps) * gs.sin / gs.rho * gs.G
+    syms[i, nu + i] -= gs.sig * gs.rows[i] * gs.G
+    syms[nu + i, i] -= 2.0 * eps ** (1.0 - 2.0 * b) * gs.rho * gs.cos * gs.G
+    syms[nu + i, nu + i] += gs.sig * gs.rows[nu + i] * gs.G
+
+    n, nf = len(lat.fam), 2 * nu + 1
+    rows, cols = (a.ravel() for a in np.indices((n, n)))
+    val = prob.row_coef[rows] * at.to_coeffs(
+        syms.reshape(-1, *at.shape), lat.fam[rows] * nf + lat.fam[cols], lat.ell[rows] - lat.ell[cols]
+    )
+    keep = np.abs(val) > DROP_TOL
+
+    th0, y0 = lat.origin[:nu], lat.origin[nu:]
+    rows = np.concatenate([rows[keep], np.arange(n), y0, n + i])
+    cols = np.concatenate([cols[keep], np.arange(n), n + i, th0])
+    diag = 1j * (ell_dot(lat.ell, prob.omega) - prob.lam_lat)
+    vals = np.concatenate([val[keep], diag, np.ones(2 * nu)])
+    return sp.csc_matrix((vals, (rows, cols)), shape=(n + nu, n + nu))

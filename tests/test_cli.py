@@ -303,6 +303,10 @@ REJECTED = {
     "f_coeffs below order 9": ("resonances", "f_coeffs = 3:1.0\n", [], "[problem] f_coeffs"),
     "too few samples": ("measure", "", ["--set", "mc.samples=10"], "[mc] samples must be at least"),
     "ell_max 0": ("measure", "", ["--set", "mc.ell_max=0"], "[mc] ell_max must be at least 1"),
+    # C gamma is the width of the G0_1 slabs: C <= 0 would exclude nothing and pass
+    "c_g1 -1": ("measure", "", ["--set", "mc.family=G0_1", "--set", "mc.c_g1=-1"],
+                "[mc] c_g1 must be positive, got -1.0"),
+    "c_g1 0": ("measure", "", ["--set", "mc.c_g1=0"], "[mc] c_g1 must be positive, got 0.0"),
     "epsilon above 1": ("measure", "", ["--set", "mc.eps_values=0.1 1.5"],
                         "[mc] epsilon must lie in (0, 1)"),
     "max_order 9": ("wbnf", "", ["--set", "scan.max_order=9"], "[scan] max_order must lie in 1..6"),

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,7 @@ from dpkam.torus import (
 )
 from dpkam.torus import _phi_funcs
 from dpkam.wbnf import dp_h2, dp_h3, index_universe, run_wbnf
+from reference import jacobian_by_index_pairs
 
 S67 = TangentialSet.make([6, 7])
 # a three-site packet: S+ = {6, 7, 8} needs n_x > 2 jbar1 = 16
@@ -320,6 +322,49 @@ def test_jacobian_matches_finite_differences(case):
         an = J @ vec
         scale = max(np.abs(fd).max(), 1e-30)
         assert np.abs(fd - an).max() / scale < 1e-8
+
+
+ORACLE_JACOBIAN_CASES = {
+    # the window 4N + 1 = 5 on m = 6 points per angle
+    "nu2 n_phi1": dict(n_phi=1),
+    # u^9 pads the grid to m = 75, far wider than the window of 33
+    "nu2 n_phi8 cubic+f": dict(n_phi=8, f_coeffs={9: 1e10}),
+    "nu2 n_phi8 f only": dict(n_phi=8, cubic=False, f_coeffs={9: 1e10}),
+    "nu2 n_phi12": dict(n_x=24, n_phi=12),
+    "nu3 n_phi2": dict(S=S678, xi=XI3, n_x=24, n_phi=2),
+    "nu3 n_phi3 f": dict(S=S678, xi=XI3, n_x=24, n_phi=3, f_coeffs={9: 1e10}),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_JACOBIAN_CASES))
+def test_jacobian_equals_the_index_pair_assembly(case):
+    # the separable window index reads the same entries as n^2 explicit
+    # index pairs into the whole spectrum, bit for bit
+    prob = small_problem(**ORACLE_JACOBIAN_CASES[case])
+    gs = residual(prob, _lattice_draw(prob, np.random.default_rng(3), 1e-3)).state
+    got, want = jacobian(prob, gs), jacobian_by_index_pairs(prob, gs)
+    got.sort_indices()
+    want.sort_indices()
+    assert got.nnz == want.nnz
+    for a in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, a), getattr(want, a)), a
+
+
+def test_jacobian_holds_no_n2_index_array():
+    # at the solved nu = 3, n_phi 6 torus (n = 842) the index-pair assembly
+    # peaks at 138 bytes per n^2 and the window gather at 63, a level that
+    # the symbol FFT, the complex n^2 gather and the sparse build each reach
+    prob = small_problem(eps=1e-3, S=S678, xi=XI3, n_x=24, n_phi=6)
+    gs = residual(prob, newton_solve(prob).emb).state
+    n = len(prob.lattice.fam)
+    jacobian(prob, gs)  # scipy.sparse loaded outside the trace
+    tracemalloc.start()
+    try:
+        jacobian(prob, gs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * n**2
 
 
 def test_newton_schedule_values():
