@@ -3,10 +3,10 @@
 Verbs: resonances, wbnf, twist, spectrum, measure, solve, evolve.
 Configuration is a single INI file (key-value with sections, whitespace
 separated lists) plus `--set section.key=value` overrides; `SCHEMA` below
-lists every key with its type, default and meaning.  Every artifact embeds
-the sha256 hash of the resolved configuration, and floating values are
-printed with 17 significant digits so identical configs produce
-byte-identical outputs.
+lists every key with its type, default and meaning.  `summary.json`
+records the sha256 hash of the resolved configuration (with the seed, for
+`measure`), and floating values are printed with 17 significant digits so
+identical configs produce byte-identical outputs.
 
 Exit codes: 0 pass, 1 failed check, 2 budget/resource, 3 usage error (bad
 config or arguments), 4 internal error (an unexpected exception).
@@ -175,8 +175,10 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     return cfg
 
 
-def config_hash(cfg: dict) -> str:
-    canon = json.dumps(cfg, sort_keys=True, default=str)
+def config_hash(cfg: dict, seed: int | None = None) -> str:
+    """Hash of the resolved `cfg`, and of the `seed` of a verb that draws samples."""
+    canon = json.dumps(cfg if seed is None else {**cfg, "seed": seed}, sort_keys=True,
+                       default=str)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -225,11 +227,11 @@ def _write_csv(outdir: str, name: str, header: tuple[str, ...], rows) -> str:
     return _write(outdir, name, "\n".join(lines) + "\n")
 
 
-def _summary(outdir: str, cfg: dict, command: str, checks: list[dict]) -> int:
+def _summary(outdir: str, digest: str, command: str, checks: list[dict]) -> int:
     ok = all(c["pass"] for c in checks)
     payload = {
         "command": command,
-        "config_hash": config_hash(cfg),
+        "config_hash": digest,
         "pass": ok,
         "checks": checks,
     }
@@ -352,7 +354,7 @@ def cmd_spectrum(cfg: dict, outdir: str, budget: int) -> list[dict]:
                   scan.min_abs > 0, f"ell={w.ell}, j={w.j}, j'={w.jp}")]
 
 
-def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int, threads: int) -> list[dict]:
+def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int) -> list[dict]:
     from . import measure as measure_mod
 
     S = cfg["problem"]["splus"]
@@ -371,9 +373,9 @@ def cmd_measure(cfg: dict, outdir: str, budget: int, seed: int, threads: int) ->
         raise UsageError(f"--seed must lie in 0..{top} for {len(eps_values)} eps values, "
                          f"got {seed}")
     _within_budget(budget, samples * S.nu, "the per-eps sample array", "floats")
-    if threads <= 0:
-        threads = os.cpu_count() or 1
-    sweep = measure_mod.measure_sweep(S, cfgs, family, samples, seed, threads=threads)
+    _within_budget(budget, measure_mod.scan_cases(S, cfgs[0], family), "the per-eps case scan",
+                   "cases")
+    sweep = measure_mod.measure_sweep(S, cfgs, family, samples, seed)
     _write_csv(outdir, "measure.csv",
                ("eps", "gamma", "samples", "excluded", "fraction", "stderr", "volume", "measure"),
                ((e.eps, e.eps ** (2.0 + a), e.samples, e.excluded, e.fraction, e.stderr,
@@ -540,8 +542,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", default=None, help="INI config file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=1234)
-    parser.add_argument("--threads", type=int, default=0,
-                        help="worker parallelism (0 = automatic)")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     parser.add_argument("--set", action="append", default=[],
                         metavar="SECTION.KEY=VALUE", help="config override")
@@ -559,12 +559,10 @@ def main(argv: list[str] | None = None) -> int:
             overrides[key] = val
         if args.budget < 1:
             raise UsageError(f"--budget must be at least 1, got {args.budget}")
-        if args.threads < 0:
-            raise UsageError(f"--threads must be at least 0, got {args.threads}")
         cfg = load_config(args.config, overrides)
-        extra = (args.seed, args.threads) if args.command == "measure" else ()
+        extra = (args.seed,) if args.command == "measure" else ()
         checks = COMMANDS[args.command](cfg, args.out, args.budget, *extra)
-        return _summary(args.out, cfg, args.command, checks)
+        return _summary(args.out, config_hash(cfg, *extra), args.command, checks)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import importlib
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -148,8 +149,17 @@ def signed_ell_vectors(nu: int, norm: int) -> list[tuple[int, ...]]:
 
 def ell_vectors_up_to(nu: int, n: int) -> list[tuple[int, ...]]:
     """All ell in Z^nu with 1 <= |ell|_1 <= n, by increasing norm, each norm
-    in the order of `signed_ell_vectors`."""
-    return [ell for norm in range(1, n + 1) for ell in signed_ell_vectors(nu, norm)]
+    in the order of `signed_ell_vectors`: one walk of the cube |ell|_inf <= n,
+    sorted stably by norm."""
+    cube = itertools.product(range(-n, n + 1), repeat=nu)
+    return sorted((ell for ell in cube if 0 < ell_norm(ell) <= n), key=ell_norm)
+
+
+def ell_count(nu: int, n: int) -> int:
+    """len(ell_vectors_up_to(nu, n)) without the walk: an ell with k nonzero
+    entries picks their places, C(nu, k), their signs, 2^k, and their absolute
+    values, positive with sum at most n, C(n, k) ways."""
+    return sum(2**k * math.comb(nu, k) * math.comb(n, k) for k in range(1, nu + 1))
 
 
 def packet_sum(S: TangentialSet, ell: Sequence[int]) -> Fraction:

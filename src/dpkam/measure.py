@@ -13,6 +13,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -20,7 +22,8 @@ import numpy as np
 
 from . import spectrum
 from .core import (
-    FAMILIES, ScalingParams, TangentialSet, ell_bracket, ell_vectors_up_to, lam, packet_sum,
+    FAMILIES, ScalingParams, TangentialSet, ell_bracket, ell_count, ell_vectors_up_to, lam,
+    packet_sum,
 )
 from .spectrum import momentum_ells
 from .twist import TwistData, twist_matrix, v_vec, w_vec
@@ -123,14 +126,9 @@ def g0_0_slabs(box: FrequencyBox, ell_max: int, tau: int, gamma: float) -> Slabs
     return Slabs(c0, g, np.array([gamma * ell_bracket(ell) ** (-tau) for ell in ells]), scale)
 
 
-def g1_scan_pairs(S: TangentialSet) -> tuple[list, float]:
-    """Momentum-compatible (ell, j, j') cases for the five-wave condition with
-    the finite j-bound justified by the asymptotics of the divisor.
-
-    The eps-independent part equals 3(sum_i l_i s_i/(1+s_i^2) + g(j') - g(j))
-    with |g| <= 1/2 and g(j) -> 0; beyond |j|, |j'| >= J0 := ceil(12/min_ell)
-    it stays above (3/2) min_ell, which dominates C gamma + O(eps^2) for small
-    eps.  The returned bound is recorded in reports."""
+def g1_scan_range(S: TangentialSet) -> tuple[list, float, int]:
+    """The (ell, l.jbar) of |l|_1 <= 3 that `g1_scan_pairs` scans, min_ell =
+    min |sum_i l_i s_i/(1+s_i^2)| over them, and its j-bound J0."""
     min_ell = None
     ells = momentum_ells(S, 3)
     for ell, _ in ells:
@@ -141,7 +139,18 @@ def g1_scan_pairs(S: TangentialSet) -> tuple[list, float]:
             )
         if min_ell is None or val < min_ell:
             min_ell = val
-    j0 = int(math.ceil(12.0 / float(min_ell)))
+    return ells, float(min_ell), int(math.ceil(12.0 / float(min_ell)))
+
+
+def g1_scan_pairs(S: TangentialSet) -> tuple[list, float]:
+    """Momentum-compatible (ell, j, j') cases for the five-wave condition with
+    the finite j-bound justified by the asymptotics of the divisor.
+
+    The eps-independent part equals 3(sum_i l_i s_i/(1+s_i^2) + g(j') - g(j))
+    with |g| <= 1/2 and g(j) -> 0; beyond |j|, |j'| >= J0 := ceil(12/min_ell)
+    it stays above (3/2) min_ell, which dominates C gamma + O(eps^2) for small
+    eps.  The returned bound is recorded in reports."""
+    ells, min_ell, j0 = g1_scan_range(S)
     pairs = []
     for ell, shift in ells:
         for jp in range(-j0 - abs(shift), j0 + abs(shift) + 1):
@@ -153,7 +162,7 @@ def g1_scan_pairs(S: TangentialSet) -> tuple[list, float]:
             if min(abs(j), abs(jp)) > j0:
                 continue
             pairs.append((ell, j, jp))
-    return pairs, float(min_ell)
+    return pairs, min_ell
 
 
 def g0_1_slabs(box: FrequencyBox, pairs: Sequence, M: np.ndarray, thr: float) -> Slabs:
@@ -287,6 +296,23 @@ def _melnikov_j_range(S: TangentialSet, cfg: MelnikovConfig) -> int:
     the momentum-compatible pairs |lambda(j) - lambda(k)| is close to
     |l.jbar|, far below |l|/C."""
     return int(math.ceil(cfg.ell_max / pruning_slope_constant(S))) + MELNIKOV_J_MARGIN
+
+
+def scan_cases(S: TangentialSet, cfg: MelnikovConfig, family: str) -> int:
+    """The number of cases one eps's scan of `family` builds, counted without
+    building them: exactly for G0_0 (the ell of |l|_1 <= ell_max) and
+    first_melnikov (two per ell and normal mode |j| <= jmax), and from above
+    for G0_1 (the j' range of each ell) and second_melnikov (at most one pair
+    per ell and mode j)."""
+    if family == "G0_1":
+        ells, _, j0 = g1_scan_range(S)
+        return sum(2 * (j0 + abs(shift)) + 1 for _, shift in ells)
+    n_ell = ell_count(S.nu, cfg.ell_max)
+    if family == "G0_0":
+        return n_ell
+    jmax = _melnikov_j_range(S, cfg)
+    modes = 2 * (jmax - sum(s <= jmax for s in S.splus))
+    return n_ell * modes * (2 if family == "first_melnikov" else 1)
 
 
 # -- slabs against the box ----------------------------------------------------------------
@@ -445,8 +471,8 @@ def estimate_excluded_measure(
     nu = S.nu
     eps = cfg.scaling.epsilon
     box = FrequencyBox.make(S, eps)
-    # counter-based streams keyed by (seed, worker chunk); the merge below is
-    # a sum of counts, independent of evaluation order
+    # counter-based streams keyed by (seed, chunk number), concatenated in
+    # chunk order
     chunk = 1 << 14
     chunks = []
     done = 0
@@ -575,23 +601,17 @@ def measure_sweep(
     family: str,
     samples: int,
     seed: int,
-    threads: int = 0,
 ) -> SweepResult:
     """`estimate_excluded_measure` at each config of `sweep_configs`, the i-th
-    with seed + i, and the log-log fit of the measures against eps."""
+    with seed + i, and the log-log fit of the measures against eps.  The
+    configs run on one thread each, up to the CPU count: numpy releases the
+    GIL in the sample scans, and each estimate depends on its seed alone."""
 
-    def one(i_cfg):
-        i, cfg = i_cfg
+    def one(i, cfg):
         return estimate_excluded_measure(S, cfg, family, samples, seed + i)
 
-    jobs = list(enumerate(cfgs))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            estimates = list(pool.map(one, jobs))
-    else:
-        estimates = [one(j) for j in jobs]
+    with ThreadPoolExecutor(max_workers=min(len(cfgs), os.cpu_count() or 1)) as pool:
+        estimates = list(pool.map(one, range(len(cfgs)), cfgs))
     slope, err = fit_loglog_slope(
         [e.eps for e in estimates],
         [e.measure for e in estimates],

@@ -37,6 +37,12 @@ def is_in_wave_packet_class(S: TangentialSet, r: Fraction) -> bool:
     return all(packet_sum(S, ell) != 0 for ell in signed_ell_vectors(S.nu, 4))
 
 
+def ell_vectors_by_norm(nu: int, n: int) -> list[tuple[int, ...]]:
+    """`core.ell_vectors_up_to` as it was first written: the cube of each
+    norm 1..n filtered to that norm, one norm after the other."""
+    return [ell for norm in range(1, n + 1) for ell in signed_ell_vectors(nu, norm)]
+
+
 def normalized_det(x: Fraction, p: Sequence[Fraction]) -> Fraction:
     """det K where A = (2/9) diag(lambda(j)(1+j^2)) K under jbar1 = 1/x,
     jbar_i = p_i/x.  Entries are continued rationally to x = 0:

@@ -56,14 +56,18 @@ def test_resonances_budget(tmp_path):
     assert not os.path.exists(tmp_path / "o")  # no artifact, no summary
 
 
-@pytest.mark.parametrize("verb,work", [
-    ("twist", "the twist pair scan of 6670 steps"),  # 116 normal sites |j| <= 60
-    ("spectrum", "the divisor scan of 48012 steps"),  # 12 ells, |j| <= 2000
-    ("measure", "the per-eps sample array of 200000 floats"),  # 1e5 samples x nu = 2
-], ids=["twist", "spectrum", "measure"])
-def test_scan_budget(tmp_path, capsys, verb, work):
-    rc = main([verb, "--config", write_config(tmp_path, BASE), "--out", str(tmp_path / "o"),
-               "--budget", "1"])
+@pytest.mark.parametrize("verb,args,work", [
+    ("twist", ["--budget", "1"], "the twist pair scan of 6670 steps"),  # 116 normal sites
+    ("spectrum", ["--budget", "1"], "the divisor scan of 48012 steps"),  # 12 ells, |j| <= 2000
+    ("measure", ["--budget", "1"], "the per-eps sample array of 200000 floats"),  # 1e5 x nu 2
+    # 84 ells |l|_1 <= 6, each with 2 x 478 normal modes |j| <= 241; 2 000 sample floats
+    ("measure", ["--budget", "50000", "--set", "mc.family=first_melnikov", "--set",
+                 "mc.ell_max=6", "--set", "mc.samples=1000"],
+     "the per-eps case scan of 80304 cases"),
+], ids=["twist", "spectrum", "measure", "measure cases"])
+def test_scan_budget(tmp_path, capsys, verb, args, work):
+    rc = main([verb, "--config", write_config(tmp_path, BASE), "--out", str(tmp_path / "o")]
+              + args)
     assert rc == 2 and work in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o")
 
@@ -366,8 +370,6 @@ REJECTED = {
                                               "scan.spectrum_j_max=7"], "holds no normal mode"),
     "budget 0": ("resonances", "", ["--budget", "0"], "--budget must be at least 1"),
     "budget -5": ("resonances", "", ["--budget", "-5"], "--budget must be at least 1, got -5"),
-    # refused before the sweep starts a thread
-    "threads -3": ("measure", "", ["--threads", "-3"], "--threads must be at least 0, got -3"),
     "f_coeffs repeated degree": ("resonances", "", ["--set", "problem.f_coeffs=9:1 9:2"],
                                  "[problem] f_coeffs: '9:1 9:2' (a degree is given twice)"),
     # eps number i keys its Philox stream with seed + i: five eps need seed <= 2^63 - 5
@@ -464,6 +466,14 @@ def test_bad_argument_exits_3():
     assert main(["twist", "--no-such-flag"]) == 3
 
 
+def test_threads_is_no_option(tmp_path, capsys):
+    # the measure sweep sizes its own pool
+    rc = main(["measure", "--config", write_config(tmp_path, BASE), "--out",
+               str(tmp_path / "o"), "--threads", "2"])
+    assert rc == 3 and "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_evolve_rejects_checkpoint_of_other_grid(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE + "[truncation]\nn_x = 16\nn_phi = 4\n")
     prob = cli._torus_problem(load_config(cfg))
@@ -544,6 +554,19 @@ def test_file_and_set_mean_the_same(tmp_path):
     assert from_file == from_set and from_file["evolve"]["T"] == 5.0
     assert config_hash(from_file) == config_hash(from_set)
     assert config_hash(from_file) != config_hash(load_config(write_config(tmp_path, BASE)))
+
+
+def test_measure_hash_reads_the_seed(tmp_path):
+    # measure's artifacts follow --seed, so its summary hashes the seed too
+    cfg = write_config(tmp_path, BASE + "[mc]\nsamples = 1000\neps_values = 0.08\nell_max = 4\n")
+
+    def digest(seed):
+        out = tmp_path / f"o{seed}"
+        assert main(["measure", "--config", cfg, "--out", str(out), "--seed", seed]) == 0
+        return json.loads((out / "summary.json").read_text())["config_hash"]
+
+    assert digest("1") != digest("2")
+    assert digest("1") == config_hash(load_config(cfg), 1) != config_hash(load_config(cfg))
 
 
 def test_readme_config(tmp_path):

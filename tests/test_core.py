@@ -5,11 +5,13 @@ import pytest
 from dpkam.core import (
     ScalingParams,
     TangentialSet,
+    ell_count,
+    ell_vectors_up_to,
     kr_weight,
     lam,
     linear_frequencies,
 )
-from reference import is_in_wave_packet_class
+from reference import ell_vectors_by_norm, is_in_wave_packet_class
 
 
 def test_lambda_values():
@@ -93,3 +95,10 @@ def test_scaling_params():
     with pytest.raises(ValueError):
         ScalingParams(epsilon=0.1, a=-1.0, nu=2)
 
+
+@pytest.mark.parametrize("nu,n", [(2, 0), (2, 1), (2, 3), (2, 20), (3, 6), (3, 12), (4, 5)])
+def test_ell_vectors_up_to_matches_the_per_norm_walk(nu, n):
+    # the same vectors in the same order, which twist, spectrum and measure read
+    ells = ell_vectors_up_to(nu, n)
+    assert ells == ell_vectors_by_norm(nu, n)
+    assert len(ells) == ell_count(nu, n)

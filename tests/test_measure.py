@@ -20,6 +20,7 @@ from dpkam.measure import (
     g1_scan_pairs,
     measure_sweep,
     pruning_slope_constant,
+    scan_cases,
     second_melnikov_slabs,
     slab_meets_box,
     slab_volumes,
@@ -320,11 +321,34 @@ def test_pruning_slope_empties_miss_the_box(eps, ell_max):
     assert pair_empties == 0
 
 
-def test_measure_sweep_threads_deterministic():
-    cfgs = sweep_configs(S67, 0.1, [0.15, 0.2], ell_max=4)
-    s1 = measure_sweep(S67, cfgs, "G0_1", 3000, 77)
-    s2 = measure_sweep(S67, cfgs, "G0_1", 3000, 77, threads=2)
-    assert [e.excluded for e in s1.estimates] == [e.excluded for e in s2.estimates]
+@pytest.mark.parametrize("family", ["G0_1", "first_melnikov"])
+def test_measure_sweep_pool_equals_serial_estimates(family):
+    # the pooled sweep gives eps number i the estimate of seed + i, whatever
+    # thread runs it
+    cfgs = sweep_configs(S67, 0.1, [0.08, 0.15, 0.2], ell_max=4)
+    sweep = measure_sweep(S67, cfgs, family, 3000, 77)
+    serial = [estimate_excluded_measure(S67, cfg, family, 3000, 77 + i)
+              for i, cfg in enumerate(cfgs)]
+
+    def fields(estimates):
+        return [(e.eps, e.excluded, e.fraction, e.quadrature, e.notes) for e in estimates]
+
+    assert fields(sweep.estimates) == fields(serial)
+    assert any(e.excluded for e in serial)
+
+
+@pytest.mark.parametrize("sites", [(6, 7), (6, 7, 8), (3, 5)])
+@pytest.mark.parametrize("ell_max", [3, 6])
+def test_scan_cases_counts_the_built_cases(sites, ell_max):
+    # exact for G0_0 and first_melnikov, from above for G0_1 and second_melnikov
+    S = TangentialSet.make(sites)
+    cfg = sweep_configs(S, 0.1, [0.08], ell_max=ell_max)[0]
+    for family, exact in (("G0_0", True), ("first_melnikov", True), ("G0_1", False),
+                          ("second_melnikov", False)):
+        est = estimate_excluded_measure(S, cfg, family, 1000, 1)
+        built = int(re.search(r"of (\d+) cases meet", est.notes[-1]).group(1))
+        count = scan_cases(S, cfg, family)
+        assert count == built if exact else built <= count <= 1.1 * built, family
 
 
 def test_fit_loglog_slope():
